@@ -18,7 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .engine import StepRecord, Terminated, run
+from .engine import Fired, RuleCopied, StepRecord, Terminated, run
 from .grid import recognize, state_hash
 from .instances import (
     Instance,
@@ -35,7 +35,7 @@ ENV_ATLAS = "DEBILANDIA_ATLAS"
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -64,10 +64,13 @@ def _parse_set_a(text: str) -> Instance:
     return Instance(values)
 
 
+_OUTCOME_NAMES = {Fired: "fired", RuleCopied: "rule_copied"}
+
+
 def _outcome_name(outcome) -> str:
     if isinstance(outcome, Terminated):
         return f"terminated:{outcome.reason.value}"
-    return type(outcome).__name__.lower().replace("rulecopied", "rule_copied")
+    return _OUTCOME_NAMES[type(outcome)]
 
 
 def _trace_writer(handle):
@@ -88,13 +91,13 @@ def _cmd_simulate(args) -> int:
     obj = json.loads(Path(args.points).read_text())
     raw = obj["points"] if isinstance(obj, dict) else None
     if not isinstance(raw, list) or any(
-        not isinstance(p, list) or len(p) != 2 or not all(isinstance(v, int) and v >= 0 for v in p)
+        not isinstance(p, list) or len(p) != 2 or not all(type(v) is int and v >= 0 for v in p)
         for p in raw
     ):
         raise ValueError('points file must look like {"points": [[x, y], ...]} with non-negative ints')
     state = recognize({(x, y) for x, y in raw}, atlas)
     buffer = io.StringIO()
-    result = run(state, args.max_gens, on_step=_trace_writer(buffer))
+    result = run(state, args.max_gens, on_step=_trace_writer(buffer) if args.trace else None)
     if args.trace:
         _atomic_write(Path(args.trace), buffer.getvalue())
     summary = {
@@ -193,7 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="emit the canonical certificate skeleton for a set A")
     p.add_argument("--set-a", required=True)
-    p.add_argument("--tuples", choices=["auto"], default="auto")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--marker", type=int, choices=[25, 43], required=True)
     p.add_argument("--out", required=True)

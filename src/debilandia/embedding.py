@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .engine import packet_candidate_rows, scan_packets
-from .grid import GameState
+from .engine import complete_packets, packet_rows
+from .grid import GameState, points_of
 from .tiles import (
     CellAddr,
     Point,
@@ -68,14 +68,6 @@ def _rule_tokens(rule: Rule) -> list[TileKind]:
     ]
 
 
-def _emit(cells: dict[CellAddr, TileKind], atlas: TileAtlas) -> set[Point]:
-    pts: set[Point] = set()
-    for (col, row), kind in cells.items():
-        for dx, dy in atlas.points(kind):
-            pts.add((4 * col + dx, 4 * row + dy))
-    return pts
-
-
 def _stack_cells(tip_col: int, initial_state: int) -> dict[CellAddr, TileKind]:
     return {
         (tip_col, TIP_ROW): TileKind.TIP,
@@ -107,7 +99,7 @@ def compile_direct(spec: TmSpec, atlas: TileAtlas, pad: int = 0) -> set[Point]:
     for k, rule in enumerate(spec.rules):
         for i, kind in enumerate(_rule_tokens(rule), start=1):
             cells[(tip_col + i, TIP_ROW + 1 + k)] = kind
-    return _emit(cells, atlas)
+    return points_of(GameState(cells), atlas)
 
 
 def compile_universal(spec: TmSpec, payload_tape: str, atlas: TileAtlas) -> set[Point]:
@@ -129,7 +121,7 @@ def compile_universal(spec: TmSpec, payload_tape: str, atlas: TileAtlas) -> set[
     cells: dict[CellAddr, TileKind] = {(col, TAPE_ROW): kind for col, kind in enumerate(row)}
     tip_col = len(row) - 1
     cells.update(_stack_cells(tip_col, spec.initial_state))
-    return _emit(cells, atlas)
+    return points_of(GameState(cells), atlas)
 
 
 def extract_tm(state: GameState) -> TmSpec:
@@ -170,9 +162,9 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     if tape_cols[-1] - tape_cols[0] + 1 != len(tape_cols):
         raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
 
-    candidate_rows = packet_candidate_rows(state, (tc, tr))
-    probes += 5 * len(candidate_rows) + 1
-    packets = scan_packets(state, (tc, tr))
+    rows = packet_rows(state, (tc, tr))
+    probes += 5 * len(rows) + 1
+    packets = complete_packets(rows)
     if not packets:
         raise NotATuringMachine(ExtractFailure.NO_PACKETS)
     rules: list[Rule] = []

@@ -96,35 +96,14 @@ class StepRecord:
     changed_cells: list[CellAddr]
 
 
-def _packet_shape(state: GameState, tip_col: int, row: int) -> tuple[str, list[TileKind]]:
-    """Classify the packet columns of one row.
+def packet_rows(state: GameState, tip: CellAddr) -> list[tuple[int, list[TileKind] | None]]:
+    """Classify every row above the tip that holds a rule tile in the packet columns.
 
-    Returns ("complete", tiles), ("incomplete", prefix), ("empty", []) or
-    ("malformed", []). A well-formed prefix has slot-i tiles at columns
-    tip_col + i with no gaps and nothing after the first empty column.
-    """
-    cells = [state.tiles.get((tip_col + i, row)) for i in range(1, PACKET_WIDTH + 1)]
-    prefix: list[TileKind] = []
-    for i, kind in enumerate(cells, start=1):
-        if kind is None:
-            break
-        if kind.slot != i:
-            return "malformed", []
-        prefix.append(kind)
-    if any(k is not None for k in cells[len(prefix):]):
-        return "malformed", []
-    if len(prefix) == PACKET_WIDTH:
-        return "complete", prefix
-    if prefix:
-        return "incomplete", prefix
-    return "empty", []
-
-
-def packet_candidate_rows(state: GameState, tip: CellAddr) -> list[int]:
-    """Rows above the tip holding any rule tile in the packet columns, ascending.
-
-    The scan is bounded by the highest such row; rows with no rule tiles
-    cannot host a packet, so they are skipped rather than walked.
+    Returns (row, prefix) in ascending row order. The prefix is the row's
+    well-formed packet: slot-i tiles at columns tip_col + i with no gaps and
+    nothing after the first empty column; five tiles make it complete. A row
+    breaking that shape gets None (malformed). Rows with no rule tiles cannot
+    host a packet, so they are skipped rather than walked.
     """
     tc, tr = tip
     rows = {
@@ -132,17 +111,44 @@ def packet_candidate_rows(state: GameState, tip: CellAddr) -> list[int]:
         for (col, row), kind in state.tiles.items()
         if kind.tile_type is TileType.RULE and tc + 1 <= col <= tc + PACKET_WIDTH and row > tr
     }
-    return sorted(rows)
+    classified: list[tuple[int, list[TileKind] | None]] = []
+    for row in sorted(rows):
+        cells = [state.tiles.get((tc + i, row)) for i in range(1, PACKET_WIDTH + 1)]
+        filled = cells.index(None) if None in cells else PACKET_WIDTH
+        prefix = cells[:filled]
+        well_formed = all(kind.slot == i for i, kind in enumerate(prefix, start=1)) and all(
+            kind is None for kind in cells[filled:]
+        )
+        classified.append((row, prefix if well_formed else None))
+    return classified
 
 
 def scan_packets(state: GameState, tip: CellAddr) -> list[tuple[int, list[TileKind]]]:
     """Complete packets above the tip in scan (bottom-up) order."""
-    packets = []
-    for row in packet_candidate_rows(state, tip):
-        shape, tiles = _packet_shape(state, tip[0], row)
-        if shape == "complete":
-            packets.append((row, tiles))
-    return packets
+    return complete_packets(packet_rows(state, tip))
+
+
+def complete_packets(rows: list[tuple[int, list[TileKind] | None]]) -> list[tuple[int, list[TileKind]]]:
+    """The complete packets among classified packet rows."""
+    return [(row, prefix) for row, prefix in rows if prefix is not None and len(prefix) == PACKET_WIDTH]
+
+
+def _shift_row(
+    tiles: dict[CellAddr, TileKind], row: int, dx: int, moves: Callable[[int, TileKind], bool]
+) -> bool:
+    """Move the tiles of one row that moves(col, kind) selects dx cells, in place.
+
+    Returns False, leaving tiles untouched, when a mover would land on a tile
+    of the row that stays.
+    """
+    movers = {cell: kind for cell, kind in tiles.items() if cell[1] == row and moves(cell[0], kind)}
+    if any((col + dx, row) in tiles and (col + dx, row) not in movers for col, _ in movers):
+        return False
+    for cell in movers:
+        del tiles[cell]
+    for (col, _), kind in movers.items():
+        tiles[(col + dx, row)] = kind
+    return True
 
 
 def step(state: GameState) -> tuple[GameState, StepOutcome]:
@@ -181,35 +187,20 @@ def _fire(state: GameState, tip: CellAddr, below: TileKind) -> tuple[GameState, 
     new_tiles[(tc, tr + 1)] = read_tile(q)
     new_tiles[(tc, tr - 1)] = tape_tile(r3.bit)
     new_tiles[(tc, tr + 2)] = status_tile(r4.bit)
-
     dx = -1 if r5.bit == 1 else 1
-    tape_row = tr - 1
-    movers = {cell: k for cell, k in new_tiles.items() if cell[1] == tape_row and k.tile_type is TileType.TAPE}
-    stay = {cell for cell, k in new_tiles.items() if cell[1] == tape_row and k.tile_type is not TileType.TAPE}
-    if any((c + dx, tape_row) in stay for (c, _) in movers):
+    if not _shift_row(new_tiles, tr - 1, dx, lambda col, kind: kind.tile_type is TileType.TAPE):
         return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-    for cell in movers:
-        del new_tiles[cell]
-    for (c, r), k in movers.items():
-        new_tiles[(c + dx, r)] = k
     return GameState(new_tiles, state.anchor, state.junk_cells), Fired(row)
 
 
 def _copy_rule(state: GameState, tip: CellAddr, below: TileKind) -> tuple[GameState, StepOutcome]:
     tc, tr = tip
-    incomplete: list[tuple[int, int]] = []  # (row, filled count)
-    packet_rows: list[int] = []
-    for row in packet_candidate_rows(state, tip):
-        shape, tiles = _packet_shape(state, tc, row)
-        if shape == "incomplete":
-            incomplete.append((row, len(tiles)))
-            packet_rows.append(row)
-        elif shape == "complete":
-            packet_rows.append(row)
+    packets = [(row, prefix) for row, prefix in packet_rows(state, tip) if prefix is not None]
+    incomplete = [(row, len(prefix)) for row, prefix in packets if len(prefix) < PACKET_WIDTH]
     if incomplete:
-        target, filled = max(incomplete)
+        target, filled = incomplete[-1]
     else:
-        target = max(packet_rows) + 1 if packet_rows else tr + 1
+        target = packets[-1][0] + 1 if packets else tr + 1
         filled = 0
     slot = filled + 1
     if below.slot != slot:
@@ -220,13 +211,8 @@ def _copy_rule(state: GameState, tip: CellAddr, below: TileKind) -> tuple[GameSt
 
     new_tiles = dict(state.tiles)
     new_tiles[dest] = below
-    row_below = tr - 1
-    del new_tiles[(tc, row_below)]  # consumed
-    movers = {cell: k for cell, k in new_tiles.items() if cell[1] == row_below and cell[0] < tc}
-    for cell in movers:
-        del new_tiles[cell]
-    for (c, r), k in movers.items():
-        new_tiles[(c + 1, r)] = k
+    del new_tiles[(tc, tr - 1)]  # consumed; its left neighbours slide into the gap
+    _shift_row(new_tiles, tr - 1, 1, lambda col, kind: col < tc)
     return GameState(new_tiles, state.anchor, state.junk_cells), RuleCopied(target, slot)
 
 

@@ -1,4 +1,4 @@
-"""Board state: tile recognition from raw points, hashing, snapshots.
+"""Board state: tile recognition from raw points, point reconstruction, hashing.
 
 States are sparse: a mapping from cell address to tile kind plus the lattice
 anchor and a count of junk cells. The engine treats states as values; nothing
@@ -7,9 +7,7 @@ here mutates a state after construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, classify_cell
@@ -105,28 +103,3 @@ def state_hash(state: GameState) -> int:
             | _KIND_INDEX[kind]
         )
     return acc & _MASK64
-
-
-def state_to_json_obj(state: GameState) -> dict:
-    tiles = [
-        {"col": col, "row": row, "kind": kind.family, "value": kind.bit}
-        for (col, row), kind in sorted(state.tiles.items())
-    ]
-    return {"anchor": list(state.anchor), "tiles": tiles, "junk_cells": state.junk_cells}
-
-
-def state_from_json_obj(obj: dict) -> GameState:
-    tiles: dict[CellAddr, TileKind] = {}
-    for entry in obj["tiles"]:
-        family, value = entry["kind"], entry["value"]
-        name = family if value is None else f"{family}_{value}"
-        tiles[(entry["col"], entry["row"])] = TileKind(name)
-    return GameState(tiles, tuple(obj["anchor"]), obj["junk_cells"])
-
-
-def save_state(state: GameState, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(state_to_json_obj(state), indent=2, sort_keys=True) + "\n")
-
-
-def load_state(path: str | Path) -> GameState:
-    return state_from_json_obj(json.loads(Path(path).read_text()))

@@ -29,12 +29,20 @@ class TileType(Enum):
     RULE = "rule"
 
 
+# Packet slot order R1..R5.
+SLOT_FAMILIES = ("read", "status", "write", "change_status", "movement")
+
+
 class TileKind(Enum):
     """The 13 tile identities.
 
     Rule tiles fill packet slots R1..R5 in the fixed order read, status,
     write, change-status, movement. A movement value of 1 shifts the tape
     row left, 0 shifts it right.
+
+    Each member derives its facts from its value, "<family>_<bit>" or "tip":
+    family (identity with the constant stripped), bit (None for the tip),
+    slot (packet slot 1..5 for rule tiles, None otherwise) and tile_type.
     """
 
     TIP = "tip"
@@ -51,96 +59,44 @@ class TileKind(Enum):
     MOVE_1 = "movement_1"
     MOVE_0 = "movement_0"
 
-    @property
-    def tile_type(self) -> TileType:
-        return _TYPE[self]
-
-    @property
-    def family(self) -> str:
-        """Identity with the constant stripped: tip, tape, read, ..."""
-        return _FAMILY[self]
-
-    @property
-    def bit(self) -> int | None:
-        """The 0/1 constant a tile represents; None for the tip."""
-        return _BIT[self]
-
-    @property
-    def slot(self) -> int | None:
-        """Packet slot index 1..5 for rule tiles, None otherwise."""
-        return _SLOT.get(self)
+    def __init__(self, value: str) -> None:
+        family, _, bit = value.rpartition("_")
+        self.family: str = family or value
+        self.bit: int | None = int(bit) if family else None
+        self.slot: int | None = SLOT_FAMILIES.index(family) + 1 if family in SLOT_FAMILIES else None
+        self.tile_type: TileType = TileType.RULE if self.slot else TileType(self.family)
 
 
-_TYPE = {
-    TileKind.TIP: TileType.TIP,
-    TileKind.TAPE_1: TileType.TAPE,
-    TileKind.TAPE_0: TileType.TAPE,
-}
-_TYPE.update({k: TileType.RULE for k in TileKind if k not in _TYPE})
-
-_FAMILY = {
-    TileKind.TIP: "tip",
-    TileKind.TAPE_1: "tape",
-    TileKind.TAPE_0: "tape",
-    TileKind.READ_1: "read",
-    TileKind.READ_0: "read",
-    TileKind.STATUS_1: "status",
-    TileKind.STATUS_0: "status",
-    TileKind.WRITE_1: "write",
-    TileKind.WRITE_0: "write",
-    TileKind.CHANGE_1: "change_status",
-    TileKind.CHANGE_0: "change_status",
-    TileKind.MOVE_1: "movement",
-    TileKind.MOVE_0: "movement",
-}
-
-_BIT = {k: (None if k is TileKind.TIP else int(k.value.rsplit("_", 1)[1])) for k in TileKind}
-
-# Slot order R1..R5: read, status, write, change-status, movement.
-_SLOT = {
-    TileKind.READ_1: 1,
-    TileKind.READ_0: 1,
-    TileKind.STATUS_1: 2,
-    TileKind.STATUS_0: 2,
-    TileKind.WRITE_1: 3,
-    TileKind.WRITE_0: 3,
-    TileKind.CHANGE_1: 4,
-    TileKind.CHANGE_0: 4,
-    TileKind.MOVE_1: 5,
-    TileKind.MOVE_0: 5,
-}
-
-_BY_FAMILY_BIT = {(_FAMILY[k], _BIT[k]): k for k in TileKind}
+_KIND_FOR = {(k.family, k.bit): k for k in TileKind}
 
 
 def tape_tile(value: int) -> TileKind:
-    return _BY_FAMILY_BIT[("tape", value)]
+    return _KIND_FOR[("tape", value)]
 
 
 def read_tile(value: int) -> TileKind:
-    return _BY_FAMILY_BIT[("read", value)]
+    return _KIND_FOR[("read", value)]
 
 
 def status_tile(value: int) -> TileKind:
-    return _BY_FAMILY_BIT[("status", value)]
+    return _KIND_FOR[("status", value)]
 
 
 def write_tile(value: int) -> TileKind:
-    return _BY_FAMILY_BIT[("write", value)]
+    return _KIND_FOR[("write", value)]
 
 
 def change_tile(value: int) -> TileKind:
-    return _BY_FAMILY_BIT[("change_status", value)]
+    return _KIND_FOR[("change_status", value)]
 
 
 def move_tile(value: int) -> TileKind:
-    return _BY_FAMILY_BIT[("movement", value)]
+    return _KIND_FOR[("movement", value)]
 
 
 def slot_tile(slot: int, value: int) -> TileKind:
     """Rule tile for packet slot 1..5 carrying the given bit."""
-    family = ("read", "status", "write", "change_status", "movement")[slot - 1]
-    return _BY_FAMILY_BIT[(family, value)]
+    return _KIND_FOR[(SLOT_FAMILIES[slot - 1], value)]
 
 
 class AtlasError(ValueError):
@@ -181,7 +137,7 @@ class TileAtlas:
     @classmethod
     def from_json_obj(cls, obj: dict[str, str]) -> "TileAtlas":
         names = {k.value for k in TileKind}
-        if set(obj) != names:
+        if not isinstance(obj, dict) or set(obj) != names:
             raise AtlasError(f"atlas file must map exactly the names {sorted(names)}")
         return cls({TileKind(name): _string_to_mask(text) for name, text in obj.items()})
 
@@ -204,7 +160,7 @@ def _mask_to_string(mask: int) -> str:
 
 
 def _string_to_mask(text: str) -> int:
-    if len(text) != 16 or set(text) - {"0", "1"}:
+    if not isinstance(text, str) or len(text) != 16 or set(text) - {"0", "1"}:
         raise AtlasError(f"pattern string must be 16 chars of 0/1, got {text!r}")
     mask = 0
     for i, ch in enumerate(text):

@@ -9,9 +9,7 @@ Move encoding: 1 moves the head left, 0 moves it right.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 MOVE_LEFT = 1
 MOVE_RIGHT = 0
@@ -112,25 +110,3 @@ def tm_run(spec: TmSpec, budget: int) -> TmRunResult:
             return TmRunResult(True, n, config)
         config = nxt
     return TmRunResult(False, budget, config)
-
-
-def spec_to_json_obj(spec: TmSpec) -> dict:
-    return {
-        "rules": [[r.read, r.state, r.write, r.next_state, r.move] for r in spec.rules],
-        "tape": spec.tape,
-        "head": spec.head,
-        "initial_state": spec.initial_state,
-    }
-
-
-def spec_from_json_obj(obj: dict) -> TmSpec:
-    rules = tuple(Rule(*entry) for entry in obj["rules"])
-    return TmSpec(rules, obj["tape"], obj.get("head", 0), obj.get("initial_state", 0))
-
-
-def save_spec(spec: TmSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec_to_json_obj(spec), indent=2, sort_keys=True) + "\n")
-
-
-def load_spec(path: str | Path) -> TmSpec:
-    return spec_from_json_obj(json.loads(Path(path).read_text()))

@@ -1,9 +1,12 @@
+import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from corpus import ACCEPT_A, PING_PONG, spec_with
 from debilandia.cli import main
-from debilandia.embedding import compile_direct
+from debilandia.embedding import compile_direct, compile_universal
 from debilandia.instances import Instance, build_candidate, instance_to_json_obj
 from debilandia.tiles import atlas_default
 
@@ -110,8 +113,47 @@ def test_simulate_traces_are_deterministic(tmp_path):
 
 def test_simulate_rejects_bad_points_file(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"points": [[1, -2]]}))
-    assert main(["simulate", "--points", str(bad)]) == 2
+    for point in ([1, -2], [True, 2], [1, False]):  # JSON booleans are not coordinates
+        bad.write_text(json.dumps({"points": [point]}))
+        assert main(["simulate", "--points", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "atlas_obj",
+    [
+        5,
+        sorted(atlas_default().to_json_obj()),  # the right names, but not an object
+        {**atlas_default().to_json_obj(), "tip": 123},
+        {**atlas_default().to_json_obj(), "tip": None},
+    ],
+    ids=["number", "name_list", "number_pattern", "null_pattern"],
+)
+def test_simulate_rejects_malformed_atlas_file(tmp_path, capsys, atlas_obj):
+    points_file = tmp_path / "points.json"
+    write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
+    atlas_file = tmp_path / "atlas.json"
+    atlas_file.write_text(json.dumps(atlas_obj))
+    assert main(["simulate", "--points", str(points_file), "--atlas", str(atlas_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_trace_and_report_bytes_are_pinned(tmp_path):
+    # the tape-loaded board copies ten rule tokens, fires once and halts, so
+    # its trace names every outcome kind
+    points_file = tmp_path / "points.json"
+    write_points(points_file, compile_universal(spec_with(PING_PONG, "11"), "11", atlas_default()))
+    trace_file = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--points", str(points_file), "--max-gens", "50", "--trace", str(trace_file)]) == 0
+    inst_file = tmp_path / "accept.json"
+    write_instance(inst_file, ACCEPT_A, 1, 25)
+    report_file = tmp_path / "report.json"
+    assert main(["verify", "--instance", str(inst_file), "--report", str(report_file)]) == 0
+    assert hashlib.sha256(trace_file.read_bytes()).hexdigest() == (
+        "531b9023cf2204004cdc8c2662387ffd9dba02ba532f8c42b79822cbe586e318"
+    )
+    assert hashlib.sha256(report_file.read_bytes()).hexdigest() == (
+        "663994ff6f71f5a39c1ff4a53e1ae4105b69c89183975258456059613ce23c49"
+    )
 
 
 def test_encode_emits_json_and_text(tmp_path):

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from debilandia.grid import (
     GameState,
-    load_state,
     points_of,
     recognize,
-    save_state,
     state_hash,
 )
 from debilandia.tiles import TileKind, atlas_default
@@ -131,15 +129,3 @@ def test_hash_distinguishes_translated_layouts():
     tiles = {(0, 0): TileKind.TAPE_1, (1, 0): TileKind.TAPE_0}
     slid = {(1, 0): TileKind.TAPE_1, (2, 0): TileKind.TAPE_0}
     assert state_hash(GameState(tiles, (0, 0), 0)) != state_hash(GameState(slid, (0, 0), 0))
-
-
-def test_snapshot_round_trip(tmp_path, atlas):
-    pts = place(atlas, TileKind.TIP, (1, 1)) | place(atlas, TileKind.TAPE_0, (1, 0))
-    pts.add((30, 30))
-    state = recognize(pts, atlas)
-    path = tmp_path / "state.json"
-    save_state(state, path)
-    again = load_state(path)
-    assert again.tiles == state.tiles
-    assert again.anchor == state.anchor
-    assert again.junk_cells == state.junk_cells

@@ -15,11 +15,29 @@ from debilandia.tiles import (
 )
 
 
+# kind -> (family, bit, slot, tile type)
+EXPECTED_FACTS = {
+    TileKind.TIP: ("tip", None, None, TileType.TIP),
+    TileKind.TAPE_1: ("tape", 1, None, TileType.TAPE),
+    TileKind.TAPE_0: ("tape", 0, None, TileType.TAPE),
+    TileKind.READ_1: ("read", 1, 1, TileType.RULE),
+    TileKind.READ_0: ("read", 0, 1, TileType.RULE),
+    TileKind.STATUS_1: ("status", 1, 2, TileType.RULE),
+    TileKind.STATUS_0: ("status", 0, 2, TileType.RULE),
+    TileKind.WRITE_1: ("write", 1, 3, TileType.RULE),
+    TileKind.WRITE_0: ("write", 0, 3, TileType.RULE),
+    TileKind.CHANGE_1: ("change_status", 1, 4, TileType.RULE),
+    TileKind.CHANGE_0: ("change_status", 0, 4, TileType.RULE),
+    TileKind.MOVE_1: ("movement", 1, 5, TileType.RULE),
+    TileKind.MOVE_0: ("movement", 0, 5, TileType.RULE),
+}
+
+
 def test_thirteen_kinds_with_expected_types():
     assert len(TileKind) == 13
-    assert TileKind.TIP.tile_type is TileType.TIP
-    assert TileKind.TAPE_0.tile_type is TileType.TAPE
-    assert TileKind.TAPE_1.tile_type is TileType.TAPE
+    assert set(EXPECTED_FACTS) == set(TileKind)
+    for kind, (family, bit, slot, tile_type) in EXPECTED_FACTS.items():
+        assert (kind.family, kind.bit, kind.slot, kind.tile_type) == (family, bit, slot, tile_type), kind
     rules = [k for k in TileKind if k.tile_type is TileType.RULE]
     assert len(rules) == 10
 
@@ -36,6 +54,9 @@ def test_slot_assignments():
         for bit in (0, 1):
             kind = slot_tile(slot, bit)
             assert kind.slot == slot and kind.bit == bit
+    for kind in TileKind:
+        if kind.tile_type is TileType.RULE:
+            assert slot_tile(kind.slot, kind.bit) is kind
 
 
 def test_default_atlas_distinct_and_nonempty():

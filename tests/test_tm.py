@@ -7,8 +7,6 @@ from debilandia.tm import (
     Rule,
     TmSpec,
     initial_config,
-    load_spec,
-    save_spec,
     tm_run,
     tm_step,
 )
@@ -98,10 +96,3 @@ def test_move_encoding():
     spec = spec_with((Rule(0, 0, 0, 0, MOVE_LEFT),), "0")
     cfg = tm_step(spec, initial_config(spec))
     assert cfg.head == -1
-
-
-def test_machine_file_round_trip(tmp_path):
-    spec = spec_with(INCREMENTER, "0110", head=3, state=0)
-    path = tmp_path / "machine.json"
-    save_spec(spec, path)
-    assert load_spec(path) == spec
