@@ -2,12 +2,11 @@
 
 States are sparse: a mapping from cell address to tile kind plus the lattice
 anchor and a count of junk cells. The engine treats states as values; nothing
-here mutates a state after construction.
+here mutates a state's tiles after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, classify_cell
@@ -17,22 +16,53 @@ _MASK64 = (1 << 64) - 1
 _EMPTY_HASH = 0x9E3779B97F4A7C15
 
 
-@dataclass
 class GameState:
     """Sparse board: cell -> tile, with the recognition anchor and junk tally.
 
     Junk cells (occupied but matching no pattern) are inert: they never block
     movement or rule matching, so only their count is kept.
+
+    States are values. A state made by hand holds its `tiles` mapping; the
+    engine indexes it on first use (`board`), so mutate `tiles` only before
+    the state is stepped. A state the engine makes holds only its row board
+    and builds `tiles` from it when someone reads it.
     """
 
-    tiles: dict[CellAddr, TileKind]
-    anchor: Point = (0, 0)
-    junk_cells: int = 0
+    __slots__ = ("_tiles", "anchor", "junk_cells", "board")
+
+    def __init__(self, tiles: dict[CellAddr, TileKind], anchor: Point = (0, 0), junk_cells: int = 0) -> None:
+        self._tiles = tiles
+        self.anchor = anchor
+        self.junk_cells = junk_cells
+        self.board = None  # the engine's index of this state, built on first use
+
+    @classmethod
+    def of_board(cls, board, anchor: Point, junk_cells: int) -> "GameState":
+        """A state held as an engine board; board.tiles() builds its mapping."""
+        state = cls(None, anchor, junk_cells)
+        state.board = board
+        return state
+
+    @property
+    def tiles(self) -> dict[CellAddr, TileKind]:
+        if self._tiles is None:
+            self._tiles = self.board.tiles()
+        return self._tiles
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GameState):
+            return NotImplemented
+        return (self.tiles, self.anchor, self.junk_cells) == (other.tiles, other.anchor, other.junk_cells)
+
+    def __repr__(self) -> str:
+        return f"GameState(tiles={self.tiles!r}, anchor={self.anchor!r}, junk_cells={self.junk_cells!r})"
 
     def clone(self) -> "GameState":
         return GameState(dict(self.tiles), self.anchor, self.junk_cells)
 
     def tip_cells(self) -> list[CellAddr]:
+        if self.board is not None and self.board.tip is not None:
+            return [self.board.tip]
         return sorted(c for c, k in self.tiles.items() if k is TileKind.TIP)
 
 
@@ -82,12 +112,15 @@ def _mix(x: int) -> int:
 
 
 def state_hash(state: GameState) -> int:
-    """64-bit digest of the absolute tile layout.
+    """64-bit output digest of the absolute tile layout (final_hash, trace lines).
 
     Equal layouts hash equal regardless of tile-map insertion order, and the
     digest is a function of absolute lattice content: a state re-recognized
     from its own points (which rebases cell addresses) hashes identically,
-    while a translated copy does not.
+    while a translated copy does not. It is not an identity: cell offsets
+    relative to the lowest column and row wrap at 2**20, so layouts whose
+    tiles lie 2**20 cells apart can share a digest. Cycle detection keys on
+    the engine's position key instead and confirms every hit exactly.
     """
     if not state.tiles:
         return _EMPTY_HASH

@@ -39,6 +39,14 @@ PING_PONG = (
     Rule(1, 1, 1, 0, MOVE_LEFT),
 )
 
+# Walks right to the first 1, then bounces between it and its left neighbour
+# forever: the board run reaches an exact period-2 cycle.
+BOUNCE = (
+    Rule(0, 0, 0, 0, MOVE_RIGHT),
+    Rule(1, 0, 1, 1, MOVE_LEFT),
+    Rule(0, 1, 0, 0, MOVE_RIGHT),
+)
+
 LOCKSTEP_MACHINES = {
     "never_match": NEVER_MATCH,
     "zero_runner": ZERO_RUNNER,
@@ -60,6 +68,17 @@ def random_tapes(seed: int, count: int = 20, max_len: int = 12) -> list[str]:
         length = rng.randint(1, max_len)
         tapes.append("".join(rng.choice("01") for _ in range(length)))
     return tapes
+
+
+def lockstep_corpus() -> list[tuple[str, tuple[Rule, ...], list[str]]]:
+    """(name, rules, tapes) for every lockstep machine, 20 seeded tapes each."""
+    corpus = []
+    for seed, (name, rules) in enumerate(sorted(LOCKSTEP_MACHINES.items())):
+        tapes = random_tapes(seed * 7 + 1, count=20, max_len=12)
+        if name == "zero_runner":
+            tapes[0] = "0" * 12  # the guaranteed budget-exhausting case
+        corpus.append((name, rules, tapes))
+    return corpus
 
 
 def spec_with(rules: tuple[Rule, ...], tape: str, head: int = 0, state: int = 0) -> TmSpec:

@@ -12,16 +12,16 @@ from contextlib import contextmanager
 
 from corpus import (
     ACCEPT_A,
-    LOCKSTEP_MACHINES,
+    ZERO_RUNNER,
     game_status,
     game_tape_text,
+    lockstep_corpus,
     oracle_trajectory,
     padding_for,
-    random_tapes,
     spec_with,
 )
 from debilandia.embedding import compile_direct, compile_universal
-from debilandia.engine import Fired, RuleCopied, Terminated, run, step
+from debilandia.engine import Fired, RuleCopied, RunStatus, Terminated, run, step
 from debilandia.grid import recognize, state_hash
 from debilandia.instances import Instance, RejectReason, build_candidate
 from debilandia.solver import construct_certificate, growth_probe, sweep_candidates
@@ -133,22 +133,12 @@ def test_criterion_2_engine_determinism_and_absorption():
                 assert again.tiles == cursor.tiles
 
 
-def _lockstep_corpus():
-    corpus = []
-    for seed, (name, rules) in enumerate(sorted(LOCKSTEP_MACHINES.items())):
-        tapes = random_tapes(seed * 7 + 1, count=20, max_len=12)
-        if name == "zero_runner":
-            tapes[0] = "0" * 12  # the guaranteed budget-exhausting case
-        corpus.append((name, rules, tapes))
-    return corpus
-
-
 def test_criterion_3_lockstep_equivalence():
     with criterion(3, "machine embedding runs in lockstep with the oracle", 60.0):
         atlas = atlas_default()
         budget = 1000
         checked = 0
-        for name, rules, tapes in _lockstep_corpus():
+        for name, rules, tapes in lockstep_corpus():
             for tape in tapes:
                 spec = spec_with(rules, tape)
                 configs, halted = oracle_trajectory(spec, budget)
@@ -173,7 +163,7 @@ def test_criterion_4_universal_load_equivalence():
         atlas = atlas_default()
         budget = 1000
         pairs = 0
-        for name, rules, tapes in _lockstep_corpus():
+        for name, rules, tapes in lockstep_corpus():
             if not rules:
                 continue
             for tape in tapes:
@@ -263,3 +253,14 @@ def test_criterion_8_growth_measurement():
         for row in rows:
             assert row.cells_placed == row.size_m**2
             assert row.factorial_sq_claim == math.factorial(row.size_m) ** 2
+
+
+def test_criterion_9_engine_pace_is_linear():
+    # 5000 generations over a 5001-cell tape: the whole-board dict engine
+    # took about two minutes for this on a 2-core VM
+    with criterion(9, "a 5000-generation run on a 5001-cell tape", 10.0):
+        atlas = atlas_default()
+        state = recognize(compile_direct(spec_with(ZERO_RUNNER, "0" * 5000 + "1"), atlas), atlas)
+        result = run(state, 6000)
+        assert result.status is RunStatus.HALTED
+        assert result.generations_run == 5000

@@ -1,6 +1,8 @@
+import dict_engine
 import pytest
 
-from corpus import PING_PONG, drive_fires, spec_with
+from corpus import BOUNCE, PING_PONG, ZERO_RUNNER, drive_fires, oracle_trajectory, spec_with
+from debilandia import engine
 from debilandia.embedding import compile_direct
 from debilandia.engine import (
     Fired,
@@ -8,11 +10,12 @@ from debilandia.engine import (
     RunStatus,
     StopReason,
     Terminated,
+    position_key,
     run,
     step,
 )
 from debilandia.grid import GameState, recognize, state_hash
-from debilandia.tiles import TileKind
+from debilandia.tiles import TileKind, slot_tile
 
 
 def state_of(tiles):
@@ -124,6 +127,14 @@ def test_scan_skips_incomplete_and_takes_first_matching_row():
     assert after.tiles[(-1, 0)] == TileKind.TAPE_1  # R5 = 1 shifts left
 
 
+def test_fire_takes_the_lowest_of_duplicate_packets():
+    tiles = dict(minimal_fire_state().tiles)
+    tiles.update({(i, 4): slot_tile(i, bit) for i, bit in enumerate([1, 0, 1, 0, 0], start=1)})
+    after, outcome = step(state_of(tiles))
+    assert outcome == Fired(packet_row=2)
+    assert after.tiles[(1, 0)] is TileKind.TAPE_0  # row 2 writes 0, row 4 would write 1
+
+
 def test_tape_shift_collision_with_non_tape_tile_terminates():
     tiles = dict(minimal_fire_state().tiles)
     tiles[(1, 0)] = TileKind.READ_0  # rule tile parked where the tape would land
@@ -194,6 +205,22 @@ def test_rule_copy_opens_row_above_complete_packets():
     after, outcome = step(state_of(tiles))
     assert outcome == RuleCopied(target_row=3, slot=1)
     assert after.tiles[(1, 3)] is TileKind.READ_1
+
+
+def test_rule_copy_falls_back_to_the_next_incomplete_packet():
+    # rows 2 and 4 are both incomplete: slot 5 completes row 4, then slot 2
+    # goes to row 2, the highest packet still incomplete
+    tiles = {
+        (0, 0): TileKind.MOVE_1,
+        (-1, 0): TileKind.STATUS_0,
+        (0, 1): TileKind.TIP,
+        (1, 2): TileKind.READ_0,
+    }
+    tiles.update({(i, 4): slot_tile(i, 1) for i in range(1, 5)})
+    once, first = step(state_of(tiles))
+    twice, second = step(once)
+    assert (first, second) == (RuleCopied(target_row=4, slot=5), RuleCopied(target_row=2, slot=2))
+    assert twice.tiles[(2, 2)] is TileKind.STATUS_0
 
 
 def test_step_is_deterministic():
@@ -270,3 +297,37 @@ def test_run_hash_sequences_identical_for_clones(atlas):
 def test_run_rejects_negative_budget():
     with pytest.raises(ValueError):
         run(state_of({}), -1)
+
+
+def test_layouts_2_pow_20_cells_apart_get_distinct_keys():
+    # state_hash wraps relative offsets at 2**20, so it cannot tell these
+    # apart; the position key must, or run could call them one state
+    base = {(0, 0): TileKind.TAPE_1, (1, 0): TileKind.TAPE_0}
+    for far in ((1 + 2**20, 0), (1, 2**20)):
+        moved = {(0, 0): TileKind.TAPE_1, far: TileKind.TAPE_0}
+        assert state_hash(state_of(base)) == state_hash(state_of(moved))
+        assert position_key(state_of(base)) != position_key(state_of(moved))
+
+
+def test_forced_key_collisions_do_not_fake_a_cycle(atlas, monkeypatch):
+    # every generation shares one key, so every generation is a key hit
+    spec = spec_with(ZERO_RUNNER, "0" * 12 + "1")
+    configs, halted = oracle_trajectory(spec, 100)
+    assert halted
+    state = recognize(compile_direct(spec, atlas), atlas)
+    monkeypatch.setattr(engine, "position_key", lambda state: 0)
+    result = run(state, 100)
+    assert result.status is RunStatus.HALTED
+    assert result.generations_run == len(configs) - 1 == 12
+
+
+def test_forced_key_collisions_find_the_same_cycle(atlas, monkeypatch):
+    state = recognize(compile_direct(spec_with(BOUNCE, "0" * 6 + "1"), atlas), atlas)
+    exact = dict_engine.run(state.clone(), 100)
+    unforced = run(state, 100)
+    monkeypatch.setattr(engine, "position_key", lambda state: 0)
+    forced = run(state, 100)
+    for result in (unforced, forced):
+        assert result.status is RunStatus.CYCLE
+        assert (result.first_index, result.period) == (exact.first_index, exact.period) == (6, 2)
+        assert result.final_state.tiles == exact.final_state.tiles

@@ -1,0 +1,146 @@
+"""Differential tests: the row-board engine against the dict engine.
+
+Both engines step the same boards; outcomes and tile maps must agree after
+every generation, and run must agree with the dict engine's exact-repeat run
+on status, counts, cycle position, final tiles and every trace record.
+"""
+
+import dict_engine
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import BOUNCE, PING_PONG, lockstep_corpus, padding_for, spec_with
+from debilandia.embedding import compile_direct, compile_universal
+from debilandia.engine import Terminated, position_key, run, step
+from debilandia.grid import GameState, recognize
+from debilandia.tiles import TileKind, TileType, slot_tile
+from debilandia.tm import Rule, TmSpec
+
+TAPES = [TileKind.TAPE_0, TileKind.TAPE_1]
+RULES = [k for k in TileKind if k.tile_type is TileType.RULE]
+STATUSES = [TileKind.STATUS_0, TileKind.STATUS_1]
+NOT_TIP = [k for k in TileKind if k is not TileKind.TIP]
+
+
+def assert_engines_agree(state: GameState, max_gens: int) -> None:
+    ours, theirs = state, GameState(dict(state.tiles), state.anchor, state.junk_cells)
+    for _ in range(max_gens):
+        ours_next, outcome = step(ours)
+        theirs_next, expected = dict_engine.step(theirs)
+        assert outcome == expected
+        assert ours_next.tiles == theirs_next.tiles
+        # the key kept up per changed row equals the key of a fresh index
+        assert position_key(ours_next) == position_key(GameState(dict(ours_next.tiles)))
+        if isinstance(outcome, Terminated):
+            assert ours_next is ours
+            break
+        ours, theirs = ours_next, theirs_next
+
+    records, expected_records = [], []
+    result = run(state, max_gens, on_step=records.append)
+    expected = dict_engine.run(
+        GameState(dict(state.tiles), state.anchor, state.junk_cells), max_gens, on_step=expected_records.append
+    )
+    got = (result.status, result.generations_run, result.reason, result.period, result.first_index)
+    want = (expected.status, expected.generations_run, expected.reason, expected.period, expected.first_index)
+    assert got == want
+    assert result.final_state.tiles == expected.final_state.tiles
+    assert records == expected_records
+
+
+def packet_cells(flavour: str, bits: list[int], junk: list[TileKind | None]) -> list[TileKind | None]:
+    """Five packet cells of one flavour, from five drawn bits and five drawn cells."""
+    if flavour == "complete":
+        return [slot_tile(i, bits[i - 1]) for i in range(1, 6)]
+    if flavour == "prefix":
+        return [slot_tile(i, bits[i - 1]) if i <= 1 + bits[4] + bits[3] else None for i in range(1, 6)]
+    if flavour == "gapped":
+        return [slot_tile(1, bits[0]), None, slot_tile(3, bits[2]), None, None]
+    if flavour == "misordered":
+        return [slot_tile(2, bits[0]), slot_tile(1, bits[1]), None, None, None]
+    return junk  # anything but a tip
+
+
+@st.composite
+def boards(draw) -> dict:
+    """A tip context with packets above, a tape row that may load rules, and noise.
+
+    Covers malformed and gapped packet rows, rule tiles in the tape row (the
+    fire collision case), cells right of the consumed cell during a copy,
+    several tips and a missing status tile.
+    """
+    tc, tr = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    tiles = {(tc, tr): TileKind.TIP} if draw(st.integers(0, 19)) else {}
+    if draw(st.integers(0, 9)):
+        tiles[(tc, tr + 2)] = draw(st.sampled_from(STATUSES + STATUSES + [TileKind.READ_0]))
+    if draw(st.booleans()):
+        tiles[(tc, tr + 1)] = draw(st.sampled_from([TileKind.READ_0, TileKind.READ_1, TileKind.TAPE_1]))
+    # the tape row: tokens for whole packets, consumed from the tip leftwards,
+    # then payload, with occasional stray tiles anywhere in it
+    col = tc
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        bits = draw(st.lists(st.integers(0, 1), min_size=5, max_size=5))
+        for slot in range(1, 6):
+            tiles[(col, tr - 1)] = slot_tile(slot, bits[slot - 1])
+            col -= 1
+    for kind in draw(st.lists(st.sampled_from(TAPES * 6 + RULES + [None]), max_size=10)):
+        if kind is not None:
+            tiles[(col, tr - 1)] = kind
+        col -= 1
+    for offset, kind in enumerate(draw(st.lists(st.sampled_from(TAPES + RULES + [None]), max_size=3)), start=1):
+        if kind is not None:
+            tiles[(tc + offset, tr - 1)] = kind
+    flavours = st.sampled_from(["complete"] * 4 + ["prefix", "gapped", "misordered", "junk", "empty"])
+    for row in range(tr + 1, tr + 1 + draw(st.integers(0, 5))):
+        flavour = draw(flavours)
+        if flavour == "empty":
+            continue
+        bits = draw(st.lists(st.integers(0, 1), min_size=5, max_size=5))
+        junk = draw(st.lists(st.sampled_from(NOT_TIP + [None] * 6), min_size=5, max_size=5))
+        for i, kind in enumerate(packet_cells(flavour, bits, junk), start=1):
+            if kind is not None:
+                tiles[(tc + i, row)] = kind
+    if not draw(st.integers(0, 14)):
+        tiles[draw(st.sampled_from([(tc + 3, tr + 5), (tc - 2, tr - 1), (tc + 9, tr)]))] = TileKind.TIP
+    for cell in draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-4, 8)), max_size=3)):
+        tiles.setdefault(cell, draw(st.sampled_from(NOT_TIP)))
+    return tiles
+
+
+@settings(max_examples=400, deadline=None)
+@given(boards(), st.integers(0, 60))
+def test_row_board_matches_dict_engine_on_generated_boards(tiles, max_gens):
+    assert_engines_agree(GameState(tiles, (0, 0), 0), max_gens)
+
+
+@st.composite
+def machines(draw) -> TmSpec:
+    keys = draw(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]), min_size=1, max_size=4, unique=True))
+    rules = tuple(Rule(read, state, *draw(st.tuples(*[st.integers(0, 1)] * 3))) for read, state in keys)
+    rules = draw(st.sampled_from([rules, rules, PING_PONG, BOUNCE]))
+    tape = draw(st.text("01", min_size=1, max_size=8))
+    return spec_with(rules, tape, head=draw(st.integers(0, len(tape) - 1)), state=draw(st.integers(0, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(machines(), st.integers(0, 3))
+def test_row_board_matches_dict_engine_on_random_machines(atlas, spec, pad):
+    # bouncing machines make the exact cycles, skimming ones the budget runs
+    assert_engines_agree(recognize(compile_direct(spec, atlas, pad=pad), atlas), 80)
+
+
+def test_row_board_matches_dict_engine_on_the_lockstep_corpus(atlas):
+    budget = 150
+    for _, rules, tapes in lockstep_corpus():
+        for tape in tapes:
+            spec = spec_with(rules, tape)
+            state = recognize(compile_direct(spec, atlas, pad=padding_for(spec, budget)), atlas)
+            assert_engines_agree(state, budget)
+
+
+def test_row_board_matches_dict_engine_on_universal_boards(atlas):
+    for _, rules, tapes in lockstep_corpus():
+        for tape in tapes[:6]:
+            spec = spec_with(rules, tape, head=len(tape) - 1)
+            state = recognize(compile_universal(spec, tape, atlas), atlas)
+            assert_engines_agree(state, 5 * len(rules) + 100)
