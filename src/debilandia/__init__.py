@@ -3,7 +3,7 @@ certificate decision problem built on it and its polynomial-step checker."""
 
 from .embedding import ExtractFailure, NotATuringMachine, compile_direct, compile_universal, extract_tm
 from .engine import Fired, RuleCopied, RunResult, RunStatus, StepOutcome, StopReason, Terminated, run, step
-from .grid import GameState, points_of, recognize, state_hash
+from .grid import GameState, SquarePoints, points_of, recognize, state_hash
 from .instances import (
     Instance,
     ParsedCertificate,
@@ -13,7 +13,6 @@ from .instances import (
     enumerate_tuples,
     parse_certificate,
     serialize_certificate,
-    tuples_to_points,
 )
 from .solver import SolveOutcome, construct_certificate, growth_probe, sweep_candidates
 from .tiles import CellAddr, Point, TileAtlas, TileKind, TileType, atlas_default, classify_cell

@@ -28,7 +28,7 @@ from .instances import (
     load_instance_file,
 )
 from .solver import SolverCapError, construct_certificate, growth_probe
-from .tiles import TileAtlas, atlas_default
+from .tiles import TileAtlas, atlas_default, read_json
 from .verifier import verify
 
 ENV_ATLAS = "DEBILANDIA_ATLAS"
@@ -88,7 +88,7 @@ def _trace_writer(handle):
 
 def _cmd_simulate(args) -> int:
     atlas = _load_atlas(args.atlas)
-    obj = json.loads(Path(args.points).read_text())
+    obj = read_json(args.points)
     raw = obj["points"] if isinstance(obj, dict) else None
     if not isinstance(raw, list) or any(
         not isinstance(p, list) or len(p) != 2 or not all(type(v) is int and v >= 0 for v in p)

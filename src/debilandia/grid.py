@@ -7,7 +7,8 @@ here mutates a state's tiles after construction.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import product
+from typing import Iterable, Iterator
 
 from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, classify_cell
 
@@ -66,12 +67,33 @@ class GameState:
         return sorted(c for c, k in self.tiles.items() if k is TileKind.TIP)
 
 
+class SquarePoints:
+    """The point set A x A (x and y both range over A), held as A alone.
+
+    len() is |A|^2 and iteration yields the points, but recognize reads the
+    set per axis and never builds its |A|^2 points.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Iterable[int]) -> None:
+        self.values = tuple(sorted(set(values)))
+
+    def __len__(self) -> int:
+        return len(self.values) ** 2
+
+    def __iter__(self) -> Iterator[Point]:
+        return product(self.values, repeat=2)
+
+
 def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:
     """Carve aligned 4x4 cells from the per-axis minimum point and classify each.
 
     Deterministic; malformed arrangements are still valid states (their cells
     just count as junk). An empty point set yields the empty state.
     """
+    if isinstance(points, SquarePoints):
+        return _recognize_square(points.values, atlas)
     pts = set(points)
     if not pts:
         return GameState({}, (0, 0), 0)
@@ -91,6 +113,38 @@ def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:
         else:
             tiles[cell] = kind
     return GameState(tiles, (x0, y0), junk)
+
+
+def _recognize_square(values: tuple[int, ...], atlas: TileAtlas) -> GameState:
+    """recognize of A x A in O(|A| + tiles).
+
+    Cell (bx, by) holds the points of block bx of A crossed with those of
+    block by, so its mask is fixed by the two blocks' 4-bit offset masks.
+    Blocks are grouped by mask (at most 15 groups) and each pair of groups is
+    classified once.
+    """
+    if not values:
+        return GameState({}, (0, 0), 0)
+    base = values[0]
+    block_masks: dict[int, int] = {}
+    for v in values:
+        block, offset = divmod(v - base, CELL)
+        block_masks[block] = block_masks.get(block, 0) | 1 << offset
+    groups: dict[int, list[int]] = {}
+    for block, mask in block_masks.items():
+        groups.setdefault(mask, []).append(block)
+    tiles: dict[CellAddr, TileKind] = {}
+    junk = 0
+    for y_mask, y_blocks in groups.items():
+        y_offsets = [dy for dy in range(CELL) if y_mask >> dy & 1]
+        for x_mask, x_blocks in groups.items():
+            cell_mask = sum(x_mask << CELL * dy for dy in y_offsets)
+            kind = classify_cell(cell_mask, atlas)
+            if kind is None:
+                junk += len(x_blocks) * len(y_blocks)
+            else:
+                tiles.update(dict.fromkeys(product(x_blocks, y_blocks), kind))
+    return GameState(tiles, (base, base), junk)
 
 
 def points_of(state: GameState, atlas: TileAtlas) -> set[Point]:

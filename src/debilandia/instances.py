@@ -20,14 +20,13 @@ simply differ by 2 by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .tiles import Point
+from .tiles import read_json
 
 MARKER_START = 2
 MARKER_SEP = 7
@@ -111,19 +110,28 @@ def enumerate_tuples(a_values: Iterable[int]) -> list[tuple[int, int]]:
     return list(product(ordered, repeat=2))
 
 
-def tuples_to_points(tuples: Iterable[tuple[int, int]]) -> set[Point]:
-    """First pair element is the x coordinate, second is y."""
-    return {(a, b) for a, b in tuples}
-
-
 def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[list[tuple[int, int]], int, int]:
     """Read ``a b 7 a b 7 ... a b 5`` from items[start:].
 
     Returns (pairs, index one past the 5, tokens touched). Raises
     RejectedCertificate for shape violations; pair coverage is not checked
-    here.
+    here. A well-formed section is checked with list and set operations; the
+    token walk runs only to locate a reject.
     """
     members = set(inst.a_values)
+    try:
+        end = items.index(MARKER_END_TUPLES, start)
+    except ValueError:
+        end = None
+    if end is not None and (end - start) % 3 == 2:
+        xs, ys, seps = items[start:end:3], items[start + 1 : end : 3], items[start + 2 : end : 3]
+        if seps.count(MARKER_SEP) == len(seps) and members.issuperset(xs) and members.issuperset(ys):
+            return list(zip(xs, ys)), end + 1, end + 1 - start
+    return _walk_pairs(members, items, start)
+
+
+def _walk_pairs(members: set[int], items: Sequence[int], start: int) -> tuple[list[tuple[int, int]], int, int]:
+    """group_tuples token by token: raises at the first violation (or reads zero pairs)."""
     pairs: list[tuple[int, int]] = []
     current: list[int] = []
     touched = 0
@@ -155,29 +163,47 @@ def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[list
 
 
 def check_coverage(inst: Instance, pairs: Sequence[tuple[int, int]], end_pos: int) -> int:
-    """Pairs must be distinct and enumerate A x A; returns tokens touched."""
-    seen: set[tuple[int, int]] = set()
-    for k, pair in enumerate(pairs):
-        if pair in seen:
-            raise RejectedCertificate(RejectReason.CONDITION_3, 1 + 3 * k, "repeated pair")
-        seen.add(pair)
-    expected = set(enumerate_tuples(inst.a_values))
-    if seen != expected:
+    """Pairs must be distinct and enumerate A x A; returns tokens touched.
+
+    Distinct pairs enumerate A x A exactly when there are |A|^2 of them and
+    each is a pair of members, so no A x A set is built.
+    """
+    seen = set(pairs)
+    if len(seen) != len(pairs):
+        earlier: set[tuple[int, int]] = set()
+        for k, pair in enumerate(pairs):
+            if pair in earlier:
+                raise RejectedCertificate(RejectReason.CONDITION_3, 1 + 3 * k, "repeated pair")
+            earlier.add(pair)
+    members = set(inst.a_values)
+    if len(seen) != len(members) ** 2 or not _member_pairs(members, pairs):
         raise RejectedCertificate(RejectReason.CONDITION_3, end_pos, "pairs must enumerate all of A x A")
     return len(pairs)
+
+
+def _member_pairs(members: set[int], pairs: Sequence[tuple[int, int]]) -> bool:
+    """Whether each of the (non-empty) pairs is a pair of members."""
+    if set(map(type, pairs)) == {tuple} and set(map(len, pairs)) == {2}:
+        return members.issuperset(chain.from_iterable(pairs))
+    return set(pairs) <= set(product(members, repeat=2))  # not all plain 2-tuples: compare exactly
+
+
+_SCAN_CHUNK = 4096
 
 
 def scan_tail(items: Sequence[int], start: int) -> tuple[int, int, int]:
     """Read ``4 ... 4 marker`` from items[start:].
 
     Returns (E, marker, tokens touched scanning fours). Trailing data is the
-    caller's concern.
+    caller's concern. The run is counted a fixed-size slice at a time, so no
+    run-sized copy is made.
     """
     i = start
-    gens = 0
+    while items[i : i + _SCAN_CHUNK].count(MARKER_GENERATION) == _SCAN_CHUNK:
+        i += _SCAN_CHUNK
     while i < len(items) and items[i] == MARKER_GENERATION:
-        gens += 1
         i += 1
+    gens = i - start
     if i >= len(items):
         raise RejectedCertificate(RejectReason.CONDITION_7, len(items), "missing final 25/43 marker")
     marker = items[i]
@@ -230,13 +256,13 @@ def instance_to_json_obj(inst: Instance, items: Sequence[int]) -> dict:
 
 
 def load_instance_file(path: str | Path) -> tuple[Instance, list[int]]:
-    obj = json.loads(Path(path).read_text())
+    obj = read_json(path)
     if not isinstance(obj, dict) or "A" not in obj or "L" not in obj:
         raise ValueError("instance file must be a JSON object with keys A and L")
     values = obj["A"]
     items = obj["L"]
     if not isinstance(values, list) or not isinstance(items, list):
         raise ValueError("A and L must be JSON arrays")
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in items):
+    if not set(map(type, items)) <= {int}:
         raise ValueError("L must contain integers only")
-    return Instance(tuple(values)), list(items)
+    return Instance(tuple(values)), items

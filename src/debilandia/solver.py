@@ -21,15 +21,13 @@ from dataclasses import dataclass
 
 from .embedding import NotATuringMachine, extract_tm
 from .engine import RunStatus, run
-from .grid import recognize
+from .grid import SquarePoints, recognize
 from .instances import (
     MARKER_RUNS,
     MARKER_STOPS,
     RESERVED,
     Instance,
     build_candidate,
-    enumerate_tuples,
-    tuples_to_points,
 )
 from .tiles import TileAtlas
 from .verifier import verify
@@ -78,8 +76,7 @@ def construct_certificate(
             f"|A| = {inst.size} exceeds the cap of {cap}: certificate search "
             f"cost grows exponentially with |A|"
         )
-    tuples = enumerate_tuples(inst.a_values)
-    points = tuples_to_points(tuples)
+    points = SquarePoints(inst.a_values)
     state = recognize(points, atlas)
     stats = SolveStats(
         cells_placed=len(points),

@@ -146,7 +146,15 @@ class TileAtlas:
 
     @classmethod
     def load(cls, path: str | Path) -> "TileAtlas":
-        return cls.from_json_obj(json.loads(Path(path).read_text()))
+        return cls.from_json_obj(read_json(path))
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file; nesting too deep for the parser is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _mask_to_string(mask: int) -> str:

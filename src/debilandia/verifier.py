@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 from .embedding import NotATuringMachine, extract_tm_counted
 from .engine import RunResult, RunStatus, StepRecord, run
-from .grid import recognize
+from .grid import SquarePoints, recognize
 from .instances import (
     MARKER_STOPS,
     Instance,
@@ -41,7 +41,6 @@ from .instances import (
     check_coverage,
     group_tuples,
     scan_tail,
-    tuples_to_points,
 )
 from .tiles import TileAtlas
 
@@ -191,7 +190,7 @@ def verify(
         ledger.c3 = len(pairs)
         return reject(exc.reason)
 
-    points = tuples_to_points(pairs)
+    points = SquarePoints(inst.a_values)  # the pairs are exactly A x A
     state = recognize(points, atlas)
     ledger.c4 = len(points) + len(state.tiles) + state.junk_cells
     extraction: NotATuringMachine | None = None

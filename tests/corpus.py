@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 
 from debilandia.engine import Fired, step
 from debilandia.grid import GameState
-from debilandia.tiles import TileType
+from debilandia.tiles import TileKind, TileType
 from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmSpec, initial_config, tm_step
 
 # Halts immediately from state 0: its only rule needs state 1.
@@ -112,20 +113,35 @@ def tip_cell(state: GameState):
     return cell
 
 
+# keyed by (family, bit): hashing TileKind itself runs Python code per tile
+_TAPE_TEXT = {(k.family, k.bit): str(k.bit) if k.tile_type is TileType.TAPE else "" for k in TileKind}
+_FAMILY_BIT = attrgetter("family", "bit")
+
+
+def row_tiles(state: GameState, r: int) -> list[TileKind]:
+    """Row r's tiles in column order.
+
+    Reads the engine's board when the state has one, so an engine-made state
+    never builds its whole tile map for this.
+    """
+    if state.board is not None:
+        cells = state.board.row(r).cells  # keyed by column minus the row's offset
+    else:
+        cells = {col: kind for (col, row), kind in state.tiles.items() if row == r}
+    return list(map(cells.__getitem__, sorted(cells)))
+
+
 def game_tape_text(state: GameState) -> str:
     """Tape row content left to right, trimmed to the outermost 1s."""
     tc, tr = tip_cell(state)
-    row = sorted(
-        (col, kind.bit)
-        for (col, r), kind in state.tiles.items()
-        if r == tr - 1 and kind.tile_type is TileType.TAPE
-    )
-    text = "".join(str(bit) for _, bit in row)
+    text = "".join(map(_TAPE_TEXT.__getitem__, map(_FAMILY_BIT, row_tiles(state, tr - 1))))
     return text.strip("0")
 
 
 def game_status(state: GameState) -> int:
     tc, tr = tip_cell(state)
+    if state.board is not None:
+        return state.board.row(tr + 2).get(tc).bit
     return state.tiles[(tc, tr + 2)].bit
 
 

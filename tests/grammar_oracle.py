@@ -1,0 +1,94 @@
+"""The per-token certificate grammar: the pair section, coverage and the four run.
+
+These were the package's `group_tuples`, `check_coverage` and `scan_tail`
+before list and set operations replaced their accept paths. They walk the
+list one token (or pair) at a time, so they are kept only as the
+differential oracle that `test_grammar_oracle.py` checks the package's
+versions against, reject reason and position included.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from debilandia.instances import (
+    MARKER_END_TUPLES,
+    MARKER_GENERATION,
+    MARKER_RUNS,
+    MARKER_SEP,
+    MARKER_STOPS,
+    Instance,
+    RejectedCertificate,
+    RejectReason,
+    enumerate_tuples,
+)
+
+
+def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[list[tuple[int, int]], int, int]:
+    """Read ``a b 7 a b 7 ... a b 5`` from items[start:].
+
+    Returns (pairs, index one past the 5, tokens touched). Raises
+    RejectedCertificate for shape violations; pair coverage is not checked
+    here.
+    """
+    members = set(inst.a_values)
+    pairs: list[tuple[int, int]] = []
+    current: list[int] = []
+    touched = 0
+    i = start
+    while i < len(items):
+        token = items[i]
+        touched += 1
+        if token == MARKER_SEP:
+            if len(current) != 2:
+                raise RejectedCertificate(RejectReason.CONDITION_2, i, "pair must have exactly two members")
+            pairs.append((current[0], current[1]))
+            current = []
+        elif token == MARKER_END_TUPLES:
+            if len(current) == 2:
+                pairs.append((current[0], current[1]))
+                return pairs, i + 1, touched
+            if not current and not pairs:
+                return pairs, i + 1, touched  # zero pairs; coverage rejects later
+            raise RejectedCertificate(RejectReason.CONDITION_2, i, "pair must have exactly two members")
+        elif token in members:
+            if len(current) == 2:
+                raise RejectedCertificate(RejectReason.CONDITION_4, i, "expected 7 or 5 after a pair")
+            current.append(token)
+        else:
+            reason = RejectReason.CONDITION_4 if len(current) == 2 else RejectReason.CONDITION_2
+            raise RejectedCertificate(reason, i, f"{token} cannot appear inside the pair section")
+        i += 1
+    raise RejectedCertificate(RejectReason.CONDITION_4, len(items), "no 5 terminates the pair section")
+
+
+def check_coverage(inst: Instance, pairs: Sequence[tuple[int, int]], end_pos: int) -> int:
+    """Pairs must be distinct and enumerate A x A; returns tokens touched."""
+    seen: set[tuple[int, int]] = set()
+    for k, pair in enumerate(pairs):
+        if pair in seen:
+            raise RejectedCertificate(RejectReason.CONDITION_3, 1 + 3 * k, "repeated pair")
+        seen.add(pair)
+    expected = set(enumerate_tuples(inst.a_values))
+    if seen != expected:
+        raise RejectedCertificate(RejectReason.CONDITION_3, end_pos, "pairs must enumerate all of A x A")
+    return len(pairs)
+
+
+def scan_tail(items: Sequence[int], start: int) -> tuple[int, int, int]:
+    """Read ``4 ... 4 marker`` from items[start:].
+
+    Returns (E, marker, tokens touched scanning fours). Trailing data is the
+    caller's concern.
+    """
+    i = start
+    gens = 0
+    while i < len(items) and items[i] == MARKER_GENERATION:
+        gens += 1
+        i += 1
+    if i >= len(items):
+        raise RejectedCertificate(RejectReason.CONDITION_7, len(items), "missing final 25/43 marker")
+    marker = items[i]
+    if marker not in (MARKER_STOPS, MARKER_RUNS):
+        raise RejectedCertificate(RejectReason.CONDITION_5, i, "only 4s may precede the final marker")
+    return gens, marker, gens

@@ -12,10 +12,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from corpus import BOUNCE, ZERO_RUNNER, spec_with
+from corpus import ACCEPT_A, BOUNCE, ZERO_RUNNER, spec_with
 from debilandia.embedding import compile_direct
 from debilandia.engine import RunStatus
 from debilandia.grid import recognize
+from debilandia.instances import Instance, build_candidate
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -33,6 +34,11 @@ def test_every_patched_attribute_resolves(spans):
         assert callable(getattr(importlib.import_module(f"debilandia.{module}"), attr, None)), (module, attr)
 
 
+def traced_package(spans):
+    lib = SimpleNamespace(**{m: importlib.import_module(f"debilandia.{m}") for m, *_ in spans.PATCHES})
+    return lib, spans.Tracer(lib)
+
+
 @pytest.mark.parametrize(
     "rules, tape, max_gens, status",
     [
@@ -42,11 +48,32 @@ def test_every_patched_attribute_resolves(spans):
     ],
 )
 def test_run_calls_engine_step_once_per_generation_attempt(spans, atlas, rules, tape, max_gens, status):
-    lib = SimpleNamespace(**{m: importlib.import_module(f"debilandia.{m}") for m, *_ in spans.PATCHES})
-    tracer = spans.Tracer(lib)
+    lib, tracer = traced_package(spans)
     state = recognize(compile_direct(spec_with(rules, tape), atlas), atlas)
     with tracer.installed():
         result = lib.engine.run(state, max_gens)
     assert result.status is status
     attempts = result.generations_run + (result.status is RunStatus.HALTED)
     assert spans.op_counts(tracer.spans)["steps"] == attempts
+
+
+@pytest.mark.parametrize(
+    "a_values, gens, verdict",
+    [
+        ((10, 11, 13, 16, 19, 20, 22), 9, "reject"),  # a skeleton with no machine on it
+        (ACCEPT_A, 5000, "accept"),  # the four run spans more than one of scan_tail's slices
+    ],
+)
+def test_verify_ledger_matches_traced_spans(spans, atlas, a_values, gens, verdict):
+    # the traced benchmark checks c2_3, c4 and E against the spans of the
+    # grammar and recognition calls; inlining one of them breaks this
+    lib, tracer = traced_package(spans)
+    inst = Instance(a_values)
+    with tracer.installed():
+        report = lib.verifier.verify(inst, build_candidate(inst, gens, 25), atlas).to_json_obj()
+    assert report["verdict"] == verdict
+    counts = spans.op_counts(tracer.spans)
+    probes = 4 if counts["extract_failed"] else counts["probes"]  # c4 charges 4 when extraction fails
+    assert counts["pair_tokens"] == report["counters"]["c2_3"]
+    assert counts["recognized"] == report["counters"]["c4"] - probes
+    assert counts["fours"] == report["E"] == gens

@@ -137,6 +137,22 @@ def test_simulate_rejects_malformed_atlas_file(tmp_path, capsys, atlas_obj):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--instance", "--points", "--atlas"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, flag):
+    # nesting this deep makes the JSON parser itself raise RecursionError
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    points_file = tmp_path / "points.json"
+    write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
+    argv = {
+        "--instance": ["verify", "--instance", str(nested)],
+        "--points": ["simulate", "--points", str(nested)],
+        "--atlas": ["simulate", "--points", str(points_file), "--atlas", str(nested)],
+    }[flag]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_trace_and_report_bytes_are_pinned(tmp_path):
     # the tape-loaded board copies ten rule tokens, fires once and halts, so
     # its trace names every outcome kind

@@ -1,15 +1,20 @@
 import random
+from functools import reduce
+from itertools import product
+from operator import or_
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import ACCEPT_A
 from debilandia.grid import (
     GameState,
+    SquarePoints,
     points_of,
     recognize,
     state_hash,
 )
-from debilandia.tiles import TileKind, atlas_default
+from debilandia.tiles import CELL, TileAtlas, TileKind, atlas_default
 
 
 def place(atlas, kind, cell, origin=(0, 0)):
@@ -129,3 +134,60 @@ def test_hash_distinguishes_translated_layouts():
     tiles = {(0, 0): TileKind.TAPE_1, (1, 0): TileKind.TAPE_0}
     slid = {(1, 0): TileKind.TAPE_1, (2, 0): TileKind.TAPE_0}
     assert state_hash(GameState(tiles, (0, 0), 0)) != state_hash(GameState(slid, (0, 0), 0))
+
+
+def test_square_points_are_a_times_a():
+    points = SquarePoints([3, 1, 3])
+    assert len(points) == 4
+    assert set(points) == {(1, 1), (1, 3), (3, 1), (3, 3)}
+
+
+def assert_square_recognition_matches_points(values, atlas):
+    """Per-axis recognition of A x A equals recognition of its materialized points."""
+    square = recognize(SquarePoints(values), atlas)
+    points = recognize(set(product(values, repeat=2)), atlas)
+    assert (square.tiles, square.anchor, square.junk_cells) == (points.tiles, points.anchor, points.junk_cells)
+    return square
+
+
+def axis_masks(pattern: int) -> tuple[int, int]:
+    """The x offsets and the y offsets of a cell pattern, as 4-bit masks."""
+    rows = [pattern >> (CELL * dy) & 0xF for dy in range(CELL)]
+    return reduce(or_, rows), sum(1 << dy for dy, row in enumerate(rows) if row)
+
+
+def test_square_recognition_of_the_accepting_fixture(atlas):
+    state = assert_square_recognition_matches_points(ACCEPT_A, atlas)
+    assert state.tiles  # the fixture is a machine board
+
+
+ATLASES = st.one_of(
+    st.just(atlas_default()),
+    st.permutations(list(atlas_default().patterns.values())).map(lambda masks: TileAtlas(dict(zip(TileKind, masks)))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.sets(st.integers(1, 10**6), min_size=1, max_size=40), atlas=ATLASES)
+def test_square_recognition_matches_points_on_sparse_sets(values, atlas):
+    assert_square_recognition_matches_points(values, atlas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.integers(1, 10**5),
+    blocks=st.lists(st.integers(0, 15), max_size=24),
+    kind=st.sampled_from(list(TileKind)),
+    where=st.integers(0, 24),
+    atlas=ATLASES,
+)
+def test_square_recognition_matches_points_on_dense_sets(base, blocks, kind, where, atlas):
+    # block 0 carries the x offsets of one pattern and another block its y
+    # offsets, so the cell they cross is that tile; every pattern holds the
+    # cell origin, so block 0 starts at the minimum and fixes the alignment
+    x_mask, y_mask = axis_masks(atlas.patterns[kind])
+    blocks = [x_mask] + blocks
+    blocks.insert(1 + where % len(blocks), y_mask)
+    values = {base + CELL * i + offset for i, mask in enumerate(blocks) for offset in range(CELL) if mask >> offset & 1}
+    state = assert_square_recognition_matches_points(values, atlas)
+    assert kind in state.tiles.values()

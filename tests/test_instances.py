@@ -12,7 +12,6 @@ from debilandia.instances import (
     enumerate_tuples,
     parse_certificate,
     serialize_certificate,
-    tuples_to_points,
 )
 
 
@@ -32,13 +31,6 @@ def test_enumerate_tuples_examples():
     for size in range(1, 6):
         values = list(range(10, 10 + size))
         assert len(enumerate_tuples(values)) == size * size
-
-
-def test_tuples_to_points():
-    assert tuples_to_points([(1, 3)]) == {(1, 3)}
-    pts = tuples_to_points(enumerate_tuples([1, 3]))
-    assert pts == {(1, 1), (1, 3), (3, 1), (3, 3)}
-    assert len(pts) == 4  # distinct pairs stay distinct points
 
 
 def test_parse_worked_example():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from corpus import ACCEPT_A
@@ -7,9 +9,7 @@ from debilandia.instances import (
     Instance,
     RejectReason,
     build_candidate,
-    enumerate_tuples,
     parse_certificate,
-    tuples_to_points,
 )
 from debilandia.verifier import (
     CostLedger,
@@ -60,7 +60,7 @@ def test_junk_grid_rejects_at_step_six(atlas):
     # board has no machine to find
     inst = Instance((1, 3))
     items = build_candidate(inst, 2, 25)
-    state = recognize(tuples_to_points(enumerate_tuples(inst.a_values)), atlas)
+    state = recognize(set(product(inst.a_values, repeat=2)), atlas)
     assert state.tiles == {} and state.junk_cells == 1
     report = verify(inst, items, atlas)
     assert not report.accepted
@@ -101,7 +101,7 @@ def test_e_zero_game_never_stopped(atlas):
 
 def test_stopped_matches_independent_run(atlas):
     inst = Instance(ACCEPT_A)
-    state = recognize(tuples_to_points(enumerate_tuples(inst.a_values)), atlas)
+    state = recognize(set(product(inst.a_values, repeat=2)), atlas)
     for gens in range(0, 4):
         marker_report = verify(inst, build_candidate(inst, gens, 25), atlas)
         independent = run(state.clone(), gens)
