@@ -21,13 +21,15 @@ from pathlib import Path
 from .engine import Fired, RuleCopied, StepRecord, Terminated, run
 from .grid import recognize, state_hash
 from .instances import (
+    MARKER_RUNS,
+    MARKER_STOPS,
     Instance,
     build_candidate,
     certificate_text,
     instance_to_json_obj,
     load_instance_file,
 )
-from .solver import SolverCapError, construct_certificate, growth_probe
+from .solver import DEFAULT_CAP, SolverCapError, construct_certificate, growth_probe
 from .tiles import TileAtlas, atlas_default, read_json
 from .verifier import verify
 
@@ -89,7 +91,7 @@ def _trace_writer(handle):
 def _cmd_simulate(args) -> int:
     atlas = _load_atlas(args.atlas)
     obj = read_json(args.points)
-    raw = obj["points"] if isinstance(obj, dict) else None
+    raw = obj.get("points") if isinstance(obj, dict) else None
     if not isinstance(raw, list) or any(
         not isinstance(p, list) or len(p) != 2 or not all(type(v) is int and v >= 0 for v in p)
         for p in raw
@@ -132,9 +134,12 @@ def _cmd_encode(args) -> int:
     inst = _parse_set_a(args.set_a)
     items = build_candidate(inst, args.e, args.marker)
     out = Path(args.out)
+    text = out.with_suffix(".txt")
+    if text == out:
+        raise ValueError(f"--out {out} would be overwritten by the text form; give it another suffix")
     _write_json(out, instance_to_json_obj(inst, items))
-    _atomic_write(out.with_suffix(".txt"), certificate_text(items) + "\n")
-    print(f"wrote {out} and {out.with_suffix('.txt')}")
+    _atomic_write(text, certificate_text(items) + "\n")
+    print(f"wrote {out} and {text}")
     return 0
 
 
@@ -197,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="emit the canonical certificate skeleton for a set A")
     p.add_argument("--set-a", required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--marker", type=int, choices=[25, 43], required=True)
+    p.add_argument("--marker", type=int, choices=[MARKER_STOPS, MARKER_RUNS], required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
 
@@ -205,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-a", required=True)
     p.add_argument("--atlas")
     p.add_argument("--max-gens", type=int, default=1000)
-    p.add_argument("--cap", type=int, default=4)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -214,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-gens", type=int, default=32)
-    p.add_argument("--cap", type=int, default=4)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--atlas")
     p.add_argument("--csv", required=True)
     p.set_defaults(func=_cmd_bench)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .engine import complete_packets, packet_rows
+from .engine import board_of, packet_rows
 from .grid import GameState, points_of
 from .tiles import (
     CellAddr,
@@ -137,47 +137,42 @@ def extract_tm(state: GameState) -> TmSpec:
 
 
 def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
-    """extract_tm plus the number of cell probes spent, for cost accounting."""
+    """extract_tm plus the number of cell probes spent, for cost accounting.
+
+    Reads the engine's board, cached on the state so a run of it reuses it.
+    The rules are the board's first-match map in row order: exactly the first
+    complete packet per (R1, R2) in scan order.
+    """
     probes = 0
-    tips = state.tip_cells()
+    board = board_of(state)
     probes += 1
-    if len(tips) != 1:
+    if board.tip is None:
         raise NotATuringMachine(ExtractFailure.NO_TIP)
-    tc, tr = tips[0]
+    tc, tr = board.tip
 
     probes += 2
-    read_slot = state.tiles.get((tc, tr + 1))
-    status = state.tiles.get((tc, tr + 2))
+    read_slot = board.row(tr + 1).get(tc)
+    status = board.row(tr + 2).get(tc)
     if read_slot is not None and read_slot.family != "read":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
     if status is None or status.family != "status":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
 
-    tape_cols = sorted(
-        col for (col, row), k in state.tiles.items() if row == tr - 1 and k.tile_type is TileType.TAPE
-    )
+    tape_row = board.row(tr - 1).absolute()
+    tape_cols = sorted(col for col, k in tape_row.items() if k.tile_type is TileType.TAPE)
     probes += len(tape_cols) + 1
     if tc not in tape_cols:
         raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
     if tape_cols[-1] - tape_cols[0] + 1 != len(tape_cols):
         raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
 
-    rows = packet_rows(state, (tc, tr))
-    probes += 5 * len(rows) + 1
-    packets = complete_packets(rows)
-    if not packets:
+    probes += 5 * len(packet_rows(board.rows, board.tip)) + 1
+    if not board.first:
         raise NotATuringMachine(ExtractFailure.NO_PACKETS)
-    rules: list[Rule] = []
-    seen_keys: set[tuple[int, int]] = set()
-    for _, tiles in packets:
-        r1, r2, r3, r4, r5 = tiles
-        key = (r1.bit, r2.bit)
-        if key in seen_keys:
-            continue  # unreachable duplicate; the first packet wins the scan
-        seen_keys.add(key)
-        rules.append(Rule(r1.bit, r2.bit, r3.bit, r4.bit, 1 - r5.bit))
+    firsts = sorted(board.first.items(), key=lambda entry: entry[1][0])  # scan order: ascending row
+    rules = [Rule(r1, r2, r3.bit, r4.bit, 1 - r5.bit) for (r1, r2), (_, r3, r4, r5) in firsts]
 
-    tape = "".join(str(state.tiles[(c, tr - 1)].bit) for c in tape_cols)
+    tape = "".join(str(tape_row[c].bit) for c in tape_cols)
     return (
         TmSpec(tuple(rules), tape, head=tc - tape_cols[0], initial_state=status.bit),
         probes,

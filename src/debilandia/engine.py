@@ -113,23 +113,20 @@ class StepRecord:
     changed_cells: list[CellAddr]
 
 
-def packet_rows(state: GameState, tip: CellAddr) -> list[tuple[int, list[TileKind] | None]]:
-    """Classify every row above the tip that holds a rule tile in the packet columns.
+def packet_rows(rows: dict[int, _Row], tip: CellAddr) -> list[tuple[int, list[TileKind] | None]]:
+    """Classify every board row above the tip that holds a rule tile in the packet columns.
 
     Returns (row, classify_packet(cells)) in ascending row order, where cells
     are the row's tiles at columns tip_col + 1 .. tip_col + 5. Rows with no
-    rule tiles cannot host a packet, so they are skipped rather than walked.
+    rule tiles cannot host a packet, so they are skipped.
     """
     tc, tr = tip
-    rows = {
-        row
-        for (col, row), kind in state.tiles.items()
-        if kind.tile_type is TileType.RULE and tc + 1 <= col <= tc + PACKET_WIDTH and row > tr
-    }
-    return [
-        (row, classify_packet([state.tiles.get((tc + i, row)) for i in range(1, PACKET_WIDTH + 1)]))
-        for row in sorted(rows)
-    ]
+    classified = []
+    for r in sorted(r for r in rows if r > tr):
+        cells = [rows[r].get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
+        if any(kind is not None and kind.tile_type is TileType.RULE for kind in cells):
+            classified.append((r, classify_packet(cells)))
+    return classified
 
 
 def classify_packet(cells: list[TileKind | None]) -> list[TileKind] | None:
@@ -148,11 +145,7 @@ def classify_packet(cells: list[TileKind | None]) -> list[TileKind] | None:
 
 def scan_packets(state: GameState, tip: CellAddr) -> list[tuple[int, list[TileKind]]]:
     """Complete packets above the tip in scan (bottom-up) order."""
-    return complete_packets(packet_rows(state, tip))
-
-
-def complete_packets(rows: list[tuple[int, list[TileKind] | None]]) -> list[tuple[int, list[TileKind]]]:
-    """The complete packets among classified packet rows."""
+    rows = packet_rows(board_of(state).rows, tip)
     return [(row, prefix) for row, prefix in rows if prefix is not None and len(prefix) == PACKET_WIDTH]
 
 
@@ -278,7 +271,7 @@ def _index(state: GameState) -> _Board:
     if len(tips) != 1:
         return _Board(rows, key, None, None, None, {}, ())
     stack, top, first = None, None, {}
-    for r, prefix in packet_rows(state, tips[0]):
+    for r, prefix in packet_rows(rows, tips[0]):
         stack, top, first = _indexed(r, prefix, stack, top, first)
     return _Board(rows, key, tips[0], stack, top, first, ())
 
@@ -300,7 +293,8 @@ def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
     return stack, top, first
 
 
-def _board_of(state: GameState) -> _Board:
+def board_of(state: GameState) -> _Board:
+    """The state's board, built from its tiles on first use and cached on it."""
     if state.board is None:
         state.board = _index(state)
     return state.board
@@ -313,7 +307,7 @@ def position_key(state: GameState) -> int:
     polynomial difference vanishes at (B, C), which run never trusts: it
     confirms every key hit exactly.
     """
-    return _board_of(state).key
+    return board_of(state).key
 
 
 def step(state: GameState) -> tuple[GameState, StepOutcome]:
@@ -322,7 +316,7 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
 
 
 def _step(state: GameState) -> tuple[GameState, StepOutcome]:
-    board = _board_of(state)
+    board = board_of(state)
     if board.tip is None:
         return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_cells() else StopReason.NO_TIP)
     tc, tr = board.tip

@@ -24,9 +24,10 @@ class GameState:
     movement or rule matching, so only their count is kept.
 
     States are values. A state made by hand holds its `tiles` mapping; the
-    engine indexes it on first use (`board`), so mutate `tiles` only before
-    the state is stepped. A state the engine makes holds only its row board
-    and builds `tiles` from it when someone reads it.
+    engine indexes it on first use (`board`), when it is stepped or a machine
+    is extracted from it, so mutate `tiles` only before either. A state the
+    engine makes holds only its row board and builds `tiles` from it when
+    someone reads it.
     """
 
     __slots__ = ("_tiles", "anchor", "junk_cells", "board")

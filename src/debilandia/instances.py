@@ -14,8 +14,9 @@ values. A certificate is a flat integer list over B = A + markers:
 
 Each pair (a, b) places the lattice point x=a, y=b. For a valid certificate
 len(L) = 3T + E + 2 where T is the pair count, while the verifier's input
-measure is N = P + E + T + 4 = 3T + E + 4; both are exposed, the two counts
-simply differ by 2 by construction.
+measure is N = P + E + T + 4 = 3T + E + 4, 2 more by construction. The
+verifier is the one reader of this grammar (group_tuples, check_coverage and
+scan_tail in turn); build_candidate is the one writer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, product
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .tiles import read_json
 
@@ -83,31 +84,6 @@ class Instance:
     @property
     def size(self) -> int:
         return len(self.a_values)
-
-
-@dataclass(frozen=True)
-class ParsedCertificate:
-    tuples: tuple[tuple[int, int], ...]
-    gen_count: int
-    marker: int
-
-    @property
-    def t_count(self) -> int:
-        return len(self.tuples)
-
-    @property
-    def p_count(self) -> int:
-        return 2 * len(self.tuples)
-
-    @property
-    def n_input(self) -> int:
-        return self.p_count + self.gen_count + self.t_count + 4
-
-
-def enumerate_tuples(a_values: Iterable[int]) -> list[tuple[int, int]]:
-    """All ordered pairs over A, lexicographic in A's ascending order."""
-    ordered = sorted(set(a_values))
-    return list(product(ordered, repeat=2))
 
 
 def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[list[tuple[int, int]], int, int]:
@@ -212,39 +188,20 @@ def scan_tail(items: Sequence[int], start: int) -> tuple[int, int, int]:
     return gens, marker, gens
 
 
-def parse_certificate(inst: Instance, items: Sequence[int]) -> ParsedCertificate:
-    """Full structural parse; raises RejectedCertificate on the first violation."""
-    if not items or items[0] != MARKER_START:
-        raise RejectedCertificate(RejectReason.CONDITION_1, 0, "certificate must open with 2")
-    pairs, after_five, _ = group_tuples(inst, items, 1)
-    check_coverage(inst, pairs, after_five - 1)
-    gens, marker, _ = scan_tail(items, after_five)
-    marker_pos = after_five + gens
-    if marker_pos + 1 != len(items):
-        raise RejectedCertificate(RejectReason.TRAILING_INPUT, marker_pos + 1, "data after the final marker")
-    return ParsedCertificate(tuple(pairs), gens, marker)
-
-
-def serialize_certificate(cert: ParsedCertificate) -> list[int]:
-    items = [MARKER_START]
-    for k, (a, b) in enumerate(cert.tuples):
-        if k:
-            items.append(MARKER_SEP)
-        items.extend((a, b))
-    items.append(MARKER_END_TUPLES)
-    items.extend([MARKER_GENERATION] * cert.gen_count)
-    items.append(cert.marker)
-    return items
-
-
 def build_candidate(inst: Instance, gen_count: int, marker: int) -> list[int]:
-    """The canonical certificate skeleton: all pairs in order, E fours, marker."""
+    """The canonical certificate skeleton: A x A in lexicographic order, E fours, marker."""
     if marker not in (MARKER_STOPS, MARKER_RUNS):
         raise ValueError("marker must be 25 or 43")
     if gen_count < 0:
         raise ValueError("gen_count must be >= 0")
-    cert = ParsedCertificate(tuple(enumerate_tuples(inst.a_values)), gen_count, marker)
-    return serialize_certificate(cert)
+    items = [MARKER_START]
+    for pair in product(inst.a_values, repeat=2):
+        items += pair
+        items.append(MARKER_SEP)
+    items[-1] = MARKER_END_TUPLES  # no 7 after the last pair
+    items += [MARKER_GENERATION] * gen_count
+    items.append(marker)
+    return items
 
 
 def certificate_text(items: Sequence[int]) -> str:

@@ -30,7 +30,6 @@ from .instances import (
     build_candidate,
 )
 from .tiles import TileAtlas
-from .verifier import verify
 
 DEFAULT_CAP = 4
 
@@ -97,25 +96,6 @@ def construct_certificate(
     else:
         gen_count, marker = max_gens, MARKER_RUNS
     return SolveOutcome(build_candidate(inst, gen_count, marker), None, stats)
-
-
-def sweep_candidates(
-    inst: Instance, max_gens: int, atlas: TileAtlas, cap: int = DEFAULT_CAP
-) -> list[tuple[int, int]]:
-    """Every (gen_count, marker) skeleton candidate the checker accepts.
-
-    Exhausts gen_count 0..max_gens against both markers; used to confirm
-    that a no-certificate answer really has no accepted candidate.
-    """
-    if inst.size > cap:
-        raise SolverCapError(f"|A| = {inst.size} exceeds the cap of {cap}")
-    accepted = []
-    for gen_count in range(max_gens + 1):
-        for marker in (MARKER_STOPS, MARKER_RUNS):
-            items = build_candidate(inst, gen_count, marker)
-            if verify(inst, items, atlas).accepted:
-                accepted.append((gen_count, marker))
-    return accepted
 
 
 @dataclass

@@ -114,8 +114,8 @@ def bound_of(n_input: int) -> int:
 
 def bracket_ceiling_total(t_count: int, p_count: int, gen_count: int) -> int:
     """Sum of the per-phase ceilings; one below f_formula by construction."""
-    t, p, e = t_count, p_count, gen_count
-    return 1 + (2 * p + t + 1) + (p + 17 * t) + (2 * e + e * t + 3) + e * t + 2 + 2
+    ledger = CostLedger(t_count=t_count, p_count=p_count, gen_count=gen_count)
+    return sum(ceiling for _, ceiling in ledger.brackets().values())
 
 
 @dataclass

@@ -7,8 +7,10 @@ from operator import attrgetter
 
 from debilandia.engine import Fired, step
 from debilandia.grid import GameState
+from debilandia.instances import MARKER_RUNS, MARKER_STOPS, Instance, build_candidate
 from debilandia.tiles import TileKind, TileType
 from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmSpec, initial_config, tm_step
+from debilandia.verifier import verify
 
 # Halts immediately from state 0: its only rule needs state 1.
 NEVER_MATCH = (Rule(1, 1, 1, 1, MOVE_RIGHT),)
@@ -151,3 +153,18 @@ def drive_fires(state: GameState, count: int) -> GameState:
         state, outcome = step(state)
         assert isinstance(outcome, Fired), outcome
     return state
+
+
+def sweep_candidates(inst: Instance, max_gens: int, atlas) -> list[tuple[int, int]]:
+    """Every (gen_count, marker) skeleton candidate the checker accepts.
+
+    Exhausts gen_count 0..max_gens against both markers, O(max_gens^2)
+    generations in all; confirms that a no-certificate answer of the solver
+    really has no accepted candidate.
+    """
+    accepted = []
+    for gen_count in range(max_gens + 1):
+        for marker in (MARKER_STOPS, MARKER_RUNS):
+            if verify(inst, build_candidate(inst, gen_count, marker), atlas).accepted:
+                accepted.append((gen_count, marker))
+    return accepted

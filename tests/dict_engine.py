@@ -4,7 +4,11 @@ This was the package's engine before the row board replaced it. It walks the
 whole board every generation, so it is kept only as the differential oracle
 that `test_engine_oracle.py` checks the row board against, step by step.
 `run` plays engine.run's contract on it, finding cycles by comparing whole
-tile maps, and traces with the whole-board diff.
+tile maps, and traces with the whole-board diff. `packet_rows` finds packet
+rows by walking the tile map, as the package did before, so the oracle shares
+only `classify_packet` (the rule for one row's five cells) with the board.
+`extract_tm_counted` is the package's extraction as it was on the tile map,
+the oracle for extraction from the board.
 """
 
 from __future__ import annotations
@@ -21,11 +25,41 @@ from debilandia.engine import (
     StepRecord,
     StopReason,
     Terminated,
-    packet_rows,
-    scan_packets,
+    classify_packet,
 )
+from debilandia.embedding import ExtractFailure, NotATuringMachine
 from debilandia.grid import GameState, state_hash
 from debilandia.tiles import CellAddr, TileKind, TileType, read_tile, status_tile, tape_tile
+from debilandia.tm import Rule, TmSpec
+
+
+def packet_rows(state: GameState, tip: CellAddr) -> list[tuple[int, list[TileKind] | None]]:
+    """Classify every row above the tip that holds a rule tile in the packet columns.
+
+    Returns (row, classify_packet(cells)) in ascending row order, where cells
+    are the row's tiles at columns tip_col + 1 .. tip_col + 5. Rows with no
+    rule tiles cannot host a packet, so they are skipped rather than walked.
+    """
+    tc, tr = tip
+    rows = {
+        row
+        for (col, row), kind in state.tiles.items()
+        if kind.tile_type is TileType.RULE and tc + 1 <= col <= tc + PACKET_WIDTH and row > tr
+    }
+    return [
+        (row, classify_packet([state.tiles.get((tc + i, row)) for i in range(1, PACKET_WIDTH + 1)]))
+        for row in sorted(rows)
+    ]
+
+
+def scan_packets(state: GameState, tip: CellAddr) -> list[tuple[int, list[TileKind]]]:
+    """Complete packets above the tip in scan (bottom-up) order."""
+    return complete_packets(packet_rows(state, tip))
+
+
+def complete_packets(rows: list[tuple[int, list[TileKind] | None]]) -> list[tuple[int, list[TileKind]]]:
+    """The complete packets among classified packet rows."""
+    return [(row, prefix) for row, prefix in rows if prefix is not None and len(prefix) == PACKET_WIDTH]
 
 
 def _shift_row(
@@ -145,3 +179,51 @@ def run(
             first = seen[layout]
             return RunResult(state, gens, RunStatus.CYCLE, period=gens - first, first_index=first)
         seen[layout] = gens
+
+
+def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
+    """The package's extract_tm_counted before it read the engine board: it walks the tile map."""
+    probes = 0
+    tips = state.tip_cells()
+    probes += 1
+    if len(tips) != 1:
+        raise NotATuringMachine(ExtractFailure.NO_TIP)
+    tc, tr = tips[0]
+
+    probes += 2
+    read_slot = state.tiles.get((tc, tr + 1))
+    status = state.tiles.get((tc, tr + 2))
+    if read_slot is not None and read_slot.family != "read":
+        raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
+    if status is None or status.family != "status":
+        raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
+
+    tape_cols = sorted(
+        col for (col, row), k in state.tiles.items() if row == tr - 1 and k.tile_type is TileType.TAPE
+    )
+    probes += len(tape_cols) + 1
+    if tc not in tape_cols:
+        raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
+    if tape_cols[-1] - tape_cols[0] + 1 != len(tape_cols):
+        raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
+
+    rows = packet_rows(state, (tc, tr))
+    probes += 5 * len(rows) + 1
+    packets = complete_packets(rows)
+    if not packets:
+        raise NotATuringMachine(ExtractFailure.NO_PACKETS)
+    rules: list[Rule] = []
+    seen_keys: set[tuple[int, int]] = set()
+    for _, tiles in packets:
+        r1, r2, r3, r4, r5 = tiles
+        key = (r1.bit, r2.bit)
+        if key in seen_keys:
+            continue  # unreachable duplicate; the first packet wins the scan
+        seen_keys.add(key)
+        rules.append(Rule(r1.bit, r2.bit, r3.bit, r4.bit, 1 - r5.bit))
+
+    tape = "".join(str(state.tiles[(c, tr - 1)].bit) for c in tape_cols)
+    return (
+        TmSpec(tuple(rules), tape, head=tc - tape_cols[0], initial_state=status.bit),
+        probes,
+    )

@@ -5,12 +5,17 @@ before list and set operations replaced their accept paths. They walk the
 list one token (or pair) at a time, so they are kept only as the
 differential oracle that `test_grammar_oracle.py` checks the package's
 versions against, reject reason and position included.
+
+`read_sections` runs the package's three in the verifier's order, for tests
+of reject positions that only make sense across the sections.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
+from debilandia import instances
 from debilandia.instances import (
     MARKER_END_TUPLES,
     MARKER_GENERATION,
@@ -20,7 +25,6 @@ from debilandia.instances import (
     Instance,
     RejectedCertificate,
     RejectReason,
-    enumerate_tuples,
 )
 
 
@@ -69,7 +73,7 @@ def check_coverage(inst: Instance, pairs: Sequence[tuple[int, int]], end_pos: in
         if pair in seen:
             raise RejectedCertificate(RejectReason.CONDITION_3, 1 + 3 * k, "repeated pair")
         seen.add(pair)
-    expected = set(enumerate_tuples(inst.a_values))
+    expected = set(product(inst.a_values, repeat=2))
     if seen != expected:
         raise RejectedCertificate(RejectReason.CONDITION_3, end_pos, "pairs must enumerate all of A x A")
     return len(pairs)
@@ -92,3 +96,15 @@ def scan_tail(items: Sequence[int], start: int) -> tuple[int, int, int]:
     if marker not in (MARKER_STOPS, MARKER_RUNS):
         raise RejectedCertificate(RejectReason.CONDITION_5, i, "only 4s may precede the final marker")
     return gens, marker, gens
+
+
+def read_sections(inst: Instance, items: Sequence[int]) -> tuple[list[tuple[int, int]], int, int]:
+    """The pairs, E and the marker of items[1:], read as the verifier reads them.
+
+    Raises RejectedCertificate at the first violation. The opening 2 and
+    data after the marker are the verifier's own checks.
+    """
+    pairs, after_five, _ = instances.group_tuples(inst, items, 1)
+    instances.check_coverage(inst, pairs, after_five - 1)
+    gens, marker, _ = instances.scan_tail(items, after_five)
+    return pairs, gens, marker

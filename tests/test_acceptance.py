@@ -19,12 +19,13 @@ from corpus import (
     oracle_trajectory,
     padding_for,
     spec_with,
+    sweep_candidates,
 )
 from debilandia.embedding import compile_direct, compile_universal
 from debilandia.engine import Fired, RuleCopied, RunStatus, Terminated, run, step
 from debilandia.grid import recognize, state_hash
 from debilandia.instances import Instance, RejectReason, build_candidate
-from debilandia.solver import construct_certificate, growth_probe, sweep_candidates
+from debilandia.solver import construct_certificate, growth_probe
 from debilandia.tiles import TileAtlas, TileKind, atlas_default, classify_cell
 from debilandia.tm import Rule
 from debilandia.verifier import bound_of, bracket_ceiling_total, f_formula, verify

@@ -2,11 +2,14 @@
 
 perfbench/spans.py replaces module attributes such as `engine.step` with
 wrappers and counts `engine.step` calls against the generation attempts a
-run reports. These tests keep a refactor from silently breaking that.
+run reports. These tests keep a refactor from silently breaking that, and
+run every benchmark workload once at its tiny sizes, so a name or flag the
+benchmark uses cannot disappear unnoticed.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +21,8 @@ from debilandia.engine import RunStatus
 from debilandia.grid import recognize
 from debilandia.instances import Instance, build_candidate
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +81,26 @@ def test_verify_ledger_matches_traced_spans(spans, atlas, a_values, gens, verdic
     assert counts["pair_tokens"] == report["counters"]["c2_3"]
     assert counts["recognized"] == report["counters"]["c4"] - probes
     assert counts["fours"] == report["E"] == gens
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's run.py, which imports its sibling modules by plain name."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("run")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("workload", ["tape-sweep", "certificate-check", "rule-load"])
+def test_every_workload_passes_at_tiny_sizes(bench, tmp_path, workload):
+    assert workload in bench.workloads.WORKLOADS
+    lib = SimpleNamespace(**{m: importlib.import_module(f"debilandia.{m}") for m in bench.MODULES})
+    ops = bench.workloads.build(workload, 1, tmp_path, lib, bench.workloads.TINY)
+    bench.workloads.work_out_answers(ops)
+    checker = bench.Checker()
+    # traced, so each call also runs untraced and its spans are cross-checked against its output
+    bench.run_pass(lib, ops, checker, bench.spans.Tracer(lib))
+    assert checker.attempted == 2 * len(ops)
+    assert checker.failed == 0, checker.messages

@@ -118,6 +118,13 @@ def test_simulate_rejects_bad_points_file(tmp_path):
         assert main(["simulate", "--points", str(bad)]) == 2
 
 
+def test_simulate_points_object_without_points_key_names_the_shape(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"pts": [[0, 0]]}))
+    assert main(["simulate", "--points", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith('error: points file must look like {"points": [[x, y], ...]}')
+
+
 @pytest.mark.parametrize(
     "atlas_obj",
     [
@@ -181,6 +188,14 @@ def test_encode_emits_json_and_text(tmp_path):
     assert obj["L"][0] == 2 and obj["L"][-1] == 25
     text = out.with_suffix(".txt").read_text().strip()
     assert text == " ".join(str(v) for v in obj["L"])
+
+
+def test_encode_refuses_an_out_path_its_text_form_would_overwrite(tmp_path, capsys):
+    out = tmp_path / "cert.txt"
+    rc = main(["encode", "--set-a", "1,3", "--e", "2", "--marker", "25", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []  # nothing written, not even a temporary file
 
 
 def test_solve_round_trips_through_verify(tmp_path, capsys):

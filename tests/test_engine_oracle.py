@@ -3,6 +3,9 @@
 Both engines step the same boards; outcomes and tile maps must agree after
 every generation, and run must agree with the dict engine's exact-repeat run
 on status, counts, cycle position, final tiles and every trace record.
+Extraction reads the board: on a board the engine carried through a run it
+must read what it reads on a fresh board of the same tiles, and on a fresh
+board what the dict engine's extraction reads off the tile map.
 """
 
 import dict_engine
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import BOUNCE, PING_PONG, lockstep_corpus, padding_for, spec_with
-from debilandia.embedding import compile_direct, compile_universal
+from debilandia.embedding import NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
 from debilandia.engine import Terminated, position_key, run, step
 from debilandia.grid import GameState, recognize
 from debilandia.tiles import TileKind, TileType, slot_tile
@@ -20,6 +23,23 @@ TAPES = [TileKind.TAPE_0, TileKind.TAPE_1]
 RULES = [k for k in TileKind if k.tile_type is TileType.RULE]
 STATUSES = [TileKind.STATUS_0, TileKind.STATUS_1]
 NOT_TIP = [k for k in TileKind if k is not TileKind.TIP]
+
+
+def extracted(extract, state: GameState):
+    try:
+        return extract(state)
+    except NotATuringMachine as exc:
+        return exc.reason
+
+
+def assert_extraction_agrees(state: GameState, budgets) -> None:
+    """Extraction of the state run for each budget reads as it does on fresh tiles."""
+    for budget in budgets:
+        carried = run(state, budget).final_state
+        fresh = GameState(dict(carried.tiles), carried.anchor, carried.junk_cells)
+        assert extracted(extract_tm_counted, carried) == extracted(extract_tm_counted, fresh)
+        fresh = GameState(dict(carried.tiles), carried.anchor, carried.junk_cells)
+        assert extracted(extract_tm_counted, fresh) == extracted(dict_engine.extract_tm_counted, fresh)
 
 
 def assert_engines_agree(state: GameState, max_gens: int) -> None:
@@ -66,8 +86,8 @@ def boards(draw) -> dict:
     """A tip context with packets above, a tape row that may load rules, and noise.
 
     Covers malformed and gapped packet rows, rule tiles in the tape row (the
-    fire collision case), cells right of the consumed cell during a copy,
-    several tips and a missing status tile.
+    fire collision case) and in the tip's row, cells right of the consumed
+    cell during a copy, several tips and a missing status tile.
     """
     tc, tr = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
     tiles = {(tc, tr): TileKind.TIP} if draw(st.integers(0, 19)) else {}
@@ -100,6 +120,8 @@ def boards(draw) -> dict:
         for i, kind in enumerate(packet_cells(flavour, bits, junk), start=1):
             if kind is not None:
                 tiles[(tc + i, row)] = kind
+    if not draw(st.integers(0, 9)):  # a rule tile right of the tip, in the row below every packet
+        tiles[(tc + draw(st.integers(1, 5)), tr)] = draw(st.sampled_from(RULES))
     if not draw(st.integers(0, 14)):
         tiles[draw(st.sampled_from([(tc + 3, tr + 5), (tc - 2, tr - 1), (tc + 9, tr)]))] = TileKind.TIP
     for cell in draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-4, 8)), max_size=3)):
@@ -144,3 +166,28 @@ def test_row_board_matches_dict_engine_on_universal_boards(atlas):
             spec = spec_with(rules, tape, head=len(tape) - 1)
             state = recognize(compile_universal(spec, tape, atlas), atlas)
             assert_engines_agree(state, 5 * len(rules) + 100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boards(), st.lists(st.integers(0, 12), min_size=1, max_size=3))
+def test_extraction_matches_on_generated_boards(tiles, budgets):
+    assert_extraction_agrees(GameState(tiles, (0, 0), 0), budgets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(machines(), st.integers(0, 3), st.lists(st.integers(0, 40), min_size=1, max_size=3))
+def test_extraction_matches_on_random_machines(atlas, spec, pad, budgets):
+    assert_extraction_agrees(recognize(compile_direct(spec, atlas, pad=pad), atlas), budgets)
+
+
+def test_extraction_matches_on_corpus_and_universal_boards(atlas):
+    for _, rules, tapes in lockstep_corpus():
+        for tape in tapes[:6]:
+            spec = spec_with(rules, tape)
+            state = recognize(compile_direct(spec, atlas, pad=padding_for(spec, 40)), atlas)
+            assert_extraction_agrees(state, [0, 1, 5, 40])
+            # loading copies rules into packets one tile per generation, so
+            # every budget up to the end of loading stops mid-packet
+            spec = spec_with(rules, tape, head=len(tape) - 1)
+            state = recognize(compile_universal(spec, tape, atlas), atlas)
+            assert_extraction_agrees(state, range(5 * len(rules) + 3))

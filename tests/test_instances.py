@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import ACCEPT_A
+from grammar_oracle import read_sections
 from debilandia.instances import (
     RESERVED,
     Instance,
@@ -9,10 +11,11 @@ from debilandia.instances import (
     RejectedCertificate,
     build_candidate,
     certificate_text,
-    enumerate_tuples,
-    parse_certificate,
-    serialize_certificate,
+    check_coverage,
+    group_tuples,
+    scan_tail,
 )
+from debilandia.verifier import verify
 
 
 def test_instance_validation():
@@ -25,101 +28,117 @@ def test_instance_validation():
             Instance(tuple(bad))
 
 
-def test_enumerate_tuples_examples():
-    assert enumerate_tuples([1, 3]) == [(1, 1), (1, 3), (3, 1), (3, 3)]
-    assert enumerate_tuples([9]) == [(9, 9)]
+def pairs_of(items):
+    """The (a, b) pairs of a skeleton's pair section."""
+    end = items.index(5)
+    return list(zip(items[1:end:3], items[2:end:3]))
+
+
+def test_build_candidate_pair_order():
+    assert pairs_of(build_candidate(Instance((1, 3)), 0, 25)) == [(1, 1), (1, 3), (3, 1), (3, 3)]
+    assert pairs_of(build_candidate(Instance((9,)), 0, 25)) == [(9, 9)]
     for size in range(1, 6):
-        values = list(range(10, 10 + size))
-        assert len(enumerate_tuples(values)) == size * size
+        values = tuple(range(10, 10 + size))
+        assert len(pairs_of(build_candidate(Instance(values), 0, 25))) == size * size
 
 
-def test_parse_worked_example():
+def test_parse_worked_example(atlas):
     inst = Instance((1, 3))
     items = [2, 1, 1, 7, 1, 3, 7, 3, 1, 7, 3, 3, 5, 4, 4, 25]
-    cert = parse_certificate(inst, items)
-    assert cert.t_count == 4
-    assert cert.p_count == 8
-    assert cert.gen_count == 2
-    assert cert.marker == 25
-    assert cert.n_input == 8 + 2 + 4 + 4
+    assert group_tuples(inst, items, 1) == ([(1, 1), (1, 3), (3, 1), (3, 3)], 13, 12)
+    assert check_coverage(inst, [(1, 1), (1, 3), (3, 1), (3, 3)], 12) == 4
+    assert scan_tail(items, 13) == (2, 25, 2)
+    report = verify(inst, items, atlas).to_json_obj()
+    assert (report["T"], report["P"], report["E"], report["N"]) == (4, 8, 2, 8 + 2 + 4 + 4)
 
 
-def expect_reject(inst, items, reason, position=None):
+def expect_reject(call, reason, position=None):
     with pytest.raises(RejectedCertificate) as info:
-        parse_certificate(inst, items)
+        call()
     assert info.value.reason is reason
     if position is not None:
         assert info.value.position == position
 
 
-def test_reject_wrong_first_element():
-    expect_reject(Instance((1, 3)), [3], RejectReason.CONDITION_1, 0)
-    expect_reject(Instance((1, 3)), [], RejectReason.CONDITION_1, 0)
+def test_reject_wrong_first_element(atlas):
+    # condition 1 is checked first: a list that is otherwise accepted fails it
+    inst = Instance(ACCEPT_A)
+    good = build_candidate(inst, 1, 25)
+    assert verify(inst, good, atlas).accepted
+    for items in ([3], [], [3] + good[1:]):
+        report = verify(inst, items, atlas).to_json_obj()
+        assert (report["reason"], report["step"]) == (RejectReason.CONDITION_1.value, 1)
+        assert report["counters"]["c1"] == 1 and report["counters"]["c2_3"] == 0  # position 0
 
 
 def test_reject_repeated_tuple():
     inst = Instance((1, 3))
-    expect_reject(inst, [2, 1, 1, 7, 1, 1, 7, 3, 1, 7, 3, 3, 5, 25], RejectReason.CONDITION_3)
+    items = [2, 1, 1, 7, 1, 1, 7, 3, 1, 7, 3, 3, 5, 25]
+    pairs, after_five, _ = group_tuples(inst, items, 1)
+    expect_reject(lambda: check_coverage(inst, pairs, after_five - 1), RejectReason.CONDITION_3)
 
 
 def test_reject_incomplete_coverage():
     inst = Instance((1, 3))
-    expect_reject(inst, [2, 1, 1, 7, 1, 3, 5, 4, 25], RejectReason.CONDITION_3)
+    items = [2, 1, 1, 7, 1, 3, 5, 4, 25]
+    pairs, after_five, _ = group_tuples(inst, items, 1)
+    expect_reject(lambda: check_coverage(inst, pairs, after_five - 1), RejectReason.CONDITION_3)
 
 
 def test_reject_short_tuple():
     inst = Instance((1, 3))
-    expect_reject(inst, [2, 1, 7, 1, 3, 5, 25], RejectReason.CONDITION_2, 2)
+    expect_reject(lambda: group_tuples(inst, [2, 1, 7, 1, 3, 5, 25], 1), RejectReason.CONDITION_2, 2)
 
 
 def test_reject_non_member_in_pair():
     inst = Instance((1, 3))
-    expect_reject(inst, [2, 1, 9, 7, 3, 3, 5, 25], RejectReason.CONDITION_2, 2)
+    expect_reject(lambda: group_tuples(inst, [2, 1, 9, 7, 3, 3, 5, 25], 1), RejectReason.CONDITION_2, 2)
     # reserved values cannot stand in for pair members either
-    expect_reject(inst, [2, 1, 25, 7, 3, 3, 5, 25], RejectReason.CONDITION_2, 2)
+    expect_reject(lambda: group_tuples(inst, [2, 1, 25, 7, 3, 3, 5, 25], 1), RejectReason.CONDITION_2, 2)
 
 
 def test_reject_missing_terminator():
     inst = Instance((1, 3))
     # a 4 where the 5 should be
-    expect_reject(
-        inst, [2, 1, 1, 7, 1, 3, 7, 3, 1, 7, 3, 3, 4, 4, 25], RejectReason.CONDITION_4, 12
-    )
+    items = [2, 1, 1, 7, 1, 3, 7, 3, 1, 7, 3, 3, 4, 4, 25]
+    expect_reject(lambda: group_tuples(inst, items, 1), RejectReason.CONDITION_4, 12)
     # list ends inside the pair section
-    expect_reject(inst, [2, 1, 1, 7, 1, 3], RejectReason.CONDITION_4, 6)
+    expect_reject(lambda: group_tuples(inst, [2, 1, 1, 7, 1, 3], 1), RejectReason.CONDITION_4, 6)
 
 
 def test_reject_non_four_in_generation_run():
     inst = Instance((1, 3))
     items = build_candidate(inst, 2, 25)
     items.insert(-1, 9)
-    expect_reject(inst, items, RejectReason.CONDITION_5)
+    expect_reject(lambda: scan_tail(items, items.index(5) + 1), RejectReason.CONDITION_5)
 
 
 def test_reject_missing_marker():
     inst = Instance((1, 3))
     items = build_candidate(inst, 2, 25)[:-1]
-    expect_reject(inst, items, RejectReason.CONDITION_7, len(items))
+    expect_reject(lambda: scan_tail(items, items.index(5) + 1), RejectReason.CONDITION_7, len(items))
 
 
-def test_reject_trailing_data():
-    inst = Instance((1, 3))
-    items = build_candidate(inst, 2, 25) + [4]
-    expect_reject(inst, items, RejectReason.TRAILING_INPUT)
+def test_reject_trailing_data(atlas):
+    # trailing data is checked last: after the marker and the game's run
+    inst = Instance(ACCEPT_A)
+    items = build_candidate(inst, 1, 25) + [4]
+    report = verify(inst, items, atlas).to_json_obj()
+    assert (report["reason"], report["step"]) == (RejectReason.TRAILING_INPUT.value, 8)
+    assert report["counters"]["c7"] == 2  # the marker was read and validated first
 
 
 def test_zero_generation_run_parses():
     inst = Instance((9,))
-    cert = parse_certificate(inst, [2, 9, 9, 5, 43])
-    assert cert.gen_count == 0
-    assert cert.marker == 43
+    items = [2, 9, 9, 5, 43]
+    assert scan_tail(items, 4) == (0, 43, 0)
+    assert read_sections(inst, items) == ([(9, 9)], 0, 43)
 
 
-def test_serialize_round_trip_worked_example():
+def test_build_candidate_worked_example():
     inst = Instance((1, 3))
     items = [2, 1, 1, 7, 1, 3, 7, 3, 1, 7, 3, 3, 5, 4, 4, 25]
-    cert = parse_certificate(inst, items)
-    assert serialize_certificate(cert) == items
+    assert build_candidate(inst, 2, 25) == items
     assert certificate_text(items) == "2 1 1 7 1 3 7 3 1 7 3 3 5 4 4 25"
 
 
@@ -132,15 +151,21 @@ a_sets = st.sets(
 
 @settings(max_examples=80)
 @given(a_sets, st.integers(min_value=0, max_value=9), st.sampled_from([25, 43]))
-def test_candidate_round_trip_and_length_identity(values, gens, marker):
+def test_candidate_round_trip_and_length_identity(atlas, values, gens, marker):
     inst = Instance(tuple(values))
     items = build_candidate(inst, gens, marker)
-    cert = parse_certificate(inst, items)
-    assert serialize_certificate(cert) == items
-    t = cert.t_count
-    assert t == inst.size**2
+    a, n = sorted(values), len(values)
+    t = n * n
+    # pair k is (a[k // n], a[k % n]); a 7 follows every pair but the last, which a 5 closes
+    expected = [2]
+    for k in range(t):
+        expected += [a[k // n], a[k % n], 7 if k < t - 1 else 5]
+    assert items == expected + [4] * gens + [marker]
+    assert read_sections(inst, items) == ([(a[k // n], a[k % n]) for k in range(t)], gens, marker)
     assert len(items) == 3 * t + gens + 2
-    assert cert.n_input == 3 * t + gens + 4  # the input measure runs 2 above len(L)
+    report = verify(inst, items, atlas).to_json_obj()
+    assert (report["T"], report["E"]) == (t, gens)
+    assert report["N"] == 3 * t + gens + 4  # the input measure runs 2 above len(L)
 
 
 @settings(max_examples=40)
@@ -153,7 +178,7 @@ def test_any_non_b_element_rejected_with_position(values, gens):
         mutated = list(items)
         mutated[pos] = alien
         with pytest.raises(RejectedCertificate) as info:
-            parse_certificate(inst, mutated)
+            read_sections(inst, mutated)
         assert info.value.position <= pos
         assert info.value.reason in (
             RejectReason.CONDITION_2,

@@ -2,14 +2,14 @@ import math
 
 import pytest
 
-from corpus import ACCEPT_A
-from debilandia.instances import MARKER_STOPS, Instance, parse_certificate
+from corpus import ACCEPT_A, sweep_candidates
+from grammar_oracle import read_sections
+from debilandia.instances import MARKER_STOPS, Instance
 from debilandia.solver import (
     SolverCapError,
     construct_certificate,
     growth_probe,
     random_instance,
-    sweep_candidates,
 )
 from debilandia.verifier import verify
 
@@ -41,9 +41,9 @@ def test_accepting_fixture_is_found_and_verifies(atlas):
     inst = Instance(ACCEPT_A)
     outcome = construct_certificate(inst, 16, atlas, cap=len(ACCEPT_A))
     assert outcome.found
-    cert = parse_certificate(inst, outcome.certificate)
-    assert cert.marker == MARKER_STOPS
-    assert cert.gen_count == 1  # the board halts on its first read attempt
+    _, gens, marker = read_sections(inst, outcome.certificate)
+    assert marker == MARKER_STOPS
+    assert gens == 1  # the board halts on its first read attempt
     assert verify(inst, outcome.certificate, atlas).accepted
 
 

@@ -3,13 +3,14 @@ from itertools import product
 import pytest
 
 from corpus import ACCEPT_A
+from grammar_oracle import read_sections
 from debilandia.engine import run
 from debilandia.grid import recognize
 from debilandia.instances import (
     Instance,
+    RejectedCertificate,
     RejectReason,
     build_candidate,
-    parse_certificate,
 )
 from debilandia.verifier import (
     CostLedger,
@@ -109,20 +110,24 @@ def test_stopped_matches_independent_run(atlas):
 
 
 def test_verifier_agrees_with_parser(atlas):
+    # the grammar's sections, read in the verifier's order, reject where verify does
     inst = Instance((1, 3))
     good = build_candidate(inst, 2, 25)
     mutations = [
-        [3] + good[1:],
-        good[:1] + good[2:],  # drop a pair member
-        [2, 1, 1, 7, 1, 1, 7, 3, 1, 7, 3, 3, 5, 25],  # duplicate pair
-        good[:-1],  # no marker
-        good + [9],  # trailing
+        ([3] + good[1:], RejectReason.CONDITION_1, None),  # checked by verify before the sections
+        (good[:1] + good[2:], RejectReason.CONDITION_2, 2),  # drop a pair member
+        ([2, 1, 1, 7, 1, 1, 7, 3, 1, 7, 3, 3, 5, 25], RejectReason.CONDITION_3, 4),  # duplicate pair
+        (good[:-1], RejectReason.CONDITION_7, len(good) - 1),  # no marker
+        (good + [9], RejectReason.NOT_A_TM, None),  # trailing, but phase 6 finds no machine first
     ]
-    for items in mutations:
+    for items, reason, position in mutations:
         report = verify(inst, items, atlas)
         assert not report.accepted
-        with pytest.raises(Exception):
-            parse_certificate(inst, items)
+        assert report.reason is reason
+        if position is not None:
+            with pytest.raises(RejectedCertificate) as info:
+                read_sections(inst, items)
+            assert (info.value.reason, info.value.position) == (reason, position)
 
 
 def test_rejects_never_raise_and_stay_bounded(atlas):
