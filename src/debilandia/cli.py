@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 from .engine import Fired, RuleCopied, StepRecord, Terminated, run
@@ -92,12 +93,12 @@ def _cmd_simulate(args) -> int:
     atlas = _load_atlas(args.atlas)
     obj = read_json(args.points)
     raw = obj.get("points") if isinstance(obj, dict) else None
-    if not isinstance(raw, list) or any(
-        not isinstance(p, list) or len(p) != 2 or not all(type(v) is int and v >= 0 for v in p)
-        for p in raw
-    ):
+    # whole-list passes; exact types turn JSON booleans away
+    pairs = isinstance(raw, list) and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+    flat = list(chain.from_iterable(raw)) if pairs else []
+    if not pairs or not set(map(type, flat)) <= {int} or min(flat, default=0) < 0:
         raise ValueError('points file must look like {"points": [[x, y], ...]} with non-negative ints')
-    state = recognize({(x, y) for x, y in raw}, atlas)
+    state = recognize(set(map(tuple, raw)), atlas)
     buffer = io.StringIO()
     result = run(state, args.max_gens, on_step=_trace_writer(buffer) if args.trace else None)
     if args.trace:

@@ -151,14 +151,13 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     tc, tr = board.tip
 
     probes += 2
-    read_slot = board.row(tr + 1).get(tc)
-    status = board.row(tr + 2).get(tc)
+    read_slot, status = board.read, board.status
     if read_slot is not None and read_slot.family != "read":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
     if status is None or status.family != "status":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
 
-    tape_row = board.row(tr - 1).absolute()
+    tape_row = board.row(tr - 1)
     tape_cols = sorted(col for col, k in tape_row.items() if k.tile_type is TileType.TAPE)
     probes += len(tape_cols) + 1
     if tc not in tape_cols:

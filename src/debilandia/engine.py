@@ -27,16 +27,23 @@ Shifting moves whole rows at once, one cell per generation, so tiles stay
 cell-aligned and same-row collisions cannot happen; a tape tile shifted onto
 a non-tape tile is a rules violation and terminates the game instead.
 
-The engine plays on a row board, built once from a state's tiles and then
-carried from each state to its successor. A row keeps its cells keyed by
-column minus a row offset, so sliding a whole row is one change of offset,
-and a successor shares every row it does not change with its parent. Above
-the tip the board indexes the packets: the incomplete well-formed rows as a
-stack (highest on top), the highest well-formed row, and for each (R1, R2)
-the lowest complete packet. Packets only ever gain tiles, by copies, so a
-copy updates one entry and a fire reads one. The position key,
-sum(z(kind) * B**col * C**row) mod 2**61 - 1, changes by one term per
-changed row. (Modulo 2**64 every odd base lets Thue-Morse rows collide.)
+The engine plays on a board, built once from a state's tiles and then
+carried from each state to its successor. The row below the tip is a zipper
+(Huet, "The Zipper", 1997): the tile under the tip and two persistent stacks
+of the tiles left and right of it, nearest on top. A fire writes the head
+and moves one tile across; a copy drops the head and pulls the left stack's
+top into place. A fire on a tape row that also holds other tiles re-lays the
+row out instead, in O(row), with the collision check. The read-slot and
+status cells are board fields too, so a fire shares every other row with its
+parent and a copy replaces one packet row. Above the tip the board indexes
+the packets: the incomplete well-formed rows as a stack (highest on top),
+the highest well-formed row, and for each (R1, R2) the lowest complete
+packet. Packets only ever gain tiles, by copies, so a copy updates one entry
+and a fire reads one. The position key, sum(z(kind) * B**col * C**row) mod
+2**61 - 1, changes by a fixed number of terms per generation, since each
+stack node caches its stack's share of the tape row's term. So an untraced
+generation costs O(1) Python work at any tape length. (Modulo 2**64 every
+odd base lets Thue-Morse rows collide.)
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ _P = (1 << 61) - 1
 _COL_BASE = 0x5DEECE66D1F0A3B7 % _P
 _ROW_BASE = 0x2545F4914F6CDD1D % _P
 _COL_STEP = {1: _COL_BASE, -1: pow(_COL_BASE, -1, _P)}
-_Z = {kind: (i + 1) * 0x9E3779B97F4A7C15 % _P for i, kind in enumerate(TileKind)}
+_Z = {None: 0} | {kind: (i + 1) * 0x9E3779B97F4A7C15 % _P for i, kind in enumerate(TileKind)}
 
 
 class StopReason(Enum):
@@ -123,7 +130,7 @@ def packet_rows(rows: dict[int, _Row], tip: CellAddr) -> list[tuple[int, list[Ti
     tc, tr = tip
     classified = []
     for r in sorted(r for r in rows if r > tr):
-        cells = [rows[r].get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
+        cells = [rows[r].cells.get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
         if any(kind is not None and kind.tile_type is TileType.RULE for kind in cells):
             classified.append((r, classify_packet(cells)))
     return classified
@@ -150,130 +157,248 @@ def scan_packets(state: GameState, tip: CellAddr) -> list[tuple[int, list[TileKi
 
 
 class _Row:
-    """One board row, never changed once built: successors share it.
+    """One board row by absolute column, never changed once built: successors share it.
 
-    cells maps column - off to tile; h = sum(z(kind) * B**col) mod _P over
-    absolute columns; nontape counts the tiles that are not tape tiles; right
-    is an upper bound on the highest occupied column.
+    h = sum(z(kind) * B**col) mod _P over the row, filled in when a position
+    key first covers the row.
     """
 
-    __slots__ = ("off", "cells", "h", "nontape", "right")
+    __slots__ = ("cells", "h")
 
-    def __init__(self, off: int, cells: dict[int, TileKind], h: int, nontape: int, right: int) -> None:
-        self.off = off
+    def __init__(self, cells: dict[int, TileKind], h: int | None = None) -> None:
         self.cells = cells
         self.h = h
-        self.nontape = nontape
+
+    def put(self, col: int, kind: TileKind, power: int) -> "_Row":
+        """This row with kind written at the empty cell col, where power = B**col."""
+        h = None if self.h is None else (self.h + _Z[kind] * power) % _P
+        return _Row({**self.cells, col: kind}, h)
+
+
+_EMPTY_ROW = _Row({}, 0)
+
+
+class _Node:
+    """One tile of a tape stack, linked to the tiles beyond it (away from the tip).
+
+    key is the tile's column minus its stack's offset; sliding a stack changes
+    only the offset, so a node never changes. h = sum(z(kind) * B**key) over
+    this tile and every tile beyond it, so a stack's share of the row's hash
+    is read off its top.
+    """
+
+    __slots__ = ("key", "kind", "next", "h")
+
+    def __init__(self, key: int, kind: TileKind, next: "_Node", power: int) -> None:
+        self.key = key
+        self.kind = kind
+        self.next = next
+        self.h = (next.h + _Z[kind] * power) % _P
+
+
+_NIL = _Node.__new__(_Node)  # the bottom of every stack: no tile, no key
+_NIL.key, _NIL.kind, _NIL.next, _NIL.h = None, None, None, 0
+
+
+class _Tape:
+    """The row below the tip, as a zipper around the tip column tc.
+
+    head is the tile at tc, or None. left and right hold the tiles left and
+    right of tc as persistent stacks, nearest tile on top, each as a tuple
+    (top, k, p, q): k = tc - offset is the tip column's key in that stack,
+    p = B**offset and q = B**k. Carrying p and q lets a slide or a push update
+    the hash by multiplication alone. h = sum(z(kind) * B**col) over the row;
+    nontape counts the row's tiles that are not tape tiles.
+    """
+
+    __slots__ = ("head", "left", "right", "h", "nontape")
+
+    def __init__(self, head: TileKind | None, left: tuple, right: tuple, tip_power: int, nontape: int) -> None:
+        self.head = head
+        self.left = left
         self.right = right
+        self.h = (left[0].h * left[2] + right[0].h * right[2] + _Z[head] * tip_power) % _P
+        self.nontape = nontape
 
     @classmethod
-    def of(cls, cells: dict[int, TileKind]) -> "_Row":
-        """A row from its tiles by absolute column; O(len(cells))."""
-        h = sum(_Z[kind] * pow(_COL_BASE, col, _P) for col, kind in cells.items()) % _P
+    def of(cls, cells: dict[int, TileKind], tc: int, powers: dict[int, int]) -> "_Tape":
+        """The zipper of a row's tiles by absolute column; powers maps them and tc to B**col."""
+        left = right = _NIL
+        for col in sorted(col for col in cells if col < tc):
+            left = _Node(col, cells[col], left, powers[col])
+        for col in sorted((col for col in cells if col > tc), reverse=True):
+            right = _Node(col, cells[col], right, powers[col])
+        q = powers[tc]
         nontape = sum(kind.tile_type is not TileType.TAPE for kind in cells.values())
-        return cls(0, cells, h, nontape, max(cells, default=0))
+        return cls(cells.get(tc), (left, tc, 1, q), (right, tc, 1, q), q, nontape)
 
-    def get(self, col: int) -> TileKind | None:
-        return self.cells.get(col - self.off)
+    def cells(self, tc: int) -> dict[int, TileKind]:
+        """The row's tiles by absolute column; O(row)."""
+        cells = {} if self.head is None else {tc: self.head}
+        for top, k, _, _ in (self.left, self.right):
+            off = tc - k
+            while top is not _NIL:
+                cells[top.key + off] = top.kind
+                top = top.next
+        return cells
 
-    def absolute(self) -> dict[int, TileKind]:
-        off = self.off
-        return {k + off: kind for k, kind in self.cells.items()}
+    def fired(self, kind: TileKind, dx: int, tip_power: int) -> "_Tape":
+        """This row with kind written at the tip column, then all of it dx = +-1 cells over; O(1)."""
+        if dx == 1:
+            head, left = _pulled(self.left, 1)
+            return _Tape(head, left, _pushed(self.right, kind, 1), tip_power, self.nontape)
+        head, right = _pulled(self.right, -1)
+        return _Tape(head, _pushed(self.left, kind, -1), right, tip_power, self.nontape)
 
-    def put(self, col: int, kind: TileKind) -> "_Row":
-        """This row with kind written at col."""
-        cells = dict(self.cells)
-        old = cells.get(col - self.off)
-        cells[col - self.off] = kind
-        dz = _Z[kind] - (0 if old is None else _Z[old])
-        nontape = self.nontape + (kind.tile_type is not TileType.TAPE)
-        if old is not None:
-            nontape -= old.tile_type is not TileType.TAPE
-        h = (self.h + dz * pow(_COL_BASE, col, _P)) % _P
-        return _Row(self.off, cells, h, nontape, max(self.right, col))
-
-    def without(self, col: int) -> "_Row":
-        """This row with the tile at col removed."""
-        cells = dict(self.cells)
-        kind = cells.pop(col - self.off)
-        h = (self.h - _Z[kind] * pow(_COL_BASE, col, _P)) % _P
-        nontape = self.nontape - (kind.tile_type is not TileType.TAPE)
-        return _Row(self.off, cells, h, nontape, col - 1 if col >= self.right else self.right)
-
-    def slid(self, dx: int) -> "_Row":
-        """This whole row dx = +-1 cells over, sharing its cell map; O(1)."""
-        return _Row(self.off + dx, self.cells, self.h * _COL_STEP[dx] % _P, self.nontape, self.right + dx)
-
-    def relaid(self, dx: int, moves: Callable[[int, TileKind], bool]) -> "_Row | None":
-        """This row with the tiles moves(col, kind) selects dx cells over; O(row).
-
-        None when a mover would land on a tile that stays.
-        """
-        cells = self.absolute()
-        movers = {col: kind for col, kind in cells.items() if moves(col, kind)}
-        if any(col + dx in cells and col + dx not in movers for col in movers):
-            return None
-        for col in movers:
-            del cells[col]
-        for col, kind in movers.items():
-            cells[col + dx] = kind
-        return _Row.of(cells)
+    def consumed(self, tip_power: int) -> "_Tape":
+        """This row with the tip column's rule tile gone and every tile left of it one cell right; O(1)."""
+        head, left = _pulled(self.left, 1)
+        return _Tape(head, left, self.right, tip_power, self.nontape - 1)
 
 
-_EMPTY_ROW = _Row(0, {}, 0, 0, 0)
+def _pushed(side: tuple, kind: TileKind, dx: int) -> tuple:
+    """A stack with kind, the tile at the tip column, put on top; then all of it dx cells over."""
+    top, k, p, q = side
+    return _Node(k, kind, top, q), k - dx, p * _COL_STEP[dx] % _P, q * _COL_STEP[-dx] % _P
+
+
+def _pulled(side: tuple, dx: int) -> tuple[TileKind | None, tuple]:
+    """What a stack slid dx cells towards the tip puts at the tip column (or None), and the stack left."""
+    top, k, p, q = side
+    k -= dx
+    p, q = p * _COL_STEP[dx] % _P, q * _COL_STEP[-dx] % _P
+    if top.key == k:
+        return top.kind, (top.next, k, p, q)
+    return None, (top, k, p, q)
+
+
+def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
+    """A row's tiles with every tape tile dx cells over; None when one lands on a tile that stays."""
+    moved = {col + dx: kind for col, kind in cells.items() if kind.tile_type is TileType.TAPE}
+    stays = {col: kind for col, kind in cells.items() if kind.tile_type is not TileType.TAPE}
+    return None if stays.keys() & moved.keys() else stays | moved
+
+
+def _powers(base: int, exponents) -> dict[int, int]:
+    """{e: base**e mod _P} for the distinct exponents, each stepped from the one below it."""
+    powers, below = {}, None
+    for e in sorted(set(exponents)):
+        if below is None:
+            powers[e] = pow(base, e, _P)
+        else:
+            powers[e] = powers[below] * (base if e == below + 1 else pow(base, e - below, _P)) % _P
+        below = e
+    return powers
+
+
+class _Powers:
+    """The powers a tip board's key updates use, made once and shared by every successor.
+
+    col[i] = B**(tc + i) for the tip column and the five packet columns. row
+    maps a row to C**row: the tape, read-slot and status rows from the start,
+    every other row once a key covers it. tape, read and status are the key's
+    factors for the tape row's hash and for the read-slot and status cells.
+    """
+
+    __slots__ = ("col", "row", "tape", "read", "status")
+
+    def __init__(self, col: tuple[int, ...], tr: int) -> None:
+        self.col = col
+        self.row = _powers(_ROW_BASE, (tr - 1, tr + 1, tr + 2))
+        self.tape = self.row[tr - 1]
+        self.read = self.row[tr + 1] * col[0] % _P
+        self.status = self.row[tr + 2] * col[0] % _P
+
+    def row_power(self, r: int) -> int:
+        """C**r for a row a key covers, or the fresh row above one (a copy opening a packet)."""
+        power = self.row.get(r)
+        if power is None:
+            power = self.row[r] = self.row[r - 1] * _ROW_BASE % _P
+        return power
 
 
 class _Board:
     """A state's rows, position key and packet index; never changed once built.
 
-    tip is None unless the board has exactly one tip. stack holds the
-    incomplete well-formed packet rows as nested (row, prefix, rest) tuples,
-    highest first; top is the highest well-formed packet row; first maps
-    (R1, R2) bits to (row, R3, R4, R5) of the lowest complete packet.
-    touched names the rows this board replaced in its parent's.
+    tip is None unless the board has exactly one tip. With one tip at (tc, tr),
+    rows leaves out row tr - 1, held as the zipper tape, and the read-slot and
+    status cells (tc, tr + 1) and (tc, tr + 2), held as read and status; pw
+    holds the powers key updates use. stack holds the incomplete well-formed
+    packet rows as nested (row, prefix, rest) tuples, highest first; top is
+    the highest well-formed packet row; first maps (R1, R2) bits to
+    (row, R3, R4, R5) of the lowest complete packet. key is the position key,
+    None until position_key first asks for it; a successor of a keyed board
+    is keyed. touched names the rows this board changed from its parent's.
     """
 
-    __slots__ = ("rows", "key", "tip", "stack", "top", "first", "touched")
+    __slots__ = ("rows", "tape", "read", "status", "tip", "pw", "stack", "top", "first", "key", "touched")
 
-    def __init__(self, rows, key, tip, stack, top, first, touched) -> None:
+    def __init__(self, rows, tape, read, status, tip, pw, stack, top, first, key, touched) -> None:
         self.rows: dict[int, _Row] = rows
-        self.key: int = key
+        self.tape: _Tape | None = tape
+        self.read: TileKind | None = read
+        self.status: TileKind | None = status
         self.tip: CellAddr | None = tip
+        self.pw: _Powers | None = pw
         self.stack: tuple | None = stack
         self.top: int | None = top
         self.first: dict[tuple[int, int], tuple[int, TileKind, TileKind, TileKind]] = first
+        self.key: int | None = key
         self.touched: tuple[int, ...] = touched
 
-    def row(self, r: int) -> _Row:
-        return self.rows.get(r, _EMPTY_ROW)
+    def row(self, r: int) -> dict[int, TileKind]:
+        """Row r's tiles by absolute column; O(row). Do not change it: it may be the board's own map."""
+        cells = self.rows.get(r, _EMPTY_ROW).cells
+        if self.tip is None:
+            return cells
+        tc, tr = self.tip
+        if r == tr - 1:
+            return self.tape.cells(tc)
+        cell = self.read if r == tr + 1 else self.status if r == tr + 2 else None
+        return cells if cell is None else {**cells, tc: cell}
 
     def tiles(self) -> dict[CellAddr, TileKind]:
-        return {(k + row.off, r): kind for r, row in self.rows.items() for k, kind in row.cells.items()}
+        rows = self.rows.keys()
+        if self.tip is not None:
+            tr = self.tip[1]
+            rows |= {tr - 1, tr + 1, tr + 2}
+        return {(col, r): kind for r in rows for col, kind in self.row(r).items()}
 
-    def successor(self, changed: dict[int, _Row], stack, top, first) -> "_Board":
-        """This board with the changed rows replaced and the given packet index."""
-        rows = dict(self.rows)
-        key = self.key
-        for r, row in changed.items():
-            key += pow(_ROW_BASE, r, _P) * (row.h - self.row(r).h)
-            rows[r] = row
-        return _Board(rows, key % _P, self.tip, stack, top, first, tuple(changed))
+    def full_key(self) -> int:
+        """The position key from the tiles, hashing each row not hashed yet; O(tiles)."""
+        fresh = [row for row in self.rows.values() if row.h is None]
+        cols = _powers(_COL_BASE, {col for row in fresh for col in row.cells})
+        for row in fresh:
+            row.h = sum(_Z[kind] * cols[col] for col, kind in row.cells.items()) % _P
+        pw = self.pw
+        powers = {} if pw is None else pw.row
+        powers.update(_powers(_ROW_BASE, self.rows.keys() - powers.keys()))
+        key = sum(powers[r] * row.h for r, row in self.rows.items())
+        if pw is not None:
+            key += pw.tape * self.tape.h + pw.read * _Z[self.read] + pw.status * _Z[self.status]
+        return key % _P
 
 
 def _index(state: GameState) -> _Board:
-    """Build the board of a state from its tiles; O(tiles)."""
+    """Build the board of a state from its tiles; O(tiles), hashing only the tape row."""
     by_row: dict[int, dict[int, TileKind]] = {}
     for (col, r), kind in state.tiles.items():
         by_row.setdefault(r, {})[col] = kind
-    rows = {r: _Row.of(cells) for r, cells in by_row.items()}
-    key = sum(pow(_ROW_BASE, r, _P) * row.h for r, row in rows.items()) % _P
     tips = state.tip_cells()
     if len(tips) != 1:
-        return _Board(rows, key, None, None, None, {}, ())
+        rows = {r: _Row(cells) for r, cells in by_row.items()}
+        return _Board(rows, None, None, None, None, None, None, None, {}, None, ())
+    tc, tr = tips[0]
+    tape = by_row.pop(tr - 1, {})
+    read = by_row.get(tr + 1, {}).pop(tc, None)
+    status = by_row.get(tr + 2, {}).pop(tc, None)
+    rows = {r: _Row(cells) for r, cells in by_row.items() if cells}
+    cols = _powers(_COL_BASE, [*tape, *range(tc, tc + PACKET_WIDTH + 1)])
+    pw = _Powers(tuple(cols[tc + i] for i in range(PACKET_WIDTH + 1)), tr)
     stack, top, first = None, None, {}
     for r, prefix in packet_rows(rows, tips[0]):
         stack, top, first = _indexed(r, prefix, stack, top, first)
-    return _Board(rows, key, tips[0], stack, top, first, ())
+    return _Board(rows, _Tape.of(tape, tc, cols), read, status, tips[0], pw, stack, top, first, None, ())
 
 
 def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
@@ -305,9 +430,13 @@ def position_key(state: GameState) -> int:
 
     Equal layouts give equal keys. Distinct layouts share a key only when the
     polynomial difference vanishes at (B, C), which run never trusts: it
-    confirms every key hit exactly.
+    confirms every key hit exactly. The first call on a board hashes its rows;
+    successors of a keyed board are keyed as they are made.
     """
-    return board_of(state).key
+    board = board_of(state)
+    if board.key is None:
+        board.key = board.full_key()
+    return board.key
 
 
 def step(state: GameState) -> tuple[GameState, StepOutcome]:
@@ -319,8 +448,7 @@ def _step(state: GameState) -> tuple[GameState, StepOutcome]:
     board = board_of(state)
     if board.tip is None:
         return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_cells() else StopReason.NO_TIP)
-    tc, tr = board.tip
-    below = board.row(tr - 1).get(tc)
+    below = board.tape.head
     if below is None:  # with one tip on the board, the cell below is never a tip
         return state, Terminated(StopReason.NOTHING_BELOW_TIP)
     if below.tile_type is TileType.TAPE:
@@ -330,7 +458,7 @@ def _step(state: GameState) -> tuple[GameState, StepOutcome]:
 
 def _fire(state: GameState, board: _Board, below: TileKind) -> tuple[GameState, StepOutcome]:
     tc, tr = board.tip
-    status = board.row(tr + 2).get(tc)
+    status = board.status
     if status is None or status.family != "status":
         return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
     match = board.first.get((below.bit, status.bit))
@@ -339,19 +467,21 @@ def _fire(state: GameState, board: _Board, below: TileKind) -> tuple[GameState, 
     row, r3, r4, r5 = match
 
     dx = -1 if r5.bit == 1 else 1
-    tape = board.rows[tr - 1].put(tc, tape_tile(r3.bit))
-    if tape.nontape:
-        tape = tape.relaid(dx, lambda col, kind: kind.tile_type is TileType.TAPE)
-        if tape is None:
+    pw, tape = board.pw, board.tape
+    if tape.nontape:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
+        cells = _relaid({**tape.cells(tc), tc: tape_tile(r3.bit)}, dx)
+        if cells is None:
             return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
+        tape = _Tape.of(cells, tc, _powers(_COL_BASE, [*cells, tc]))
     else:
-        tape = tape.slid(dx)
-    changed = {
-        tr - 1: tape,
-        tr + 1: board.row(tr + 1).put(tc, read_tile(below.bit)),
-        tr + 2: board.rows[tr + 2].put(tc, status_tile(r4.bit)),
-    }
-    new = board.successor(changed, board.stack, board.top, board.first)
+        tape = tape.fired(tape_tile(r3.bit), dx, pw.col[0])
+    read, status = read_tile(below.bit), status_tile(r4.bit)
+    key = board.key
+    if key is not None:
+        key += pw.tape * (tape.h - board.tape.h) + pw.read * (_Z[read] - _Z[board.read])
+        key = (key + pw.status * (_Z[status] - _Z[board.status])) % _P
+    touched = (tr - 1, tr + 1, tr + 2)
+    new = _Board(board.rows, tape, read, status, board.tip, pw, board.stack, board.top, board.first, key, touched)
     return GameState.of_board(new, state.anchor, state.junk_cells), Fired(row)
 
 
@@ -364,28 +494,32 @@ def _copy_rule(state: GameState, board: _Board, below: TileKind) -> tuple[GameSt
     slot = len(prefix) + 1
     if below.slot != slot:
         return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-    packet = board.row(target)
-    if packet.get(tc + slot) is not None:
+    old = board.rows.get(target, _EMPTY_ROW)
+    if old.cells.get(tc + slot) is not None:
         return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
 
-    packet = packet.put(tc + slot, below)
-    tape = board.rows[tr - 1].without(tc)  # consumed; its left neighbours slide into the gap
-    tape = tape.slid(1) if tape.right < tc else tape.relaid(1, lambda col, kind: col < tc)
-    cells = [packet.get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
-    index = _indexed(target, classify_packet(cells), rest, board.top, board.first)
-    new = board.successor({target: packet, tr - 1: tape}, *index)
+    pw = board.pw
+    packet = old.put(tc + slot, below, pw.col[slot])
+    tape = board.tape.consumed(pw.col[0])
+    key = board.key
+    if key is not None:
+        key = (key + pw.row_power(target) * (packet.h - old.h) + pw.tape * (tape.h - board.tape.h)) % _P
+    cells = [packet.cells.get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
+    stack, top, first = _indexed(target, classify_packet(cells), rest, board.top, board.first)
+    rows = {**board.rows, target: packet}
+    new = _Board(rows, tape, board.read, board.status, board.tip, pw, stack, top, first, key, (target, tr - 1))
     return GameState.of_board(new, state.anchor, state.junk_cells), RuleCopied(target, slot)
 
 
 def _diff_cells(before: GameState, after: GameState) -> list[CellAddr]:
     """Cells whose tile differs between a state and its successor.
 
-    Only the rows the step replaced can differ, so only they are compared.
+    Only the rows the step changed can differ, so only they are compared.
     """
     old, new = before.board, after.board
     changed = []
     for r in new.touched:
-        a, b = old.row(r).absolute(), new.rows[r].absolute()
+        a, b = old.row(r), new.row(r)
         changed += [(col, r) for col in a.keys() | b.keys() if a.get(col) is not b.get(col)]
     return sorted(changed)
 
@@ -422,11 +556,13 @@ def run(
     under the same key. The terminating attempt consumes no budget, so
     witnessing a halt after g successful generations needs max_gens > g.
 
-    Cost, for a state of n tiles and G generations: O(n) time to index the
-    state, then O(1) Python work per generation plus one C-level copy of the
-    row map and of each changed row, plus O(first_index) replayed generations
-    per key hit. With on_step, each record adds an O(n) state_hash. Memory is
-    O(n + G): the initial and current states and one key per generation.
+    Cost, for a state of n tiles and G generations: O(n) time to index and
+    key the state, then O(1) Python work per generation at any tape length
+    (a copy also copies the map of rows above the tip, at C level), plus
+    O(first_index) replayed generations per key hit. With on_step, each
+    record adds an O(n) state_hash and an O(row) diff of the tape row, so a
+    traced run stays O(n) per generation. Memory is O(n + G): the initial and
+    current states and one key per generation.
     """
     if max_gens < 0:
         raise ValueError("max_gens must be >= 0")

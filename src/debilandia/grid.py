@@ -26,7 +26,7 @@ class GameState:
     States are values. A state made by hand holds its `tiles` mapping; the
     engine indexes it on first use (`board`), when it is stepped or a machine
     is extracted from it, so mutate `tiles` only before either. A state the
-    engine makes holds only its row board and builds `tiles` from it when
+    engine makes holds only its board and builds `tiles` from it when
     someone reads it.
     """
 

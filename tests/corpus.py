@@ -127,7 +127,7 @@ def row_tiles(state: GameState, r: int) -> list[TileKind]:
     never builds its whole tile map for this.
     """
     if state.board is not None:
-        cells = state.board.row(r).cells  # keyed by column minus the row's offset
+        cells = state.board.row(r)
     else:
         cells = {col: kind for (col, row), kind in state.tiles.items() if row == r}
     return list(map(cells.__getitem__, sorted(cells)))
@@ -143,7 +143,7 @@ def game_tape_text(state: GameState) -> str:
 def game_status(state: GameState) -> int:
     tc, tr = tip_cell(state)
     if state.board is not None:
-        return state.board.row(tr + 2).get(tc).bit
+        return state.board.status.bit
     return state.tiles[(tc, tr + 2)].bit
 
 

@@ -113,9 +113,18 @@ def test_simulate_traces_are_deterministic(tmp_path):
 
 def test_simulate_rejects_bad_points_file(tmp_path):
     bad = tmp_path / "bad.json"
-    for point in ([1, -2], [True, 2], [1, False]):  # JSON booleans are not coordinates
-        bad.write_text(json.dumps({"points": [point]}))
-        assert main(["simulate", "--points", str(bad)]) == 2
+    # JSON booleans are not coordinates
+    for point in ([1, -2], [True, 2], [1, False], [1, 2, 3], [1, [2]], [[1, 2]], [1.0, 2], [1], [], 7, "12"):
+        bad.write_text(json.dumps({"points": [[0, 0], point]}))
+        assert main(["simulate", "--points", str(bad)]) == 2, point
+
+
+def test_simulate_accepts_an_empty_points_list(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"points": []}))
+    assert main(["simulate", "--points", str(empty)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["status"], summary["reason"], summary["tiles"]) == ("halted", "no_tip", 0)
 
 
 def test_simulate_points_object_without_points_key_names_the_shape(tmp_path, capsys):

@@ -8,7 +8,10 @@ must read what it reads on a fresh board of the same tiles, and on a fresh
 board what the dict engine's extraction reads off the tile map.
 """
 
+import random
+
 import dict_engine
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,12 +20,13 @@ from debilandia.embedding import NotATuringMachine, compile_direct, compile_univ
 from debilandia.engine import Terminated, position_key, run, step
 from debilandia.grid import GameState, recognize
 from debilandia.tiles import TileKind, TileType, slot_tile
-from debilandia.tm import Rule, TmSpec
+from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmSpec
 
 TAPES = [TileKind.TAPE_0, TileKind.TAPE_1]
 RULES = [k for k in TileKind if k.tile_type is TileType.RULE]
 STATUSES = [TileKind.STATUS_0, TileKind.STATUS_1]
 NOT_TIP = [k for k in TileKind if k is not TileKind.TIP]
+GAPS = st.sampled_from([0] * 12 + [1, 2, 3, 5])
 
 
 def extracted(extract, state: GameState):
@@ -96,20 +100,26 @@ def boards(draw) -> dict:
     if draw(st.booleans()):
         tiles[(tc, tr + 1)] = draw(st.sampled_from([TileKind.READ_0, TileKind.READ_1, TileKind.TAPE_1]))
     # the tape row: tokens for whole packets, consumed from the tip leftwards,
-    # then payload, with occasional stray tiles anywhere in it
+    # then payload, with occasional stray tiles anywhere in it; gaps of up to
+    # five empty cells on both sides of the tip, and now and then an empty
+    # cell below the tip, exercise the zipper's stacks
     col = tc
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         bits = draw(st.lists(st.integers(0, 1), min_size=5, max_size=5))
         for slot in range(1, 6):
             tiles[(col, tr - 1)] = slot_tile(slot, bits[slot - 1])
             col -= 1
-    for kind in draw(st.lists(st.sampled_from(TAPES * 6 + RULES + [None]), max_size=10)):
-        if kind is not None:
-            tiles[(col, tr - 1)] = kind
+    for kind, gap in draw(st.lists(st.tuples(st.sampled_from(TAPES * 6 + RULES), GAPS), max_size=10)):
+        col -= gap
+        tiles[(col, tr - 1)] = kind
         col -= 1
-    for offset, kind in enumerate(draw(st.lists(st.sampled_from(TAPES + RULES + [None]), max_size=3)), start=1):
-        if kind is not None:
-            tiles[(tc + offset, tr - 1)] = kind
+    col = tc + 1
+    for kind, gap in draw(st.lists(st.tuples(st.sampled_from(TAPES * 3 + RULES), GAPS), max_size=4)):
+        col += gap
+        tiles[(col, tr - 1)] = kind
+        col += 1
+    if not draw(st.integers(0, 11)):
+        tiles.pop((tc, tr - 1), None)
     flavours = st.sampled_from(["complete"] * 4 + ["prefix", "gapped", "misordered", "junk", "empty"])
     for row in range(tr + 1, tr + 1 + draw(st.integers(0, 5))):
         flavour = draw(flavours)
@@ -166,6 +176,23 @@ def test_row_board_matches_dict_engine_on_universal_boards(atlas):
             spec = spec_with(rules, tape, head=len(tape) - 1)
             state = recognize(compile_universal(spec, tape, atlas), atlas)
             assert_engines_agree(state, 5 * len(rules) + 100)
+
+
+def walker(move: int) -> tuple[Rule, ...]:
+    """Flips every cell it reads and the status on every 1, always stepping the same way."""
+    return tuple(Rule(read, state, 1 - read, state ^ read, move) for read in (0, 1) for state in (0, 1))
+
+
+@pytest.mark.parametrize("move", [MOVE_LEFT, MOVE_RIGHT])
+@pytest.mark.parametrize("from_right_end", [False, True])
+def test_row_board_matches_dict_engine_on_long_tapes(atlas, move, from_right_end):
+    # a few hundred cells, the head at either end, walked off one end or the
+    # other: the zipper's stacks empty out on both sides
+    tape = "".join(random.Random(move * 2 + from_right_end).choice("01") for _ in range(300))
+    spec = spec_with(walker(move), tape, head=len(tape) - 1 if from_right_end else 0)
+    assert_engines_agree(recognize(compile_direct(spec, atlas, pad=2), atlas), 320)
+    if from_right_end:  # the universal layout loads four packets, then walks the payload
+        assert_engines_agree(recognize(compile_universal(spec, tape, atlas), atlas), 340)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,0 +1,123 @@
+"""Engine pace: a generation's work and allocation do not grow with the tape.
+
+The row below the tip is a zipper, so a fire or a rule copy costs O(1)
+Python work and memory at any tape length. The run tests state a loose
+wall-clock ceiling; the allocation guard measures bytes, which machine load
+does not change.
+
+The boards are laid out tile by tile rather than recognized from points,
+which would take longer than the runs; the first test pins the layouts to
+compile_direct and compile_universal.
+"""
+
+import random
+import time
+import tracemalloc
+
+import pytest
+
+from corpus import BOUNCE, ZERO_RUNNER, game_tape_text, spec_with
+from debilandia.embedding import compile_direct, compile_universal, extract_tm
+from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, position_key, run, step
+from debilandia.grid import GameState, recognize
+from debilandia.tiles import TileKind, read_tile, slot_tile, status_tile, tape_tile
+from debilandia.tm import MOVE_LEFT, Rule
+
+STEP_BYTES = 4096  # a step at L=1000 that copied the tape row's map would allocate about 36 KiB
+
+
+def tokens(rule: Rule) -> list[TileKind]:
+    bits = (rule.read, rule.state, rule.write, rule.next_state, 1 - rule.move)
+    return [slot_tile(i, bit) for i, bit in enumerate(bits, start=1)]
+
+
+def tip_stack(tc: int) -> dict:
+    return {(tc, 1): TileKind.TIP, (tc, 2): read_tile(0), (tc, 3): status_tile(0)}
+
+
+def direct_board(rules, tape: str) -> GameState:
+    """compile_direct's layout, head on the tape's first cell, in status 0."""
+    tiles = {(col, 0): tape_tile(int(ch)) for col, ch in enumerate(tape)} | tip_stack(0)
+    for k, rule in enumerate(rules):
+        tiles |= {(i, 2 + k): kind for i, kind in enumerate(tokens(rule), start=1)}
+    return GameState(tiles)
+
+
+def universal_board(rules, payload: str) -> GameState:
+    """compile_universal's layout, for rule lists that may repeat a (read, state) key."""
+    row = [tape_tile(int(ch)) for ch in payload] + [kind for rule in rules for kind in tokens(rule)][::-1]
+    return GameState({(col, 0): kind for col, kind in enumerate(row)} | tip_stack(len(row) - 1))
+
+
+def test_layouts_are_the_compilers(atlas):
+    spec = spec_with(BOUNCE, "0110")
+    assert direct_board(BOUNCE, "0110").tiles == recognize(compile_direct(spec, atlas), atlas).tiles
+    spec = spec_with(BOUNCE, "0110", head=3)
+    assert universal_board(BOUNCE, "0110").tiles == recognize(compile_universal(spec, "0110", atlas), atlas).tiles
+
+
+def test_zero_runner_crosses_a_100k_cell_tape():
+    # a step that copies the tape row makes this quadratic: about 0.85 ms per
+    # generation at 64k cells on a 2-core VM; O(1) steps take about 0.016 ms
+    # at any length, 1.6 s for the whole run
+    length = 10**5
+    state = direct_board(ZERO_RUNNER, "0" * length + "1")
+    start = time.monotonic()
+    result = run(state, length + 1)
+    elapsed = time.monotonic() - start
+    assert (result.status, result.reason, result.generations_run) == (
+        RunStatus.HALTED,
+        StopReason.NO_MATCHING_PACKET,
+        length,
+    )
+    assert game_tape_text(result.final_state) == "1"
+    assert elapsed < 15.0, f"{length} generations took {elapsed:.1f}s"
+
+
+def test_rule_loading_over_a_10k_cell_payload():
+    # 99 packets keyed on status 1, never entered, below the rule that walks
+    # left: 500 copies slide the payload, then 10**4 fires read a deep stack
+    rng = random.Random(6)
+    never = [Rule(rng.randrange(2), 1, rng.randrange(2), rng.randrange(2), rng.randrange(2)) for _ in range(99)]
+    rules = never + [Rule(0, 0, 0, 0, MOVE_LEFT)]
+    payload = "1" + "0" * 10**4
+    state = universal_board(rules, payload)
+    start = time.monotonic()
+    loaded = run(state, 5 * len(rules)).final_state
+    result = run(loaded, 10**5)
+    elapsed = time.monotonic() - start
+    first = {}
+    for rule in rules:
+        first.setdefault((rule.read, rule.state), rule)
+    spec = extract_tm(loaded)
+    assert (spec.rules, spec.tape, spec.head) == (tuple(first.values()), payload, len(payload) - 1)
+    assert (result.status, result.reason, result.generations_run) == (
+        RunStatus.HALTED,
+        StopReason.NO_MATCHING_PACKET,
+        len(payload) - 1,
+    )
+    assert elapsed < 15.0, f"loading and running took {elapsed:.1f}s"
+
+
+def allocated_by_one_step(state: GameState) -> tuple[GameState, object, int]:
+    """One step of a keyed state: the successor, the outcome, and the peak bytes the step and its key take."""
+    position_key(state)
+    tracemalloc.start()
+    try:
+        new, outcome = step(state)
+        position_key(new)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return new, outcome, peak
+
+
+@pytest.mark.parametrize("length", [10**3, 64 * 10**3])
+def test_one_step_allocates_a_bounded_amount_at_any_tape_length(length):
+    # five copies load the walking rule, then fires walk the payload; the
+    # fires after loading must take the zipper's path, not re-lay the row
+    state = universal_board((Rule(0, 0, 0, 0, MOVE_LEFT),), "1" + "0" * length)
+    for expected in [RuleCopied] * 5 + [Fired] * 3:
+        state, outcome, peak = allocated_by_one_step(state)
+        assert isinstance(outcome, expected)
+        assert peak < STEP_BYTES, f"{outcome} allocated {peak} bytes"
