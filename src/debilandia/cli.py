@@ -124,9 +124,9 @@ def _cmd_verify(args) -> int:
     report = verify(inst, items, atlas, on_step=_trace_writer(buffer) if args.trace else None)
     if args.trace:
         _atomic_write(Path(args.trace), buffer.getvalue())
-    if args.report:
-        _write_json(Path(args.report), report.to_json_obj())
     verdict = report.to_json_obj()
+    if args.report:
+        _write_json(Path(args.report), verdict)
     print(json.dumps({k: verdict[k] for k in ("verdict", "reason", "step")}, sort_keys=True))
     return 0 if report.accepted else 1
 

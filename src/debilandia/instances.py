@@ -16,16 +16,19 @@ Each pair (a, b) places the lattice point x=a, y=b. For a valid certificate
 len(L) = 3T + E + 2 where T is the pair count, while the verifier's input
 measure is N = P + E + T + 4 = 3T + E + 4, 2 more by construction. The
 verifier is the one reader of this grammar (group_tuples, check_coverage and
-scan_tail in turn); build_candidate is the one writer.
+scan_tail in turn); build_candidate is the one writer. group_tuples hands the
+pair section on as its two member columns (Pairs), so reading an accepted
+list costs two T-slot lists beyond the list itself and builds no pair tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, product
+from itertools import product, repeat
+from operator import add, mul
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from .tiles import read_json
 
@@ -78,90 +81,91 @@ class Instance:
         object.__setattr__(self, "a_values", tuple(sorted(values)))
 
     @property
-    def b_values(self) -> frozenset[int]:
-        return frozenset(self.a_values) | RESERVED
-
-    @property
     def size(self) -> int:
         return len(self.a_values)
 
 
-def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[list[tuple[int, int]], int, int]:
+class Pairs:
+    """A pair section held as its two columns: pair k is (xs[k], ys[k]).
+
+    len() is T and iteration yields the pairs, but check_coverage reads the
+    columns and no per-pair tuple is built.
+    """
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: list[int], ys: list[int]) -> None:
+        self.xs = xs
+        self.ys = ys
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.xs, self.ys)
+
+
+def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[Pairs, int, int]:
     """Read ``a b 7 a b 7 ... a b 5`` from items[start:].
 
-    Returns (pairs, index one past the 5, tokens touched). Raises
-    RejectedCertificate for shape violations; pair coverage is not checked
-    here. A well-formed section is checked with list and set operations; the
-    token walk runs only to locate a reject.
+    Returns (pairs, index one past the 5, tokens touched); every coordinate
+    of the pairs is a member of A. Raises RejectedCertificate for shape
+    violations; pair coverage is not checked here. A well-formed section is
+    checked with list and set operations; the token walk runs only to locate
+    a reject.
     """
     members = set(inst.a_values)
     try:
         end = items.index(MARKER_END_TUPLES, start)
     except ValueError:
         end = None
-    if end is not None and (end - start) % 3 == 2:
+    if end is not None and (end == start or (end - start) % 3 == 2):
         xs, ys, seps = items[start:end:3], items[start + 1 : end : 3], items[start + 2 : end : 3]
         if seps.count(MARKER_SEP) == len(seps) and members.issuperset(xs) and members.issuperset(ys):
-            return list(zip(xs, ys)), end + 1, end + 1 - start
-    return _walk_pairs(members, items, start)
+            return Pairs(xs, ys), end + 1, end + 1 - start
+    _raise_pair_reject(members, items, start)
 
 
-def _walk_pairs(members: set[int], items: Sequence[int], start: int) -> tuple[list[tuple[int, int]], int, int]:
-    """group_tuples token by token: raises at the first violation (or reads zero pairs)."""
-    pairs: list[tuple[int, int]] = []
-    current: list[int] = []
-    touched = 0
-    i = start
-    while i < len(items):
+def _raise_pair_reject(members: set[int], items: Sequence[int], start: int) -> NoReturn:
+    """Walk a pair section that group_tuples refused and raise at its first violation."""
+    width = 0  # members read into the current pair
+    for i in range(start, len(items)):
         token = items[i]
-        touched += 1
-        if token == MARKER_SEP:
-            if len(current) != 2:
-                raise RejectedCertificate(RejectReason.CONDITION_2, i, "pair must have exactly two members")
-            pairs.append((current[0], current[1]))
-            current = []
-        elif token == MARKER_END_TUPLES:
-            if len(current) == 2:
-                pairs.append((current[0], current[1]))
-                return pairs, i + 1, touched
-            if not current and not pairs:
-                return pairs, i + 1, touched  # zero pairs; coverage rejects later
-            raise RejectedCertificate(RejectReason.CONDITION_2, i, "pair must have exactly two members")
-        elif token in members:
-            if len(current) == 2:
+        if token in members:
+            if width == 2:
                 raise RejectedCertificate(RejectReason.CONDITION_4, i, "expected 7 or 5 after a pair")
-            current.append(token)
+            width += 1
+        elif token in (MARKER_SEP, MARKER_END_TUPLES):
+            if width != 2:
+                raise RejectedCertificate(RejectReason.CONDITION_2, i, "pair must have exactly two members")
+            if token == MARKER_END_TUPLES:
+                raise AssertionError("group_tuples refused a well-formed pair section")
+            width = 0
         else:
-            reason = RejectReason.CONDITION_4 if len(current) == 2 else RejectReason.CONDITION_2
+            reason = RejectReason.CONDITION_4 if width == 2 else RejectReason.CONDITION_2
             raise RejectedCertificate(reason, i, f"{token} cannot appear inside the pair section")
-        i += 1
     raise RejectedCertificate(RejectReason.CONDITION_4, len(items), "no 5 terminates the pair section")
 
 
-def check_coverage(inst: Instance, pairs: Sequence[tuple[int, int]], end_pos: int) -> int:
-    """Pairs must be distinct and enumerate A x A; returns tokens touched.
+def check_coverage(inst: Instance, pairs: Pairs, end_pos: int) -> int:
+    """Pairs must be distinct and enumerate A x A; returns pairs read.
 
-    Distinct pairs enumerate A x A exactly when there are |A|^2 of them and
-    each is a pair of members, so no A x A set is built.
+    group_tuples has proven every coordinate a member of A, so distinct pairs
+    enumerate A x A exactly when there are |A|^2 of them. Pair (x, y) is
+    coded as the one int x * (max A + 1) + y, distinct for distinct pairs of
+    members, so no pair tuple and no A x A set is built. The pairs are walked
+    only to locate a repeat.
     """
-    seen = set(pairs)
-    if len(seen) != len(pairs):
+    codes = set(map(add, map(mul, pairs.xs, repeat(inst.a_values[-1] + 1)), pairs.ys))
+    if len(codes) != len(pairs):
         earlier: set[tuple[int, int]] = set()
         for k, pair in enumerate(pairs):
             if pair in earlier:
                 raise RejectedCertificate(RejectReason.CONDITION_3, 1 + 3 * k, "repeated pair")
             earlier.add(pair)
-    members = set(inst.a_values)
-    if len(seen) != len(members) ** 2 or not _member_pairs(members, pairs):
+    if len(codes) != inst.size**2:
         raise RejectedCertificate(RejectReason.CONDITION_3, end_pos, "pairs must enumerate all of A x A")
     return len(pairs)
-
-
-def _member_pairs(members: set[int], pairs: Sequence[tuple[int, int]]) -> bool:
-    """Whether each of the (non-empty) pairs is a pair of members."""
-    if set(map(type, pairs)) == {tuple} and set(map(len, pairs)) == {2}:
-        return members.issuperset(chain.from_iterable(pairs))
-    return set(pairs) <= set(product(members, repeat=2))  # not all plain 2-tuples: compare exactly
 
 
 _SCAN_CHUNK = 4096

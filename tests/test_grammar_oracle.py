@@ -1,26 +1,28 @@
 """Differential tests: the certificate grammar against the per-token oracle.
 
 The package reads the pair section, coverage and the four run with list and
-set operations and walks tokens only to locate a reject. `grammar_oracle`
-keeps the token-by-token versions. Both must return the same values and
-reject with the same reason at the same position, and `verify` must write
-the same report with either.
+set operations and walks tokens only to locate a reject. It hands the pairs
+on as two member columns (`instances.Pairs`), where `grammar_oracle` keeps
+the token-by-token versions and a list of pair tuples. Both must return the
+same values (the columns read out as pairs) and reject with the same reason
+at the same position, and `verify` must write the same report with either,
+for pairs in any order.
 """
 
-from collections import namedtuple
 from itertools import product
 from unittest import mock
 
 import grammar_oracle
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import ACCEPT_A
 from debilandia import verifier
 from debilandia.instances import (
+    MARKER_SEP,
     RESERVED,
     Instance,
+    Pairs,
     RejectedCertificate,
     build_candidate,
     check_coverage,
@@ -42,13 +44,14 @@ def outcome(fn, *args):
         return ("reject", exc.reason, exc.position)
 
 
-@settings(max_examples=300, deadline=None)
-@given(a_values=A_VALUES, data=st.data())
-def test_group_tuples_matches_oracle_on_token_lists(a_values, data):
-    inst = Instance(a_values)
+def pair_section(data, inst: Instance) -> tuple[list[int], int]:
+    """A drawn list holding a pair section, and where to start reading it.
+
+    Mostly well-formed pair runs with up to three token edits, so accepts
+    and late rejects both occur.
+    """
     alphabet = list(inst.a_values) + [2, 4, 5, 7, 25, 43, OUTSIDER]
     tokens = st.sampled_from(alphabet)
-    # mostly well-formed pair runs, so both accepts and late rejects occur
     pair = st.tuples(st.sampled_from(inst.a_values), st.sampled_from(inst.a_values))
     pairs = data.draw(st.lists(pair, max_size=8))
     items = [2] + [v for a, b in pairs for v in (a, b, 7)]
@@ -63,45 +66,61 @@ def test_group_tuples_matches_oracle_on_token_lists(a_values, data):
                 items[i] = data.draw(tokens)
             else:
                 del items[i]
-    start = data.draw(st.integers(0, 2))
-    assert outcome(group_tuples, inst, items, start) == outcome(grammar_oracle.group_tuples, inst, items, start)
+    return items, data.draw(st.integers(0, 2))
+
+
+def listed_group_tuples(inst: Instance, items: list[int], start: int) -> tuple[list[tuple[int, int]], int, int]:
+    """group_tuples with its pairs read out as a list, as the oracle returns them."""
+    pairs, after_five, touched = group_tuples(inst, items, start)
+    return list(pairs), after_five, touched
+
+
+@settings(max_examples=300, deadline=None)
+@given(a_values=A_VALUES, data=st.data())
+def test_group_tuples_matches_oracle_on_token_lists(a_values, data):
+    inst = Instance(a_values)
+    items, start = pair_section(data, inst)
+    assert outcome(listed_group_tuples, inst, items, start) == outcome(grammar_oracle.group_tuples, inst, items, start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a_values=A_VALUES, data=st.data())
+def test_group_tuples_returns_member_columns_or_the_oracles_reject(a_values, data):
+    # check_coverage trusts this: every pair it is given is two plain ints of A
+    inst = Instance(a_values)
+    items, start = pair_section(data, inst)
+    try:
+        pairs, _, _ = group_tuples(inst, items, start)
+    except RejectedCertificate as exc:
+        assert ("reject", exc.reason, exc.position) == outcome(grammar_oracle.group_tuples, inst, items, start)
+        return
+    assert type(pairs) is Pairs
+    assert type(pairs.xs) is list and type(pairs.ys) is list and len(pairs.xs) == len(pairs.ys)
+    assert set(map(type, pairs.xs + pairs.ys)) <= {int}
+    assert set(pairs.xs + pairs.ys) <= set(inst.a_values)
 
 
 @settings(max_examples=200, deadline=None)
 @given(a_values=A_VALUES, data=st.data())
 def test_check_coverage_matches_oracle_on_any_pairs(a_values, data):
+    # group_tuples hands on only pairs of members, so the pairs are drawn from A
     inst = Instance(a_values)
-    values = list(inst.a_values) + [OUTSIDER]
+    pair = st.tuples(st.sampled_from(inst.a_values), st.sampled_from(inst.a_values))
     if data.draw(st.booleans()):
         pairs = data.draw(st.permutations(list(product(inst.a_values, repeat=2))))
         for _ in range(data.draw(st.integers(0, 2))):
-            i = data.draw(st.integers(0, len(pairs) - 1))
-            pairs[i] = data.draw(st.tuples(st.sampled_from(values), st.sampled_from(values)))
+            pairs[data.draw(st.integers(0, len(pairs) - 1))] = data.draw(pair)
         if data.draw(st.booleans()):
             pairs.append(data.draw(st.sampled_from(pairs)))
         if data.draw(st.booleans()):
+            pairs.insert(data.draw(st.integers(0, len(pairs))), data.draw(pair))
+        if data.draw(st.booleans()):
             del pairs[data.draw(st.integers(0, len(pairs) - 1))]
     else:
-        pairs = data.draw(st.lists(st.tuples(st.sampled_from(values), st.sampled_from(values)), max_size=12))
+        pairs = data.draw(st.lists(pair, max_size=12))
+    columns = Pairs([x for x, _ in pairs], [y for _, y in pairs])
     end = 3 * len(pairs)
-    assert outcome(check_coverage, inst, pairs, end) == outcome(grammar_oracle.check_coverage, inst, pairs, end)
-
-
-Pair = namedtuple("Pair", "x y")
-
-
-@pytest.mark.parametrize(
-    "pairs",
-    [
-        [Pair(1, 1), Pair(1, 3), Pair(3, 1), Pair(3, 3)],  # tuple subclasses equal to the pairs
-        [(1, 1), (1, 3), (3, 1), (3, 3, 3)],  # right count, one pair too long
-        [(1, 1), (1, 3), (3, 3), frozenset({1, 3})],  # right count, one pair not a tuple
-        [(1,), (1, 3), (3, 1), (3, 3)],
-    ],
-)
-def test_check_coverage_matches_oracle_on_odd_pair_shapes(pairs):
-    inst = Instance((1, 3))
-    assert outcome(check_coverage, inst, pairs, 12) == outcome(grammar_oracle.check_coverage, inst, pairs, 12)
+    assert outcome(check_coverage, inst, columns, end) == outcome(grammar_oracle.check_coverage, inst, pairs, end)
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,6 +149,7 @@ MUTATIONS = [
     "repeat-pair",
     "non-member",
     "trailing",
+    "shuffle-pairs",
 ]
 
 
@@ -166,6 +186,11 @@ def mutate(data, inst: Instance, items: list[int]) -> list[int]:
         items[1 + 3 * k + data.draw(st.integers(0, 1))] = OUTSIDER
     elif kind == "trailing":
         items += data.draw(st.lists(token, min_size=1, max_size=3))
+    elif kind == "shuffle-pairs":  # any order, 7s and the 5 in place, maybe one pair twice
+        pairs = data.draw(st.permutations([items[1 + 3 * k : 3 + 3 * k] for k in range(t_count)]))
+        if data.draw(st.booleans()):
+            pairs.insert(data.draw(st.integers(0, t_count)), data.draw(st.sampled_from(pairs)))
+        items[1:five] = [v for pair in pairs for v in pair + [MARKER_SEP]][:-1]
     return items
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +23,6 @@ from debilandia.verifier import verify
 def test_instance_validation():
     inst = Instance((3, 1))
     assert inst.a_values == (1, 3)  # canonical ascending
-    assert inst.b_values == frozenset({1, 3}) | RESERVED
-    assert len(inst.b_values) == inst.size + 6
     for bad in [(), (0,), (-2,), (1, 1), (4,), (25,), (1, "x")]:
         with pytest.raises(ValueError):
             Instance(tuple(bad))
@@ -45,11 +45,28 @@ def test_build_candidate_pair_order():
 def test_parse_worked_example(atlas):
     inst = Instance((1, 3))
     items = [2, 1, 1, 7, 1, 3, 7, 3, 1, 7, 3, 3, 5, 4, 4, 25]
-    assert group_tuples(inst, items, 1) == ([(1, 1), (1, 3), (3, 1), (3, 3)], 13, 12)
-    assert check_coverage(inst, [(1, 1), (1, 3), (3, 1), (3, 3)], 12) == 4
+    pairs, after_five, touched = group_tuples(inst, items, 1)
+    assert (list(pairs), after_five, touched) == ([(1, 1), (1, 3), (3, 1), (3, 3)], 13, 12)
+    assert check_coverage(inst, pairs, 12) == 4
     assert scan_tail(items, 13) == (2, 25, 2)
     report = verify(inst, items, atlas).to_json_obj()
     assert (report["T"], report["P"], report["E"], report["N"]) == (4, 8, 2, 8 + 2 + 4 + 4)
+
+
+def test_group_tuples_builds_no_per_pair_objects():
+    # the pair section is read as three strided slices, 24 bytes a pair;
+    # zipping the columns into a list of pair tuples peaked at about 58
+    inst = Instance(tuple(v for v in range(1, 70) if v not in RESERVED)[:60])
+    items = build_candidate(inst, 0, 25)
+    group_tuples(inst, items, 1)  # warm up
+    tracemalloc.start()
+    try:
+        pairs, _, _ = group_tuples(inst, items, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 3600
+    assert peak < 32 * len(pairs)
 
 
 def expect_reject(call, reason, position=None):
@@ -132,7 +149,8 @@ def test_zero_generation_run_parses():
     inst = Instance((9,))
     items = [2, 9, 9, 5, 43]
     assert scan_tail(items, 4) == (0, 43, 0)
-    assert read_sections(inst, items) == ([(9, 9)], 0, 43)
+    pairs, gens, marker = read_sections(inst, items)
+    assert (list(pairs), gens, marker) == ([(9, 9)], 0, 43)
 
 
 def test_build_candidate_worked_example():
@@ -161,7 +179,8 @@ def test_candidate_round_trip_and_length_identity(atlas, values, gens, marker):
     for k in range(t):
         expected += [a[k // n], a[k % n], 7 if k < t - 1 else 5]
     assert items == expected + [4] * gens + [marker]
-    assert read_sections(inst, items) == ([(a[k // n], a[k % n]) for k in range(t)], gens, marker)
+    pairs, read_gens, read_marker = read_sections(inst, items)
+    assert (list(pairs), read_gens, read_marker) == ([(a[k // n], a[k % n]) for k in range(t)], gens, marker)
     assert len(items) == 3 * t + gens + 2
     report = verify(inst, items, atlas).to_json_obj()
     assert (report["T"], report["E"]) == (t, gens)
@@ -173,7 +192,7 @@ def test_candidate_round_trip_and_length_identity(atlas, values, gens, marker):
 def test_any_non_b_element_rejected_with_position(values, gens):
     inst = Instance(tuple(values))
     items = build_candidate(inst, gens, 25)
-    alien = max(inst.b_values) + 1
+    alien = max(RESERVED | set(inst.a_values)) + 1
     for pos in range(1, len(items)):
         mutated = list(items)
         mutated[pos] = alien
