@@ -9,16 +9,19 @@ at the same position, and `verify` must write the same report with either,
 for pairs in any order.
 """
 
+from collections import namedtuple
 from itertools import product
 from unittest import mock
 
 import grammar_oracle
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import ACCEPT_A
 from debilandia import verifier
 from debilandia.instances import (
+    MARKER_END_TUPLES,
     MARKER_SEP,
     RESERVED,
     Instance,
@@ -121,6 +124,33 @@ def test_check_coverage_matches_oracle_on_any_pairs(a_values, data):
     columns = Pairs([x for x, _ in pairs], [y for _, y in pairs])
     end = 3 * len(pairs)
     assert outcome(check_coverage, inst, columns, end) == outcome(grammar_oracle.check_coverage, inst, pairs, end)
+
+
+Pair = namedtuple("Pair", "x y")
+
+
+def read_pairs(group, coverage, inst: Instance, items: list[int]) -> tuple[list[tuple[int, int]], int, int]:
+    """A pair section read by group, its pairs checked by coverage."""
+    pairs, after_five, _ = group(inst, items, 0)
+    return list(pairs), after_five, coverage(inst, pairs, after_five - 1)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [Pair(1, 1), Pair(1, 3), Pair(3, 1), Pair(3, 3)],  # tuple subclasses equal to the pairs
+        [(1, 1), (1, 3), (3, 1), (3, 3, 3)],  # right count, one pair too long
+        [(1, 1), (1, 3), (3, 3), frozenset({1, 3})],  # right count, one pair not a tuple
+        [(1,), (1, 3), (3, 1), (3, 3)],
+    ],
+)
+def test_check_coverage_matches_oracle_on_odd_pair_shapes(pairs):
+    # check_coverage takes only what group_tuples returns, so odd pairs reach it written as tokens
+    inst = Instance((1, 3))
+    items = [v for pair in pairs for v in [*pair, MARKER_SEP]][:-1] + [MARKER_END_TUPLES]
+    assert outcome(read_pairs, group_tuples, check_coverage, inst, items) == outcome(
+        read_pairs, grammar_oracle.group_tuples, grammar_oracle.check_coverage, inst, items
+    )
 
 
 @settings(max_examples=200, deadline=None)
