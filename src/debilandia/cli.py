@@ -30,7 +30,7 @@ from .instances import (
     instance_to_json_obj,
     load_instance_file,
 )
-from .solver import DEFAULT_CAP, SolverCapError, construct_certificate, growth_probe
+from .solver import DEFAULT_CAP, SAMPLE_POOL, SolverCapError, construct_certificate, growth_probe
 from .tiles import TileAtlas, atlas_default, read_json
 from .verifier import verify
 
@@ -157,8 +157,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    try:
+        sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    for size in sizes:
+        if not 1 <= size <= len(SAMPLE_POOL):
+            raise ValueError(f"--sizes values must lie in 1..{len(SAMPLE_POOL)}, got {size}")
     atlas = _load_atlas(args.atlas)
-    sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
     rows = growth_probe(sizes, args.trials, atlas, max_gens=args.max_gens, seed=args.seed, cap=args.cap)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -39,11 +39,14 @@ parent and a copy replaces one packet row. Above the tip the board indexes
 the packets: the incomplete well-formed rows as a stack (highest on top),
 the highest well-formed row, and for each (R1, R2) the lowest complete
 packet. Packets only ever gain tiles, by copies, so a copy updates one entry
-and a fire reads one. The position key, sum(z(kind) * B**col * C**row) mod
-2**61 - 1, changes by a fixed number of terms per generation, since each
-stack node caches its stack's share of the tape row's term. So an untraced
-generation costs O(1) Python work at any tape length. (Modulo 2**64 every
-odd base lets Thue-Morse rows collide.)
+and a fire reads one. As no step removes a packet tile, no state recurs
+across a copy; and a fire changes only the tape row, the read slot and the
+status cell. So cycle detection starts afresh at every copy, and a state's
+position key covers only those three places: the tape row's hash
+sum(z(kind) * B**(col - tc)) mod 2**61 - 1, which each stack node keeps for
+its stack, and the read and status tiles. So an untraced generation costs
+O(1) Python work at any tape length. (Modulo 2**64 every odd base lets
+Thue-Morse rows collide.)
 """
 
 from __future__ import annotations
@@ -59,9 +62,9 @@ PACKET_WIDTH = 5
 
 _P = (1 << 61) - 1
 _COL_BASE = 0x5DEECE66D1F0A3B7 % _P
-_ROW_BASE = 0x2545F4914F6CDD1D % _P
 _COL_STEP = {1: _COL_BASE, -1: pow(_COL_BASE, -1, _P)}
 _Z = {None: 0} | {kind: (i + 1) * 0x9E3779B97F4A7C15 % _P for i, kind in enumerate(TileKind)}
+_CODE = {None: 0} | {kind: i + 1 for i, kind in enumerate(TileKind)}  # 4 bits each
 
 
 class StopReason(Enum):
@@ -120,7 +123,7 @@ class StepRecord:
     changed_cells: list[CellAddr]
 
 
-def packet_rows(rows: dict[int, _Row], tip: CellAddr) -> list[tuple[int, list[TileKind] | None]]:
+def packet_rows(rows: dict[int, dict[int, TileKind]], tip: CellAddr) -> list[tuple[int, list[TileKind] | None]]:
     """Classify every board row above the tip that holds a rule tile in the packet columns.
 
     Returns (row, classify_packet(cells)) in ascending row order, where cells
@@ -130,7 +133,7 @@ def packet_rows(rows: dict[int, _Row], tip: CellAddr) -> list[tuple[int, list[Ti
     tc, tr = tip
     classified = []
     for r in sorted(r for r in rows if r > tr):
-        cells = [rows[r].cells.get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
+        cells = [rows[r].get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
         if any(kind is not None and kind.tile_type is TileType.RULE for kind in cells):
             classified.append((r, classify_packet(cells)))
     return classified
@@ -156,35 +159,16 @@ def scan_packets(state: GameState, tip: CellAddr) -> list[tuple[int, list[TileKi
     return [(row, prefix) for row, prefix in rows if prefix is not None and len(prefix) == PACKET_WIDTH]
 
 
-class _Row:
-    """One board row by absolute column, never changed once built: successors share it.
-
-    h = sum(z(kind) * B**col) mod _P over the row, filled in when a position
-    key first covers the row.
-    """
-
-    __slots__ = ("cells", "h")
-
-    def __init__(self, cells: dict[int, TileKind], h: int | None = None) -> None:
-        self.cells = cells
-        self.h = h
-
-    def put(self, col: int, kind: TileKind, power: int) -> "_Row":
-        """This row with kind written at the empty cell col, where power = B**col."""
-        h = None if self.h is None else (self.h + _Z[kind] * power) % _P
-        return _Row({**self.cells, col: kind}, h)
-
-
-_EMPTY_ROW = _Row({}, 0)
+_EMPTY_ROW: dict[int, TileKind] = {}
 
 
 class _Node:
     """One tile of a tape stack, linked to the tiles beyond it (away from the tip).
 
-    key is the tile's column minus its stack's offset; sliding a stack changes
-    only the offset, so a node never changes. h = sum(z(kind) * B**key) over
-    this tile and every tile beyond it, so a stack's share of the row's hash
-    is read off its top.
+    key is the tile's column, counted from the tip column, minus its stack's
+    offset; sliding a stack changes only the offset, so a node never changes.
+    h = sum(z(kind) * B**key) over this tile and every tile beyond it, so a
+    stack's share of the row's hash is read off its top.
     """
 
     __slots__ = ("key", "kind", "next", "h")
@@ -205,32 +189,33 @@ class _Tape:
 
     head is the tile at tc, or None. left and right hold the tiles left and
     right of tc as persistent stacks, nearest tile on top, each as a tuple
-    (top, k, p, q): k = tc - offset is the tip column's key in that stack,
-    p = B**offset and q = B**k. Carrying p and q lets a slide or a push update
-    the hash by multiplication alone. h = sum(z(kind) * B**col) over the row;
-    nontape counts the row's tiles that are not tape tiles.
+    (top, k, p, q): a node's key is its column minus tc minus the stack's
+    offset, k = -offset is the tip column's key, p = B**offset and q = B**k.
+    Carrying p and q lets a slide or a push update the hash by multiplication
+    alone. h = sum(z(kind) * B**(col - tc)) over the row; nontape counts the
+    row's tiles that are not tape tiles.
     """
 
     __slots__ = ("head", "left", "right", "h", "nontape")
 
-    def __init__(self, head: TileKind | None, left: tuple, right: tuple, tip_power: int, nontape: int) -> None:
+    def __init__(self, head: TileKind | None, left: tuple, right: tuple, nontape: int) -> None:
         self.head = head
         self.left = left
         self.right = right
-        self.h = (left[0].h * left[2] + right[0].h * right[2] + _Z[head] * tip_power) % _P
+        self.h = (left[0].h * left[2] + right[0].h * right[2] + _Z[head]) % _P
         self.nontape = nontape
 
     @classmethod
-    def of(cls, cells: dict[int, TileKind], tc: int, powers: dict[int, int]) -> "_Tape":
-        """The zipper of a row's tiles by absolute column; powers maps them and tc to B**col."""
+    def of(cls, cells: dict[int, TileKind], tc: int) -> "_Tape":
+        """The zipper of a row's tiles by absolute column."""
+        powers = _powers(_COL_BASE, (col - tc for col in cells))
         left = right = _NIL
         for col in sorted(col for col in cells if col < tc):
-            left = _Node(col, cells[col], left, powers[col])
+            left = _Node(col - tc, cells[col], left, powers[col - tc])
         for col in sorted((col for col in cells if col > tc), reverse=True):
-            right = _Node(col, cells[col], right, powers[col])
-        q = powers[tc]
+            right = _Node(col - tc, cells[col], right, powers[col - tc])
         nontape = sum(kind.tile_type is not TileType.TAPE for kind in cells.values())
-        return cls(cells.get(tc), (left, tc, 1, q), (right, tc, 1, q), q, nontape)
+        return cls(cells.get(tc), (left, 0, 1, 1), (right, 0, 1, 1), nontape)
 
     def cells(self, tc: int) -> dict[int, TileKind]:
         """The row's tiles by absolute column; O(row)."""
@@ -242,18 +227,18 @@ class _Tape:
                 top = top.next
         return cells
 
-    def fired(self, kind: TileKind, dx: int, tip_power: int) -> "_Tape":
+    def fired(self, kind: TileKind, dx: int) -> "_Tape":
         """This row with kind written at the tip column, then all of it dx = +-1 cells over; O(1)."""
         if dx == 1:
             head, left = _pulled(self.left, 1)
-            return _Tape(head, left, _pushed(self.right, kind, 1), tip_power, self.nontape)
+            return _Tape(head, left, _pushed(self.right, kind, 1), self.nontape)
         head, right = _pulled(self.right, -1)
-        return _Tape(head, _pushed(self.left, kind, -1), right, tip_power, self.nontape)
+        return _Tape(head, _pushed(self.left, kind, -1), right, self.nontape)
 
-    def consumed(self, tip_power: int) -> "_Tape":
+    def consumed(self) -> "_Tape":
         """This row with the tip column's rule tile gone and every tile left of it one cell right; O(1)."""
         head, left = _pulled(self.left, 1)
-        return _Tape(head, left, self.right, tip_power, self.nontape - 1)
+        return _Tape(head, left, self.right, self.nontape - 1)
 
 
 def _pushed(side: tuple, kind: TileKind, dx: int) -> tuple:
@@ -291,64 +276,36 @@ def _powers(base: int, exponents) -> dict[int, int]:
     return powers
 
 
-class _Powers:
-    """The powers a tip board's key updates use, made once and shared by every successor.
-
-    col[i] = B**(tc + i) for the tip column and the five packet columns. row
-    maps a row to C**row: the tape, read-slot and status rows from the start,
-    every other row once a key covers it. tape, read and status are the key's
-    factors for the tape row's hash and for the read-slot and status cells.
-    """
-
-    __slots__ = ("col", "row", "tape", "read", "status")
-
-    def __init__(self, col: tuple[int, ...], tr: int) -> None:
-        self.col = col
-        self.row = _powers(_ROW_BASE, (tr - 1, tr + 1, tr + 2))
-        self.tape = self.row[tr - 1]
-        self.read = self.row[tr + 1] * col[0] % _P
-        self.status = self.row[tr + 2] * col[0] % _P
-
-    def row_power(self, r: int) -> int:
-        """C**r for a row a key covers, or the fresh row above one (a copy opening a packet)."""
-        power = self.row.get(r)
-        if power is None:
-            power = self.row[r] = self.row[r - 1] * _ROW_BASE % _P
-        return power
-
-
 class _Board:
-    """A state's rows, position key and packet index; never changed once built.
+    """A state's rows and packet index; never changed once built.
 
-    tip is None unless the board has exactly one tip. With one tip at (tc, tr),
-    rows leaves out row tr - 1, held as the zipper tape, and the read-slot and
-    status cells (tc, tr + 1) and (tc, tr + 2), held as read and status; pw
-    holds the powers key updates use. stack holds the incomplete well-formed
-    packet rows as nested (row, prefix, rest) tuples, highest first; top is
-    the highest well-formed packet row; first maps (R1, R2) bits to
-    (row, R3, R4, R5) of the lowest complete packet. key is the position key,
-    None until position_key first asks for it; a successor of a keyed board
-    is keyed. touched names the rows this board changed from its parent's.
+    rows maps a row to its tiles by absolute column; a successor shares every
+    row it does not change. tip is None unless the board has exactly one tip.
+    With one tip at (tc, tr), rows leaves out row tr - 1, held as the zipper
+    tape, and the read-slot and status cells (tc, tr + 1) and (tc, tr + 2),
+    held as read and status. stack holds the incomplete well-formed packet
+    rows as nested (row, prefix, rest) tuples, highest first; top is the
+    highest well-formed packet row; first maps (R1, R2) bits to
+    (row, R3, R4, R5) of the lowest complete packet. touched names the rows
+    this board changed from its parent's.
     """
 
-    __slots__ = ("rows", "tape", "read", "status", "tip", "pw", "stack", "top", "first", "key", "touched")
+    __slots__ = ("rows", "tape", "read", "status", "tip", "stack", "top", "first", "touched")
 
-    def __init__(self, rows, tape, read, status, tip, pw, stack, top, first, key, touched) -> None:
-        self.rows: dict[int, _Row] = rows
+    def __init__(self, rows, tape, read, status, tip, stack, top, first, touched) -> None:
+        self.rows: dict[int, dict[int, TileKind]] = rows
         self.tape: _Tape | None = tape
         self.read: TileKind | None = read
         self.status: TileKind | None = status
         self.tip: CellAddr | None = tip
-        self.pw: _Powers | None = pw
         self.stack: tuple | None = stack
         self.top: int | None = top
         self.first: dict[tuple[int, int], tuple[int, TileKind, TileKind, TileKind]] = first
-        self.key: int | None = key
         self.touched: tuple[int, ...] = touched
 
     def row(self, r: int) -> dict[int, TileKind]:
         """Row r's tiles by absolute column; O(row). Do not change it: it may be the board's own map."""
-        cells = self.rows.get(r, _EMPTY_ROW).cells
+        cells = self.rows.get(r, _EMPTY_ROW)
         if self.tip is None:
             return cells
         tc, tr = self.tip
@@ -364,20 +321,6 @@ class _Board:
             rows |= {tr - 1, tr + 1, tr + 2}
         return {(col, r): kind for r in rows for col, kind in self.row(r).items()}
 
-    def full_key(self) -> int:
-        """The position key from the tiles, hashing each row not hashed yet; O(tiles)."""
-        fresh = [row for row in self.rows.values() if row.h is None]
-        cols = _powers(_COL_BASE, {col for row in fresh for col in row.cells})
-        for row in fresh:
-            row.h = sum(_Z[kind] * cols[col] for col, kind in row.cells.items()) % _P
-        pw = self.pw
-        powers = {} if pw is None else pw.row
-        powers.update(_powers(_ROW_BASE, self.rows.keys() - powers.keys()))
-        key = sum(powers[r] * row.h for r, row in self.rows.items())
-        if pw is not None:
-            key += pw.tape * self.tape.h + pw.read * _Z[self.read] + pw.status * _Z[self.status]
-        return key % _P
-
 
 def _index(state: GameState) -> _Board:
     """Build the board of a state from its tiles; O(tiles), hashing only the tape row."""
@@ -386,19 +329,16 @@ def _index(state: GameState) -> _Board:
         by_row.setdefault(r, {})[col] = kind
     tips = state.tip_cells()
     if len(tips) != 1:
-        rows = {r: _Row(cells) for r, cells in by_row.items()}
-        return _Board(rows, None, None, None, None, None, None, None, {}, None, ())
+        return _Board(by_row, None, None, None, None, None, None, {}, ())
     tc, tr = tips[0]
     tape = by_row.pop(tr - 1, {})
     read = by_row.get(tr + 1, {}).pop(tc, None)
     status = by_row.get(tr + 2, {}).pop(tc, None)
-    rows = {r: _Row(cells) for r, cells in by_row.items() if cells}
-    cols = _powers(_COL_BASE, [*tape, *range(tc, tc + PACKET_WIDTH + 1)])
-    pw = _Powers(tuple(cols[tc + i] for i in range(PACKET_WIDTH + 1)), tr)
+    rows = {r: cells for r, cells in by_row.items() if cells}
     stack, top, first = None, None, {}
     for r, prefix in packet_rows(rows, tips[0]):
         stack, top, first = _indexed(r, prefix, stack, top, first)
-    return _Board(rows, _Tape.of(tape, tc, cols), read, status, tips[0], pw, stack, top, first, None, ())
+    return _Board(rows, _Tape.of(tape, tc), read, status, tips[0], stack, top, first, ())
 
 
 def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
@@ -425,18 +365,20 @@ def board_of(state: GameState) -> _Board:
     return state.board
 
 
-def position_key(state: GameState) -> int:
-    """The state's position key: sum(z(kind) * B**col * C**row) mod 2**61 - 1.
+def position_key(state: GameState) -> int | None:
+    """The key of the state's tip context; None on a board without exactly one tip.
 
-    Equal layouts give equal keys. Distinct layouts share a key only when the
-    polynomial difference vanishes at (B, C), which run never trusts: it
-    confirms every key hit exactly. The first call on a board hashes its rows;
-    successors of a keyed board are keyed as they are made.
+    One int: the tape row's hash sum(z(kind) * B**(col - tc)) mod 2**61 - 1,
+    then the read-slot and status tiles in four bits each. It covers only
+    what a fire changes, so it tells apart the states between two copies,
+    where every other cell stays as it is. There, distinct states share a
+    key only when the tape rows' hash polynomials agree at B, which run
+    never trusts: it confirms every key hit exactly. O(1).
     """
     board = board_of(state)
-    if board.key is None:
-        board.key = board.full_key()
-    return board.key
+    if board.tip is None:
+        return None
+    return board.tape.h << 8 | _CODE[board.read] << 4 | _CODE[board.status]
 
 
 def step(state: GameState) -> tuple[GameState, StepOutcome]:
@@ -467,21 +409,17 @@ def _fire(state: GameState, board: _Board, below: TileKind) -> tuple[GameState, 
     row, r3, r4, r5 = match
 
     dx = -1 if r5.bit == 1 else 1
-    pw, tape = board.pw, board.tape
+    tape = board.tape
     if tape.nontape:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
         cells = _relaid({**tape.cells(tc), tc: tape_tile(r3.bit)}, dx)
         if cells is None:
             return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-        tape = _Tape.of(cells, tc, _powers(_COL_BASE, [*cells, tc]))
+        tape = _Tape.of(cells, tc)
     else:
-        tape = tape.fired(tape_tile(r3.bit), dx, pw.col[0])
+        tape = tape.fired(tape_tile(r3.bit), dx)
     read, status = read_tile(below.bit), status_tile(r4.bit)
-    key = board.key
-    if key is not None:
-        key += pw.tape * (tape.h - board.tape.h) + pw.read * (_Z[read] - _Z[board.read])
-        key = (key + pw.status * (_Z[status] - _Z[board.status])) % _P
     touched = (tr - 1, tr + 1, tr + 2)
-    new = _Board(board.rows, tape, read, status, board.tip, pw, board.stack, board.top, board.first, key, touched)
+    new = _Board(board.rows, tape, read, status, board.tip, board.stack, board.top, board.first, touched)
     return GameState.of_board(new, state.anchor, state.junk_cells), Fired(row)
 
 
@@ -495,19 +433,15 @@ def _copy_rule(state: GameState, board: _Board, below: TileKind) -> tuple[GameSt
     if below.slot != slot:
         return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
     old = board.rows.get(target, _EMPTY_ROW)
-    if old.cells.get(tc + slot) is not None:
+    if tc + slot in old:
         return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
 
-    pw = board.pw
-    packet = old.put(tc + slot, below, pw.col[slot])
-    tape = board.tape.consumed(pw.col[0])
-    key = board.key
-    if key is not None:
-        key = (key + pw.row_power(target) * (packet.h - old.h) + pw.tape * (tape.h - board.tape.h)) % _P
-    cells = [packet.cells.get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
+    packet = {**old, tc + slot: below}
+    cells = [packet.get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
     stack, top, first = _indexed(target, classify_packet(cells), rest, board.top, board.first)
     rows = {**board.rows, target: packet}
-    new = _Board(rows, tape, board.read, board.status, board.tip, pw, stack, top, first, key, (target, tr - 1))
+    tape = board.tape.consumed()
+    new = _Board(rows, tape, board.read, board.status, board.tip, stack, top, first, (target, tr - 1))
     return GameState.of_board(new, state.anchor, state.junk_cells), RuleCopied(target, slot)
 
 
@@ -524,14 +458,13 @@ def _diff_cells(before: GameState, after: GameState) -> list[CellAddr]:
     return sorted(changed)
 
 
-def _first_equal(initial: GameState, indices: list[int], state: GameState) -> int | None:
-    """The first of the ascending generation indices whose state equals state.
+def _first_equal(start: GameState, at: int, indices: list[int], state: GameState) -> int | None:
+    """The first of the ascending generation indices, none below at, whose state equals state.
 
-    Replays from initial with the internal step, so a replay never counts as
-    a generation attempt of engine.step.
+    Replays from start, the state of generation at, with the internal step,
+    so a replay never counts as a generation attempt of engine.step.
     """
-    tiles = state.tiles
-    cursor, at = initial, 0
+    tiles, cursor = state.tiles, start
     for index in indices:
         while at < index:
             cursor, _ = _step(cursor)
@@ -541,33 +474,32 @@ def _first_equal(initial: GameState, indices: list[int], state: GameState) -> in
     return None
 
 
-def run(
-    state: GameState,
-    max_gens: int,
-    on_step: Callable[[StepRecord], None] | None = None,
-) -> RunResult:
+def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] | None = None) -> RunResult:
     """Iterate generations until termination, a repeated state, or budget.
 
-    Every generation's position key is recorded. A key seen before is
-    checked exactly: the run replays from the initial state to each earlier
-    generation holding that key and compares tiles. A match reports a cycle
-    whose period is the distance between the two occurrences (a fixed point
-    is a period-1 cycle); a false hit keeps running and files the generation
-    under the same key. The terminating attempt consumes no budget, so
-    witnessing a halt after g successful generations needs max_gens > g.
+    A copy adds a tile that no step removes, so no state before a copy
+    recurs after it: the record of keys starts afresh at every copy, from
+    the state the copy made. Every later generation's position key is
+    recorded. A key seen before is checked exactly: the run replays from
+    the state after the last copy to each earlier generation holding that
+    key and compares tiles. A match reports a cycle whose period is the
+    distance between the two occurrences (a fixed point is a period-1
+    cycle); a false hit keeps running and files the generation under the
+    same key. The terminating attempt consumes no budget, so witnessing a
+    halt after g successful generations needs max_gens > g.
 
-    Cost, for a state of n tiles and G generations: O(n) time to index and
-    key the state, then O(1) Python work per generation at any tape length
-    (a copy also copies the map of rows above the tip, at C level), plus
-    O(first_index) replayed generations per key hit. With on_step, each
+    Cost, for a state of n tiles and G generations, g of them since the last
+    copy: O(n) time to index the state, then O(1) Python work per generation
+    at any tape length (a copy also copies the map of rows above the tip, at
+    C level), plus O(g) replayed generations per key hit. With on_step, each
     record adds an O(n) state_hash and an O(row) diff of the tape row, so a
-    traced run stays O(n) per generation. Memory is O(n + G): the initial and
-    current states and one key per generation.
+    traced run stays O(n) per generation. Memory is O(n + g): the current
+    state, the state after the last copy, and one key per generation since.
     """
     if max_gens < 0:
         raise ValueError("max_gens must be >= 0")
-    initial = state
-    seen: dict[int, int | list[int]] = {position_key(state): 0}
+    start, start_gens = state, 0
+    seen: dict[int | None, int | list[int]] = {position_key(state): 0}
     gens = 0
     while True:
         if gens == max_gens:
@@ -581,13 +513,16 @@ def run(
         if on_step is not None:
             on_step(StepRecord(gens, outcome, state_hash(new_state), _diff_cells(state, new_state)))
         state = new_state
+        if isinstance(outcome, RuleCopied):
+            start, start_gens, seen = state, gens, {position_key(state): gens}
+            continue
         key = position_key(state)
         earlier = seen.get(key)
         if earlier is None:
             seen[key] = gens
             continue
         earlier = earlier if isinstance(earlier, list) else [earlier]
-        first = _first_equal(initial, earlier, state)
+        first = _first_equal(start, start_gens, earlier, state)
         if first is not None:
             return RunResult(state, gens, RunStatus.CYCLE, period=gens - first, first_index=first)
         seen[key] = earlier + [gens]

@@ -32,6 +32,7 @@ from .instances import (
 from .tiles import TileAtlas
 
 DEFAULT_CAP = 4
+SAMPLE_POOL = tuple(v for v in range(1, 201) if v not in RESERVED)  # growth_probe's random elements
 
 
 class SolverCapError(ValueError):
@@ -110,9 +111,8 @@ class GrowthRow:
     found: bool
 
 
-def random_instance(rng: random.Random, size: int, upper: int = 200) -> Instance:
-    pool = [v for v in range(1, upper + 1) if v not in RESERVED]
-    return Instance(tuple(rng.sample(pool, size)))
+def random_instance(rng: random.Random, size: int) -> Instance:
+    return Instance(tuple(rng.sample(SAMPLE_POOL, size)))
 
 
 def growth_probe(

@@ -141,9 +141,6 @@ class TileAtlas:
             raise AtlasError(f"atlas file must map exactly the names {sorted(names)}")
         return cls({TileKind(name): _string_to_mask(text) for name, text in obj.items()})
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n")
-
     @classmethod
     def load(cls, path: str | Path) -> "TileAtlas":
         return cls.from_json_obj(read_json(path))

@@ -60,14 +60,6 @@ class TmConfig:
     def read(self) -> int:
         return self.cells.get(self.head, 0)
 
-    def tape_text(self) -> str:
-        """Tape content between the outermost 1s; empty when all blank."""
-        ones = [i for i, v in self.cells.items() if v == 1]
-        if not ones:
-            return ""
-        lo, hi = min(ones), max(ones)
-        return "".join(str(self.cells.get(i, 0)) for i in range(lo, hi + 1))
-
     def clone(self) -> "TmConfig":
         return TmConfig(dict(self.cells), self.head, self.state)
 

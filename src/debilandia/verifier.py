@@ -92,9 +92,6 @@ class CostLedger:
             "c8": (self.c8, 2),
         }
 
-    def within_brackets(self) -> bool:
-        return all(spent <= ceiling for spent, ceiling in self.brackets().values())
-
 
 def f_formula(t_count: int, p_count: int, gen_count: int) -> int:
     """Closed-form step total: 2ET + 2E + 3P + 18T + 10."""

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
 from operator import attrgetter
+from pathlib import Path
 
 from debilandia.engine import Fired, step
 from debilandia.grid import GameState
 from debilandia.instances import MARKER_RUNS, MARKER_STOPS, Instance, build_candidate
-from debilandia.tiles import TileKind, TileType
-from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmSpec, initial_config, tm_step
+from debilandia.tiles import TileAtlas, TileKind, TileType
+from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmConfig, TmSpec, initial_config, tm_step
 from debilandia.verifier import verify
 
 # Halts immediately from state 0: its only rule needs state 1.
@@ -131,6 +133,19 @@ def row_tiles(state: GameState, r: int) -> list[TileKind]:
     else:
         cells = {col: kind for (col, row), kind in state.tiles.items() if row == r}
     return list(map(cells.__getitem__, sorted(cells)))
+
+
+def tape_text(config: TmConfig) -> str:
+    """A machine's tape content between the outermost 1s; empty when all blank."""
+    ones = [i for i, v in config.cells.items() if v == 1]
+    if not ones:
+        return ""
+    return "".join(str(config.cells.get(i, 0)) for i in range(min(ones), max(ones) + 1))
+
+
+def save_atlas(atlas: TileAtlas, path: Path) -> None:
+    """Write an atlas file in the layout of the packaged one."""
+    path.write_text(json.dumps(atlas.to_json_obj(), indent=2, sort_keys=True) + "\n")
 
 
 def game_tape_text(state: GameState) -> str:

@@ -18,8 +18,10 @@ from corpus import (
     lockstep_corpus,
     oracle_trajectory,
     padding_for,
+    save_atlas,
     spec_with,
     sweep_candidates,
+    tape_text,
 )
 from debilandia.embedding import compile_direct, compile_universal
 from debilandia.engine import Fired, RuleCopied, RunStatus, Terminated, run, step
@@ -46,9 +48,9 @@ def test_criterion_1_atlas_integrity(tmp_path):
         masks = list(atlas.patterns.values())
         assert len(set(masks)) == 13 and all(m for m in masks)
         path = tmp_path / "atlas.json"
-        atlas.save(path)
+        save_atlas(atlas, path)
         assert TileAtlas.load(path).patterns == atlas.patterns
-        atlas.save(tmp_path / "atlas2.json")
+        save_atlas(atlas, tmp_path / "atlas2.json")
         assert (tmp_path / "atlas2.json").read_bytes() == path.read_bytes()
         by_mask = {m: k for k, m in atlas.patterns.items()}
         for kind, mask in atlas.patterns.items():
@@ -145,12 +147,12 @@ def test_criterion_3_lockstep_equivalence():
                 configs, halted = oracle_trajectory(spec, budget)
                 pad = padding_for(spec, budget)
                 state = recognize(compile_direct(spec, atlas, pad=pad), atlas)
-                assert game_tape_text(state) == configs[0].tape_text()
+                assert game_tape_text(state) == tape_text(configs[0])
                 assert game_status(state) == configs[0].state
                 for cfg in configs[1:]:
                     state, outcome = step(state)
                     assert isinstance(outcome, Fired), (name, tape, outcome)
-                    assert game_tape_text(state) == cfg.tape_text(), (name, tape)
+                    assert game_tape_text(state) == tape_text(cfg), (name, tape)
                     assert game_status(state) == cfg.state, (name, tape)
                 if halted:
                     _, outcome = step(state)

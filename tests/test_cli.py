@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import ACCEPT_A, PING_PONG, spec_with
+from corpus import ACCEPT_A, PING_PONG, save_atlas, spec_with
 from debilandia.cli import main
 from debilandia.embedding import compile_direct, compile_universal
 from debilandia.instances import Instance, build_candidate, instance_to_json_obj
@@ -241,6 +241,32 @@ def test_bench_csv(tmp_path):
     assert len(lines) == 1 + 4
 
 
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_bench_rejects_a_trial_count_below_one(tmp_path, capsys, trials):
+    csv_file = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", "1", "--trials", trials, "--csv", str(csv_file)]) == 2
+    assert capsys.readouterr().err == f"error: --trials must be at least 1, got {trials}\n"
+    assert not csv_file.exists()
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ("1,195", "--sizes values must lie in 1..194, got 195"),
+        ("0", "--sizes values must lie in 1..194, got 0"),
+        ("-3", "--sizes values must lie in 1..194, got -3"),
+        ("1,x", "--sizes must be comma-separated integers, got '1,x'"),
+    ],
+    ids=["above_pool", "zero", "negative", "not_an_integer"],
+)
+def test_bench_rejects_malformed_sizes(tmp_path, capsys, sizes, message):
+    # 194 values in 1..200 are not reserved; the cap is raised so only the pool limits the size
+    csv_file = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", sizes, "--cap", "400", "--csv", str(csv_file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not csv_file.exists()
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err.lower()
@@ -248,7 +274,7 @@ def test_unknown_subcommand_exits_two(capsys):
 
 def test_atlas_env_override(tmp_path, monkeypatch, capsys):
     atlas_file = tmp_path / "atlas.json"
-    atlas_default().save(atlas_file)
+    save_atlas(atlas_default(), atlas_file)
     monkeypatch.setenv("DEBILANDIA_ATLAS", str(atlas_file))
     points_file = tmp_path / "points.json"
     write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))

@@ -9,6 +9,7 @@ from corpus import (
     padding_for,
     random_tapes,
     spec_with,
+    tape_text,
 )
 from debilandia.embedding import (
     ExtractFailure,
@@ -110,12 +111,12 @@ def _lockstep(spec, atlas, budget=1000):
     configs, halted = oracle_trajectory(spec, budget)
     pad = padding_for(spec, budget)
     state = recognize(compile_direct(spec, atlas, pad=pad), atlas)
-    assert game_tape_text(state) == configs[0].tape_text()
+    assert game_tape_text(state) == tape_text(configs[0])
     assert game_status(state) == configs[0].state
     for cfg in configs[1:]:
         state, outcome = step(state)
         assert isinstance(outcome, Fired), outcome
-        assert game_tape_text(state) == cfg.tape_text()
+        assert game_tape_text(state) == tape_text(cfg)
         assert game_status(state) == cfg.state
     if halted:
         _, outcome = step(state)

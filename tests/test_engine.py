@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import dict_engine
 import pytest
 
 from corpus import BOUNCE, PING_PONG, ZERO_RUNNER, drive_fires, oracle_trajectory, spec_with
 from debilandia import engine
-from debilandia.embedding import compile_direct
+from debilandia.embedding import compile_direct, compile_universal
 from debilandia.engine import (
     Fired,
     RuleCopied,
@@ -301,12 +306,55 @@ def test_run_rejects_negative_budget():
 
 def test_layouts_2_pow_20_cells_apart_get_distinct_keys():
     # state_hash wraps relative offsets at 2**20, so it cannot tell these
-    # apart; the position key must, or run could call them one state
-    base = {(0, 0): TileKind.TAPE_1, (1, 0): TileKind.TAPE_0}
-    for far in ((1 + 2**20, 0), (1, 2**20)):
-        moved = {(0, 0): TileKind.TAPE_1, far: TileKind.TAPE_0}
+    # apart; the position key must, or run could call them one state. The
+    # key covers only the tip context, so the tiles move in the tape row:
+    # one further out on the right, one from the left of the tip to its right
+    base = {(0, 1): TileKind.TIP, (0, 3): TileKind.STATUS_0, (-2, 0): TileKind.TAPE_1}
+    base |= {(-1, 0): TileKind.TAPE_0, (1, 0): TileKind.TAPE_0}
+    for near in ((1, 0), (-1, 0)):
+        moved = dict(base)
+        del moved[near]
+        moved[(near[0] + 2**20, 0)] = TileKind.TAPE_0
         assert state_hash(state_of(base)) == state_hash(state_of(moved))
         assert position_key(state_of(base)) != position_key(state_of(moved))
+
+
+def test_position_key_covers_exactly_the_tip_context():
+    base = {(0, 1): TileKind.TIP, (0, 3): TileKind.STATUS_0, (0, 0): TileKind.TAPE_1}
+    base |= {(-1, 0): TileKind.TAPE_0, (1, 0): TileKind.TAPE_0}
+    changed = [
+        base | {(0, 3): TileKind.STATUS_1},
+        base | {(0, 2): TileKind.READ_0},
+        base | {(0, 2): TileKind.READ_1},
+        base | {(0, 0): TileKind.TAPE_0},
+        base | {(-2, 0): TileKind.TAPE_1},
+        base | {(2, 0): TileKind.READ_1},
+        {cell: kind for cell, kind in base.items() if cell != (0, 3)},
+        {cell: kind for cell, kind in base.items() if cell != (0, 0)},
+    ]
+    keys = [position_key(state_of(tiles)) for tiles in [base, *changed]]
+    assert len(set(keys)) == len(keys)
+    # every other cell is left out: run starts its record afresh at each copy instead
+    assert position_key(state_of(base | {(1, 2): TileKind.READ_1, (-5, -9): TileKind.MOVE_0})) == keys[0]
+    # a board without exactly one tip has no tip context
+    assert position_key(state_of(base | {(5, 9): TileKind.TIP})) is None
+    assert position_key(state_of({})) is None
+
+
+def test_position_key_is_the_same_in_every_process():
+    # Python salts hash() of strings, and so of enum members, per process
+    code = (
+        "from debilandia.engine import position_key; from debilandia.grid import GameState; "
+        "from debilandia.tiles import TileKind as K; "
+        "print(position_key(GameState({(0, 1): K.TIP, (0, 2): K.READ_0, (0, 3): K.STATUS_1, (-3, 0): K.TAPE_1})))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+    keys = [
+        subprocess.run([sys.executable, "-c", code], env=env | {"PYTHONHASHSEED": seed}, capture_output=True, text=True)
+        for seed in ("1", "2")
+    ]
+    assert keys[0].returncode == 0, keys[0].stderr
+    assert keys[0].stdout == keys[1].stdout
 
 
 def test_forced_key_collisions_do_not_fake_a_cycle(atlas, monkeypatch):
@@ -331,3 +379,23 @@ def test_forced_key_collisions_find_the_same_cycle(atlas, monkeypatch):
         assert result.status is RunStatus.CYCLE
         assert (result.first_index, result.period) == (exact.first_index, exact.period) == (6, 2)
         assert result.final_state.tiles == exact.final_state.tiles
+
+
+def test_forced_key_collisions_across_rule_copies(atlas, monkeypatch):
+    # fifteen copies load BOUNCE's packets, then the machine cycles: with one
+    # key for every generation, each hit replays from the last copy's state
+    tape = "0" * 6 + "1"
+    state = recognize(compile_universal(spec_with(BOUNCE, tape, head=len(tape) - 1), tape, atlas), atlas)
+    exact = dict_engine.run(state.clone(), 100)
+    monkeypatch.setattr(engine, "position_key", lambda state: 0)
+    steps = []
+    inner = engine._step
+    monkeypatch.setattr(engine, "_step", lambda state: steps.append(state) or inner(state))
+    forced = run(state, 100)
+    for result in (forced, exact):
+        got = (result.status, result.generations_run, result.first_index, result.period)
+        assert got == (RunStatus.CYCLE, 17, 15, 2)
+    assert forced.final_state.tiles == exact.final_state.tiles
+    # both hits compare against generation 15, the last copy's state, so
+    # neither replays a step
+    assert len(steps) == forced.generations_run

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from corpus import BOUNCE, PING_PONG, lockstep_corpus, padding_for, spec_with
 from debilandia.embedding import NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
-from debilandia.engine import Terminated, position_key, run, step
+from debilandia.engine import RuleCopied, Terminated, position_key, run, step
 from debilandia.grid import GameState, recognize
 from debilandia.tiles import TileKind, TileType, slot_tile
 from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmSpec
@@ -46,6 +46,13 @@ def assert_extraction_agrees(state: GameState, budgets) -> None:
         assert extracted(extract_tm_counted, fresh) == extracted(dict_engine.extract_tm_counted, fresh)
 
 
+def off_tip_context(tiles: dict) -> dict:
+    """The tiles of a one-tip board outside the tape row, the read slot and the status cell."""
+    ((tc, tr),) = [cell for cell, kind in tiles.items() if kind is TileKind.TIP]
+    context = {(tc, tr + 1), (tc, tr + 2)}
+    return {(col, r): kind for (col, r), kind in tiles.items() if r != tr - 1 and (col, r) not in context}
+
+
 def assert_engines_agree(state: GameState, max_gens: int) -> None:
     ours, theirs = state, GameState(dict(state.tiles), state.anchor, state.junk_cells)
     for _ in range(max_gens):
@@ -53,6 +60,15 @@ def assert_engines_agree(state: GameState, max_gens: int) -> None:
         theirs_next, expected = dict_engine.step(theirs)
         assert outcome == expected
         assert ours_next.tiles == theirs_next.tiles
+        # what run's restart at copies rests on: a copy adds one tile off the
+        # tip context and a fire changes nothing there, so no state recurs
+        # across a copy
+        if not isinstance(outcome, Terminated):
+            before, after = off_tip_context(theirs.tiles), off_tip_context(theirs_next.tiles)
+            if isinstance(outcome, RuleCopied):
+                assert before.items() < after.items() and len(after) == len(before) + 1
+            else:
+                assert after == before
         # the key kept up per changed row equals the key of a fresh index
         assert position_key(ours_next) == position_key(GameState(dict(ours_next.tiles)))
         if isinstance(outcome, Terminated):

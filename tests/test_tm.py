@@ -1,6 +1,6 @@
 import pytest
 
-from corpus import INCREMENTER, ZERO_RUNNER, spec_with
+from corpus import INCREMENTER, ZERO_RUNNER, spec_with, tape_text
 from debilandia.tm import (
     MOVE_LEFT,
     MOVE_RIGHT,
@@ -17,7 +17,7 @@ def test_single_rule_hand_trace():
     spec = spec_with((Rule(1, 0, 0, 1, MOVE_RIGHT),), "1")
     cfg = tm_step(spec, initial_config(spec))
     assert cfg is not None
-    assert cfg.tape_text() == ""  # the only 1 was overwritten
+    assert tape_text(cfg) == ""  # the only 1 was overwritten
     assert cfg.head == 1
     assert cfg.state == 1
 
@@ -51,7 +51,7 @@ def test_incrementer_hand_traces():
         result = tm_run(spec, 100)
         assert result.halted
         assert result.steps == steps
-        assert result.config.tape_text() == "1"
+        assert tape_text(result.config) == "1"
         assert result.config.state == 1
 
 
@@ -60,7 +60,7 @@ def test_run_budget_zero_reports_initial_configuration():
     result = tm_run(spec, 0)
     assert not result.halted
     assert result.steps == 0
-    assert result.config.tape_text() == "101"
+    assert tape_text(result.config) == "101"
 
 
 def test_self_loop_exhausts_budget():

@@ -78,7 +78,7 @@ def test_accepting_fixture_full_report(atlas):
     led = report.ledger
     assert (led.t_count, led.p_count, led.gen_count) == (256, 512, 1)
     assert led.n_input == 512 + 1 + 256 + 4
-    assert led.within_brackets()
+    assert all(spent <= ceiling for spent, ceiling in led.brackets().values())
     assert led.total_counted <= report.bound
     assert report.f_n == f_formula(256, 512, 1)
 
