@@ -16,11 +16,12 @@ import json
 import os
 import sys
 import tempfile
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
 from .engine import Fired, RuleCopied, StepRecord, Terminated, run
-from .grid import recognize, state_hash
+from .grid import Pairs, recognize, state_hash
 from .instances import (
     MARKER_RUNS,
     MARKER_STOPS,
@@ -67,6 +68,11 @@ def _parse_set_a(text: str) -> Instance:
     return Instance(values)
 
 
+def _check_floor(flag: str, value: int, floor: int) -> None:
+    if value < floor:
+        raise ValueError(f"{flag} must be at least {floor}, got {value}")
+
+
 _OUTCOME_NAMES = {Fired: "fired", RuleCopied: "rule_copied"}
 
 
@@ -90,6 +96,7 @@ def _trace_writer(handle):
 
 
 def _cmd_simulate(args) -> int:
+    _check_floor("--max-gens", args.max_gens, 0)
     atlas = _load_atlas(args.atlas)
     obj = read_json(args.points)
     raw = obj.get("points") if isinstance(obj, dict) else None
@@ -98,7 +105,8 @@ def _cmd_simulate(args) -> int:
     flat = list(chain.from_iterable(raw)) if pairs else []
     if not pairs or not set(map(type, flat)) <= {int} or min(flat, default=0) < 0:
         raise ValueError('points file must look like {"points": [[x, y], ...]} with non-negative ints')
-    state = recognize(set(map(tuple, raw)), atlas)
+    # the points as two strided columns of flat; repeats are harmless
+    state = recognize(Pairs(flat[0::2], flat[1::2]), atlas)
     buffer = io.StringIO()
     result = run(state, args.max_gens, on_step=_trace_writer(buffer) if args.trace else None)
     if args.trace:
@@ -145,6 +153,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _check_floor("--max-gens", args.max_gens, 1)
     atlas = _load_atlas(args.atlas)
     inst = _parse_set_a(args.set_a)
     outcome = construct_certificate(inst, args.max_gens, atlas, cap=args.cap)
@@ -161,8 +170,8 @@ def _cmd_bench(args) -> int:
         sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    _check_floor("--trials", args.trials, 1)
+    _check_floor("--max-gens", args.max_gens, 1)
     for size in sizes:
         if not 1 <= size <= len(SAMPLE_POOL):
             raise ValueError(f"--sizes values must lie in 1..{len(SAMPLE_POOL)}, got {size}")
@@ -190,6 +199,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# built once per process: parse_args fills a fresh namespace from the
+# defaults on every call and never changes the parser
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="debilandia", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -87,32 +87,78 @@ class SquarePoints:
         return product(self.values, repeat=2)
 
 
+class Pairs:
+    """Points held as two columns: point k is (xs[k], ys[k]).
+
+    len() is the number of points, repeats included, and iteration yields
+    the points, but recognize reads the columns and builds no per-point
+    tuple. A certificate's pair section is one (pair (a, b) places the point
+    x=a, y=b), and so is a points file.
+    """
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: list[int], ys: list[int]) -> None:
+        self.xs = xs
+        self.ys = ys
+
+    @classmethod
+    def of(cls, points: Iterable[Point]) -> "Pairs":
+        """The columns of any iterable of pairs; a point that is not a pair raises ValueError."""
+        xs: list[int] = []
+        ys: list[int] = []
+        for x, y in points:
+            xs.append(x)
+            ys.append(y)
+        return cls(xs, ys)
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __iter__(self) -> Iterator[Point]:
+        return zip(self.xs, self.ys)
+
+
 def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:
     """Carve aligned 4x4 cells from the per-axis minimum point and classify each.
 
     Deterministic; malformed arrangements are still valid states (their cells
-    just count as junk). An empty point set yields the empty state.
+    just count as junk). An empty point set yields the empty state. Points
+    may repeat. `SquarePoints` is read per axis; any other input is read as
+    two columns (`Pairs`, or the columns of an iterable of pairs, made once).
+    The columns are binned in one loop of int arithmetic: each point ORs its
+    bit into its cell's 16-bit mask, keyed by one int per cell, so a repeated
+    point changes nothing and no per-point tuple or set is built. Time is
+    O(points + cells), extra memory O(cells).
     """
     if isinstance(points, SquarePoints):
         return _recognize_square(points.values, atlas)
-    pts = set(points)
-    if not pts:
+    if not isinstance(points, Pairs):
+        points = Pairs.of(points)
+    xs, ys = points.xs, points.ys
+    if not xs:
         return GameState({}, (0, 0), 0)
-    x0 = min(x for x, _ in pts)
-    y0 = min(y for _, y in pts)
-    masks: dict[CellAddr, int] = {}
-    for x, y in pts:
-        dx, dy = x - x0, y - y0
-        cell = (dx // CELL, dy // CELL)
-        masks[cell] = masks.get(cell, 0) | 1 << ((dy % CELL) * CELL + dx % CELL)
+    x0 = min(xs)
+    y0 = min(ys)
+    # CELL is 4: point (dx, dy) from the anchor lies in cell (dx >> 2, dy >> 2)
+    # at bit (dy & 3) * 4 + (dx & 3); the cell is keyed as row << shift | col
+    shift = (max(xs) - x0 >> 2).bit_length()
+    masks: dict[int, int] = {}
+    get = masks.get
+    for x, y in zip(xs, ys):
+        dx = x - x0
+        dy = y - y0
+        key = dy >> 2 << shift | dx >> 2
+        masks[key] = get(key, 0) | 1 << ((dy & 3) << 2 | dx & 3)
+    col_mask = (1 << shift) - 1
     tiles: dict[CellAddr, TileKind] = {}
     junk = 0
-    for cell, mask in masks.items():
+    for key, mask in masks.items():
         kind = classify_cell(mask, atlas)
         if kind is None:
             junk += 1
         else:
-            tiles[cell] = kind
+            tiles[key & col_mask, key >> shift] = kind
     return GameState(tiles, (x0, y0), junk)
 
 

@@ -16,9 +16,10 @@ Each pair (a, b) places the lattice point x=a, y=b. For a valid certificate
 len(L) = 3T + E + 2 where T is the pair count, while the verifier's input
 measure is N = P + E + T + 4 = 3T + E + 4, 2 more by construction. The
 verifier is the one reader of this grammar (group_tuples, check_coverage and
-scan_tail in turn); build_candidate is the one writer. group_tuples hands the
-pair section on as its two member columns (Pairs), so reading an accepted
-list costs two T-slot lists beyond the list itself and builds no pair tuple.
+scan_tail in turn); build_candidate is the one writer. group_tuples hands
+the pair section on as its two member columns (`grid.Pairs`), so reading an
+accepted list costs two T-slot lists beyond the list itself and builds no
+pair tuple.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from enum import Enum
 from itertools import product, repeat
 from operator import add, mul
 from pathlib import Path
-from typing import Iterator, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
+from .grid import Pairs
 from .tiles import read_json
 
 MARKER_START = 2
@@ -83,26 +85,6 @@ class Instance:
     @property
     def size(self) -> int:
         return len(self.a_values)
-
-
-class Pairs:
-    """A pair section held as its two columns: pair k is (xs[k], ys[k]).
-
-    len() is T and iteration yields the pairs, but check_coverage reads the
-    columns and no per-pair tuple is built.
-    """
-
-    __slots__ = ("xs", "ys")
-
-    def __init__(self, xs: list[int], ys: list[int]) -> None:
-        self.xs = xs
-        self.ys = ys
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self.xs, self.ys)
 
 
 def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[Pairs, int, int]:

@@ -8,6 +8,7 @@ from corpus import ACCEPT_A, PING_PONG, save_atlas, spec_with
 from debilandia.cli import main
 from debilandia.embedding import compile_direct, compile_universal
 from debilandia.instances import Instance, build_candidate, instance_to_json_obj
+from debilandia.solver import DEFAULT_CAP
 from debilandia.tiles import atlas_default
 
 
@@ -265,6 +266,46 @@ def test_bench_rejects_malformed_sizes(tmp_path, capsys, sizes, message):
     assert main(["bench", "--sizes", sizes, "--cap", "400", "--csv", str(csv_file)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not csv_file.exists()
+
+
+def test_flags_of_one_call_do_not_leak_into_the_next(tmp_path, capsys):
+    # main builds its parser once; every call must start from the defaults
+    points_file = tmp_path / "points.json"
+    write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
+    trace_file = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--points", str(points_file), "--max-gens", "5", "--trace", str(trace_file)]) == 0
+    trace_file.unlink()
+    assert main(["simulate", "--points", str(points_file), "--max-gens", "5"]) == 0
+    assert not trace_file.exists()
+    set_a = ",".join(str(v) for v in ACCEPT_A)
+    assert len(ACCEPT_A) > DEFAULT_CAP
+    out = tmp_path / "cert.json"
+    assert main(["solve", "--set-a", set_a, "--max-gens", "16", "--cap", "16", "--out", str(out)]) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert main(["solve", "--set-a", set_a, "--max-gens", "16", "--out", str(out)]) == 2
+    assert f"exceeds the cap of {DEFAULT_CAP}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, floor, value",
+    [
+        (["simulate", "--points", "{points}"], 0, "-1"),
+        (["solve", "--set-a", "1,3", "--out", "{out}"], 1, "0"),
+        (["solve", "--set-a", "1,3", "--out", "{out}"], 1, "-4"),
+        (["bench", "--sizes", "1", "--csv", "{out}"], 1, "0"),
+    ],
+    ids=["simulate", "solve", "solve_negative", "bench"],
+)
+def test_max_gens_below_its_floor_names_the_flag(tmp_path, capsys, argv, floor, value):
+    points_file = tmp_path / "points.json"
+    write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
+    out = tmp_path / "out.json"
+    argv = [arg.format(points=points_file, out=out) for arg in argv]
+    assert main([*argv, "--max-gens", value]) == 2
+    assert capsys.readouterr() == ("", f"error: --max-gens must be at least {floor}, got {value}\n")
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -2,7 +2,7 @@
 
 The package reads the pair section, coverage and the four run with list and
 set operations and walks tokens only to locate a reject. It hands the pairs
-on as two member columns (`instances.Pairs`), where `grammar_oracle` keeps
+on as two member columns (`grid.Pairs`), where `grammar_oracle` keeps
 the token-by-token versions and a list of pair tuples. Both must return the
 same values (the columns read out as pairs) and reject with the same reason
 at the same position, and `verify` must write the same report with either,
@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 from corpus import ACCEPT_A
 from debilandia import verifier
+from debilandia.grid import Pairs
 from debilandia.instances import (
     MARKER_END_TUPLES,
     MARKER_SEP,
     RESERVED,
     Instance,
-    Pairs,
     RejectedCertificate,
     build_candidate,
     check_coverage,

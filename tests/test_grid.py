@@ -1,14 +1,18 @@
 import random
+import tracemalloc
 from functools import reduce
 from itertools import product
 from operator import or_
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import ACCEPT_A
+from corpus import ACCEPT_A, ZERO_RUNNER, spec_with
+from debilandia.embedding import compile_direct
 from debilandia.grid import (
     GameState,
+    Pairs,
     SquarePoints,
     points_of,
     recognize,
@@ -81,6 +85,37 @@ def test_recognize_round_trips_through_points(atlas):
     again = recognize(points_of(state, atlas), atlas)
     assert again.tiles == state.tiles
     assert state_hash(again) == state_hash(state)
+
+
+@pytest.mark.parametrize("point", [(1, 2, 3), (1,), ()])
+def test_a_point_that_is_not_a_pair_raises_value_error(atlas, point):
+    with pytest.raises(ValueError):
+        recognize([(0, 0), point], atlas)
+
+
+def test_recognize_reads_columns_with_repeats(atlas):
+    pts = sorted(place(atlas, TileKind.TAPE_1, (0, 0), (8, 12)) | {(30, 13)})
+    columns = Pairs([x for x, _ in pts] * 2, [y for _, y in pts] * 2)
+    assert len(columns) == 2 * len(pts)
+    state = recognize(columns, atlas)
+    assert (state.tiles, state.anchor, state.junk_cells) == ({(0, 0): TileKind.TAPE_1}, (8, 12), 1)
+
+
+def test_recognize_builds_no_per_point_objects(atlas):
+    # binning the columns keeps one int key and one mask per cell: 29 bytes a
+    # point here, with nine points a tile; the set of point tuples it replaced
+    # peaked at 124, and a list of point tuples alone costs 64
+    pts = sorted(compile_direct(spec_with(ZERO_RUNNER, "0" * 5500 + "1"), atlas))
+    columns = Pairs([x for x, _ in pts], [y for _, y in pts])
+    recognize(columns, atlas)  # warm up
+    tracemalloc.start()
+    try:
+        state = recognize(columns, atlas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(columns) > 49_000 and len(state.tiles) == 5509
+    assert peak < 60 * len(columns)
 
 
 def test_hash_round_trip_survives_engine_drift(atlas):
