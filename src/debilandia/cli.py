@@ -31,7 +31,7 @@ from .instances import (
     instance_to_json_obj,
     load_instance_file,
 )
-from .solver import DEFAULT_CAP, SAMPLE_POOL, SolverCapError, construct_certificate, growth_probe
+from .solver import DEFAULT_CAP, SAMPLE_POOL, construct_certificate, growth_probe
 from .tiles import TileAtlas, atlas_default, read_json
 from .verifier import verify
 
@@ -140,6 +140,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    _check_floor("--e", args.e, 0)
     inst = _parse_set_a(args.set_a)
     items = build_candidate(inst, args.e, args.marker)
     out = Path(args.out)
@@ -256,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, SolverCapError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,11 +42,12 @@ packet. Packets only ever gain tiles, by copies, so a copy updates one entry
 and a fire reads one. As no step removes a packet tile, no state recurs
 across a copy; and a fire changes only the tape row, the read slot and the
 status cell. So cycle detection starts afresh at every copy, and a state's
-position key covers only those three places: the tape row's hash
-sum(z(kind) * B**(col - tc)) mod 2**61 - 1, which each stack node keeps for
-its stack, and the read and status tiles. So an untraced generation costs
-O(1) Python work at any tape length. (Modulo 2**64 every odd base lets
-Thue-Morse rows collide.)
+position key covers only those three places. The stack nodes are
+hash-consed (Goto 1974; Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006): a board and all its successors make every node
+through one table, so equal stacks are one object and the key, the two
+stacks' tops and distances plus the three tip-column tiles, is exact. So an
+untraced generation costs O(1) Python work at any tape length.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ from .tiles import CellAddr, TileKind, TileType, read_tile, status_tile, tape_ti
 
 PACKET_WIDTH = 5
 
-_P = (1 << 61) - 1
-_COL_BASE = 0x5DEECE66D1F0A3B7 % _P
-_COL_STEP = {1: _COL_BASE, -1: pow(_COL_BASE, -1, _P)}
-_Z = {None: 0} | {kind: (i + 1) * 0x9E3779B97F4A7C15 % _P for i, kind in enumerate(TileKind)}
 _CODE = {None: 0} | {kind: i + 1 for i, kind in enumerate(TileKind)}  # 4 bits each
 
 
@@ -165,96 +162,94 @@ _EMPTY_ROW: dict[int, TileKind] = {}
 class _Node:
     """One tile of a tape stack, linked to the tiles beyond it (away from the tip).
 
-    key is the tile's column, counted from the tip column, minus its stack's
-    offset; sliding a stack changes only the offset, so a node never changes.
-    h = sum(z(kind) * B**key) over this tile and every tile beyond it, so a
-    stack's share of the row's hash is read off its top.
+    gap is the distance to the next tile, 0 at the bottom of the stack. Nodes
+    are made only by _node, so two stacks of the same tiles at the same gaps
+    share their nodes.
     """
 
-    __slots__ = ("key", "kind", "next", "h")
+    __slots__ = ("kind", "gap", "next")
 
-    def __init__(self, key: int, kind: TileKind, next: "_Node", power: int) -> None:
-        self.key = key
+    def __init__(self, kind: TileKind | None, gap: int, next: "_Node | None") -> None:
         self.kind = kind
+        self.gap = gap
         self.next = next
-        self.h = (next.h + _Z[kind] * power) % _P
 
 
-_NIL = _Node.__new__(_Node)  # the bottom of every stack: no tile, no key
-_NIL.key, _NIL.kind, _NIL.next, _NIL.h = None, None, None, 0
+_NIL = _Node(None, 0, None)  # the bottom of every stack: no tile
+_EMPTY = (_NIL, 0)
+
+
+def _node(nodes: dict, kind: TileKind, gap: int, next: _Node) -> _Node:
+    """The one node of this tile over next at distance gap, from the board family's table."""
+    return nodes.setdefault((_CODE[kind], gap, next), _Node(kind, gap, next))
 
 
 class _Tape:
     """The row below the tip, as a zipper around the tip column tc.
 
     head is the tile at tc, or None. left and right hold the tiles left and
-    right of tc as persistent stacks, nearest tile on top, each as a tuple
-    (top, k, p, q): a node's key is its column minus tc minus the stack's
-    offset, k = -offset is the tip column's key, p = B**offset and q = B**k.
-    Carrying p and q lets a slide or a push update the hash by multiplication
-    alone. h = sum(z(kind) * B**(col - tc)) over the row; nontape counts the
-    row's tiles that are not tape tiles.
+    right of tc as persistent stacks, nearest tile on top, each as a pair
+    (top, d) with d the top tile's distance from tc; an empty stack is
+    (_NIL, 0). nontape counts the row's tiles that are not tape tiles.
     """
 
-    __slots__ = ("head", "left", "right", "h", "nontape")
+    __slots__ = ("head", "left", "right", "nontape")
 
     def __init__(self, head: TileKind | None, left: tuple, right: tuple, nontape: int) -> None:
         self.head = head
         self.left = left
         self.right = right
-        self.h = (left[0].h * left[2] + right[0].h * right[2] + _Z[head]) % _P
         self.nontape = nontape
 
     @classmethod
-    def of(cls, cells: dict[int, TileKind], tc: int) -> "_Tape":
-        """The zipper of a row's tiles by absolute column."""
-        powers = _powers(_COL_BASE, (col - tc for col in cells))
-        left = right = _NIL
-        for col in sorted(col for col in cells if col < tc):
-            left = _Node(col - tc, cells[col], left, powers[col - tc])
-        for col in sorted((col for col in cells if col > tc), reverse=True):
-            right = _Node(col - tc, cells[col], right, powers[col - tc])
+    def of(cls, cells: dict[int, TileKind], tc: int, nodes: dict) -> "_Tape":
+        """The zipper of a row's tiles by absolute column, its nodes drawn from nodes."""
+        sides = []
+        for sign in (-1, 1):  # left, then right; each stack is built from its far end
+            top, d = _EMPTY
+            for dist in sorted(((col - tc) * sign for col in cells if (col - tc) * sign > 0), reverse=True):
+                top, d = _node(nodes, cells[tc + sign * dist], d and d - dist, top), dist
+            sides.append((top, d))
         nontape = sum(kind.tile_type is not TileType.TAPE for kind in cells.values())
-        return cls(cells.get(tc), (left, 0, 1, 1), (right, 0, 1, 1), nontape)
+        return cls(cells.get(tc), sides[0], sides[1], nontape)
 
     def cells(self, tc: int) -> dict[int, TileKind]:
         """The row's tiles by absolute column; O(row)."""
         cells = {} if self.head is None else {tc: self.head}
-        for top, k, _, _ in (self.left, self.right):
-            off = tc - k
+        for (top, d), sign in ((self.left, -1), (self.right, 1)):
+            col = tc + sign * d
             while top is not _NIL:
-                cells[top.key + off] = top.kind
+                cells[col] = top.kind
+                col += sign * top.gap
                 top = top.next
         return cells
 
-    def fired(self, kind: TileKind, dx: int) -> "_Tape":
+    def fired(self, kind: TileKind, dx: int, nodes: dict) -> "_Tape":
         """This row with kind written at the tip column, then all of it dx = +-1 cells over; O(1)."""
         if dx == 1:
-            head, left = _pulled(self.left, 1)
-            return _Tape(head, left, _pushed(self.right, kind, 1), self.nontape)
-        head, right = _pulled(self.right, -1)
-        return _Tape(head, _pushed(self.left, kind, -1), right, self.nontape)
+            head, left = _pulled(self.left)
+            return _Tape(head, left, _pushed(self.right, kind, nodes), self.nontape)
+        head, right = _pulled(self.right)
+        return _Tape(head, _pushed(self.left, kind, nodes), right, self.nontape)
 
     def consumed(self) -> "_Tape":
         """This row with the tip column's rule tile gone and every tile left of it one cell right; O(1)."""
-        head, left = _pulled(self.left, 1)
+        head, left = _pulled(self.left)
         return _Tape(head, left, self.right, self.nontape - 1)
 
 
-def _pushed(side: tuple, kind: TileKind, dx: int) -> tuple:
-    """A stack with kind, the tile at the tip column, put on top; then all of it dx cells over."""
-    top, k, p, q = side
-    return _Node(k, kind, top, q), k - dx, p * _COL_STEP[dx] % _P, q * _COL_STEP[-dx] % _P
+def _pushed(side: tuple, kind: TileKind, nodes: dict) -> tuple:
+    """A stack slid one cell away from the tip, with kind, the tile at the tip column, on top."""
+    top, d = side
+    return _node(nodes, kind, d, top), 1
 
 
-def _pulled(side: tuple, dx: int) -> tuple[TileKind | None, tuple]:
-    """What a stack slid dx cells towards the tip puts at the tip column (or None), and the stack left."""
-    top, k, p, q = side
-    k -= dx
-    p, q = p * _COL_STEP[dx] % _P, q * _COL_STEP[-dx] % _P
-    if top.key == k:
-        return top.kind, (top.next, k, p, q)
-    return None, (top, k, p, q)
+def _pulled(side: tuple) -> tuple[TileKind | None, tuple]:
+    """What a stack slid one cell towards the tip puts at the tip column (or None), and the stack left."""
+    top, d = side
+    if d == 1:
+        return top.kind, (top.next, top.gap)
+    return None, (top, d - 1) if d else side
 
 
 def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
@@ -262,18 +257,6 @@ def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
     moved = {col + dx: kind for col, kind in cells.items() if kind.tile_type is TileType.TAPE}
     stays = {col: kind for col, kind in cells.items() if kind.tile_type is not TileType.TAPE}
     return None if stays.keys() & moved.keys() else stays | moved
-
-
-def _powers(base: int, exponents) -> dict[int, int]:
-    """{e: base**e mod _P} for the distinct exponents, each stepped from the one below it."""
-    powers, below = {}, None
-    for e in sorted(set(exponents)):
-        if below is None:
-            powers[e] = pow(base, e, _P)
-        else:
-            powers[e] = powers[below] * (base if e == below + 1 else pow(base, e - below, _P)) % _P
-        below = e
-    return powers
 
 
 class _Board:
@@ -286,13 +269,13 @@ class _Board:
     held as read and status. stack holds the incomplete well-formed packet
     rows as nested (row, prefix, rest) tuples, highest first; top is the
     highest well-formed packet row; first maps (R1, R2) bits to
-    (row, R3, R4, R5) of the lowest complete packet. touched names the rows
-    this board changed from its parent's.
+    (row, R3, R4, R5) of the lowest complete packet. nodes is the table
+    every tape stack node of this board and its successors comes from.
     """
 
-    __slots__ = ("rows", "tape", "read", "status", "tip", "stack", "top", "first", "touched")
+    __slots__ = ("rows", "tape", "read", "status", "tip", "stack", "top", "first", "nodes")
 
-    def __init__(self, rows, tape, read, status, tip, stack, top, first, touched) -> None:
+    def __init__(self, rows, tape, read, status, tip, stack, top, first, nodes) -> None:
         self.rows: dict[int, dict[int, TileKind]] = rows
         self.tape: _Tape | None = tape
         self.read: TileKind | None = read
@@ -301,7 +284,7 @@ class _Board:
         self.stack: tuple | None = stack
         self.top: int | None = top
         self.first: dict[tuple[int, int], tuple[int, TileKind, TileKind, TileKind]] = first
-        self.touched: tuple[int, ...] = touched
+        self.nodes: dict[tuple, _Node] = nodes
 
     def row(self, r: int) -> dict[int, TileKind]:
         """Row r's tiles by absolute column; O(row). Do not change it: it may be the board's own map."""
@@ -323,13 +306,13 @@ class _Board:
 
 
 def _index(state: GameState) -> _Board:
-    """Build the board of a state from its tiles; O(tiles), hashing only the tape row."""
+    """Build the board of a state from its tiles, with a fresh node table; O(tiles)."""
     by_row: dict[int, dict[int, TileKind]] = {}
     for (col, r), kind in state.tiles.items():
         by_row.setdefault(r, {})[col] = kind
     tips = state.tip_cells()
     if len(tips) != 1:
-        return _Board(by_row, None, None, None, None, None, None, {}, ())
+        return _Board(by_row, None, None, None, None, None, None, {}, {})
     tc, tr = tips[0]
     tape = by_row.pop(tr - 1, {})
     read = by_row.get(tr + 1, {}).pop(tc, None)
@@ -338,7 +321,8 @@ def _index(state: GameState) -> _Board:
     stack, top, first = None, None, {}
     for r, prefix in packet_rows(rows, tips[0]):
         stack, top, first = _indexed(r, prefix, stack, top, first)
-    return _Board(rows, _Tape.of(tape, tc), read, status, tips[0], stack, top, first, ())
+    nodes: dict[tuple, _Node] = {}
+    return _Board(rows, _Tape.of(tape, tc, nodes), read, status, tips[0], stack, top, first, nodes)
 
 
 def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
@@ -365,28 +349,28 @@ def board_of(state: GameState) -> _Board:
     return state.board
 
 
-def position_key(state: GameState) -> int | None:
+def position_key(state: GameState) -> tuple | None:
     """The key of the state's tip context; None on a board without exactly one tip.
 
-    One int: the tape row's hash sum(z(kind) * B**(col - tc)) mod 2**61 - 1,
-    then the read-slot and status tiles in four bits each. It covers only
-    what a fire changes, so it tells apart the states between two copies,
-    where every other cell stays as it is. There, distinct states share a
-    key only when the tape rows' hash polynomials agree at B, which run
-    never trusts: it confirms every key hit exactly. O(1).
+    The tuple (left top, left d, right top, right d, code): the tape row's
+    two stacks, each as its top node and that tile's distance from the tip
+    column, and the head, read-slot and status tiles in four bits each. It
+    covers only what a fire changes, so it tells apart the states between
+    two copies, where every other cell stays as it is. Within one board
+    family, whose nodes come from one table, equal stacks are one node, so
+    two keys are equal exactly when the tip contexts are. Nodes compare by
+    identity: keys of separately indexed boards never match. O(1).
     """
     board = board_of(state)
     if board.tip is None:
         return None
-    return board.tape.h << 8 | _CODE[board.read] << 4 | _CODE[board.status]
+    tape = board.tape
+    code = _CODE[tape.head] << 8 | _CODE[board.read] << 4 | _CODE[board.status]
+    return (*tape.left, *tape.right, code)
 
 
 def step(state: GameState) -> tuple[GameState, StepOutcome]:
     """Run exactly one generation; pure, deterministic."""
-    return _step(state)
-
-
-def _step(state: GameState) -> tuple[GameState, StepOutcome]:
     board = board_of(state)
     if board.tip is None:
         return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_cells() else StopReason.NO_TIP)
@@ -399,7 +383,7 @@ def _step(state: GameState) -> tuple[GameState, StepOutcome]:
 
 
 def _fire(state: GameState, board: _Board, below: TileKind) -> tuple[GameState, StepOutcome]:
-    tc, tr = board.tip
+    tc = board.tip[0]
     status = board.status
     if status is None or status.family != "status":
         return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
@@ -414,12 +398,11 @@ def _fire(state: GameState, board: _Board, below: TileKind) -> tuple[GameState, 
         cells = _relaid({**tape.cells(tc), tc: tape_tile(r3.bit)}, dx)
         if cells is None:
             return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-        tape = _Tape.of(cells, tc)
+        tape = _Tape.of(cells, tc, board.nodes)
     else:
-        tape = tape.fired(tape_tile(r3.bit), dx)
+        tape = tape.fired(tape_tile(r3.bit), dx, board.nodes)
     read, status = read_tile(below.bit), status_tile(r4.bit)
-    touched = (tr - 1, tr + 1, tr + 2)
-    new = _Board(board.rows, tape, read, status, board.tip, board.stack, board.top, board.first, touched)
+    new = _Board(board.rows, tape, read, status, board.tip, board.stack, board.top, board.first, board.nodes)
     return GameState.of_board(new, state.anchor, state.junk_cells), Fired(row)
 
 
@@ -441,37 +424,24 @@ def _copy_rule(state: GameState, board: _Board, below: TileKind) -> tuple[GameSt
     stack, top, first = _indexed(target, classify_packet(cells), rest, board.top, board.first)
     rows = {**board.rows, target: packet}
     tape = board.tape.consumed()
-    new = _Board(rows, tape, board.read, board.status, board.tip, stack, top, first, (target, tr - 1))
+    new = _Board(rows, tape, board.read, board.status, board.tip, stack, top, first, board.nodes)
     return GameState.of_board(new, state.anchor, state.junk_cells), RuleCopied(target, slot)
 
 
-def _diff_cells(before: GameState, after: GameState) -> list[CellAddr]:
+def _diff_cells(before: GameState, after: GameState, outcome: Fired | RuleCopied) -> list[CellAddr]:
     """Cells whose tile differs between a state and its successor.
 
-    Only the rows the step changed can differ, so only they are compared.
+    Only the rows the step changed can differ, so only they are compared: a
+    fire's tape row, read slot and status rows, a copy's packet and tape rows.
     """
     old, new = before.board, after.board
+    tr = old.tip[1]
+    rows = (tr - 1, tr + 1, tr + 2) if isinstance(outcome, Fired) else (outcome.target_row, tr - 1)
     changed = []
-    for r in new.touched:
+    for r in rows:
         a, b = old.row(r), new.row(r)
         changed += [(col, r) for col in a.keys() | b.keys() if a.get(col) is not b.get(col)]
     return sorted(changed)
-
-
-def _first_equal(start: GameState, at: int, indices: list[int], state: GameState) -> int | None:
-    """The first of the ascending generation indices, none below at, whose state equals state.
-
-    Replays from start, the state of generation at, with the internal step,
-    so a replay never counts as a generation attempt of engine.step.
-    """
-    tiles, cursor = state.tiles, start
-    for index in indices:
-        while at < index:
-            cursor, _ = _step(cursor)
-            at += 1
-        if cursor.tiles == tiles:
-            return index
-    return None
 
 
 def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] | None = None) -> RunResult:
@@ -480,26 +450,27 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
     A copy adds a tile that no step removes, so no state before a copy
     recurs after it: the record of keys starts afresh at every copy, from
     the state the copy made. Every later generation's position key is
-    recorded. A key seen before is checked exactly: the run replays from
-    the state after the last copy to each earlier generation holding that
-    key and compares tiles. A match reports a cycle whose period is the
-    distance between the two occurrences (a fixed point is a period-1
-    cycle); a false hit keeps running and files the generation under the
-    same key. The terminating attempt consumes no budget, so witnessing a
-    halt after g successful generations needs max_gens > g.
+    recorded. All the states of a run share one board family, so their keys
+    are exact: a key seen before is a repeat of that generation's state,
+    reported as a cycle whose period is the distance between the two
+    occurrences (a fixed point is a period-1 cycle). The terminating attempt
+    consumes no budget, so witnessing a halt after g successful generations
+    needs max_gens > g.
 
-    Cost, for a state of n tiles and G generations, g of them since the last
-    copy: O(n) time to index the state, then O(1) Python work per generation
-    at any tape length (a copy also copies the map of rows above the tip, at
-    C level), plus O(g) replayed generations per key hit. With on_step, each
-    record adds an O(n) state_hash and an O(row) diff of the tape row, so a
-    traced run stays O(n) per generation. Memory is O(n + g): the current
-    state, the state after the last copy, and one key per generation since.
+    Cost, for a state of n tiles, G generations, g of them since the last
+    copy, and F nodes made since the state was indexed: O(n) time to index
+    the state, then O(1) Python work per generation at any tape length (a
+    copy also copies the map of rows above the tip, at C level). With
+    on_step, each record adds an O(n) state_hash and an O(row) diff of the
+    tape row, so a traced run stays O(n) per generation. Memory is
+    O(n + g + F): the current state, one key per generation since the last
+    copy, and the node table, which keeps every node it made. A fire makes
+    at most one node, but one that re-lays a row holding other tiles can
+    make one per tile of the row.
     """
     if max_gens < 0:
         raise ValueError("max_gens must be >= 0")
-    start, start_gens = state, 0
-    seen: dict[int | None, int | list[int]] = {position_key(state): 0}
+    seen: dict[tuple | None, int] = {position_key(state): 0}
     gens = 0
     while True:
         if gens == max_gens:
@@ -511,18 +482,12 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
             return RunResult(state, gens, RunStatus.HALTED, reason=outcome.reason)
         gens += 1
         if on_step is not None:
-            on_step(StepRecord(gens, outcome, state_hash(new_state), _diff_cells(state, new_state)))
+            on_step(StepRecord(gens, outcome, state_hash(new_state), _diff_cells(state, new_state, outcome)))
         state = new_state
-        if isinstance(outcome, RuleCopied):
-            start, start_gens, seen = state, gens, {position_key(state): gens}
-            continue
         key = position_key(state)
-        earlier = seen.get(key)
-        if earlier is None:
-            seen[key] = gens
+        if isinstance(outcome, RuleCopied):
+            seen = {key: gens}
             continue
-        earlier = earlier if isinstance(earlier, list) else [earlier]
-        first = _first_equal(start, start_gens, earlier, state)
-        if first is not None:
+        first = seen.setdefault(key, gens)
+        if first != gens:
             return RunResult(state, gens, RunStatus.CYCLE, period=gens - first, first_index=first)
-        seen[key] = earlier + [gens]

@@ -221,7 +221,7 @@ def state_hash(state: GameState) -> int:
     while a translated copy does not. It is not an identity: cell offsets
     relative to the lowest column and row wrap at 2**20, so layouts whose
     tiles lie 2**20 cells apart can share a digest. Cycle detection keys on
-    the engine's position key instead and confirms every hit exactly.
+    the engine's position key instead, which is exact.
     """
     if not state.tiles:
         return _EMPTY_HASH

@@ -147,11 +147,13 @@ class TileAtlas:
 
 
 def read_json(path: str | Path):
-    """Parse a JSON file; nesting too deep for the parser is a ValueError."""
+    """Parse a JSON file; malformed JSON, or nesting too deep for the parser, is a ValueError naming the path."""
     try:
         return json.loads(Path(path).read_text())
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _mask_to_string(mask: int) -> str:

@@ -7,6 +7,7 @@ import random
 from operator import attrgetter
 from pathlib import Path
 
+from debilandia import engine
 from debilandia.engine import Fired, step
 from debilandia.grid import GameState
 from debilandia.instances import MARKER_RUNS, MARKER_STOPS, Instance, build_candidate
@@ -115,6 +116,41 @@ def padding_for(spec: TmSpec, budget: int) -> int:
 def tip_cell(state: GameState):
     (cell,) = state.tip_cells()
     return cell
+
+
+def one_family(tile_maps, nodes: dict | None = None) -> list[GameState]:
+    """States of the tile maps whose boards draw their tape nodes from one table, as the boards of a run do.
+
+    Nodes compare by identity, so the position keys of separately indexed
+    boards never match; re-laying each tape row from one table (nodes, or a
+    new one) makes them comparable.
+    """
+    nodes = {} if nodes is None else nodes
+    states = [GameState(dict(tiles)) for tiles in tile_maps]
+    for board in map(engine.board_of, states):
+        if board.tip is not None:
+            tc = board.tip[0]
+            board.tape, board.nodes = engine._Tape.of(board.tape.cells(tc), tc, nodes), nodes
+    return states
+
+
+def tip_context(tiles: dict):
+    """The tape row relative to the tip column, with the read and status tiles; None without one tip."""
+    tips = [cell for cell, kind in tiles.items() if kind is TileKind.TIP]
+    if len(tips) != 1:
+        return None
+    ((tc, tr),) = tips
+    row = frozenset((col - tc, kind) for (col, r), kind in tiles.items() if r == tr - 1)
+    return row, tiles.get((tc, tr + 1)), tiles.get((tc, tr + 2))
+
+
+def assert_keys_match_tip_contexts(keys: list, contexts: list) -> None:
+    """Two keys are equal exactly when their tip contexts are; no context, no key."""
+    by_context, by_key = {}, {}
+    for key, context in zip(keys, contexts):
+        assert (key is None) == (context is None)
+        assert by_context.setdefault(context, key) == key
+        assert by_key.setdefault(key, context) == context
 
 
 # keyed by (family, bit): hashing TileKind itself runs Python code per tile

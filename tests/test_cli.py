@@ -170,6 +170,22 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, flag):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--instance", "--points", "--atlas"])
+def test_malformed_json_names_its_file(tmp_path, capsys, flag):
+    # with a good points file beside it, the error must say which file was bad
+    bad = tmp_path / "bad.json"
+    bad.write_text("")
+    points_file = tmp_path / "points.json"
+    write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
+    argv = {
+        "--instance": ["verify", "--instance", str(bad)],
+        "--points": ["simulate", "--points", str(bad)],
+        "--atlas": ["simulate", "--points", str(points_file), "--atlas", str(bad)],
+    }[flag]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: Expecting value: line 1 column 1 (char 0)\n")
+
+
 def test_trace_and_report_bytes_are_pinned(tmp_path):
     # the tape-loaded board copies ten rule tokens, fires once and halts, so
     # its trace names every outcome kind
@@ -198,6 +214,13 @@ def test_encode_emits_json_and_text(tmp_path):
     assert obj["L"][0] == 2 and obj["L"][-1] == 25
     text = out.with_suffix(".txt").read_text().strip()
     assert text == " ".join(str(v) for v in obj["L"])
+
+
+def test_encode_rejects_a_negative_generation_count(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["encode", "--set-a", "1,3", "--e", "-1", "--marker", "25", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: --e must be at least 0, got -1\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_encode_refuses_an_out_path_its_text_form_would_overwrite(tmp_path, capsys):

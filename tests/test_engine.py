@@ -1,14 +1,14 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import dict_engine
 import pytest
 
-from corpus import BOUNCE, PING_PONG, ZERO_RUNNER, drive_fires, oracle_trajectory, spec_with
+from corpus import BOUNCE, PING_PONG, assert_keys_match_tip_contexts, drive_fires, one_family, spec_with, tip_context
 from debilandia import engine
-from debilandia.embedding import compile_direct, compile_universal
+from debilandia.embedding import compile_direct
 from debilandia.engine import (
     Fired,
     RuleCopied,
@@ -311,15 +311,20 @@ def test_layouts_2_pow_20_cells_apart_get_distinct_keys():
     # one further out on the right, one from the left of the tip to its right
     base = {(0, 1): TileKind.TIP, (0, 3): TileKind.STATUS_0, (-2, 0): TileKind.TAPE_1}
     base |= {(-1, 0): TileKind.TAPE_0, (1, 0): TileKind.TAPE_0}
+    layouts = [base]
     for near in ((1, 0), (-1, 0)):
         moved = dict(base)
         del moved[near]
         moved[(near[0] + 2**20, 0)] = TileKind.TAPE_0
         assert state_hash(state_of(base)) == state_hash(state_of(moved))
-        assert position_key(state_of(base)) != position_key(state_of(moved))
+        layouts.append(moved)
+    keys = [position_key(state) for state in one_family(layouts * 2)]
+    assert len(set(keys)) == 3
+    assert keys[:3] == keys[3:]
 
 
 def test_position_key_covers_exactly_the_tip_context():
+    # within one board family, keys are equal exactly when the tip contexts are
     base = {(0, 1): TileKind.TIP, (0, 3): TileKind.STATUS_0, (0, 0): TileKind.TAPE_1}
     base |= {(-1, 0): TileKind.TAPE_0, (1, 0): TileKind.TAPE_0}
     changed = [
@@ -332,70 +337,43 @@ def test_position_key_covers_exactly_the_tip_context():
         {cell: kind for cell, kind in base.items() if cell != (0, 3)},
         {cell: kind for cell, kind in base.items() if cell != (0, 0)},
     ]
-    keys = [position_key(state_of(tiles)) for tiles in [base, *changed]]
-    assert len(set(keys)) == len(keys)
     # every other cell is left out: run starts its record afresh at each copy instead
-    assert position_key(state_of(base | {(1, 2): TileKind.READ_1, (-5, -9): TileKind.MOVE_0})) == keys[0]
+    elsewhere = base | {(1, 2): TileKind.READ_1, (-5, -9): TileKind.MOVE_0}
     # a board without exactly one tip has no tip context
-    assert position_key(state_of(base | {(5, 9): TileKind.TIP})) is None
-    assert position_key(state_of({})) is None
+    no_context = [base | {(5, 9): TileKind.TIP}, {}]
+    tile_maps = [base, *changed, elsewhere, *no_context]
+    keys = [position_key(state) for state in one_family(tile_maps)]
+    assert len(set(keys[: len(changed) + 1])) == len(changed) + 1
+    assert keys[len(changed) + 1] == keys[0]
+    assert keys[-2:] == [None, None]
+    # tape tiles on one side of an empty head cell at the given gaps (some
+    # stacks differ only below their top), then every map laid out twice
+    for gaps in ([1], [2], [1, 2], [1, 3], [3, 1], [2, 2], []):
+        for side in (-1, 1):
+            row = {}
+            col = 0
+            for gap in gaps:
+                col += side * gap
+                row[(col, 0)] = TileKind.TAPE_1
+            tile_maps.append({(0, 1): TileKind.TIP, (0, 3): TileKind.STATUS_0} | row)
+    tile_maps *= 2
+    keys = [position_key(state) for state in one_family(tile_maps)]
+    assert_keys_match_tip_contexts(keys, [tip_context(tiles) for tiles in tile_maps])
 
 
-def test_position_key_is_the_same_in_every_process():
-    # Python salts hash() of strings, and so of enum members, per process
-    code = (
-        "from debilandia.engine import position_key; from debilandia.grid import GameState; "
-        "from debilandia.tiles import TileKind as K; "
-        "print(position_key(GameState({(0, 1): K.TIP, (0, 2): K.READ_0, (0, 3): K.STATUS_1, (-3, 0): K.TAPE_1})))"
-    )
+def test_simulate_is_the_same_in_every_process(atlas, tmp_path):
+    # Python salts hash() of strings, and so of enum members, per process;
+    # run keys its record on nodes, which hash by identity
+    points = tmp_path / "points.json"
+    board = compile_direct(spec_with(BOUNCE, "0" * 6 + "1"), atlas)
+    points.write_text(json.dumps({"points": [list(p) for p in sorted(board)]}))
     env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
-    keys = [
-        subprocess.run([sys.executable, "-c", code], env=env | {"PYTHONHASHSEED": seed}, capture_output=True, text=True)
-        for seed in ("1", "2")
-    ]
-    assert keys[0].returncode == 0, keys[0].stderr
-    assert keys[0].stdout == keys[1].stdout
-
-
-def test_forced_key_collisions_do_not_fake_a_cycle(atlas, monkeypatch):
-    # every generation shares one key, so every generation is a key hit
-    spec = spec_with(ZERO_RUNNER, "0" * 12 + "1")
-    configs, halted = oracle_trajectory(spec, 100)
-    assert halted
-    state = recognize(compile_direct(spec, atlas), atlas)
-    monkeypatch.setattr(engine, "position_key", lambda state: 0)
-    result = run(state, 100)
-    assert result.status is RunStatus.HALTED
-    assert result.generations_run == len(configs) - 1 == 12
-
-
-def test_forced_key_collisions_find_the_same_cycle(atlas, monkeypatch):
-    state = recognize(compile_direct(spec_with(BOUNCE, "0" * 6 + "1"), atlas), atlas)
-    exact = dict_engine.run(state.clone(), 100)
-    unforced = run(state, 100)
-    monkeypatch.setattr(engine, "position_key", lambda state: 0)
-    forced = run(state, 100)
-    for result in (unforced, forced):
-        assert result.status is RunStatus.CYCLE
-        assert (result.first_index, result.period) == (exact.first_index, exact.period) == (6, 2)
-        assert result.final_state.tiles == exact.final_state.tiles
-
-
-def test_forced_key_collisions_across_rule_copies(atlas, monkeypatch):
-    # fifteen copies load BOUNCE's packets, then the machine cycles: with one
-    # key for every generation, each hit replays from the last copy's state
-    tape = "0" * 6 + "1"
-    state = recognize(compile_universal(spec_with(BOUNCE, tape, head=len(tape) - 1), tape, atlas), atlas)
-    exact = dict_engine.run(state.clone(), 100)
-    monkeypatch.setattr(engine, "position_key", lambda state: 0)
-    steps = []
-    inner = engine._step
-    monkeypatch.setattr(engine, "_step", lambda state: steps.append(state) or inner(state))
-    forced = run(state, 100)
-    for result in (forced, exact):
-        got = (result.status, result.generations_run, result.first_index, result.period)
-        assert got == (RunStatus.CYCLE, 17, 15, 2)
-    assert forced.final_state.tiles == exact.final_state.tiles
-    # both hits compare against generation 15, the last copy's state, so
-    # neither replays a step
-    assert len(steps) == forced.generations_run
+    outputs = []
+    for seed in ("1", "2"):
+        trace = tmp_path / f"trace{seed}.jsonl"
+        argv = [sys.executable, "-m", "debilandia", "simulate", "--points", str(points), "--trace", str(trace)]
+        done = subprocess.run(argv, env=env | {"PYTHONHASHSEED": seed}, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append((done.stdout, trace.read_bytes()))
+    assert json.loads(outputs[0][0])["status"] == "cycle"
+    assert outputs[0] == outputs[1]

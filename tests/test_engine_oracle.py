@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import BOUNCE, PING_PONG, lockstep_corpus, padding_for, spec_with
+from corpus import (
+    BOUNCE,
+    PING_PONG,
+    assert_keys_match_tip_contexts,
+    lockstep_corpus,
+    one_family,
+    padding_for,
+    spec_with,
+    tip_context,
+)
 from debilandia.embedding import NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
 from debilandia.engine import RuleCopied, Terminated, position_key, run, step
 from debilandia.grid import GameState, recognize
@@ -55,6 +64,7 @@ def off_tip_context(tiles: dict) -> dict:
 
 def assert_engines_agree(state: GameState, max_gens: int) -> None:
     ours, theirs = state, GameState(dict(state.tiles), state.anchor, state.junk_cells)
+    keys, contexts = [position_key(ours)], [tip_context(theirs.tiles)]
     for _ in range(max_gens):
         ours_next, outcome = step(ours)
         theirs_next, expected = dict_engine.step(theirs)
@@ -69,12 +79,17 @@ def assert_engines_agree(state: GameState, max_gens: int) -> None:
                 assert before.items() < after.items() and len(after) == len(before) + 1
             else:
                 assert after == before
-        # the key kept up per changed row equals the key of a fresh index
-        assert position_key(ours_next) == position_key(GameState(dict(ours_next.tiles)))
+        # the key kept up by the zipper equals the key of a fresh index in
+        # the same board family, and keys match exactly when tip contexts do
+        (fresh,) = one_family([ours_next.tiles], ours_next.board.nodes)
+        assert position_key(ours_next) == position_key(fresh)
+        keys.append(position_key(ours_next))
+        contexts.append(tip_context(theirs_next.tiles))
         if isinstance(outcome, Terminated):
             assert ours_next is ours
             break
         ours, theirs = ours_next, theirs_next
+    assert_keys_match_tip_contexts(keys, contexts)
 
     records, expected_records = [], []
     result = run(state, max_gens, on_step=records.append)
