@@ -59,9 +59,6 @@ class GameState:
     def __repr__(self) -> str:
         return f"GameState(tiles={self.tiles!r}, anchor={self.anchor!r}, junk_cells={self.junk_cells!r})"
 
-    def clone(self) -> "GameState":
-        return GameState(dict(self.tiles), self.anchor, self.junk_cells)
-
     def tip_cells(self) -> list[CellAddr]:
         if self.board is not None and self.board.tip is not None:
             return [self.board.tip]
@@ -93,14 +90,16 @@ class Pairs:
     len() is the number of points, repeats included, and iteration yields
     the points, but recognize reads the columns and builds no per-point
     tuple. A certificate's pair section is one (pair (a, b) places the point
-    x=a, y=b), and so is a points file.
+    x=a, y=b), and so is a points file. `square` is the sorted set A when
+    the columns are known to be A x A in lexicographic order, else None.
     """
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("xs", "ys", "square")
 
-    def __init__(self, xs: list[int], ys: list[int]) -> None:
+    def __init__(self, xs: list[int], ys: list[int], square: tuple[int, ...] | None = None) -> None:
         self.xs = xs
         self.ys = ys
+        self.square = square
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "Pairs":

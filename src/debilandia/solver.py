@@ -9,8 +9,14 @@ the machine structure, run the game, and read the answer off the run.
 Note the built-in floor: a recognized machine needs one rule packet spanning
 the five cell columns right of the tip, so A must populate at least six
 consecutive 4-wide blocks - any instance with |A| <= 5 is unsolvable no
-matter how the points land. The exponential claim about solving is measured
-empirically by growth_probe; searching smarter is out of scope.
+matter how the points land.
+
+In this formalisation the answer is fixed by the board's structure: once
+extraction finds a machine, the markers 25 and 43 are complementary at
+every generation count, so a certificate exists exactly when extraction
+succeeds. Deciding costs recognition plus extraction, O(|A| + tiles), and
+construct_certificate costs O(|A|^2 + max_gens): the |A|^2 pairs it writes
+plus one run. growth_probe measures that cost next to (M!)^2.
 """
 
 from __future__ import annotations

@@ -60,9 +60,6 @@ class TmConfig:
     def read(self) -> int:
         return self.cells.get(self.head, 0)
 
-    def clone(self) -> "TmConfig":
-        return TmConfig(dict(self.cells), self.head, self.state)
-
 
 def initial_config(spec: TmSpec) -> TmConfig:
     cells = {i: int(ch) for i, ch in enumerate(spec.tape) if ch == "1"}

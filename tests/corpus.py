@@ -198,6 +198,11 @@ def game_status(state: GameState) -> int:
     return state.tiles[(tc, tr + 2)].bit
 
 
+def clone_state(state: GameState) -> GameState:
+    """A new state with a copy of state's tile map; the engine indexes it afresh."""
+    return GameState(dict(state.tiles), state.anchor, state.junk_cells)
+
+
 def drive_fires(state: GameState, count: int) -> GameState:
     """Advance exactly count generations, asserting each one fires a packet."""
     for _ in range(count):

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from corpus import (
     ACCEPT_A,
     ZERO_RUNNER,
+    clone_state,
     game_status,
     game_tape_text,
     lockstep_corpus,
@@ -118,7 +119,7 @@ def test_criterion_2_engine_determinism_and_absorption():
             state = _random_recognized_state(rng, atlas)
             traces = []
             for _ in range(2):
-                cursor, trace = state.clone(), []
+                cursor, trace = clone_state(state), []
                 for _ in range(8):
                     cursor, outcome = step(cursor)
                     trace.append((state_hash(cursor), outcome))
@@ -128,7 +129,7 @@ def test_criterion_2_engine_determinism_and_absorption():
             assert traces[0] == traces[1]
             final_hash, last_outcome = traces[0][-1]
             if isinstance(last_outcome, Terminated):
-                cursor = state.clone()
+                cursor = clone_state(state)
                 for _ in range(len(traces[0]) - 1):
                     cursor, _ = step(cursor)
                 again, re_outcome = step(cursor)

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from corpus import BOUNCE, PING_PONG, assert_keys_match_tip_contexts, drive_fires, one_family, spec_with, tip_context
+from corpus import (
+    BOUNCE,
+    PING_PONG,
+    assert_keys_match_tip_contexts,
+    clone_state,
+    drive_fires,
+    one_family,
+    spec_with,
+    tip_context,
+)
 from debilandia import engine
 from debilandia.embedding import compile_direct
 from debilandia.engine import (
@@ -230,8 +239,8 @@ def test_rule_copy_falls_back_to_the_next_incomplete_packet():
 
 def test_step_is_deterministic():
     before = minimal_fire_state()
-    a1, o1 = step(before.clone())
-    a2, o2 = step(before.clone())
+    a1, o1 = step(clone_state(before))
+    a2, o2 = step(clone_state(before))
     assert o1 == o2
     assert a1.tiles == a2.tiles
     assert state_hash(a1) == state_hash(a2)
@@ -276,7 +285,7 @@ def test_cycle_replay_reproduces_the_hash(atlas):
     state = recognize(compile_direct(spec_with(PING_PONG, "11"), atlas), atlas)
     result = run(state, 100)
     snapshot = drive_fires(state, result.first_index)
-    replayed = drive_fires(snapshot.clone(), result.period)
+    replayed = drive_fires(clone_state(snapshot), result.period)
     assert state_hash(replayed) == state_hash(snapshot)
 
 
@@ -294,7 +303,7 @@ def test_run_hash_sequences_identical_for_clones(atlas):
     seqs = []
     for _ in range(2):
         records = []
-        run(state.clone(), 50, on_step=records.append)
+        run(clone_state(state), 50, on_step=records.append)
         seqs.append([r.state_hash for r in records])
     assert seqs[0] == seqs[1]
 

@@ -238,3 +238,43 @@ def test_verify_reports_match_the_per_token_grammar(atlas, a_values, gens, marke
     ):
         theirs = verifier.verify(inst, items, atlas).to_json_obj()
     assert ours == theirs
+
+
+def with_pairs(items: list[int], pairs: list[list[int]]) -> list[int]:
+    """items with its pair section replaced by pairs, a 7 between pairs."""
+    five = items.index(MARKER_END_TUPLES)
+    return items[:1] + [v for pair in pairs for v in pair + [MARKER_SEP]][:-1] + items[five:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a_values=A_VALUES, gens=st.integers(0, 3), marker=st.sampled_from([25, 43]), data=st.data())
+def test_canonical_and_permuted_sections_give_the_same_report(atlas, a_values, gens, marker, data):
+    # build_candidate's order is matched by comparing the columns; any other order takes the general path
+    inst = Instance(a_values)
+    items = build_candidate(inst, gens, marker)
+    canonical = [items[1 + 3 * k : 3 + 3 * k] for k in range(inst.size**2)]
+    permuted = data.draw(st.permutations(canonical))
+    other = with_pairs(items, permuted)
+    assert group_tuples(inst, items, 1)[0].square == inst.a_values
+    assert group_tuples(inst, other, 1)[0].square == (inst.a_values if permuted == canonical else None)
+    assert verifier.verify(inst, items, atlas).to_json_obj() == verifier.verify(inst, other, atlas).to_json_obj()
+
+
+@settings(max_examples=300, deadline=None)
+@given(a_values=A_VALUES, data=st.data())
+def test_one_edit_to_a_canonical_section_rejects_as_the_oracle_does(a_values, data):
+    inst = Instance(a_values)
+    pairs = [list(pair) for pair in product(inst.a_values, repeat=2)]
+    k = data.draw(st.integers(0, len(pairs) - 1))
+    kind = data.draw(st.sampled_from(["repeat", "non-member", "missing", "swap"]))
+    if kind in ("repeat", "swap") and len(pairs) > 1:
+        j = data.draw(st.integers(0, len(pairs) - 1).filter(lambda j: j != k))
+        pairs[k], pairs[j] = pairs[j], (pairs[k] if kind == "swap" else pairs[j])
+    elif kind == "missing":
+        del pairs[k]
+    else:
+        pairs[k][data.draw(st.integers(0, 1))] = OUTSIDER
+    items = with_pairs(build_candidate(inst, 0, 43), pairs)[1:]
+    assert outcome(read_pairs, group_tuples, check_coverage, inst, items) == outcome(
+        read_pairs, grammar_oracle.group_tuples, grammar_oracle.check_coverage, inst, items
+    )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import ACCEPT_A, ZERO_RUNNER, spec_with
+from corpus import ACCEPT_A, ZERO_RUNNER, clone_state, spec_with
 from debilandia.embedding import compile_direct
 from debilandia.grid import (
     GameState,
@@ -134,7 +134,7 @@ def test_hash_round_trip_survives_engine_drift(atlas):
 
 def test_hash_equal_for_clones(atlas):
     state = recognize(place(atlas, TileKind.STATUS_1, (0, 0)), atlas)
-    assert state_hash(state) == state_hash(state.clone())
+    assert state_hash(state) == state_hash(clone_state(state))
 
 
 def test_hash_ignores_insertion_order():

@@ -1,11 +1,16 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from corpus import ACCEPT_A, sweep_candidates
 from grammar_oracle import read_sections
-from debilandia.instances import MARKER_STOPS, Instance
+from debilandia.embedding import NotATuringMachine, extract_tm
+from debilandia.grid import SquarePoints, recognize
+from debilandia.instances import MARKER_RUNS, MARKER_STOPS, RESERVED, Instance, build_candidate
 from debilandia.solver import (
+    SAMPLE_POOL,
     SolverCapError,
     construct_certificate,
     growth_probe,
@@ -79,3 +84,35 @@ def test_random_instance_respects_reserved():
     for _ in range(50):
         inst = random_instance(rng, 4)
         assert len(inst.a_values) == 4
+
+
+@st.composite
+def near_the_fixture(draw) -> set[int]:
+    """The accepting set translated, then maybe with one element added or removed."""
+    shift = draw(st.integers(-7, 10**4))
+    values = {a + shift for a in ACCEPT_A}
+    edit = draw(st.sampled_from(["none", "add", "remove"]))
+    if edit == "add":
+        values.add(draw(st.integers(min(values) - 8, max(values) + 8)))
+    elif edit == "remove":
+        values.discard(draw(st.sampled_from(sorted(values))))
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=near_the_fixture() | st.sets(st.sampled_from(SAMPLE_POOL), min_size=1, max_size=24))
+@example(values=set(ACCEPT_A))
+@example(values={1, 3})
+def test_the_problem_is_decided_by_structure_alone(atlas, values):
+    # once a machine is extracted the two markers are complementary at every E,
+    # so the E = 0 certificate with marker 43 decides the instance
+    assume(not values & RESERVED)
+    inst = Instance(tuple(values))
+    accepted = verify(inst, build_candidate(inst, 0, MARKER_RUNS), atlas).accepted
+    try:
+        extract_tm(recognize(SquarePoints(inst.a_values), atlas))
+        extracted = True
+    except NotATuringMachine:
+        extracted = False
+    found = construct_certificate(inst, 16, atlas, cap=inst.size).found
+    assert accepted == extracted == found

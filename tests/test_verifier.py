@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from corpus import ACCEPT_A
+from corpus import ACCEPT_A, clone_state
 from grammar_oracle import read_sections
 from debilandia.engine import run
 from debilandia.grid import recognize
@@ -105,7 +105,7 @@ def test_stopped_matches_independent_run(atlas):
     state = recognize(set(product(inst.a_values, repeat=2)), atlas)
     for gens in range(0, 4):
         marker_report = verify(inst, build_candidate(inst, gens, 25), atlas)
-        independent = run(state.clone(), gens)
+        independent = run(clone_state(state), gens)
         assert marker_report.stopped == independent.stopped
 
 
