@@ -90,16 +90,14 @@ class Pairs:
     len() is the number of points, repeats included, and iteration yields
     the points, but recognize reads the columns and builds no per-point
     tuple. A certificate's pair section is one (pair (a, b) places the point
-    x=a, y=b), and so is a points file. `square` is the sorted set A when
-    the columns are known to be A x A in lexicographic order, else None.
+    x=a, y=b), and so is a points file.
     """
 
-    __slots__ = ("xs", "ys", "square")
+    __slots__ = ("xs", "ys")
 
-    def __init__(self, xs: list[int], ys: list[int], square: tuple[int, ...] | None = None) -> None:
+    def __init__(self, xs: list[int], ys: list[int]) -> None:
         self.xs = xs
         self.ys = ys
-        self.square = square
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "Pairs":

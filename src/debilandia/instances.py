@@ -19,11 +19,11 @@ verifier is the one reader of this grammar (group_tuples, check_coverage and
 scan_tail in turn); build_candidate is the one writer. group_tuples hands
 the pair section on as its two member columns (`grid.Pairs`) and builds no
 pair tuple; a section in build_candidate's order is proven A x A by
-comparing its columns with that order, so no T-sized set is built for it
-either. load_instance_file cuts a run of fours in the layout json.dumps
-writes out of the file text and returns the list as a `Certificate`, which
-holds E as a count. Reading a file in that layout costs the text plus O(T),
-whatever E.
+comparing its columns with that order and comes back as `grid.SquarePoints`.
+load_instance_file cuts a run of fours in the layout json.dumps writes out
+of the file text and returns a `Certificate`: the items before the run, E
+as a count and the marker. Each reader reads only its part, so reading a
+file in that layout costs the text plus O(T), whatever E.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice, product, repeat
+from itertools import islice, product, repeat
 from operator import add, mul
 from pathlib import Path
 from typing import NoReturn
 
-from .grid import Pairs
-from .tiles import read_json
+from .grid import Pairs, SquarePoints
+from .tiles import read_json, read_text
 
 MARKER_START = 2
 MARKER_SEP = 7
@@ -93,15 +93,15 @@ class Instance:
         return len(self.a_values)
 
 
-def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[Pairs, int, int]:
+def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[Pairs | SquarePoints, int, int]:
     """Read ``a b 7 a b 7 ... a b 5`` from items[start:].
 
     Returns (pairs, index one past the 5, tokens touched); every coordinate
     of the pairs is a member of A. Raises RejectedCertificate for shape
     violations; pair coverage is not checked here, but pairs equal to
-    build_candidate's come back marked as A x A (`Pairs.square`). A
-    well-formed section is checked with list and set operations; the token
-    walk runs only to locate a reject.
+    build_candidate's come back as `SquarePoints(A)`. A well-formed section
+    is checked with list and set operations; the token walk runs only to
+    locate a reject.
     """
     members = set(inst.a_values)
     try:
@@ -112,7 +112,7 @@ def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[Pair
         xs, ys, seps = items[start:end:3], items[start + 1 : end : 3], items[start + 2 : end : 3]
         if seps.count(MARKER_SEP) == len(seps):
             if _in_candidate_order(inst.a_values, xs, ys):
-                return Pairs(xs, ys, inst.a_values), end + 1, end + 1 - start
+                return SquarePoints(inst.a_values), end + 1, end + 1 - start
             if members.issuperset(xs) and members.issuperset(ys):
                 return Pairs(xs, ys), end + 1, end + 1 - start
     _raise_pair_reject(members, items, start)
@@ -152,17 +152,18 @@ def _raise_pair_reject(members: set[int], items: Sequence[int], start: int) -> N
     raise RejectedCertificate(RejectReason.CONDITION_4, len(items), "no 5 terminates the pair section")
 
 
-def check_coverage(inst: Instance, pairs: Pairs, end_pos: int) -> int:
+def check_coverage(inst: Instance, pairs: Pairs | SquarePoints, end_pos: int) -> int:
     """Pairs must be distinct and enumerate A x A; returns pairs read.
 
     group_tuples has proven every coordinate a member of A, so distinct pairs
     enumerate A x A exactly when there are |A|^2 of them. Pair (x, y) is
     coded as the one int x * (max A + 1) + y, distinct for distinct pairs of
     members, so no pair tuple and no A x A set is built. The pairs are walked
-    only to locate a repeat. Pairs that group_tuples matched to A x A in
-    canonical order are distinct and complete already, and build no codes.
+    only to locate a repeat. `SquarePoints`, which group_tuples returns for
+    A x A in canonical order, is distinct and complete already and builds no
+    codes.
     """
-    if pairs.square == inst.a_values:
+    if isinstance(pairs, SquarePoints):
         return len(pairs)
     codes = set(map(add, map(mul, pairs.xs, repeat(inst.a_values[-1] + 1)), pairs.ys))
     if len(codes) != len(pairs):
@@ -183,13 +184,15 @@ def scan_tail(items: Sequence[int], start: int) -> tuple[int, int, int]:
     """Read ``4 ... 4 marker`` from items[start:].
 
     Returns (E, marker, tokens touched scanning fours). Trailing data is the
-    caller's concern. A `Certificate` whose run starts at start gives E in
-    O(1); any other run is counted a fixed-size slice at a time, so no
-    run-sized copy is made.
+    caller's concern. A `Certificate` read from its run gives E in O(1);
+    from an earlier start its prefix is walked, which stops at the 5 ending
+    it at the latest. A list's run is counted a fixed-size slice at a time.
     """
+    if isinstance(items, Certificate):
+        if start == len(items.prefix):
+            return items.gens, items.marker, items.gens
+        items = items.prefix
     i = start
-    if isinstance(items, Certificate) and start == len(items.prefix):
-        i += items.gens
     while items[i : i + _SCAN_CHUNK].count(MARKER_GENERATION) == _SCAN_CHUNK:
         i += _SCAN_CHUNK
     while i < len(items) and items[i] == MARKER_GENERATION:
@@ -227,15 +230,11 @@ def instance_to_json_obj(inst: Instance, items: Sequence[int]) -> dict:
     return {"A": list(inst.a_values), "L": list(items)}
 
 
-class Certificate(Sequence):
-    """A certificate list held as the items before its run of fours, the
-    run's length E and the final marker.
+class Certificate:
+    """The certificate list prefix + [4] * E + [marker], its run held as E.
 
-    It reads as the list prefix + [4] * E + [marker]: len, indexing,
-    slicing, iteration, index and count give what they give on that list.
-    Indexing, slicing and index cost at most O(prefix + result); count is
-    Sequence's walk over every item. The run is never built, so memory is
-    the prefix, whatever E.
+    prefix ends in the whole 5 token that the run follows, so the pair
+    section and any reject in it lie in prefix. len() is the list's length.
     """
 
     __slots__ = ("prefix", "gens", "marker")
@@ -247,42 +246,6 @@ class Certificate(Sequence):
 
     def __len__(self) -> int:
         return len(self.prefix) + self.gens + 1
-
-    def __getitem__(self, key):
-        at = range(len(self))[key]  # IndexError and TypeError as a list raises them
-        if isinstance(at, range):
-            return self._take(at[::-1])[::-1] if at.step < 0 else self._take(at)
-        if at < len(self.prefix):
-            return self.prefix[at]
-        return MARKER_GENERATION if at < len(self.prefix) + self.gens else self.marker
-
-    def _take(self, at: range) -> list[int]:
-        """The items at the indices of an ascending range."""
-        run_at = len(self.prefix)
-        marker_at = run_at + self.gens
-        taken = self.prefix[at.start : min(at.stop, run_at) : at.step]
-        taken += [MARKER_GENERATION] * (len(range(at.start, min(at.stop, marker_at), at.step)) - len(taken))
-        if at and at[-1] == marker_at:
-            taken.append(self.marker)
-        return taken
-
-    def __iter__(self):
-        return chain(self.prefix, repeat(MARKER_GENERATION, self.gens), (self.marker,))
-
-    def index(self, value, start: int = 0, stop: int | None = None) -> int:
-        at = range(len(self))[start:stop]
-        run_at = len(self.prefix)
-        marker_at = run_at + self.gens
-        try:
-            return self.prefix.index(value, at.start, min(at.stop, run_at))
-        except ValueError:
-            pass
-        first_four = max(at.start, run_at)
-        if value == MARKER_GENERATION and first_four < min(at.stop, marker_at):
-            return first_four
-        if value == self.marker and at.start <= marker_at < at.stop:
-            return marker_at
-        raise ValueError(f"{value!r} is not in list")
 
 
 _JSON_WS = " \t\n\r"
@@ -356,9 +319,10 @@ def load_instance_file(path: str | Path) -> tuple[Instance, Sequence[int]]:
     the text (see _cut_run) and "L" is the file's last key, once; the whole
     text is dropped then, and json.loads and the checks read the text
     without the run. Any other file is read again by tiles.read_json and L
-    comes back as a list. Both give the same items and the same errors.
+    comes back as a list. Both hold the same items, which `verify` reads
+    alike, and raise the same errors.
     """
-    cut = _cut_run(Path(path).read_text())
+    cut = _cut_run(read_text(path))
     obj = _parse_cut(cut[0]) if cut else None
     if obj is None:
         cut = None

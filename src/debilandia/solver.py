@@ -42,7 +42,7 @@ SAMPLE_POOL = tuple(v for v in range(1, 201) if v not in RESERVED)  # growth_pro
 
 
 class SolverCapError(ValueError):
-    """Refused: the search cost grows exponentially with |A|."""
+    """Refused: |A| is larger than the cap construct_certificate was given."""
 
 
 @dataclass
@@ -78,10 +78,7 @@ def construct_certificate(
     if max_gens < 1:
         raise ValueError("max_gens must be >= 1")
     if inst.size > cap:
-        raise SolverCapError(
-            f"|A| = {inst.size} exceeds the cap of {cap}: certificate search "
-            f"cost grows exponentially with |A|"
-        )
+        raise SolverCapError(f"|A| = {inst.size} exceeds the cap of {cap}")
     points = SquarePoints(inst.a_values)
     state = recognize(points, atlas)
     stats = SolveStats(

@@ -123,9 +123,6 @@ class TileAtlas:
         if len(self._by_mask) != len(self.patterns):
             raise AtlasError("atlas masks must be pairwise distinct")
 
-    def kind_for_mask(self, mask: int) -> TileKind | None:
-        return self._by_mask.get(mask)
-
     def points(self, kind: TileKind) -> frozenset[Point]:
         """Cell-local (dx, dy) offsets of the pattern's points."""
         mask = self.patterns[kind]
@@ -146,10 +143,18 @@ class TileAtlas:
         return cls.from_json_obj(read_json(path))
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; bytes that are not UTF-8 are a ValueError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_json(path: str | Path):
     """Parse a JSON file; malformed JSON, or nesting too deep for the parser, is a ValueError naming the path."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(read_text(path))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     except json.JSONDecodeError as exc:
@@ -186,4 +191,4 @@ def atlas_default() -> TileAtlas:
 
 def classify_cell(mask: int, atlas: TileAtlas) -> TileKind | None:
     """Exact-match a cell occupancy mask; None means junk."""
-    return atlas.kind_for_mask(mask)
+    return atlas._by_mask.get(mask)

@@ -35,6 +35,7 @@ from .engine import RunResult, RunStatus, StepRecord, run
 from .grid import SquarePoints, recognize
 from .instances import (
     MARKER_STOPS,
+    Certificate,
     Instance,
     RejectReason,
     RejectedCertificate,
@@ -159,8 +160,9 @@ def verify(
     atlas: TileAtlas,
     on_step: Callable[[StepRecord], None] | None = None,
 ) -> VerifierReport:
-    """Check one certificate; never raises for bad certificates."""
+    """Check one certificate, a list or a `Certificate`; never raises for bad certificates."""
     ledger = CostLedger()
+    prefix = items.prefix if isinstance(items, Certificate) else items  # holds the first 5
 
     def reject(reason: RejectReason, **extra) -> VerifierReport:
         report = VerifierReport(False, ledger, reason=reason, step=_REASON_STEP[reason], **extra)
@@ -168,11 +170,11 @@ def verify(
         return report
 
     ledger.c1 = 1
-    if not items or items[0] != 2:
+    if not prefix or prefix[0] != 2:
         return reject(RejectReason.CONDITION_1)
 
     try:
-        pairs, after_five, touched = group_tuples(inst, items, 1)
+        pairs, after_five, touched = group_tuples(inst, prefix, 1)
     except RejectedCertificate as exc:
         ledger.c2 = exc.position  # tokens 1..position examined
         ledger.t_count = (exc.position - 1) // 3  # completed pairs so far

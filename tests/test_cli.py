@@ -174,7 +174,6 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, flag):
 def test_malformed_json_names_its_file(tmp_path, capsys, flag):
     # with a good points file beside it, the error must say which file was bad
     bad = tmp_path / "bad.json"
-    bad.write_text("")
     points_file = tmp_path / "points.json"
     write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
     argv = {
@@ -182,8 +181,13 @@ def test_malformed_json_names_its_file(tmp_path, capsys, flag):
         "--points": ["simulate", "--points", str(bad)],
         "--atlas": ["simulate", "--points", str(points_file), "--atlas", str(bad)],
     }[flag]
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {bad}: Expecting value: line 1 column 1 (char 0)\n")
+    for content, error in [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ]:
+        bad.write_bytes(content)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: {error}\n")
 
 
 def test_trace_and_report_bytes_are_pinned(tmp_path):
@@ -253,7 +257,7 @@ def test_solve_cap_exceeded_exits_two(tmp_path, capsys):
     set_a = ",".join(str(v) for v in ACCEPT_A)
     rc = main(["solve", "--set-a", set_a, "--out", str(out)])
     assert rc == 2
-    assert "exponential" in capsys.readouterr().err
+    assert "exceeds the cap of 4" in capsys.readouterr().err
 
 
 def test_bench_csv(tmp_path):

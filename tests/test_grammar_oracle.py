@@ -2,8 +2,9 @@
 
 The package reads the pair section, coverage and the four run with list and
 set operations and walks tokens only to locate a reject. It hands the pairs
-on as two member columns (`grid.Pairs`), where `grammar_oracle` keeps
-the token-by-token versions and a list of pair tuples. Both must return the
+on as two member columns (`grid.Pairs`), or as `grid.SquarePoints` for
+build_candidate's order, where `grammar_oracle` keeps the token-by-token
+versions and a list of pair tuples. Both must return the
 same values (the columns read out as pairs) and reject with the same reason
 at the same position, and `verify` must write the same report with either,
 for pairs in any order.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from corpus import ACCEPT_A
 from debilandia import verifier
-from debilandia.grid import Pairs
+from debilandia.grid import Pairs, SquarePoints
 from debilandia.instances import (
     MARKER_END_TUPLES,
     MARKER_SEP,
@@ -96,6 +97,9 @@ def test_group_tuples_returns_member_columns_or_the_oracles_reject(a_values, dat
         pairs, _, _ = group_tuples(inst, items, start)
     except RejectedCertificate as exc:
         assert ("reject", exc.reason, exc.position) == outcome(grammar_oracle.group_tuples, inst, items, start)
+        return
+    if type(pairs) is SquarePoints:
+        assert pairs.values == inst.a_values
         return
     assert type(pairs) is Pairs
     assert type(pairs.xs) is list and type(pairs.ys) is list and len(pairs.xs) == len(pairs.ys)
@@ -255,8 +259,8 @@ def test_canonical_and_permuted_sections_give_the_same_report(atlas, a_values, g
     canonical = [items[1 + 3 * k : 3 + 3 * k] for k in range(inst.size**2)]
     permuted = data.draw(st.permutations(canonical))
     other = with_pairs(items, permuted)
-    assert group_tuples(inst, items, 1)[0].square == inst.a_values
-    assert group_tuples(inst, other, 1)[0].square == (inst.a_values if permuted == canonical else None)
+    assert type(group_tuples(inst, items, 1)[0]) is SquarePoints
+    assert type(group_tuples(inst, other, 1)[0]) is (SquarePoints if permuted == canonical else Pairs)
     assert verifier.verify(inst, items, atlas).to_json_obj() == verifier.verify(inst, other, atlas).to_json_obj()
 
 

@@ -5,7 +5,8 @@ any one comma-and-whitespace separator throughout) has its run of fours cut
 out of the text and comes back as a `Certificate` holding E as a count. Any
 other file is parsed whole by `tiles.read_json`. `verify` through the CLI
 must print, exit and write the same with either path, for files written in
-both layouts and then mutated in and around the run.
+both layouts and then mutated in and around the run, and `verify` and
+`scan_tail` must read a `Certificate` as the list it stands for.
 """
 
 import contextlib
@@ -26,16 +27,26 @@ from debilandia.instances import (
     RESERVED,
     Certificate,
     Instance,
+    RejectedCertificate,
     build_candidate,
     instance_to_json_obj,
     load_instance_file,
+    scan_tail,
 )
+from debilandia.verifier import verify
 
 POOL = [v for v in range(1, 40) if v not in RESERVED]
 A_VALUES = st.one_of(st.just(ACCEPT_A), st.sets(st.sampled_from(POOL), min_size=1, max_size=4).map(tuple))
 GENS = st.one_of(st.integers(0, 6), st.just(4500))
 LAYOUTS = ("dumps", "write_json")
 SEPARATORS = {"dumps": ", ", "write_json": ",\n    "}  # between the items of L
+
+
+def expanded(items) -> list[int]:
+    """The list a `Certificate` stands for; a list as it is."""
+    if type(items) is Certificate:
+        return items.prefix + [4] * items.gens + [items.marker]
+    return items
 
 
 def write_layout(path: Path, obj: dict, layout: str) -> None:
@@ -154,7 +165,7 @@ def test_canonical_layouts_hold_the_run_as_a_count(tmp_path, layout, gens):
     assert type(loaded) is Certificate
     assert (loaded.gens, loaded.marker) == (gens, 25)
     assert len(loaded) == 3 * inst.size**2 + gens + 2
-    assert list(loaded) == items
+    assert expanded(loaded) == items
 
 
 def test_encode_and_solve_write_files_that_load_as_a_count(tmp_path):
@@ -187,7 +198,7 @@ def test_only_a_last_L_in_one_layout_is_cut(tmp_path, write, cut):
     path.write_text(write(instance_to_json_obj(inst, items)))
     _, loaded = load_instance_file(path)
     assert type(loaded) is (Certificate if cut else list)
-    assert list(loaded) == items
+    assert expanded(loaded) == items
 
 
 @pytest.mark.parametrize(
@@ -212,34 +223,40 @@ def test_cut_run_cuts_the_run_only():
     assert instances._cut_run('{"A": [1], "L": [2, 5,\n 43]}') == ('{"A": [1], "L": [2, 5,\n 43]}', 0)
 
 
-TOKENS = st.sampled_from([2, 4, 5, 7, 9, 25, 43])
-PROBES = st.sampled_from([2, 4, 5, 7, 9, 25, 43, 4.0, True, "4"])
-BOUNDS = st.none() | st.integers(-12, 12)
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except RejectedCertificate as exc:
+        return ("reject", exc.reason, exc.position)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    prefix=st.lists(TOKENS, max_size=6),
+    a_values=A_VALUES,
     gens=st.integers(0, 6),
     marker=st.sampled_from([25, 43]),
-    index=st.integers(-14, 14),
-    window=st.tuples(BOUNDS, BOUNDS, st.none() | st.sampled_from([1, 2, 3, 5, -1, -2, -3])),
-    probe=PROBES,
+    data=st.data(),
 )
-def test_certificate_reads_as_its_list(prefix, gens, marker, index, window, probe):
-    items = prefix + [4] * gens + [marker]
-    held = Certificate(list(prefix), gens, marker)
-
-    def outcome(fn):
-        try:
-            return ("ok", fn())
-        except (IndexError, ValueError) as exc:
-            return (type(exc),)
-
-    assert len(held) == len(items) and list(held) == items
-    assert outcome(lambda: held[index]) == outcome(lambda: items[index])
-    assert held[slice(*window)] == items[slice(*window)]
-    start, stop, _ = window
-    bounds = (0 if start is None else start, len(items) if stop is None else stop)
-    assert outcome(lambda: held.index(probe, *bounds)) == outcome(lambda: items.index(probe, *bounds))
-    assert held.count(probe) == items.count(probe)
+def test_a_certificate_reads_as_its_list(atlas, a_values, gens, marker, data):
+    # prefixes are build_candidate's, up to three edits away, ending in a 5;
+    # an edit can put a 5, a 25 or a 43 before that last 5
+    inst = Instance(a_values)
+    prefix = build_candidate(inst, 0, marker)[:-1]
+    tokens = st.sampled_from(list(inst.a_values) + [2, 4, 5, 7, 25, 43])
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(prefix) - 1))
+        choice = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        if choice == "insert":
+            prefix.insert(i, data.draw(tokens))
+        elif choice == "replace":
+            prefix[i] = data.draw(tokens)
+        else:
+            del prefix[i]
+    if prefix[-1:] != [5]:
+        prefix.append(5)
+    held = Certificate(prefix, gens, marker)
+    items = expanded(held)
+    assert len(held) == len(items)
+    for start in range(len(prefix) + 1):
+        assert outcome(scan_tail, held, start) == outcome(scan_tail, items, start)
+    assert verify(inst, held, atlas).to_json_obj() == verify(inst, items, atlas).to_json_obj()

@@ -60,7 +60,7 @@ def test_solver_is_deterministic(atlas):
 
 
 def test_cap_refusal(atlas):
-    with pytest.raises(SolverCapError, match="exponential"):
+    with pytest.raises(SolverCapError, match="exceeds the cap of 4"):
         construct_certificate(Instance(ACCEPT_A), 8, atlas)  # default cap is 4
 
 
