@@ -31,7 +31,7 @@ from .instances import (
     instance_to_json_obj,
     load_instance_file,
 )
-from .solver import DEFAULT_CAP, SAMPLE_POOL, construct_certificate, growth_probe
+from .solver import SAMPLE_POOL, construct_certificate, growth_probe
 from .tiles import TileAtlas, atlas_default, read_json
 from .verifier import verify
 
@@ -43,6 +43,9 @@ def _atomic_write(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp makes the file 0600; give it the mode a plain open would
+        os.umask(umask := os.umask(0))
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -157,7 +160,9 @@ def _cmd_solve(args) -> int:
     _check_floor("--max-gens", args.max_gens, 1)
     atlas = _load_atlas(args.atlas)
     inst = _parse_set_a(args.set_a)
-    outcome = construct_certificate(inst, args.max_gens, atlas, cap=args.cap)
+    if args.cap is not None and inst.size > args.cap:
+        raise ValueError(f"|A| = {inst.size} exceeds the cap of {args.cap}")
+    outcome = construct_certificate(inst, args.max_gens, atlas)
     if not outcome.found:
         print(f"no certificate: {outcome.reason}", file=sys.stderr)
         return 1
@@ -177,7 +182,7 @@ def _cmd_bench(args) -> int:
         if not 1 <= size <= len(SAMPLE_POOL):
             raise ValueError(f"--sizes values must lie in 1..{len(SAMPLE_POOL)}, got {size}")
     atlas = _load_atlas(args.atlas)
-    rows = growth_probe(sizes, args.trials, atlas, max_gens=args.max_gens, seed=args.seed, cap=args.cap)
+    rows = growth_probe(sizes, args.trials, atlas, max_gens=args.max_gens, seed=args.seed)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
@@ -232,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-a", required=True)
     p.add_argument("--atlas")
     p.add_argument("--max-gens", type=int, default=1000)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, help="refuse a set A with more than CAP members")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -241,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-gens", type=int, default=32)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--atlas")
     p.add_argument("--csv", required=True)
     p.set_defaults(func=_cmd_bench)

@@ -1,4 +1,4 @@
-"""Desk-scale certificate construction and growth measurement.
+"""Certificate construction and growth measurement.
 
 Conditions 1-4 force the certificate skeleton completely (the opening 2, all
 |A|^2 coordinate pairs in canonical order, the closing 5), so the only free
@@ -16,7 +16,8 @@ extraction finds a machine, the markers 25 and 43 are complementary at
 every generation count, so a certificate exists exactly when extraction
 succeeds. Deciding costs recognition plus extraction, O(|A| + tiles), and
 construct_certificate costs O(|A|^2 + max_gens): the |A|^2 pairs it writes
-plus one run. growth_probe measures that cost next to (M!)^2.
+plus one run. Every |A| is solved, with no limit on its size; memory is
+O(|A|^2), the list written. growth_probe measures that cost next to (M!)^2.
 """
 
 from __future__ import annotations
@@ -37,35 +38,23 @@ from .instances import (
 )
 from .tiles import TileAtlas
 
-DEFAULT_CAP = 4
 SAMPLE_POOL = tuple(v for v in range(1, 201) if v not in RESERVED)  # growth_probe's random elements
-
-
-class SolverCapError(ValueError):
-    """Refused: |A| is larger than the cap construct_certificate was given."""
-
-
-@dataclass
-class SolveStats:
-    cells_placed: int
-    cells_scanned: int
-    generations: int
 
 
 @dataclass
 class SolveOutcome:
     certificate: list[int] | None
     reason: str | None
-    stats: SolveStats
+    cells_placed: int
+    cells_scanned: int
+    generations: int
 
     @property
     def found(self) -> bool:
         return self.certificate is not None
 
 
-def construct_certificate(
-    inst: Instance, max_gens: int, atlas: TileAtlas, cap: int = DEFAULT_CAP
-) -> SolveOutcome:
+def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> SolveOutcome:
     """Build the unique skeleton and decide its generation count and marker.
 
     Markers: a halt witnessed within max_gens yields 25 with the earliest
@@ -74,39 +63,35 @@ def construct_certificate(
     that survives max_gens without repeating yields 43 with max_gens, which
     certifies exactly what the checker checks (no stabilization within the
     claimed generations). No machine structure means no certificate at all.
+
+    There is no limit on |A|. Time is O(|A|^2 + max_gens) and memory
+    O(|A|^2), the certificate list written.
     """
     if max_gens < 1:
         raise ValueError("max_gens must be >= 1")
-    if inst.size > cap:
-        raise SolverCapError(f"|A| = {inst.size} exceeds the cap of {cap}")
     points = SquarePoints(inst.a_values)
     state = recognize(points, atlas)
-    stats = SolveStats(
-        cells_placed=len(points),
-        cells_scanned=len(state.tiles) + state.junk_cells,
-        generations=0,
-    )
+    placed, scanned = len(points), len(state.tiles) + state.junk_cells
     try:
         extract_tm(state)
     except NotATuringMachine as exc:
-        return SolveOutcome(None, f"not_a_turing_machine:{exc.reason.value}", stats)
+        return SolveOutcome(None, f"not_a_turing_machine:{exc.reason.value}", placed, scanned, 0)
 
     result = run(state, max_gens)
-    stats.generations = result.generations_run
     if result.status is RunStatus.HALTED:
         gen_count, marker = result.generations_run + 1, MARKER_STOPS
     elif result.status is RunStatus.CYCLE:
         gen_count, marker = result.first_index + result.period, MARKER_STOPS
     else:
         gen_count, marker = max_gens, MARKER_RUNS
-    return SolveOutcome(build_candidate(inst, gen_count, marker), None, stats)
+    certificate = build_candidate(inst, gen_count, marker)
+    return SolveOutcome(certificate, None, placed, scanned, result.generations_run)
 
 
 @dataclass
 class GrowthRow:
     size_m: int
     trial: int
-    a_values: tuple[int, ...]
     cells_placed: int
     factorial_sq_claim: int
     generations: int
@@ -124,7 +109,6 @@ def growth_probe(
     atlas: TileAtlas,
     max_gens: int = 32,
     seed: int = 0,
-    cap: int = DEFAULT_CAP,
 ) -> list[GrowthRow]:
     """Measure construction cost over random instances of each size.
 
@@ -137,16 +121,15 @@ def growth_probe(
     for size in sizes:
         for trial in range(trials):
             inst = random_instance(rng, size)
-            outcome = construct_certificate(inst, max_gens, atlas, cap=cap)
+            outcome = construct_certificate(inst, max_gens, atlas)
             rows.append(
                 GrowthRow(
                     size_m=size,
                     trial=trial,
-                    a_values=inst.a_values,
-                    cells_placed=outcome.stats.cells_placed,
+                    cells_placed=outcome.cells_placed,
                     factorial_sq_claim=math.factorial(size) ** 2,
-                    generations=outcome.stats.generations,
-                    cells_scanned=outcome.stats.cells_scanned,
+                    generations=outcome.generations,
+                    cells_scanned=outcome.cells_scanned,
                     found=outcome.found,
                 )
             )

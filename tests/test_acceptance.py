@@ -244,7 +244,7 @@ def test_criterion_7_solver_verifier_agreement():
             assert sweep_candidates(inst, max_gens, atlas) == [], values
         # the shipped accepting instance exercises the other branch
         inst = Instance(ACCEPT_A)
-        outcome = construct_certificate(inst, 16, atlas, cap=len(ACCEPT_A))
+        outcome = construct_certificate(inst, 16, atlas)
         assert outcome.found
         assert verify(inst, outcome.certificate, atlas).accepted
 

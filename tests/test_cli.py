@@ -1,14 +1,16 @@
 import hashlib
 import json
+import os
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from corpus import ACCEPT_A, PING_PONG, save_atlas, spec_with
-from debilandia.cli import main
+from debilandia.cli import _build_parser, main
 from debilandia.embedding import compile_direct, compile_universal
 from debilandia.instances import Instance, build_candidate, instance_to_json_obj
-from debilandia.solver import DEFAULT_CAP
 from debilandia.tiles import atlas_default
 
 
@@ -220,6 +222,16 @@ def test_encode_emits_json_and_text(tmp_path):
     assert text == " ".join(str(v) for v in obj["L"])
 
 
+def test_written_files_get_the_mode_a_plain_open_would(tmp_path):
+    out = tmp_path / "inst.json"
+    old = os.umask(0o022)
+    try:
+        assert main(["encode", "--set-a", "1,3", "--e", "2", "--marker", "25", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert [(path.stat().st_mode & 0o777) for path in (out, out.with_suffix(".txt"))] == [0o644, 0o644]
+
+
 def test_encode_rejects_a_negative_generation_count(tmp_path, capsys):
     out = tmp_path / "inst.json"
     assert main(["encode", "--set-a", "1,3", "--e", "-1", "--marker", "25", "--out", str(out)]) == 2
@@ -238,7 +250,7 @@ def test_encode_refuses_an_out_path_its_text_form_would_overwrite(tmp_path, caps
 def test_solve_round_trips_through_verify(tmp_path, capsys):
     out = tmp_path / "cert.json"
     set_a = ",".join(str(v) for v in ACCEPT_A)
-    rc = main(["solve", "--set-a", set_a, "--max-gens", "16", "--cap", "16", "--out", str(out)])
+    rc = main(["solve", "--set-a", set_a, "--out", str(out)])
     assert rc == 0
     capsys.readouterr()
     assert main(["verify", "--instance", str(out)]) == 0
@@ -255,9 +267,10 @@ def test_solve_none_found_exits_one(tmp_path, capsys):
 def test_solve_cap_exceeded_exits_two(tmp_path, capsys):
     out = tmp_path / "cert.json"
     set_a = ",".join(str(v) for v in ACCEPT_A)
-    rc = main(["solve", "--set-a", set_a, "--out", str(out)])
+    rc = main(["solve", "--set-a", set_a, "--cap", "15", "--out", str(out)])
     assert rc == 2
-    assert "exceeds the cap of 4" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: |A| = 16 exceeds the cap of 15\n"
+    assert not out.exists()
 
 
 def test_bench_csv(tmp_path):
@@ -267,6 +280,16 @@ def test_bench_csv(tmp_path):
     lines = csv_file.read_text().splitlines()
     assert lines[0].split(",")[:4] == ["m", "trial", "cells_placed", "factorial_sq_claim"]
     assert len(lines) == 1 + 4
+
+
+def test_bench_runs_above_four_members_with_default_flags(tmp_path, capsys):
+    csv_file = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", "5,6", "--trials", "1", "--csv", str(csv_file)]) == 0
+    assert capsys.readouterr().out == f"wrote 2 rows to {csv_file}\n"
+    assert [line.split(",")[:3] for line in csv_file.read_text().splitlines()[1:]] == [
+        ["5", "0", "25"],
+        ["6", "0", "36"],
+    ]
 
 
 @pytest.mark.parametrize("trials", ["-1", "0"])
@@ -288,9 +311,8 @@ def test_bench_rejects_a_trial_count_below_one(tmp_path, capsys, trials):
     ids=["above_pool", "zero", "negative", "not_an_integer"],
 )
 def test_bench_rejects_malformed_sizes(tmp_path, capsys, sizes, message):
-    # 194 values in 1..200 are not reserved; the cap is raised so only the pool limits the size
     csv_file = tmp_path / "bench.csv"
-    assert main(["bench", "--sizes", sizes, "--cap", "400", "--csv", str(csv_file)]) == 2
+    assert main(["bench", "--sizes", sizes, "--csv", str(csv_file)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not csv_file.exists()
 
@@ -305,14 +327,12 @@ def test_flags_of_one_call_do_not_leak_into_the_next(tmp_path, capsys):
     assert main(["simulate", "--points", str(points_file), "--max-gens", "5"]) == 0
     assert not trace_file.exists()
     set_a = ",".join(str(v) for v in ACCEPT_A)
-    assert len(ACCEPT_A) > DEFAULT_CAP
     out = tmp_path / "cert.json"
-    assert main(["solve", "--set-a", set_a, "--max-gens", "16", "--cap", "16", "--out", str(out)]) == 0
-    out.unlink()
-    capsys.readouterr()
-    assert main(["solve", "--set-a", set_a, "--max-gens", "16", "--out", str(out)]) == 2
-    assert f"exceeds the cap of {DEFAULT_CAP}" in capsys.readouterr().err
+    assert main(["solve", "--set-a", set_a, "--max-gens", "16", "--cap", "1", "--out", str(out)]) == 2
+    assert "exceeds the cap of 1" in capsys.readouterr().err
     assert not out.exists()
+    assert main(["solve", "--set-a", set_a, "--max-gens", "16", "--out", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize(
@@ -350,3 +370,12 @@ def test_atlas_env_override(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setenv("DEBILANDIA_ATLAS", str(tmp_path / "missing.json"))
     assert main(["simulate", "--points", str(points_file), "--max-gens", "5"]) == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("debilandia ")]
+    assert [argv[1] for argv in commands] == ["simulate", "verify", "encode", "solve", "bench"]
+    for argv in commands:
+        assert _build_parser().parse_args(argv[1:]).command == argv[1]

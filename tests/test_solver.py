@@ -1,6 +1,5 @@
 import math
 
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +10,6 @@ from debilandia.grid import SquarePoints, recognize
 from debilandia.instances import MARKER_RUNS, MARKER_STOPS, RESERVED, Instance, build_candidate
 from debilandia.solver import (
     SAMPLE_POOL,
-    SolverCapError,
     construct_certificate,
     growth_probe,
     random_instance,
@@ -23,7 +21,7 @@ def test_junk_only_instance_finds_nothing(atlas):
     outcome = construct_certificate(Instance((1, 3)), 8, atlas)
     assert not outcome.found
     assert outcome.reason.startswith("not_a_turing_machine")
-    assert outcome.stats.cells_placed == 4
+    assert outcome.cells_placed == 4
 
 
 def test_none_found_backed_by_exhaustive_sweep(atlas):
@@ -44,7 +42,7 @@ def test_small_sets_can_never_host_a_machine(atlas):
 
 def test_accepting_fixture_is_found_and_verifies(atlas):
     inst = Instance(ACCEPT_A)
-    outcome = construct_certificate(inst, 16, atlas, cap=len(ACCEPT_A))
+    outcome = construct_certificate(inst, 16, atlas)
     assert outcome.found
     _, gens, marker = read_sections(inst, outcome.certificate)
     assert marker == MARKER_STOPS
@@ -54,14 +52,14 @@ def test_accepting_fixture_is_found_and_verifies(atlas):
 
 def test_solver_is_deterministic(atlas):
     inst = Instance(ACCEPT_A)
-    first = construct_certificate(inst, 16, atlas, cap=16)
-    second = construct_certificate(inst, 16, atlas, cap=16)
+    first = construct_certificate(inst, 16, atlas)
+    second = construct_certificate(inst, 16, atlas)
     assert first.certificate == second.certificate
 
 
-def test_cap_refusal(atlas):
-    with pytest.raises(SolverCapError, match="exceeds the cap of 4"):
-        construct_certificate(Instance(ACCEPT_A), 8, atlas)  # default cap is 4
+def test_default_arguments_solve_the_fixture(atlas):
+    # no limit on |A|: the 16-member fixture solves with every default
+    assert construct_certificate(Instance(ACCEPT_A), 8, atlas).found
 
 
 def test_growth_probe_counts(atlas):
@@ -114,5 +112,5 @@ def test_the_problem_is_decided_by_structure_alone(atlas, values):
         extracted = True
     except NotATuringMachine:
         extracted = False
-    found = construct_certificate(inst, 16, atlas, cap=inst.size).found
+    found = construct_certificate(inst, 16, atlas).found
     assert accepted == extracted == found
