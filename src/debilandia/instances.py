@@ -16,14 +16,11 @@ Each pair (a, b) places the lattice point x=a, y=b. For a valid certificate
 len(L) = 3T + E + 2 where T is the pair count, while the verifier's input
 measure is N = P + E + T + 4 = 3T + E + 4, 2 more by construction. The
 verifier is the one reader of this grammar (group_tuples, check_coverage and
-scan_tail in turn); build_candidate is the one writer. group_tuples hands
-the pair section on as its two member columns (`grid.Pairs`) and builds no
-pair tuple; a section in build_candidate's order is proven A x A by
-comparing its columns with that order and comes back as `grid.SquarePoints`.
-load_instance_file cuts a run of fours in the layout json.dumps writes out
-of the file text and returns a `Certificate`: the items before the run, E
-as a count and the marker. Each reader reads only its part, so reading a
-file in that layout costs the text plus O(T), whatever E.
+scan_tail in turn); build_candidate is the one writer. load_instance_file
+reads a file in the layouts json.dumps writes as a `Certificate`: E as a
+count, and a pair section in build_candidate's order, proven on the file
+text, as `grid.SquarePoints(A)`, so it parses only the bytes around them.
+Any other pair section is read as two member columns (`grid.Pairs`).
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .grid import Pairs, SquarePoints
-from .tiles import read_json, read_text
+from .tiles import read_json
 
 MARKER_START = 2
 MARKER_SEP = 7
@@ -93,16 +90,19 @@ class Instance:
         return len(self.a_values)
 
 
-def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[Pairs | SquarePoints, int, int]:
+def group_tuples(
+    inst: Instance, items: Sequence[int] | SquarePoints, start: int
+) -> tuple[Pairs | SquarePoints, int, int]:
     """Read ``a b 7 a b 7 ... a b 5`` from items[start:].
 
     Returns (pairs, index one past the 5, tokens touched); every coordinate
     of the pairs is a member of A. Raises RejectedCertificate for shape
-    violations; pair coverage is not checked here, but pairs equal to
-    build_candidate's come back as `SquarePoints(A)`. A well-formed section
-    is checked with list and set operations; the token walk runs only to
-    locate a reject.
+    violations; pair coverage is not checked here. A section proven on the
+    file text (`SquarePoints`) is handed on in O(1). A list is checked with
+    list and set operations; the token walk runs only to locate a reject.
     """
+    if isinstance(items, SquarePoints):
+        return items, start + 3 * len(items), 3 * len(items)
     members = set(inst.a_values)
     try:
         end = items.index(MARKER_END_TUPLES, start)
@@ -110,26 +110,9 @@ def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[Pair
         end = None
     if end is not None and (end == start or (end - start) % 3 == 2):
         xs, ys, seps = items[start:end:3], items[start + 1 : end : 3], items[start + 2 : end : 3]
-        if seps.count(MARKER_SEP) == len(seps):
-            if _in_candidate_order(inst.a_values, xs, ys):
-                return SquarePoints(inst.a_values), end + 1, end + 1 - start
-            if members.issuperset(xs) and members.issuperset(ys):
-                return Pairs(xs, ys), end + 1, end + 1 - start
+        if seps.count(MARKER_SEP) == len(seps) and members.issuperset(xs) and members.issuperset(ys):
+            return Pairs(xs, ys), end + 1, end + 1 - start
     _raise_pair_reject(members, items, start)
-
-
-def _in_candidate_order(values: tuple[int, ...], xs: list[int], ys: list[int]) -> bool:
-    """Whether the columns are A x A in build_candidate's order.
-
-    That is, xs is each a of A repeated |A| times and ys is A repeated |A|
-    times; being equal to them proves the pairs members, distinct and
-    complete. Compared |A| items at a time, so no T-sized list is built.
-    """
-    n = len(values)
-    row = list(values)
-    return len(xs) == n * n and all(
-        xs[i : i + n].count(x) == n and ys[i : i + n] == row for i, x in zip(range(0, n * n, n), values)
-    )
 
 
 def _raise_pair_reject(members: set[int], items: Sequence[int], start: int) -> NoReturn:
@@ -159,9 +142,8 @@ def check_coverage(inst: Instance, pairs: Pairs | SquarePoints, end_pos: int) ->
     enumerate A x A exactly when there are |A|^2 of them. Pair (x, y) is
     coded as the one int x * (max A + 1) + y, distinct for distinct pairs of
     members, so no pair tuple and no A x A set is built. The pairs are walked
-    only to locate a repeat. `SquarePoints`, which group_tuples returns for
-    A x A in canonical order, is distinct and complete already and builds no
-    codes.
+    only to locate a repeat. `SquarePoints`, a section proven A x A on the
+    file text, is distinct and complete already: T comes back in O(1).
     """
     if isinstance(pairs, SquarePoints):
         return len(pairs)
@@ -189,7 +171,7 @@ def scan_tail(items: Sequence[int], start: int) -> tuple[int, int, int]:
     it at the latest. A list's run is counted a fixed-size slice at a time.
     """
     if isinstance(items, Certificate):
-        if start == len(items.prefix):
+        if start == len(items) - items.gens - 1:
             return items.gens, items.marker, items.gens
         items = items.prefix
     i = start
@@ -234,70 +216,73 @@ class Certificate:
     """The certificate list prefix + [4] * E + [marker], its run held as E.
 
     prefix ends in the whole 5 token that the run follows, so the pair
-    section and any reject in it lie in prefix. len() is the list's length.
+    section and any reject in it lie in prefix; or it is `SquarePoints(A)`,
+    proven on the file text to be ``2 <build_candidate's pairs> 5``. len()
+    is the list's length.
     """
 
     __slots__ = ("prefix", "gens", "marker")
 
-    def __init__(self, prefix: list[int], gens: int, marker: int) -> None:
+    def __init__(self, prefix: list[int] | SquarePoints, gens: int, marker: int) -> None:
         self.prefix = prefix
         self.gens = gens
         self.marker = marker
 
     def __len__(self) -> int:
-        return len(self.prefix) + self.gens + 1
+        tokens = 3 * len(self.prefix) + 1 if isinstance(self.prefix, SquarePoints) else len(self.prefix)
+        return tokens + self.gens + 1
 
 
-_JSON_WS = " \t\n\r"
+_JSON_WS = b" \t\n\r"
 
 
-def _before_ws(text: str, end: int) -> int:
-    """end moved back over the JSON whitespace that ends text[:end]."""
-    while end and text[end - 1] in _JSON_WS:
+def _before_ws(data: bytes, end: int) -> int:
+    """end moved back over the JSON whitespace that ends data[:end]."""
+    while end and data[end - 1] in _JSON_WS:
         end -= 1
     return end
 
 
-def _cut_run(text: str) -> tuple[str, int] | None:
-    """text with its last array's run of fours cut out, and the run's length.
+def _cut_run(data: bytes) -> tuple[int, int, int, int] | None:
+    """Where the last array of the file bytes opens, and its 5, run and marker start.
 
-    Only for text that ends ``5 SEP (4 SEP)*E marker ] }`` with optional
+    Only for bytes that end ``5 SEP (4 SEP)*E marker ] }`` with optional
     JSON whitespace around the brackets, where SEP is a comma and any
     whitespace, the same throughout, and no quote or brace stands between
-    the array's opening bracket and the 5. One str.count of ``4 SEP`` whose
-    matches fill the run exactly proves it, so no E-sized string or list is
-    built. Returns None for any other text.
+    the array's opening bracket and the 5. The run is walked back from the
+    marker about 4 KB at a time, then one ``4 SEP`` at a time, so no
+    E-sized string or list is built. Returns None for any other bytes.
     """
-    close = _before_ws(text, len(text))
-    if not text.endswith("}", 0, close):
+    close = _before_ws(data, len(data))
+    if not data.endswith(b"}", 0, close):
         return None
-    close = _before_ws(text, close - 1)
-    if not text.endswith("]", 0, close):
+    close = _before_ws(data, close - 1)
+    if not data.endswith(b"]", 0, close):
         return None
-    marker_end = _before_ws(text, close - 1)
+    marker_end = _before_ws(data, close - 1)
     marker_at = marker_end - 2
-    if text[marker_at:marker_end] not in ("25", "43"):
+    if data[marker_at:marker_end] not in (b"25", b"43"):
         return None
-    comma = text.rfind(",", 0, marker_at)
-    sep = text[comma:marker_at]
+    comma = data.rfind(b",", 0, marker_at)
+    sep = data[comma:marker_at]
     if comma < 0 or sep[1:].strip(_JSON_WS):
         return None
-    unit = "4" + sep
-    five = text.rfind("5" + sep, 0, marker_at)
-    if five < 1 or text[five - 1] not in _JSON_WS + ",[":
+    unit = b"4" + sep
+    run_at = marker_at
+    for step in (unit * max(1, _SCAN_CHUNK // len(unit)), unit):
+        while data.endswith(step, 0, run_at):
+            run_at -= len(step)
+    five = run_at - len(unit)
+    if not data.endswith(b"5" + sep, 0, run_at) or five < 1 or data[five - 1] not in _JSON_WS + b",[":
         return None  # no whole 5 token before the run
-    run_at = five + len(unit)
-    gens, rest = divmod(marker_at - run_at, len(unit))
-    if rest or text.count(unit, run_at, marker_at) != gens:
+    bracket = data.rfind(b"[", 0, five)
+    if bracket < 0 or data.find(b'"', bracket, five) >= 0 or data.find(b"{", bracket, five) >= 0:
         return None
-    bracket = text.rfind("[", 0, five)
-    if bracket < 0 or text.find('"', bracket, five) >= 0 or text.find("{", bracket, five) >= 0:
-        return None
-    return text[:run_at] + text[marker_at:], gens
+    return bracket, five, run_at, marker_at
 
 
-def _parse_cut(text: str) -> dict | None:
-    """json.loads of a cut text, when "L" is its object's last key and comes once."""
+def _parse_cut(data: bytes) -> dict | None:
+    """json.loads of cut UTF-8 bytes, when "L" is its object's last key and comes once."""
     objects: list[list] = []
 
     def keep(pairs: list) -> dict:
@@ -305,25 +290,69 @@ def _parse_cut(text: str) -> dict | None:
         return dict(pairs)
 
     try:
-        obj = json.loads(text, object_pairs_hook=keep)
+        obj = json.loads(data.decode("utf-8"), object_pairs_hook=keep)
     except (ValueError, RecursionError):
         return None
     keys = [key for key, _ in objects[-1]]  # the top-level object closes last
     return obj if keys.count("L") == 1 and keys[-1] == "L" else None
 
 
+def _square_instance(data: bytes, bracket: int, five: int, run_at: int, marker_at: int) -> Instance | None:
+    """The file's instance when L is ``[ 2 SEP`` build_candidate's pairs ``5``,
+    the run and the marker; None otherwise.
+
+    Only the bytes outside the pairs and the run are parsed. The pairs are
+    compared with sorted A's text a row at a time, row a being ``a SEP b SEP
+    7 SEP`` for each b of A (no ``7 SEP`` after the last pair): text equal
+    to it holds exactly build_candidate's ints.
+    """
+    sep = data[five + 1 : run_at]
+    start = bracket + 1
+    while data[start] in _JSON_WS:
+        start += 1
+    if not data.startswith(b"2" + sep, start):
+        return None
+    start += 1 + len(sep)
+    obj = _parse_cut(data[:start] + data[five:run_at] + data[marker_at:])  # L parses as [2, 5, marker]
+    if obj is None or not isinstance(obj.get("A"), list):
+        return None
+    try:
+        inst = Instance(tuple(obj["A"]))
+    except ValueError:
+        return None
+    seven = b"7" + sep
+    tails = [b"%s%d%s%s" % (sep, b, sep, seven) for b in inst.a_values]
+    for a in inst.a_values:
+        head = b"%d" % a
+        row = head + head.join(tails)
+        if a == inst.a_values[-1]:
+            row = row[: -len(seven)]
+        if not data.startswith(row, start):
+            return None
+        start += len(row)
+    return inst if start == five else None
+
+
 def load_instance_file(path: str | Path) -> tuple[Instance, Sequence[int]]:
     """Read {"A": [...], "L": [...]}; malformed files raise ValueError.
 
     L comes back as a `Certificate` when its run of fours can be cut out of
-    the text (see _cut_run) and "L" is the file's last key, once; the whole
-    text is dropped then, and json.loads and the checks read the text
-    without the run. Any other file is read again by tiles.read_json and L
-    comes back as a list. Both hold the same items, which `verify` reads
-    alike, and raise the same errors.
+    the file bytes (see _cut_run) and "L" is the file's last key, once,
+    holding `SquarePoints(A)` or else the list parsed from the bytes without
+    the run. Any other file is read again by tiles.read_json and L comes
+    back as a list. All hold the same items, which `verify` reads alike, and
+    raise the same errors.
     """
-    cut = _cut_run(read_text(path))
-    obj = _parse_cut(cut[0]) if cut else None
+    data = Path(path).read_bytes()
+    cut = _cut_run(data)
+    obj = None
+    if cut:
+        five, run_at, marker_at = cut[1:]
+        gens = (marker_at - run_at) // (run_at - five)
+        inst = _square_instance(data, *cut)
+        if inst:
+            return inst, Certificate(SquarePoints(inst.a_values), gens, int(data[marker_at : marker_at + 2]))
+        obj = _parse_cut(data[:run_at] + data[marker_at:])
     if obj is None:
         cut = None
         obj = read_json(path)
@@ -337,5 +366,5 @@ def load_instance_file(path: str | Path) -> tuple[Instance, Sequence[int]]:
         raise ValueError("L must contain integers only")
     if cut:
         marker = items.pop()
-        items = Certificate(items, cut[1], marker)
+        items = Certificate(items, gens, marker)
     return Instance(tuple(values)), items

@@ -162,7 +162,7 @@ def verify(
 ) -> VerifierReport:
     """Check one certificate, a list or a `Certificate`; never raises for bad certificates."""
     ledger = CostLedger()
-    prefix = items.prefix if isinstance(items, Certificate) else items  # holds the first 5
+    prefix = items.prefix if isinstance(items, Certificate) else items  # holds the first 5, or is A x A
 
     def reject(reason: RejectReason, **extra) -> VerifierReport:
         report = VerifierReport(False, ledger, reason=reason, step=_REASON_STEP[reason], **extra)
@@ -170,7 +170,7 @@ def verify(
         return report
 
     ledger.c1 = 1
-    if not prefix or prefix[0] != 2:
+    if not isinstance(prefix, SquarePoints) and (not prefix or prefix[0] != 2):
         return reject(RejectReason.CONDITION_1)
 
     try:

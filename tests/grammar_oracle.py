@@ -8,7 +8,8 @@ versions against, reject reason and position included. This
 `group_tuples` returns a list of pair tuples and this `check_coverage`
 reads any sequence of pairs, members of A or not; the package's pass the
 pairs on as two columns (`grid.Pairs`) whose members `group_tuples`
-has already proven, or as `grid.SquarePoints` for build_candidate's order.
+has already proven, or as `grid.SquarePoints` for a section that
+`load_instance_file` proved A x A on the file text.
 
 `read_sections` runs the package's three in the verifier's order, for tests
 of reject positions that only make sense across the sections; its pairs
@@ -21,7 +22,7 @@ from itertools import product
 from typing import Sequence
 
 from debilandia import instances
-from debilandia.grid import Pairs, SquarePoints
+from debilandia.grid import Pairs
 from debilandia.instances import (
     MARKER_END_TUPLES,
     MARKER_GENERATION,
@@ -104,7 +105,7 @@ def scan_tail(items: Sequence[int], start: int) -> tuple[int, int, int]:
     return gens, marker, gens
 
 
-def read_sections(inst: Instance, items: Sequence[int]) -> tuple[Pairs | SquarePoints, int, int]:
+def read_sections(inst: Instance, items: Sequence[int]) -> tuple[Pairs, int, int]:
     """The pairs, E and the marker of items[1:], read as the verifier reads them.
 
     Raises RejectedCertificate at the first violation. The opening 2 and

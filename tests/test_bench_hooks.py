@@ -9,6 +9,7 @@ benchmark uses cannot disappear unnoticed.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,8 +19,8 @@ import pytest
 from corpus import ACCEPT_A, BOUNCE, ZERO_RUNNER, spec_with
 from debilandia.embedding import compile_direct
 from debilandia.engine import RunStatus
-from debilandia.grid import recognize
-from debilandia.instances import Instance, build_candidate
+from debilandia.grid import SquarePoints, recognize
+from debilandia.instances import Instance, build_candidate, instance_to_json_obj, load_instance_file
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS_PATH = PERFBENCH / "spans.py"
@@ -68,19 +69,27 @@ def test_run_calls_engine_step_once_per_generation_attempt(spans, atlas, rules, 
         (ACCEPT_A, 5000, "accept"),  # the four run spans more than one of scan_tail's slices
     ],
 )
-def test_verify_ledger_matches_traced_spans(spans, atlas, a_values, gens, verdict):
+def test_verify_ledger_matches_traced_spans(spans, atlas, tmp_path, a_values, gens, verdict):
     # the traced benchmark checks c2_3, c4 and E against the spans of the
-    # grammar and recognition calls; inlining one of them breaks this
-    lib, tracer = traced_package(spans)
+    # grammar and recognition calls; inlining one of them breaks this. It is
+    # checked for the list and for the Certificate its file loads as, whose
+    # pair section is proven on the text and never walked.
     inst = Instance(a_values)
-    with tracer.installed():
-        report = lib.verifier.verify(inst, build_candidate(inst, gens, 25), atlas).to_json_obj()
-    assert report["verdict"] == verdict
-    counts = spans.op_counts(tracer.spans)
-    probes = 4 if counts["extract_failed"] else counts["probes"]  # c4 charges 4 when extraction fails
-    assert counts["pair_tokens"] == report["counters"]["c2_3"]
-    assert counts["recognized"] == report["counters"]["c4"] - probes
-    assert counts["fours"] == report["E"] == gens
+    items = build_candidate(inst, gens, 25)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_json_obj(inst, items)))
+    _, loaded = load_instance_file(path)
+    assert type(loaded.prefix) is SquarePoints
+    for certificate in (items, loaded):
+        lib, tracer = traced_package(spans)
+        with tracer.installed():
+            report = lib.verifier.verify(inst, certificate, atlas).to_json_obj()
+        assert report["verdict"] == verdict
+        counts = spans.op_counts(tracer.spans)
+        probes = 4 if counts["extract_failed"] else counts["probes"]  # c4 charges 4 when extraction fails
+        assert counts["pair_tokens"] == report["counters"]["c2_3"]
+        assert counts["recognized"] == report["counters"]["c4"] - probes
+        assert counts["fours"] == report["E"] == gens
 
 
 @pytest.fixture(scope="module")

@@ -1,17 +1,20 @@
 """Differential tests: the certificate grammar against the per-token oracle.
 
 The package reads the pair section, coverage and the four run with list and
-set operations and walks tokens only to locate a reject. It hands the pairs
-on as two member columns (`grid.Pairs`), or as `grid.SquarePoints` for
-build_candidate's order, where `grammar_oracle` keeps the token-by-token
-versions and a list of pair tuples. Both must return the
+set operations and walks tokens only to locate a reject. It hands a list's
+pairs on as two member columns (`grid.Pairs`), where `grammar_oracle` keeps
+the token-by-token versions and a list of pair tuples. Both must return the
 same values (the columns read out as pairs) and reject with the same reason
 at the same position, and `verify` must write the same report with either,
-for pairs in any order.
+for pairs in any order, and for a file whose section `load_instance_file`
+proved A x A on its text (`grid.SquarePoints`).
 """
 
+import json
+import tempfile
 from collections import namedtuple
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import grammar_oracle
@@ -31,6 +34,8 @@ from debilandia.instances import (
     build_candidate,
     check_coverage,
     group_tuples,
+    instance_to_json_obj,
+    load_instance_file,
     scan_tail,
 )
 
@@ -97,9 +102,6 @@ def test_group_tuples_returns_member_columns_or_the_oracles_reject(a_values, dat
         pairs, _, _ = group_tuples(inst, items, start)
     except RejectedCertificate as exc:
         assert ("reject", exc.reason, exc.position) == outcome(grammar_oracle.group_tuples, inst, items, start)
-        return
-    if type(pairs) is SquarePoints:
-        assert pairs.values == inst.a_values
         return
     assert type(pairs) is Pairs
     assert type(pairs.xs) is list and type(pairs.ys) is list and len(pairs.xs) == len(pairs.ys)
@@ -253,15 +255,25 @@ def with_pairs(items: list[int], pairs: list[list[int]]) -> list[int]:
 @settings(max_examples=200, deadline=None)
 @given(a_values=A_VALUES, gens=st.integers(0, 3), marker=st.sampled_from([25, 43]), data=st.data())
 def test_canonical_and_permuted_sections_give_the_same_report(atlas, a_values, gens, marker, data):
-    # build_candidate's order is matched by comparing the columns; any other order takes the general path
+    # a list takes the general path in any order; a file in build_candidate's order is
+    # proven A x A on its text and loads as SquarePoints, which group_tuples hands on
     inst = Instance(a_values)
     items = build_candidate(inst, gens, marker)
     canonical = [items[1 + 3 * k : 3 + 3 * k] for k in range(inst.size**2)]
     permuted = data.draw(st.permutations(canonical))
     other = with_pairs(items, permuted)
-    assert type(group_tuples(inst, items, 1)[0]) is SquarePoints
-    assert type(group_tuples(inst, other, 1)[0]) is (SquarePoints if permuted == canonical else Pairs)
-    assert verifier.verify(inst, items, atlas).to_json_obj() == verifier.verify(inst, other, atlas).to_json_obj()
+    assert type(group_tuples(inst, items, 1)[0]) is Pairs
+    assert type(group_tuples(inst, other, 1)[0]) is Pairs
+    report = verifier.verify(inst, items, atlas).to_json_obj()
+    assert verifier.verify(inst, other, atlas).to_json_obj() == report
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        for listed, held in ((items, SquarePoints), (other, SquarePoints if permuted == canonical else list)):
+            path.write_text(json.dumps(instance_to_json_obj(inst, listed)))
+            _, loaded = load_instance_file(path)
+            assert type(loaded.prefix) is held
+            assert type(group_tuples(inst, loaded.prefix, 1)[0]) is (Pairs if held is list else SquarePoints)
+            assert verifier.verify(inst, loaded, atlas).to_json_obj() == report
 
 
 @settings(max_examples=300, deadline=None)

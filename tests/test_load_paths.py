@@ -1,18 +1,21 @@
-"""Differential tests: the two ways `load_instance_file` reads an instance file.
+"""Differential tests: the ways `load_instance_file` reads an instance file.
 
 A file whose list L ends in the layout `json.dumps` writes (`5, 4, 4, 25]}`,
 any one comma-and-whitespace separator throughout) has its run of fours cut
-out of the text and comes back as a `Certificate` holding E as a count. Any
-other file is parsed whole by `tiles.read_json`. `verify` through the CLI
-must print, exit and write the same with either path, for files written in
-both layouts and then mutated in and around the run, and `verify` and
-`scan_tail` must read a `Certificate` as the list it stands for.
+out of the text and comes back as a `Certificate` holding E as a count; its
+pair section, when it is `build_candidate`'s, is proven on the text and held
+as `SquarePoints(A)`. Any other file is parsed whole by `tiles.read_json`.
+`verify` through the CLI must print, exit and write the same on every path,
+for files written in both layouts and then mutated in and around the run or
+the section, and `verify` and `scan_tail` must read a `Certificate` as the
+list it stands for.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 from corpus import ACCEPT_A
 from debilandia import instances
 from debilandia.cli import _write_json, main
+from debilandia.grid import SquarePoints
 from debilandia.instances import (
     RESERVED,
     Certificate,
@@ -44,9 +48,12 @@ SEPARATORS = {"dumps": ", ", "write_json": ",\n    "}  # between the items of L
 
 def expanded(items) -> list[int]:
     """The list a `Certificate` stands for; a list as it is."""
-    if type(items) is Certificate:
-        return items.prefix + [4] * items.gens + [items.marker]
-    return items
+    if type(items) is not Certificate:
+        return items
+    prefix = items.prefix
+    if type(prefix) is SquarePoints:
+        prefix = [2] + [v for pair in prefix for v in (*pair, 7)][:-1] + [5]
+    return prefix + [4] * items.gens + [items.marker]
 
 
 def write_layout(path: Path, obj: dict, layout: str) -> None:
@@ -159,10 +166,13 @@ def test_canonical_layouts_hold_the_run_as_a_count(tmp_path, layout, gens):
     inst = Instance(ACCEPT_A)
     items = build_candidate(inst, gens, 25)
     path = tmp_path / "instance.json"
-    write_layout(path, instance_to_json_obj(inst, items), layout)
+    obj = instance_to_json_obj(inst, items)
+    obj["A"].reverse()  # the section is proven against A sorted, whatever the file's order
+    write_layout(path, obj, layout)
     loaded_inst, loaded = load_instance_file(path)
     assert loaded_inst == inst
     assert type(loaded) is Certificate
+    assert type(loaded.prefix) is SquarePoints and loaded.prefix.values == inst.a_values
     assert (loaded.gens, loaded.marker) == (gens, 25)
     assert len(loaded) == 3 * inst.size**2 + gens + 2
     assert expanded(loaded) == items
@@ -215,12 +225,23 @@ def test_only_a_last_L_in_one_layout_is_cut(tmp_path, write, cut):
     ],
 )
 def test_cut_run_refuses_text_outside_its_layout(tail):
-    assert instances._cut_run('{"A": [1], "L": ' + tail) is None
+    assert instances._cut_run(('{"A": [1], "L": ' + tail).encode()) is None
+
+
+def cut_pieces(text: bytes) -> tuple[bytes, ...]:
+    """text split where _cut_run finds L's bracket, its 5, the run and the marker."""
+    bracket, five, run_at, marker_at = instances._cut_run(text)
+    return text[: bracket + 1], text[bracket + 1 : five], text[five:run_at], text[run_at:marker_at], text[marker_at:]
 
 
 def test_cut_run_cuts_the_run_only():
-    assert instances._cut_run('{"A": [1], "L": [2, 5, 4, 4, 25] } ') == ('{"A": [1], "L": [2, 5, 25] } ', 2)
-    assert instances._cut_run('{"A": [1], "L": [2, 5,\n 43]}') == ('{"A": [1], "L": [2, 5,\n 43]}', 0)
+    text = b'{"A": [1], "L": [2, 5, 4, 4, 25] } '
+    assert cut_pieces(text) == (b'{"A": [1], "L": [', b"2, ", b"5, ", b"4, 4, ", b"25] } ")
+    text = b'{"A": [1], "L": [2, 5,\n 43]}'
+    assert cut_pieces(text) == (b'{"A": [1], "L": [', b"2, ", b"5,\n ", b"", b"43]}")
+    unit = b"4,\t"  # a run longer than one of the walk's blocks, and not a whole number of them
+    text = b'{"A": [1], "L": [2, 5,\t' + unit * 5000 + b"25]}"
+    assert cut_pieces(text)[3] == unit * 5000
 
 
 def outcome(fn, *args):
@@ -260,3 +281,111 @@ def test_a_certificate_reads_as_its_list(atlas, a_values, gens, marker, data):
     for start in range(len(prefix) + 1):
         assert outcome(scan_tail, held, start) == outcome(scan_tail, items, start)
     assert verify(inst, held, atlas).to_json_obj() == verify(inst, items, atlas).to_json_obj()
+
+
+def run_verify_unproven(path: Path, report: Path) -> tuple:
+    """run_verify with the pair section never proven on the text."""
+    with mock.patch.object(instances, "_square_instance", return_value=None):
+        return run_verify(path, report)
+
+
+SECTION_EDITS = [
+    "canonical",
+    "digit",
+    "swap",
+    "seven-to-five",
+    "separator",
+    "ws-after-bracket",
+    "leading-two",
+    "leading-zero",
+    "A-shuffled",
+    "A-added",
+    "A-removed",
+    "one-member",
+    "no-fours",
+]
+
+
+def section_text(data, edit: str, a_values: tuple, gens: int, marker: int, layout: str) -> str:
+    """A certificate file in layout, with one edit of the given kind in or around its pair section."""
+    inst = Instance(a_values[:1] if edit == "one-member" else a_values)
+    items = build_candidate(inst, 0 if edit == "no-fours" else gens, marker)
+    pairs = inst.size**2
+    if edit == "swap" and pairs > 1:
+        i, j = sorted(data.draw(st.lists(st.integers(0, pairs - 1), min_size=2, max_size=2, unique=True)))
+        first, second = slice(1 + 3 * i, 3 + 3 * i), slice(1 + 3 * j, 3 + 3 * j)
+        items[first], items[second] = items[second], items[first]
+    if edit == "seven-to-five" and pairs > 1:
+        items[3 + 3 * data.draw(st.integers(0, pairs - 2))] = 5
+    members = list(inst.a_values)
+    if edit == "A-added":
+        members.append(data.draw(st.sampled_from([v for v in POOL if v not in members])))
+    if edit == "A-removed":
+        members.remove(data.draw(st.sampled_from(members)))
+    if edit in ("A-shuffled", "A-added"):
+        members = data.draw(st.permutations(members))
+    obj = {"A": members, "L": items}
+    text = json.dumps(obj) if layout == "dumps" else json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    sep = SEPARATORS[layout]
+    open_at = text.rindex("[") + 1  # L is the last key and holds no nested array
+    two = text.index("2", open_at)
+    section, five = two + 1 + len(sep), text.rindex("5" + sep)  # the run holds no 5
+    tokens = [section] + [at + len(sep) for at in range(section, five) if text.startswith(sep, at)]
+    if edit == "digit":
+        at = data.draw(st.sampled_from([at for at in range(section, five) if text[at].isdigit()]))
+        digit = data.draw(st.sampled_from([d for d in "0123456789" if d != text[at]]))
+        return text[:at] + digit + text[at + 1 :]
+    if edit == "separator" and len(tokens) > 1:
+        at = data.draw(st.sampled_from(tokens[1:])) - len(sep)
+        other = data.draw(st.sampled_from([other for other in SEPARATOR_EDITS if other != sep]))
+        return text[:at] + other + text[at + len(sep) :]
+    if edit == "ws-after-bracket":
+        return text[:open_at] + data.draw(st.sampled_from(["", " ", "\n  ", "\r\n", "\t"])) + text[two:]
+    if edit == "leading-two":
+        return text[:two] + data.draw(st.sampled_from(["2.0", "3", "02", "-2", "20"])) + text[two + 1 :]
+    if edit == "leading-zero":
+        at = data.draw(st.sampled_from(tokens[:-1]))  # the last token start is the 5
+        return text[:at] + "0" + text[at:]
+    return text
+
+
+@pytest.mark.parametrize("edit", SECTION_EDITS)
+@settings(max_examples=20, deadline=None)
+@given(
+    a_values=A_VALUES,
+    gens=st.integers(0, 5),
+    marker=st.sampled_from([25, 43]),
+    layout=st.sampled_from(LAYOUTS),
+    data=st.data(),
+)
+def test_verify_is_the_same_with_the_section_proven_or_parsed(edit, a_values, gens, marker, layout, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = Path(tmp) / "instance.json", Path(tmp) / "report.json"
+        path.write_text(section_text(data, edit, a_values, gens, marker, layout))
+        assert run_verify(path, report) == run_verify_unproven(path, report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a_values=A_VALUES, gens=GENS, marker=st.sampled_from([25, 43]))
+def test_a_proven_section_reads_as_its_list(atlas, a_values, gens, marker):
+    inst = Instance(a_values)
+    held = Certificate(SquarePoints(inst.a_values), gens, marker)
+    items = build_candidate(inst, gens, marker)
+    assert len(held) == len(items) and expanded(held) == items
+    assert verify(inst, held, atlas).to_json_obj() == verify(inst, items, atlas).to_json_obj()
+
+
+def test_loading_a_canonical_skeleton_peaks_under_twice_the_file(tmp_path):
+    # the file's bytes are held once; only the bytes outside the section and the run are parsed
+    inst = Instance(tuple(range(100, 1300, 10)))
+    path = tmp_path / "skeleton.json"
+    path.write_text(json.dumps(instance_to_json_obj(inst, build_candidate(inst, 1500, 43))))
+    load_instance_file(path)  # warm up
+    tracemalloc.start()
+    try:
+        _, loaded = load_instance_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.size == 120 and type(loaded.prefix) is SquarePoints
+    assert peak < 2 * path.stat().st_size
