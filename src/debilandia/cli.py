@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import astuple
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -39,17 +40,21 @@ ENV_ATLAS = "DEBILANDIA_ATLAS"
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    """Write text to path through a temporary file beside it; an OSError names path, not that file."""
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        # mkstemp makes the file 0600; give it the mode a plain open would
-        os.umask(umask := os.umask(0))
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            # mkstemp makes the file 0600; give it the mode a plain open would
+            os.umask(umask := os.umask(0))
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -185,21 +190,8 @@ def _cmd_bench(args) -> int:
     rows = growth_probe(sizes, args.trials, atlas, max_gens=args.max_gens, seed=args.seed)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["m", "trial", "cells_placed", "factorial_sq_claim", "generations", "cells_scanned", "found"]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                row.size_m,
-                row.trial,
-                row.cells_placed,
-                row.factorial_sq_claim,
-                row.generations,
-                row.cells_scanned,
-                int(row.found),
-            ]
-        )
+    writer.writerow(["m", "trial", "cells_placed", "factorial_sq_claim", "generations", "cells_scanned", "found"])
+    writer.writerows([*astuple(row)[:-1], int(row.found)] for row in rows)
     _atomic_write(Path(args.csv), buffer.getvalue())
     print(f"wrote {len(rows)} rows to {args.csv}")
     return 0

@@ -169,7 +169,7 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     if not board.first:
         raise NotATuringMachine(ExtractFailure.NO_PACKETS)
     firsts = sorted(board.first.items(), key=lambda entry: entry[1][0])  # scan order: ascending row
-    rules = [Rule(r1, r2, r3.bit, r4.bit, 1 - r5.bit) for (r1, r2), (_, r3, r4, r5) in firsts]
+    rules = [Rule(r1, r2, r3.bit, r4.bit, 1 - r5.bit) for (r1, r2), (_, r3, r4, r5, *_) in firsts]
 
     tape = "".join(str(tape_row[c].bit) for c in tape_cols)
     return (

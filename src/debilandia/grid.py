@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, classify_cell
 
-_KIND_INDEX = {kind: i for i, kind in enumerate(TileKind)}
+_TIP = TileKind.TIP  # a module global: reading a member off its Enum class costs several times more
 _MASK64 = (1 << 64) - 1
 _EMPTY_HASH = 0x9E3779B97F4A7C15
 
@@ -41,8 +41,8 @@ class GameState:
     @classmethod
     def of_board(cls, board, anchor: Point, junk_cells: int) -> "GameState":
         """A state held as an engine board; board.tiles() builds its mapping."""
-        state = cls(None, anchor, junk_cells)
-        state.board = board
+        state = object.__new__(cls)  # one per generation: skipping __init__ saves a call
+        state._tiles, state.anchor, state.junk_cells, state.board = None, anchor, junk_cells, board
         return state
 
     @property
@@ -62,7 +62,7 @@ class GameState:
     def tip_cells(self) -> list[CellAddr]:
         if self.board is not None and self.board.tip is not None:
             return [self.board.tip]
-        return sorted(c for c, k in self.tiles.items() if k is TileKind.TIP)
+        return sorted(c for c, k in self.tiles.items() if k is _TIP)
 
 
 class SquarePoints:
@@ -220,17 +220,19 @@ def state_hash(state: GameState) -> int:
     tiles lie 2**20 cells apart can share a digest. Cycle detection keys on
     the engine's position key instead, which is exact.
     """
-    if not state.tiles:
+    tiles = state.tiles
+    if not tiles:
         return _EMPTY_HASH
-    min_col = min(c for c, _ in state.tiles)
-    min_row = min(r for _, r in state.tiles)
+    min_col = min(tiles)[0]
+    min_row = min(r for _, r in tiles)
     ox = state.anchor[0] + CELL * min_col
     oy = state.anchor[1] + CELL * min_row
-    acc = _mix(_mix(ox) ^ _mix(oy ^ 0xA5A5A5A5) ^ len(state.tiles))
-    for (col, row), kind in state.tiles.items():
-        acc ^= _mix(
-            ((col - min_col) & 0xFFFFF) << 28
-            | ((row - min_row) & 0xFFFFF) << 8
-            | _KIND_INDEX[kind]
-        )
-    return acc & _MASK64
+    acc = _mix(_mix(ox) ^ _mix(oy ^ 0xA5A5A5A5) ^ len(tiles))
+    mask = _MASK64
+    for (col, row), kind in tiles.items():
+        # _mix of the tile's term, inlined (the term is under 2**48); code - 1 is the kind's index
+        x = ((col - min_col) & 0xFFFFF) << 28 | ((row - min_row) & 0xFFFFF) << 8 | kind.code - 1
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        acc ^= x ^ (x >> 31)
+    return acc & mask

@@ -43,6 +43,9 @@ class TileKind(Enum):
     Each member derives its facts from its value, "<family>_<bit>" or "tip":
     family (identity with the constant stripped), bit (None for the tip),
     slot (packet slot 1..5 for rule tiles, None otherwise) and tile_type.
+    code (1..13, the member's place in this list) stands for the kind in keys
+    and digests, where hashing the member would run Enum.__hash__ in Python;
+    as codes are at most 15, a key packs one in four bits, 0 for no tile.
     """
 
     TIP = "tip"
@@ -65,6 +68,7 @@ class TileKind(Enum):
         self.bit: int | None = int(bit) if family else None
         self.slot: int | None = SLOT_FAMILIES.index(family) + 1 if family in SLOT_FAMILIES else None
         self.tile_type: TileType = TileType.RULE if self.slot else TileType(self.family)
+        self.code: int = len(type(self)._member_names_) + 1
 
 
 _KIND_FOR = {(k.family, k.bit): k for k in TileKind}
@@ -161,26 +165,16 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+# A pattern string is 16 chars, row-major, top row (dy = 3) first: char i
+# is the point (dx, dy) = (i % 4, 3 - i // 4).
 def _mask_to_string(mask: int) -> str:
-    # 16 chars, row-major, top row (dy = 3) first
-    chars = []
-    for row_from_top in range(CELL):
-        dy = CELL - 1 - row_from_top
-        for dx in range(CELL):
-            chars.append("1" if mask >> (dy * CELL + dx) & 1 else "0")
-    return "".join(chars)
+    return "".join(str(mask >> ((CELL - 1 - i // CELL) * CELL + i % CELL) & 1) for i in range(CELL * CELL))
 
 
 def _string_to_mask(text: str) -> int:
     if not isinstance(text, str) or len(text) != 16 or set(text) - {"0", "1"}:
         raise AtlasError(f"pattern string must be 16 chars of 0/1, got {text!r}")
-    mask = 0
-    for i, ch in enumerate(text):
-        if ch == "1":
-            dy = CELL - 1 - i // CELL
-            dx = i % CELL
-            mask |= 1 << (dy * CELL + dx)
-    return mask
+    return sum(1 << ((CELL - 1 - i // CELL) * CELL + i % CELL) for i, ch in enumerate(text) if ch == "1")
 
 
 def atlas_default() -> TileAtlas:

@@ -247,6 +247,28 @@ def test_encode_refuses_an_out_path_its_text_form_would_overwrite(tmp_path, caps
     assert list(tmp_path.iterdir()) == []  # nothing written, not even a temporary file
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--points", "{points}", "--max-gens", "5", "--trace", "{out}"],
+        ["verify", "--instance", "{instance}", "--report", "{out}"],
+        ["encode", "--set-a", "1,3", "--e", "2", "--marker", "25", "--out", "{out}"],
+        ["solve", "--set-a", ",".join(map(str, ACCEPT_A)), "--out", "{out}"],
+        ["bench", "--sizes", "1", "--trials", "1", "--csv", "{out}"],
+    ],
+    ids=["simulate", "verify", "encode", "solve", "bench"],
+)
+def test_an_output_path_in_a_missing_directory_is_named(tmp_path, capsys, argv):
+    points, instance = tmp_path / "points.json", tmp_path / "inst.json"
+    write_points(points, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
+    write_instance(instance, ACCEPT_A, 1, 25)
+    out = tmp_path / "missing" / "out.json"
+    files = {"points": points, "instance": instance, "out": out}
+    assert main([arg.format(**files) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
 def test_solve_round_trips_through_verify(tmp_path, capsys):
     out = tmp_path / "cert.json"
     set_a = ",".join(str(v) for v in ACCEPT_A)

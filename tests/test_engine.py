@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -244,6 +245,28 @@ def test_step_is_deterministic():
     assert o1 == o2
     assert a1.tiles == a2.tiles
     assert state_hash(a1) == state_hash(a2)
+
+
+def test_step_outcomes_are_frozen_values():
+    # a fire returns the Fired its packet's index entry holds, made once;
+    # it must still be a value equal to a fresh one, and not be changeable
+    state = minimal_fire_state()
+    fired = [step(clone_state(state))[1] for _ in range(2)]
+    copied = step(state_of({(0, 0): TileKind.READ_1, (0, 1): TileKind.TIP}))[1]
+    for outcome, fresh in ((fired[0], Fired(2)), (fired[1], Fired(2)), (copied, RuleCopied(2, 1))):
+        assert outcome == fresh and hash(outcome) == hash(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(outcome, dataclasses.fields(outcome)[0].name, 7)
+    assert fired[0] == Fired(2)  # unchanged by the refused assignment
+
+
+def test_two_runs_of_one_board_give_equal_results(atlas):
+    # the second run reuses the board, its packet index and node table
+    for rules, tape in ((PING_PONG, "11"), (BOUNCE, "0001")):
+        state = recognize(compile_direct(spec_with(rules, tape), atlas), atlas)
+        first, second = run(state, 40), run(state, 40)
+        assert first == second
+        assert first == run(clone_state(state), 40)
 
 
 def test_termination_is_absorbing():

@@ -26,7 +26,7 @@ from corpus import (
     tip_context,
 )
 from debilandia.embedding import NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
-from debilandia.engine import RuleCopied, Terminated, position_key, run, step
+from debilandia.engine import Fired, RuleCopied, StopReason, Terminated, position_key, run, step
 from debilandia.grid import GameState, recognize
 from debilandia.tiles import TileKind, TileType, slot_tile
 from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmSpec
@@ -224,6 +224,53 @@ def test_row_board_matches_dict_engine_on_long_tapes(atlas, move, from_right_end
     assert_engines_agree(recognize(compile_direct(spec, atlas, pad=2), atlas), 320)
     if from_right_end:  # the universal layout loads four packets, then walks the payload
         assert_engines_agree(recognize(compile_universal(spec, tape, atlas), atlas), 340)
+
+
+def tip_over_tokens(tokens: list[TileKind], packets: dict[int, dict[int, TileKind]]) -> dict:
+    """A tip at (0, 0) over tokens, consumed from the tip leftwards, with packet rows above it.
+
+    The read slot holds READ_0 and the status cell STATUS_0; packets maps a
+    row to its tiles by column.
+    """
+    tiles = {(0, 0): TileKind.TIP, (0, 1): TileKind.READ_0, (0, 2): TileKind.STATUS_0}
+    tiles |= {(-i, -1): kind for i, kind in enumerate(tokens)}
+    for row, cells in packets.items():
+        tiles |= {(col, row): kind for col, kind in cells.items()}
+    return tiles
+
+
+def outcomes_of(state: GameState, max_gens: int) -> list:
+    outcomes = []
+    for _ in range(max_gens):
+        state, outcome = step(state)
+        outcomes.append(outcome)
+        if isinstance(outcome, Terminated):
+            break
+    return outcomes
+
+
+def test_copies_onto_stacked_rows_match_the_dict_engine():
+    # two unfinished packets: copies fill the higher one (it is on top of
+    # the stack), then the lower one, whose prefix the copy extends without
+    # reading the row; then the lower of the two finished packets fires
+    s0, w1, c0, m0 = TileKind.STATUS_0, TileKind.WRITE_1, TileKind.CHANGE_0, TileKind.MOVE_0
+    packets = {1: {1: TileKind.READ_0}, 2: {1: TileKind.READ_0, 2: s0}}
+    tokens = [w1, c0, m0, s0, w1, c0, m0, TileKind.TAPE_0, TileKind.TAPE_0]
+    state = GameState(tip_over_tokens(tokens, packets), (0, 0), 0)
+    copies = [RuleCopied(2, slot) for slot in (3, 4, 5)] + [RuleCopied(1, slot) for slot in (2, 3, 4, 5)]
+    assert outcomes_of(state, 9) == copies + [Fired(1), Fired(1)]
+    assert_engines_agree(state, 20)
+
+
+def test_a_copy_onto_a_fresh_row_holding_a_later_tile_matches_the_dict_engine():
+    # the row above the finished packet already holds a write tile in slot
+    # 3's column, so the copied read tile makes it a gapped, malformed row:
+    # it goes on no stack, and the next copy targets the same row again
+    packet = {i: slot_tile(i, 0) for i in range(1, 6)}
+    tokens = [TileKind.READ_1, TileKind.STATUS_1, TileKind.WRITE_1, TileKind.TAPE_1]
+    state = GameState(tip_over_tokens(tokens, {1: packet, 2: {3: TileKind.WRITE_0}}), (0, 0), 0)
+    assert outcomes_of(state, 5) == [RuleCopied(2, 1), Terminated(StopReason.MALFORMED_TIP_CONTEXT)]
+    assert_engines_agree(state, 10)
 
 
 @settings(max_examples=300, deadline=None)

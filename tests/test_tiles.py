@@ -43,6 +43,13 @@ def test_thirteen_kinds_with_expected_types():
     assert len(rules) == 10
 
 
+def test_kind_codes_are_distinct_and_fit_four_bits():
+    # position_key packs three codes into four bits each, with 0 for an empty cell
+    codes = [kind.code for kind in TileKind]
+    assert len(set(codes)) == len(codes)
+    assert all(isinstance(code, int) and 1 <= code <= 15 for code in codes)
+
+
 def test_slot_assignments():
     assert TileKind.READ_0.slot == TileKind.READ_1.slot == 1
     assert TileKind.STATUS_0.slot == TileKind.STATUS_1.slot == 2
