@@ -125,7 +125,7 @@ def _cmd_simulate(args) -> int:
         "generations": result.generations_run,
         "period": result.period,
         "first_index": result.first_index,
-        "tiles": len(result.final_state.tiles),
+        "tiles": result.final_state.tile_count(),
         "junk_cells": result.final_state.junk_cells,
         "final_hash": f"{state_hash(result.final_state):016x}",
     }

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .engine import board_of, packet_rows
+from .engine import packet_rows, shared_of
 from .grid import GameState, points_of
 from .tiles import (
     CellAddr,
@@ -139,25 +139,26 @@ def extract_tm(state: GameState) -> TmSpec:
 def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     """extract_tm plus the number of cell probes spent, for cost accounting.
 
-    Reads the engine's board, cached on the state so a run of it reuses it.
-    The rules are the board's first-match map in row order: exactly the first
-    complete packet per (R1, R2) in scan order.
+    Reads the engine's record of the state, made on the state so a run of
+    it reuses it. The rules are the record's first-match map in row order:
+    exactly the first complete packet per (R1, R2) in scan order.
     """
     probes = 0
-    board = board_of(state)
+    shared = shared_of(state)
     probes += 1
-    if board.tip is None:
+    if shared.tip is None:
         raise NotATuringMachine(ExtractFailure.NO_TIP)
-    tc, tr = board.tip
+    tc, tr = shared.tip
 
     probes += 2
-    read_slot, status = board.read, board.status
+    read_slot, status = state.read, state.status
     if read_slot is not None and read_slot.family != "read":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
     if status is None or status.family != "status":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
 
-    tape_row = board.row(tr - 1)
+    rows = state.rows()
+    tape_row = rows.get(tr - 1, {})
     tape_cols = sorted(col for col, k in tape_row.items() if k.tile_type is TileType.TAPE)
     probes += len(tape_cols) + 1
     if tc not in tape_cols:
@@ -165,11 +166,11 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     if tape_cols[-1] - tape_cols[0] + 1 != len(tape_cols):
         raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
 
-    probes += 5 * len(packet_rows(board.rows, board.tip)) + 1
-    if not board.first:
+    probes += 5 * len(packet_rows(rows, shared.tip)) + 1
+    if not shared.first:
         raise NotATuringMachine(ExtractFailure.NO_PACKETS)
-    firsts = sorted(board.first.items(), key=lambda entry: entry[1][0])  # scan order: ascending row
-    rules = [Rule(r1, r2, r3.bit, r4.bit, 1 - r5.bit) for (r1, r2), (_, r3, r4, r5, *_) in firsts]
+    entries = sorted(shared.first.values(), key=lambda entry: entry[0].packet_row)  # scan order: ascending row
+    rules = [Rule(r1.bit, r2.bit, r3.bit, r4.bit, 1 - r5.bit) for *_, (r1, r2, r3, r4, r5) in entries]
 
     tape = "".join(str(tape_row[c].bit) for c in tape_cols)
     return (

@@ -27,20 +27,23 @@ Shifting moves whole rows at once, one cell per generation, so tiles stay
 cell-aligned and same-row collisions cannot happen; a tape tile shifted onto
 a non-tape tile is a rules violation and terminates the game instead.
 
-The engine plays on a board (_Board), built once from a state's tiles and
-carried from each state to its successor: the row below the tip as a zipper
-(Huet, "The Zipper", 1997) of hash-consed stacks (Goto 1974; Filliatre and
-Conchon, "Type-safe modular hash-consing", 2006), the read-slot and status
-cells as fields, and an index of the packets above the tip. A fire changes
-only those three places and reads one index entry; a copy adds a packet tile
-that no step removes, so no state recurs across it. So run starts cycle
-detection afresh at every copy and keys a state on its tip context alone,
-exactly, and an untraced generation costs O(1) Python work at any tape
-length (see run for what a fire and a copy cost).
+A state the engine makes is one GameState. Its slots hold the tip context:
+the tile under the tip, the read-slot and status tiles, and the position
+key, whose first four fields are the row below the tip as a zipper (Huet,
+"The Zipper", 1997) of hash-consed stacks (Goto 1974; Filliatre and Conchon,
+"Type-safe modular hash-consing", 2006). The rest of the board is a _Shared
+record that a state shares with its successors up to the next copy: the rows
+as indexed, the cells copies wrote since, the packet index and the node
+table. A fire changes only the tip context and reads one index entry; a copy
+adds a packet tile that no step removes, so no state recurs across it. So
+run starts cycle detection afresh at every copy and keys a state on its tip
+context alone, exactly, and an untraced generation costs O(1) Python work at
+any tape length and any number of packets (see run).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -52,7 +55,8 @@ PACKET_WIDTH = 5
 
 # module globals: reading a member off its Enum class costs several times more
 _TAPE, _RULE = TileType.TAPE, TileType.RULE
-_READ = (read_tile(0), read_tile(1))
+# the packet index key part of the read tile a fire writes, by the code of the tape tile under the tip
+_READ_KEY = {tape_tile(bit).code: read_tile(bit).code << 4 for bit in (0, 1)}
 
 
 class StopReason(Enum):
@@ -143,106 +147,63 @@ def classify_packet(cells: list[TileKind | None]) -> list[TileKind] | None:
 
 def scan_packets(state: GameState, tip: CellAddr) -> list[tuple[int, list[TileKind]]]:
     """Complete packets above the tip in scan (bottom-up) order."""
-    rows = packet_rows(board_of(state).rows, tip)
+    rows = packet_rows(state.rows(), tip)
     return [(row, prefix) for row, prefix in rows if prefix is not None and len(prefix) == PACKET_WIDTH]
 
 
 _EMPTY_ROW: dict[int, TileKind] = {}
+_new = object.__new__  # a node or state made field by field skips a Python __init__ call
 
 
 class _Node:
     """One tile of a tape stack, linked to the tiles beyond it (away from the tip).
 
-    gap is the distance to the next tile, 0 at the bottom of the stack. Nodes
-    are made only by _node, so two stacks of the same tiles at the same gaps
+    gap is the distance to the next tile, 0 at the bottom of the stack. A
+    node is made only where it is interned in its board's node table under
+    (kind code, gap, next), so two stacks of the same tiles at the same gaps
     share their nodes.
     """
 
     __slots__ = ("kind", "gap", "next")
 
-    def __init__(self, kind: TileKind | None, gap: int, next: "_Node | None") -> None:
-        self.kind = kind
-        self.gap = gap
-        self.next = next
+
+_NIL = _new(_Node)  # the bottom of every stack: no tile
+_NIL.kind, _NIL.gap, _NIL.next = None, 0, None
 
 
-_NIL = _Node(None, 0, None)  # the bottom of every stack: no tile
+def _stacks(nodes: dict, cells: dict[int, TileKind], tc: int) -> list:
+    """The zipper of a row's tiles around column tc, [left top, left d, right top, right d], interned in nodes.
 
-
-def _node(nodes: dict, kind: TileKind, gap: int, next: _Node) -> _Node:
-    """The one node of this tile over next at distance gap, from the board family's table."""
-    key = (kind.code, gap, next)
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = _Node(kind, gap, next)
-    return node
-
-
-class _Tape:
-    """The row below the tip, as a zipper around the tip column tc.
-
-    head is the tile at tc, or None. left and right are the tops of the
-    persistent stacks of the tiles left and right of tc, nearest tile on
-    top, and ld and rd their distances from tc; an empty stack is _NIL at
-    distance 0. nontape counts the row's tiles that are not tape tiles.
+    Each stack is built from its far end; an empty stack is _NIL at distance 0.
     """
+    cols = sorted(cells)
+    stacks = []
+    for side, sign in ((cols[: bisect_left(cols, tc)], -1), (cols[bisect_right(cols, tc) :][::-1], 1)):
+        top, d = _NIL, 0
+        for col in side:
+            dist = (col - tc) * sign
+            kind = cells[col]
+            key = (kind.code, d and d - dist, top)
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = _new(_Node)
+                node.kind, node.gap, node.next = kind, key[1], top
+            top, d = node, dist
+        stacks += (top, d)
+    return stacks
 
-    __slots__ = ("head", "left", "ld", "right", "rd", "nontape")
 
-    def __init__(self, head: TileKind | None, left: _Node, ld: int, right: _Node, rd: int, nontape: int) -> None:
-        self.head = head
-        self.left = left
-        self.ld = ld
-        self.right = right
-        self.rd = rd
-        self.nontape = nontape
-
-    @classmethod
-    def of(cls, cells: dict[int, TileKind], tc: int, nodes: dict) -> "_Tape":
-        """The zipper of a row's tiles by absolute column, its nodes drawn from nodes."""
-        sides = []
-        for sign in (-1, 1):  # left, then right; each stack is built from its far end
-            top, d = _NIL, 0
-            for dist in sorted(((col - tc) * sign for col in cells if (col - tc) * sign > 0), reverse=True):
-                top, d = _node(nodes, cells[tc + sign * dist], d and d - dist, top), dist
-            sides += (top, d)
-        nontape = sum(kind.tile_type is not _TAPE for kind in cells.values())
-        return cls(cells.get(tc), *sides, nontape)
-
-    def cells(self, tc: int) -> dict[int, TileKind]:
-        """The row's tiles by absolute column; O(row)."""
-        cells = {} if self.head is None else {tc: self.head}
-        for top, col, sign in ((self.left, tc - self.ld, -1), (self.right, tc + self.rd, 1)):
-            while top is not _NIL:
-                cells[col] = top.kind
-                col += sign * top.gap
-                top = top.next
-        return cells
-
-    def fired(self, kind: TileKind, dx: int, nodes: dict) -> "_Tape":
-        """This row with kind written at the tip column, then all of it dx = +-1 cells over; O(1)."""
-        # the near stack slides towards the tip, kind goes on top of the far one
-        if dx == 1:
-            near, d, far, fd = self.left, self.ld, self.right, self.rd
-        else:
-            near, d, far, fd = self.right, self.rd, self.left, self.ld
-        if d == 1:
-            head, near, d = near.kind, near.next, near.gap
-        else:
-            head, d = None, d and d - 1
-        far = _node(nodes, kind, fd, far)
-        if dx == 1:
-            return _Tape(head, near, d, far, 1, self.nontape)
-        return _Tape(head, far, 1, near, d, self.nontape)
-
-    def consumed(self) -> "_Tape":
-        """This row with the tip column's rule tile gone and every tile left of it one cell right; O(1)."""
-        left, d = self.left, self.ld
-        if d == 1:
-            head, left, d = left.kind, left.next, left.gap
-        else:
-            head, d = None, d and d - 1
-        return _Tape(head, left, d, self.right, self.rd, self.nontape - 1)
+def _tape_cells(state: GameState) -> dict[int, TileKind]:
+    """The tape row's tiles by absolute column, off the state's zipper; O(row)."""
+    tc = state.shared.tip[0]
+    left, ld, right, rd, _ = state.key
+    cells = {} if state.head is None else {tc: state.head}
+    for top, col, sign in ((left, tc - ld, -1), (right, tc + rd, 1)):
+        while top is not _NIL:
+            cells[col] = top.kind
+            col += sign * top.gap
+            top = top.next
+    return cells
 
 
 def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
@@ -252,72 +213,77 @@ def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
     return None if stays.keys() & moved.keys() else stays | moved
 
 
-class _Board:
-    """A state's rows and packet index; never changed once built.
+@dataclass(slots=True, eq=False)
+class _Shared:
+    """The board off a state's tip context, shared by the states from one copy to the next.
 
-    rows maps a row to its tiles by absolute column; a successor shares every
-    row it does not change. tip is None unless the board has exactly one tip.
-    With one tip at (tc, tr), rows leaves out row tr - 1, held as the zipper
-    tape, and the read-slot and status cells (tc, tr + 1) and (tc, tr + 2),
-    held as read and status. stack holds the incomplete well-formed packet
-    rows as nested (row, prefix, rest) tuples, highest first; top is the
-    highest well-formed packet row; first maps (R1, R2) bits to the lowest
-    complete packet's (row, R3, R4, R5) and what firing it makes: Fired(row),
-    made once, the tape tile written, the status tile set and the shift dx.
-    nodes is the table every tape stack node of this board and its
-    successors comes from.
+    tip is the one tip, or None. rows maps a row to its tiles by column as
+    indexed, without the tape row tr - 1 and the cells (tc, tr + 1) and
+    (tc, tr + 2); no step changes it, and copied lists the cells copies wrote
+    since, newest first, as nested (row, col, kind, rest) tuples. stack holds
+    the incomplete well-formed packet rows as nested (row, prefix, rest)
+    tuples, highest first; top is the highest well-formed packet row; first
+    maps R1.code << 4 | R2.code to what firing the lowest complete packet with
+    them makes: (Fired(row), made once, the tape, read and status tiles set,
+    the shift dx, the low byte of the new key's code, the packet). nontape
+    counts the tape row's tiles that are not tape tiles, count the tiles off
+    the read slot. A copy makes the next record; all share the node table and
+    copies, the RuleCopied outcomes by row << 3 | slot.
     """
 
-    __slots__ = ("rows", "tape", "read", "status", "tip", "stack", "top", "first", "nodes")
+    tip: CellAddr | None
+    rows: dict[int, dict[int, TileKind]]
+    copied: tuple | None
+    stack: tuple | None
+    top: int | None
+    first: dict[int, tuple]
+    nontape: int
+    count: int
+    nodes: dict[tuple, _Node]
+    copies: dict[int, RuleCopied]
 
-    def __init__(self, rows, tape, read, status, tip, stack, top, first, nodes) -> None:
-        self.rows: dict[int, dict[int, TileKind]] = rows
-        self.tape: _Tape | None = tape
-        self.read: TileKind | None = read
-        self.status: TileKind | None = status
-        self.tip: CellAddr | None = tip
-        self.stack: tuple | None = stack
-        self.top: int | None = top
-        self.first: dict[tuple[int, int], tuple] = first
-        self.nodes: dict[tuple, _Node] = nodes
-
-    def row(self, r: int) -> dict[int, TileKind]:
-        """Row r's tiles by absolute column; O(row). Do not change it: it may be the board's own map."""
-        cells = self.rows.get(r, _EMPTY_ROW)
+    def rows_of(self, state: GameState) -> dict[int, dict[int, TileKind]]:
+        """The state's tiles by row, then column, sharing the maps of rows; O(rows + copies + row)."""
+        rows = dict(self.rows)
         if self.tip is None:
-            return cells
+            return rows
         tc, tr = self.tip
-        if r == tr - 1:
-            return self.tape.cells(tc)
-        cell = self.read if r == tr + 1 else self.status if r == tr + 2 else None
-        return cells if cell is None else {**cells, tc: cell}
+        laid = {r: {tc: kind} for r, kind in ((tr + 1, state.read), (tr + 2, state.status)) if kind is not None}
+        copied = self.copied
+        while copied is not None:
+            r, col, kind, copied = copied
+            laid.setdefault(r, {})[col] = kind
+        for r, cells in laid.items():
+            rows[r] = {**rows.get(r, _EMPTY_ROW), **cells}
+        tape = _tape_cells(state)
+        if tape:
+            rows[tr - 1] = tape
+        return rows
 
-    def tiles(self) -> dict[CellAddr, TileKind]:
-        rows = self.rows.keys()
-        if self.tip is not None:
-            tr = self.tip[1]
-            rows |= {tr - 1, tr + 1, tr + 2}
-        return {(col, r): kind for r in rows for col, kind in self.row(r).items()}
 
-
-def _index(state: GameState) -> _Board:
-    """Build the board of a state from its tiles, with a fresh node table; O(tiles)."""
-    by_row: dict[int, dict[int, TileKind]] = {}
-    for (col, r), kind in state.tiles.items():
-        by_row.setdefault(r, {})[col] = kind
+def shared_of(state: GameState) -> _Shared:
+    """The state's shared record; a state the engine has not seen is indexed in place first, in O(tiles)."""
+    if state.shared is not None:
+        return state.shared
+    rows = state.rows()
     tips = state.tip_cells()
-    if len(tips) != 1:
-        return _Board(by_row, None, None, None, None, None, None, {}, {})
-    tc, tr = tips[0]
-    tape = by_row.pop(tr - 1, {})
-    read = by_row.get(tr + 1, {}).pop(tc, None)
-    status = by_row.get(tr + 2, {}).pop(tc, None)
-    rows = {r: cells for r, cells in by_row.items() if cells}
-    stack, top, first = None, None, {}
-    for r, prefix in packet_rows(rows, tips[0]):
-        stack, top, first = _indexed(r, prefix, stack, top, first)
-    nodes: dict[tuple, _Node] = {}
-    return _Board(rows, _Tape.of(tape, tc, nodes), read, status, tips[0], stack, top, first, nodes)
+    shared = _Shared(None, rows, None, None, None, {}, 0, len(state.tiles), {}, {})
+    state.head = state.read = state.status = state.key = None
+    if len(tips) == 1:
+        tc, tr = shared.tip = tips[0]
+        tape = rows.pop(tr - 1, {})
+        read = state.read = rows.get(tr + 1, {}).pop(tc, None)
+        status = state.status = rows.get(tr + 2, {}).pop(tc, None)
+        rows = shared.rows = {r: cells for r, cells in rows.items() if cells}
+        for r, prefix in packet_rows(rows, (tc, tr)):
+            shared.stack, shared.top, shared.first = _indexed(r, prefix, shared.stack, shared.top, shared.first)
+        shared.nontape = len([kind for kind in tape.values() if kind.tile_type is not _TAPE])
+        shared.count -= read is not None
+        head = state.head = tape.get(tc)
+        code = sum(kind.code << shift for kind, shift in ((head, 8), (read, 4), (status, 0)) if kind is not None)
+        state.key = (*_stacks(shared.nodes, tape, tc), code)
+    state.shared = shared
+    return shared
 
 
 def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
@@ -331,19 +297,13 @@ def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
         top = row
     if len(prefix) < PACKET_WIDTH:
         return (row, prefix, stack), top, first
-    key = (prefix[0].bit, prefix[1].bit)
-    if key not in first or row < first[key][0]:
-        r3, r4, r5 = prefix[2:]
-        fire = (Fired(row), tape_tile(r3.bit), status_tile(r4.bit), -1 if r5.bit == 1 else 1)
-        first = {**first, key: (row, r3, r4, r5, *fire)}
+    r1, r2, r3, r4, r5 = prefix
+    key = r1.code << 4 | r2.code
+    if key not in first or row < first[key][0].packet_row:
+        status = status_tile(r4.bit)
+        fire = (Fired(row), tape_tile(r3.bit), r1, status, -1 if r5.bit == 1 else 1, r1.code << 4 | status.code)
+        first = {**first, key: (*fire, prefix)}
     return stack, top, first
-
-
-def board_of(state: GameState) -> _Board:
-    """The state's board, built from its tiles on first use and cached on it."""
-    if state.board is None:
-        state.board = _index(state)
-    return state.board
 
 
 def position_key(state: GameState) -> tuple | None:
@@ -356,94 +316,124 @@ def position_key(state: GameState) -> tuple | None:
     two copies, where every other cell stays as it is. Within one board
     family, whose nodes come from one table, equal stacks are one node, so
     two keys are equal exactly when the tip contexts are. Nodes compare by
-    identity: keys of separately indexed boards never match. O(1).
+    identity: keys of separately indexed boards never match. O(1): a state
+    holds its key.
     """
-    board = state.board or board_of(state)
-    if board.tip is None:
-        return None
-    tape, read, status = board.tape, board.read, board.status
-    code = 0 if tape.head is None else tape.head.code << 8
-    if read is not None:
-        code |= read.code << 4
-    if status is not None:
-        code |= status.code
-    return (tape.left, tape.ld, tape.right, tape.rd, code)
+    shared_of(state)
+    return state.key
 
 
 def step(state: GameState) -> tuple[GameState, StepOutcome]:
-    """Run exactly one generation; pure, deterministic."""
-    board = state.board or board_of(state)
-    if board.tip is None:
-        return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_cells() else StopReason.NO_TIP)
-    below = board.tape.head
+    """Run exactly one generation; pure, deterministic.
+
+    A fire reads its packet's index entry, moves one tile across the
+    zipper, interns the node it pushes and builds the successor state, all
+    inline, in this one call.
+    """
+    shared = state.shared or shared_of(state)
+    below = state.head
     if below is None:  # with one tip on the board, the cell below is never a tip
+        if shared.tip is None:
+            return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_cells() else StopReason.NO_TIP)
         return state, Terminated(StopReason.NOTHING_BELOW_TIP)
-    if below.tile_type is _TAPE:
-        return _fire(state, board, below)
-    return _copy_rule(state, board, below)
-
-
-def _fire(state: GameState, board: _Board, below: TileKind) -> tuple[GameState, StepOutcome]:
-    status = board.status
-    if status is None or status.family != "status":
-        return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-    match = board.first.get((below.bit, status.bit))
+    read_key = _READ_KEY.get(below.code)
+    if read_key is None:  # not a tape tile
+        return _copy_rule(state, shared, below)
+    status = state.status
+    match = None if status is None else shared.first.get(read_key | status.code)
     if match is None:
-        return state, Terminated(StopReason.NO_MATCHING_PACKET)
-    _, _, _, _, fired, write, status, dx = match
+        malformed = status is None or status.family != "status"
+        return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT if malformed else StopReason.NO_MATCHING_PACKET)
+    fired, write, read, status, dx, code, _ = match
 
-    tape = board.tape
-    if tape.nontape:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
-        tc = board.tip[0]
-        cells = _relaid({**tape.cells(tc), tc: write}, dx)
+    left, ld, right, rd, _ = state.key
+    if shared.nontape:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
+        tc = shared.tip[0]
+        cells = _relaid({**_tape_cells(state), tc: write}, dx)
         if cells is None:
             return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-        tape = _Tape.of(cells, tc, board.nodes)
-    else:
-        tape = tape.fired(write, dx, board.nodes)
-    read = _READ[below.bit]
-    new = _Board(board.rows, tape, read, status, board.tip, board.stack, board.top, board.first, board.nodes)
-    return GameState.of_board(new, state.anchor, state.junk_cells), fired
+        head = cells.get(tc)
+        left, ld, right, rd = _stacks(shared.nodes, cells, tc)
+    else:  # the near stack slides towards the tip, write goes on top of the far one
+        if dx == 1:
+            near, d, far, fd = left, ld, right, rd
+        else:
+            near, d, far, fd = right, rd, left, ld
+        if d == 1:
+            head, near, d = near.kind, near.next, near.gap
+        else:
+            head, d = None, d and d - 1
+        nodes = shared.nodes
+        node_key = (write.code, fd, far)
+        node = nodes.get(node_key)
+        if node is None:
+            node = nodes[node_key] = _new(_Node)
+            node.kind, node.gap, node.next = write, fd, far
+        if dx == 1:
+            left, ld, right, rd = near, d, node, 1
+        else:
+            left, ld, right, rd = node, 1, near, d
+    new = _new(GameState)  # assigned three at a time, which builds no tuple
+    new._tiles, new.anchor, new.junk_cells = None, state.anchor, state.junk_cells
+    new.shared, new.head, new.read = shared, head, read
+    new.status, new.key = status, (left, ld, right, rd, code if head is None else head.code << 8 | code)
+    return new, fired
 
 
-def _copy_rule(state: GameState, board: _Board, below: TileKind) -> tuple[GameState, StepOutcome]:
-    tc, tr = board.tip
-    if board.stack is not None:
-        target, prefix, rest = board.stack
-    else:
-        target, prefix, rest = (tr if board.top is None else board.top) + 1, [], None
-    slot = len(prefix) + 1
-    if below.slot != slot:
-        return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-    old = board.rows.get(target, _EMPTY_ROW)
-    if tc + slot in old:
-        return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-
-    packet = {**old, tc + slot: below}
-    if board.stack is None:  # a fresh row may already hold tiles, so it is classified
-        prefix = classify_packet([packet.get(tc + i) for i in range(1, PACKET_WIDTH + 1)])
-    else:  # a stacked row is well-formed with nothing past its prefix
+def _copy_rule(state: GameState, shared: _Shared, below: TileKind) -> tuple[GameState, StepOutcome]:
+    tc, tr = shared.tip
+    if shared.stack is not None:  # a stacked row is well-formed with nothing past its prefix
+        target, prefix, rest = shared.stack
+        slot = len(prefix) + 1
+        if below.slot != slot:
+            return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
         prefix = [*prefix, below]
-    stack, top, first = _indexed(target, prefix, rest, board.top, board.first)
-    rows = {**board.rows, target: packet}
-    tape = board.tape.consumed()
-    new = _Board(rows, tape, board.read, board.status, board.tip, stack, top, first, board.nodes)
-    return GameState.of_board(new, state.anchor, state.junk_cells), RuleCopied(target, slot)
+    else:
+        target, slot, rest = (tr if shared.top is None else shared.top) + 1, 1, None
+        old = shared.rows.get(target, _EMPTY_ROW)
+        # a fresh row lies above every row a copy wrote, but for one a copy
+        # left malformed; that row is still the target, and the newest copy's
+        newest = shared.copied
+        if below.slot != 1 or tc + 1 in old or (newest is not None and newest[0] == target):
+            return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
+        # a fresh row that already holds tiles is classified; an empty one holds the copied tile alone
+        prefix = classify_packet([below, *[old.get(tc + i) for i in range(2, PACKET_WIDTH + 1)]]) if old else [below]
+    stack, top, first = _indexed(target, prefix, rest, shared.top, shared.first)
+
+    left, ld, right, rd, code = state.key
+    code &= 0xFF
+    if ld == 1:  # the consumed tile goes, and every tile left of it comes one cell right
+        head, left, ld = left.kind, left.next, left.gap
+    else:
+        head, ld = None, ld and ld - 1
+    outcome = shared.copies.get(target << 3 | slot)
+    if outcome is None:
+        outcome = shared.copies[target << 3 | slot] = RuleCopied(target, slot)
+    copied = (target, tc + slot, below, shared.copied)
+    tip, rows, nontape, count = shared.tip, shared.rows, shared.nontape - 1, shared.count
+    shared = _Shared(tip, rows, copied, stack, top, first, nontape, count, shared.nodes, shared.copies)
+    new = _new(GameState)
+    new._tiles, new.anchor, new.junk_cells = None, state.anchor, state.junk_cells
+    new.shared, new.head, new.read = shared, head, state.read
+    new.status, new.key = state.status, (left, ld, right, rd, code if head is None else head.code << 8 | code)
+    return new, outcome
 
 
 def _diff_cells(before: GameState, after: GameState, outcome: Fired | RuleCopied) -> list[CellAddr]:
     """Cells whose tile differs between a state and its successor.
 
-    Only the rows the step changed can differ, so only they are compared: a
-    fire's tape row, read slot and status rows, a copy's packet and tape rows.
+    Only the cells the step changed can differ, so only they are compared:
+    the tape row, and a fire's read-slot and status cells or the cell a copy
+    wrote.
     """
-    old, new = before.board, after.board
-    tr = old.tip[1]
-    rows = (tr - 1, tr + 1, tr + 2) if isinstance(outcome, Fired) else (outcome.target_row, tr - 1)
-    changed = []
-    for r in rows:
-        a, b = old.row(r), new.row(r)
-        changed += [(col, r) for col in a.keys() | b.keys() if a.get(col) is not b.get(col)]
+    tc, tr = before.shared.tip
+    old, new = _tape_cells(before), _tape_cells(after)
+    changed = [(col, tr - 1) for col in old.keys() | new.keys() if old.get(col) is not new.get(col)]
+    if isinstance(outcome, RuleCopied):
+        changed.append((tc + outcome.slot, outcome.target_row))
+    else:
+        pairs = ((tr + 1, before.read, after.read), (tr + 2, before.status, after.status))
+        changed += [(tc, r) for r, a, b in pairs if a is not b]
     return sorted(changed)
 
 
@@ -460,22 +450,20 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
     consumes no budget, so witnessing a halt after g successful generations
     needs max_gens > g.
 
-    Cost, for a state of n tiles, G generations, g of them since the last
-    copy, and F nodes made since the state was indexed: O(n) time to index
-    the state, then O(1) Python work per generation at any tape length (a
-    copy also copies the map of rows above the tip, at C level). With
-    on_step, each record adds an O(n) state_hash and an O(row) diff of the
-    tape row, so a traced run stays O(n) per generation. Memory is
-    O(n + g + F): the current state, one key per generation since the last
-    copy, and the node table, which keeps every node it made. A fire makes
-    at most one node, but one that re-lays a row holding other tiles can
-    make one per tile of the row. A fire builds one tape, board and state
-    and reads its outcome, tiles and shift off the packet's index entry; a
-    copy onto an unfinished packet extends its prefix. Per step call, in
+    Cost, for a state of n tiles, g generations since the last copy, and F
+    nodes made since the state was indexed: O(n) time to index the state,
+    then O(1) Python work per generation at any tape length and any number
+    of packets. A generation builds one state; a fire also makes at most one
+    node, and a copy one record and one list cell. With on_step, each record
+    adds an O(n) state_hash and an O(row) diff of the tape row, so a traced
+    run stays O(n) per generation. Memory is O(n + g + F): the current
+    state, one key per generation since the last copy, and the node table,
+    which keeps every node it made; a fire that re-lays a row holding other
+    tiles can make one node per tile of the row. Per step call, in
     perfbench's traced reference microseconds (span wrapper included;
-    medians of three alternating runs): a fire 4.2 on tape-sweep and 4.1 on
-    rule-load, down from 5.8 and 5.5 when tiles were keyed by Enum hashes
-    and each fire built its outcome and tiles; a copy 6.2, down from 9.1.
+    medians of three alternating runs): a fire 3.0 on tape-sweep and 2.7 on
+    rule-load, down from 4.1 and 4.0 when it built a tape, a board and a
+    state; a copy 4.5, down from 6.2 when it copied the map of rows.
     """
     if max_gens < 0:
         raise ValueError("max_gens must be >= 0")
@@ -493,7 +481,7 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
         if on_step is not None:
             on_step(StepRecord(gens, outcome, state_hash(new_state), _diff_cells(state, new_state, outcome)))
         state = new_state
-        key = position_key(state)
+        key = state.key
         if isinstance(outcome, RuleCopied):
             seen = {key: gens}
             continue

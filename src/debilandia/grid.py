@@ -24,32 +24,41 @@ class GameState:
     movement or rule matching, so only their count is kept.
 
     States are values. A state made by hand holds its `tiles` mapping; the
-    engine indexes it on first use (`board`), when it is stepped or a machine
+    engine indexes it in place on first use, when it is stepped or a machine
     is extracted from it, so mutate `tiles` only before either. A state the
-    engine makes holds only its board and builds `tiles` from it when
-    someone reads it.
+    engine makes is one object: its tip context (head, read and status
+    tiles, and its position key) and `shared`, the engine's record of the
+    rest of the board. It builds `tiles` from them when someone reads it.
     """
 
-    __slots__ = ("_tiles", "anchor", "junk_cells", "board")
+    __slots__ = ("_tiles", "anchor", "junk_cells", "shared", "head", "read", "status", "key")
 
     def __init__(self, tiles: dict[CellAddr, TileKind], anchor: Point = (0, 0), junk_cells: int = 0) -> None:
         self._tiles = tiles
         self.anchor = anchor
         self.junk_cells = junk_cells
-        self.board = None  # the engine's index of this state, built on first use
-
-    @classmethod
-    def of_board(cls, board, anchor: Point, junk_cells: int) -> "GameState":
-        """A state held as an engine board; board.tiles() builds its mapping."""
-        state = object.__new__(cls)  # one per generation: skipping __init__ saves a call
-        state._tiles, state.anchor, state.junk_cells, state.board = None, anchor, junk_cells, board
-        return state
+        self.shared = None  # the engine's record, set with the tip context when it indexes the state
 
     @property
     def tiles(self) -> dict[CellAddr, TileKind]:
         if self._tiles is None:
-            self._tiles = self.board.tiles()
+            self._tiles = {(col, r): kind for r, cells in self.rows().items() for col, kind in cells.items()}
         return self._tiles
+
+    def rows(self) -> dict[int, dict[int, TileKind]]:
+        """The tiles by row, then by column, no row empty; rows may be the engine's own maps: do not change them."""
+        if self.shared is not None:
+            return self.shared.rows_of(self)
+        rows: dict[int, dict[int, TileKind]] = {}
+        for (col, r), kind in self._tiles.items():
+            rows.setdefault(r, {})[col] = kind
+        return rows
+
+    def tile_count(self) -> int:
+        """len(tiles), without building them: steps change it only by filling the read slot."""
+        if self._tiles is not None:
+            return len(self._tiles)
+        return self.shared.count + (self.read is not None)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameState):
@@ -60,8 +69,8 @@ class GameState:
         return f"GameState(tiles={self.tiles!r}, anchor={self.anchor!r}, junk_cells={self.junk_cells!r})"
 
     def tip_cells(self) -> list[CellAddr]:
-        if self.board is not None and self.board.tip is not None:
-            return [self.board.tip]
+        if self.shared is not None and self.shared.tip is not None:
+            return [self.shared.tip]
         return sorted(c for c, k in self.tiles.items() if k is _TIP)
 
 
@@ -218,21 +227,24 @@ def state_hash(state: GameState) -> int:
     while a translated copy does not. It is not an identity: cell offsets
     relative to the lowest column and row wrap at 2**20, so layouts whose
     tiles lie 2**20 cells apart can share a digest. Cycle detection keys on
-    the engine's position key instead, which is exact.
+    the engine's position key instead, which is exact. It reads the state's
+    rows, so an engine-made state never builds its tile map for it.
     """
-    tiles = state.tiles
-    if not tiles:
+    rows = state.rows()
+    if not rows:
         return _EMPTY_HASH
-    min_col = min(tiles)[0]
-    min_row = min(r for _, r in tiles)
+    min_col = min(map(min, rows.values()))
+    min_row = min(rows)
     ox = state.anchor[0] + CELL * min_col
     oy = state.anchor[1] + CELL * min_row
-    acc = _mix(_mix(ox) ^ _mix(oy ^ 0xA5A5A5A5) ^ len(tiles))
+    acc = _mix(_mix(ox) ^ _mix(oy ^ 0xA5A5A5A5) ^ sum(map(len, rows.values())))
     mask = _MASK64
-    for (col, row), kind in tiles.items():
-        # _mix of the tile's term, inlined (the term is under 2**48); code - 1 is the kind's index
-        x = ((col - min_col) & 0xFFFFF) << 28 | ((row - min_row) & 0xFFFFF) << 8 | kind.code - 1
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-        acc ^= x ^ (x >> 31)
+    for row, cells in rows.items():
+        y = ((row - min_row) & 0xFFFFF) << 8
+        for col, kind in cells.items():
+            # _mix of the tile's term, inlined (the term is under 2**48); code - 1 is the kind's index
+            x = ((col - min_col) & 0xFFFFF) << 28 | y | kind.code - 1
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+            acc ^= x ^ (x >> 31)
     return acc & mask

@@ -250,8 +250,9 @@ def _cut_run(data: bytes) -> tuple[int, int, int, int] | None:
     JSON whitespace around the brackets, where SEP is a comma and any
     whitespace, the same throughout, and no quote or brace stands between
     the array's opening bracket and the 5. The run is walked back from the
-    marker about 4 KB at a time, then one ``4 SEP`` at a time, so no
-    E-sized string or list is built. Returns None for any other bytes.
+    marker in blocks of 2**k ``4 SEP`` units, at most 4 KB long, then over
+    the remainder in halving steps of 2**(k-1), ..., 1 units, so no E-sized
+    string or list is built. Returns None for any other bytes.
     """
     close = _before_ws(data, len(data))
     if not data.endswith(b"}", 0, close):
@@ -269,9 +270,15 @@ def _cut_run(data: bytes) -> tuple[int, int, int, int] | None:
         return None
     unit = b"4" + sep
     run_at = marker_at
-    for step in (unit * max(1, _SCAN_CHUNK // len(unit)), unit):
-        while data.endswith(step, 0, run_at):
-            run_at -= len(step)
+    # a power of two of units, so halving it down to one unit meets every remainder
+    units = 1 << (max(1, _SCAN_CHUNK // len(unit)).bit_length() - 1)
+    block = unit * units
+    while data.endswith(block, 0, run_at):
+        run_at -= len(block)
+    while units > 1:
+        units >>= 1
+        if data.endswith(block[: units * len(unit)], 0, run_at):
+            run_at -= units * len(unit)
     five = run_at - len(unit)
     if not data.endswith(b"5" + sep, 0, run_at) or five < 1 or data[five - 1] not in _JSON_WS + b",[":
         return None  # no whole 5 token before the run

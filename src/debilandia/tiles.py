@@ -117,6 +117,7 @@ class TileAtlas:
 
     patterns: dict[TileKind, int]
     _by_mask: dict[int, TileKind] = field(init=False, repr=False, compare=False)
+    _points: dict[TileKind, frozenset[Point]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if set(self.patterns) != set(TileKind):
@@ -126,11 +127,14 @@ class TileAtlas:
         self._by_mask = {mask: kind for kind, mask in self.patterns.items()}
         if len(self._by_mask) != len(self.patterns):
             raise AtlasError("atlas masks must be pairwise distinct")
+        self._points = {
+            kind: frozenset((i % CELL, i // CELL) for i in range(16) if mask >> i & 1)
+            for kind, mask in self.patterns.items()
+        }
 
     def points(self, kind: TileKind) -> frozenset[Point]:
-        """Cell-local (dx, dy) offsets of the pattern's points."""
-        mask = self.patterns[kind]
-        return frozenset((i % CELL, i // CELL) for i in range(16) if mask >> i & 1)
+        """Cell-local (dx, dy) offsets of the pattern's points, built once per atlas."""
+        return self._points[kind]
 
     def to_json_obj(self) -> dict[str, str]:
         return {kind.value: _mask_to_string(mask) for kind, mask in self.patterns.items()}
@@ -156,12 +160,14 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path):
-    """Parse a JSON file; malformed JSON, or nesting too deep for the parser, is a ValueError naming the path."""
+    """Parse a JSON file; malformed JSON, nesting too deep for the parser, or an
+    integer too long to convert is a ValueError naming the path."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or int()'s limit on digits
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -127,10 +127,13 @@ def one_family(tile_maps, nodes: dict | None = None) -> list[GameState]:
     """
     nodes = {} if nodes is None else nodes
     states = [GameState(dict(tiles)) for tiles in tile_maps]
-    for board in map(engine.board_of, states):
-        if board.tip is not None:
-            tc = board.tip[0]
-            board.tape, board.nodes = engine._Tape.of(board.tape.cells(tc), tc, nodes), nodes
+    for state in states:
+        shared = engine.shared_of(state)
+        if shared.tip is not None:
+            tc, tr = shared.tip
+            tape = state.rows().get(tr - 1, {})
+            state.key = (*engine._stacks(nodes, tape, tc), state.key[4])
+            shared.nodes = nodes
     return states
 
 
@@ -161,13 +164,10 @@ _FAMILY_BIT = attrgetter("family", "bit")
 def row_tiles(state: GameState, r: int) -> list[TileKind]:
     """Row r's tiles in column order.
 
-    Reads the engine's board when the state has one, so an engine-made state
-    never builds its whole tile map for this.
+    Reads the state's rows, so an engine-made state never builds its whole
+    tile map for this.
     """
-    if state.board is not None:
-        cells = state.board.row(r)
-    else:
-        cells = {col: kind for (col, row), kind in state.tiles.items() if row == r}
+    cells = state.rows().get(r, {})
     return list(map(cells.__getitem__, sorted(cells)))
 
 
@@ -193,8 +193,8 @@ def game_tape_text(state: GameState) -> str:
 
 def game_status(state: GameState) -> int:
     tc, tr = tip_cell(state)
-    if state.board is not None:
-        return state.board.status.bit
+    if state.shared is not None:
+        return state.status.bit
     return state.tiles[(tc, tr + 2)].bit
 
 

@@ -192,6 +192,25 @@ def test_malformed_json_names_its_file(tmp_path, capsys, flag):
         assert capsys.readouterr() == ("", f"error: {bad}: {error}\n")
 
 
+@pytest.mark.parametrize("flag", ["--instance", "--points", "--atlas"])
+def test_an_integer_too_long_to_convert_names_its_file(tmp_path, capsys, flag):
+    # Python refuses to convert integers of more than 4,300 digits with a
+    # ValueError that is not a JSONDecodeError
+    digits = "9" * 5000
+    long_int = tmp_path / "long.json"
+    points_file = tmp_path / "points.json"
+    write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
+    content, argv = {
+        "--instance": ('{"A": [%s], "L": [2, 5, 25]}', ["verify", "--instance", str(long_int)]),
+        "--points": ('{"points": [[%s, 0]]}', ["simulate", "--points", str(long_int)]),
+        "--atlas": ('{"tip": %s}', ["simulate", "--points", str(points_file), "--atlas", str(long_int)]),
+    }[flag]
+    long_int.write_text(content % digits)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {long_int}: ") and "4300" in err
+
+
 def test_trace_and_report_bytes_are_pinned(tmp_path):
     # the tape-loaded board copies ten rule tokens, fires once and halts, so
     # its trace names every outcome kind

@@ -260,6 +260,18 @@ def test_step_outcomes_are_frozen_values():
     assert fired[0] == Fired(2)  # unchanged by the refused assignment
 
 
+def test_copies_onto_one_row_and_slot_share_their_outcome():
+    # a copy returns the RuleCopied its board made once for that (row, slot);
+    # it must still be a value equal to a fresh one, and not be changeable
+    state = state_of({(0, 0): TileKind.READ_1, (0, 1): TileKind.TIP})
+    copied, again = step(state)[1], step(state)[1]
+    assert copied is again
+    assert copied == RuleCopied(2, 1) and hash(copied) == hash(RuleCopied(2, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copied.slot = 7
+    assert copied == RuleCopied(2, 1)
+
+
 def test_two_runs_of_one_board_give_equal_results(atlas):
     # the second run reuses the board, its packet index and node table
     for rules, tape in ((PING_PONG, "11"), (BOUNCE, "0001")):

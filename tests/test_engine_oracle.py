@@ -27,7 +27,7 @@ from corpus import (
 )
 from debilandia.embedding import NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
 from debilandia.engine import Fired, RuleCopied, StopReason, Terminated, position_key, run, step
-from debilandia.grid import GameState, recognize
+from debilandia.grid import GameState, recognize, state_hash
 from debilandia.tiles import TileKind, TileType, slot_tile
 from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmSpec
 
@@ -81,7 +81,7 @@ def assert_engines_agree(state: GameState, max_gens: int) -> None:
                 assert after == before
         # the key kept up by the zipper equals the key of a fresh index in
         # the same board family, and keys match exactly when tip contexts do
-        (fresh,) = one_family([ours_next.tiles], ours_next.board.nodes)
+        (fresh,) = one_family([ours_next.tiles], ours_next.shared.nodes)
         assert position_key(ours_next) == position_key(fresh)
         keys.append(position_key(ours_next))
         contexts.append(tip_context(theirs_next.tiles))
@@ -99,6 +99,11 @@ def assert_engines_agree(state: GameState, max_gens: int) -> None:
     got = (result.status, result.generations_run, result.reason, result.period, result.first_index)
     want = (expected.status, expected.generations_run, expected.reason, expected.period, expected.first_index)
     assert got == want
+    # simulate's summary counts and hashes the final state before anything builds its tile map
+    final = result.final_state
+    summary = (final.tile_count(), state_hash(final))
+    rebuilt = GameState(dict(final.tiles), final.anchor, final.junk_cells)
+    assert summary == (len(rebuilt.tiles), state_hash(rebuilt))
     assert result.final_state.tiles == expected.final_state.tiles
     assert records == expected_records
 
@@ -268,6 +273,16 @@ def test_a_copy_onto_a_fresh_row_holding_a_later_tile_matches_the_dict_engine():
     # it goes on no stack, and the next copy targets the same row again
     packet = {i: slot_tile(i, 0) for i in range(1, 6)}
     tokens = [TileKind.READ_1, TileKind.STATUS_1, TileKind.WRITE_1, TileKind.TAPE_1]
+    state = GameState(tip_over_tokens(tokens, {1: packet, 2: {3: TileKind.WRITE_0}}), (0, 0), 0)
+    assert outcomes_of(state, 5) == [RuleCopied(2, 1), Terminated(StopReason.MALFORMED_TIP_CONTEXT)]
+    assert_engines_agree(state, 10)
+
+
+def test_a_second_copy_onto_a_fresh_row_left_malformed_matches_the_dict_engine():
+    # as above, but the next token is a read tile too: it targets the same
+    # row, and must find slot 1's cell taken by the copy before it
+    packet = {i: slot_tile(i, 0) for i in range(1, 6)}
+    tokens = [TileKind.READ_1, TileKind.READ_0, TileKind.TAPE_1]
     state = GameState(tip_over_tokens(tokens, {1: packet, 2: {3: TileKind.WRITE_0}}), (0, 0), 0)
     assert outcomes_of(state, 5) == [RuleCopied(2, 1), Terminated(StopReason.MALFORMED_TIP_CONTEXT)]
     assert_engines_agree(state, 10)

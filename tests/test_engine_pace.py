@@ -121,3 +121,15 @@ def test_one_step_allocates_a_bounded_amount_at_any_tape_length(length):
         state, outcome, peak = allocated_by_one_step(state)
         assert isinstance(outcome, expected)
         assert peak < STEP_BYTES, f"{outcome} allocated {peak} bytes"
+
+
+def test_a_copy_onto_4000_packets_allocates_a_bounded_amount():
+    # a copy that copied the map of packet rows would allocate about 145 KiB here
+    packets = 4000
+    rules = [Rule(k & 1, k >> 1 & 1, k >> 2 & 1, k >> 3 & 1, k >> 4 & 1) for k in range(packets)]
+    tiles = {(-1, 0): tape_tile(0), (0, 0): read_tile(1)} | tip_stack(0)
+    for k, rule in enumerate(rules):
+        tiles |= {(i, 2 + k): kind for i, kind in enumerate(tokens(rule), start=1)}
+    _, outcome, peak = allocated_by_one_step(GameState(tiles))
+    assert outcome == RuleCopied(2 + packets, 1)
+    assert peak < STEP_BYTES, f"{outcome} allocated {peak} bytes"

@@ -14,6 +14,7 @@ list it stands for.
 import contextlib
 import io
 import json
+import random
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -242,6 +243,31 @@ def test_cut_run_cuts_the_run_only():
     unit = b"4,\t"  # a run longer than one of the walk's blocks, and not a whole number of them
     text = b'{"A": [1], "L": [2, 5,\t' + unit * 5000 + b"25]}"
     assert cut_pieces(text)[3] == unit * 5000
+
+
+def run_texts(seed: int):
+    """Files whose run of fours has E around powers of two and random E, whole or with one unit spoiled."""
+    rng = random.Random(seed)
+    counts = [2**k + d for k in range(8, 13) for d in (-1, 0, 1)] + [rng.randrange(5000) for _ in range(6)]
+    for sep in (b",", b", ", b",\t", b",\n    "):
+        unit = b"4" + sep
+        for gens in counts:
+            head, run, tail = b'{"A": [1], "L": [2, 5' + sep, bytearray(unit * gens), b"25]}"
+            yield head + run + tail
+            if gens:  # a unit spoiled at a random place: the walk must stop there
+                at = rng.randrange(gens) * len(unit)
+                run[at : at + len(unit)] = rng.choice([b"44" + sep, b"4" + sep + b" ", b"5" + sep, b"4;"])
+                yield head + run + tail
+            yield b'{"A": [1], "L": [2, 45' + sep + unit * gens + tail  # no whole 5 before the run
+
+
+def test_cut_run_walks_the_run_as_a_one_unit_walk_does():
+    # a chunk of one byte makes the walk's block one unit, with no halving after it
+    texts = list(run_texts(3))
+    with mock.patch.object(instances, "_SCAN_CHUNK", 1):
+        expected = [instances._cut_run(text) for text in texts]
+    assert [instances._cut_run(text) for text in texts] == expected
+    assert sum(cut is not None for cut in expected) > len(texts) // 3
 
 
 def outcome(fn, *args):
