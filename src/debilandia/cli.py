@@ -18,11 +18,10 @@ import sys
 import tempfile
 from dataclasses import astuple
 from functools import cache
-from itertools import chain
 from pathlib import Path
 
 from .engine import Fired, RuleCopied, StepRecord, Terminated, run
-from .grid import Pairs, recognize, state_hash
+from .grid import read_points, recognize, state_hash
 from .instances import (
     MARKER_RUNS,
     MARKER_STOPS,
@@ -33,7 +32,7 @@ from .instances import (
     load_instance_file,
 )
 from .solver import SAMPLE_POOL, construct_certificate, growth_probe
-from .tiles import TileAtlas, atlas_default, read_json
+from .tiles import TileAtlas, atlas_default
 from .verifier import verify
 
 ENV_ATLAS = "DEBILANDIA_ATLAS"
@@ -106,15 +105,7 @@ def _trace_writer(handle):
 def _cmd_simulate(args) -> int:
     _check_floor("--max-gens", args.max_gens, 0)
     atlas = _load_atlas(args.atlas)
-    obj = read_json(args.points)
-    raw = obj.get("points") if isinstance(obj, dict) else None
-    # whole-list passes; exact types turn JSON booleans away
-    pairs = isinstance(raw, list) and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
-    flat = list(chain.from_iterable(raw)) if pairs else []
-    if not pairs or not set(map(type, flat)) <= {int} or min(flat, default=0) < 0:
-        raise ValueError('points file must look like {"points": [[x, y], ...]} with non-negative ints')
-    # the points as two strided columns of flat; repeats are harmless
-    state = recognize(Pairs(flat[0::2], flat[1::2]), atlas)
+    state = recognize(read_points(args.points), atlas)
     buffer = io.StringIO()
     result = run(state, args.max_gens, on_step=_trace_writer(buffer) if args.trace else None)
     if args.trace:

@@ -1,4 +1,5 @@
-"""Board state: tile recognition from raw points, point reconstruction, hashing.
+"""Board state: reading a points file, tile recognition from raw points,
+point reconstruction, hashing.
 
 States are sparse: a mapping from cell address to tile kind plus the lattice
 anchor and a count of junk cells. The engine treats states as values; nothing
@@ -7,10 +8,12 @@ here mutates a state's tiles after construction.
 
 from __future__ import annotations
 
-from itertools import product
+import json
+from itertools import chain, product
+from pathlib import Path
 from typing import Iterable, Iterator
 
-from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, classify_cell
+from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, classify_cell, parse_json, read_text
 
 _TIP = TileKind.TIP  # a module global: reading a member off its Enum class costs several times more
 _MASK64 = (1 << 64) - 1
@@ -123,6 +126,62 @@ class Pairs:
 
     def __iter__(self) -> Iterator[Point]:
         return zip(self.xs, self.ys)
+
+
+_POINTS_OPEN = '{"points": [['  # the text json.dumps writes around a non-empty list
+_POINTS_CLOSE = "]]}"
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def read_points(path: str | Path) -> Pairs:
+    """The points of a file {"points": [[x, y], ...]} of non-negative ints, as two columns.
+
+    The file is read once. Text in the layout json.dumps writes by default is
+    proven on its text (see _proven_points) and parsed as one flat array; any
+    other text is parsed whole and checked in C-level passes over the lists.
+    Both give the same points and raise the same errors.
+    """
+    text = read_text(path)
+    points = _proven_points(text)
+    return points if points is not None else _parsed_points(text, path)
+
+
+def _proven_points(text: str) -> Pairs | None:
+    """The points of `json.dumps({"points": [[x, y], ...]})`, the list non-empty; None for other text.
+
+    The text must open with `{"points": [[` and close with `]]}` verbatim,
+    and the list between them must read `[, ], [, ], ..., [, ]` with its
+    ASCII digits deleted. Then every coordinate is a run of digits, two to a
+    point, and the JSON parser reads the runs as one flat array; a run it
+    refuses (empty, a leading zero, too many digits) sends the text back to
+    the caller. Only the `], [` between two points is cut out before the
+    parse, so a digit run written against a bracket (`[1, 2]5` or `5[3, 4]`)
+    leaves a stray bracket that the parser refuses. No list is built per
+    point and no type is checked: a run of digits can only be a non-negative int.
+    """
+    if not (text.startswith(_POINTS_OPEN) and text.endswith(_POINTS_CLOSE)):
+        return None
+    start, end = len(_POINTS_OPEN), len(text) - len(_POINTS_CLOSE)
+    skeleton = text[start - 1 : end + 1].translate(_NO_DIGITS)  # "[, ]" a point, ", " between two
+    if skeleton != "[, ], " * (len(skeleton) // 6) + "[, ]":
+        return None
+    try:
+        flat = json.loads("[" + text[start:end].replace("], [", ", ") + "]")
+    except ValueError:
+        return None
+    return Pairs(flat[0::2], flat[1::2])
+
+
+def _parsed_points(text: str, path: str | Path) -> Pairs:
+    """The points of any JSON text, checked in whole-list passes; exact types turn JSON booleans away."""
+    obj = parse_json(text, path)
+    raw = obj.get("points") if isinstance(obj, dict) else None
+    pairs = isinstance(raw, list) and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+    flat = list(chain.from_iterable(raw)) if pairs else []
+    if not pairs or not set(map(type, flat)) <= {int} or min(flat, default=0) < 0:
+        raise ValueError('points file must look like {"points": [[x, y], ...]} with non-negative ints')
+    # the points as two strided columns of flat; repeats are harmless
+    return Pairs(flat[0::2], flat[1::2])
 
 
 def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:

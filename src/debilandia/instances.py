@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .grid import Pairs, SquarePoints
-from .tiles import read_json
+from .tiles import decode_text, parse_json
 
 MARKER_START = 2
 MARKER_SEP = 7
@@ -346,9 +346,9 @@ def load_instance_file(path: str | Path) -> tuple[Instance, Sequence[int]]:
     L comes back as a `Certificate` when its run of fours can be cut out of
     the file bytes (see _cut_run) and "L" is the file's last key, once,
     holding `SquarePoints(A)` or else the list parsed from the bytes without
-    the run. Any other file is read again by tiles.read_json and L comes
-    back as a list. All hold the same items, which `verify` reads alike, and
-    raise the same errors.
+    the run. Any other file's bytes, already read, are parsed whole by
+    tiles.parse_json and L comes back as a list. All hold the same items,
+    which `verify` reads alike, and raise the same errors.
     """
     data = Path(path).read_bytes()
     cut = _cut_run(data)
@@ -362,7 +362,7 @@ def load_instance_file(path: str | Path) -> tuple[Instance, Sequence[int]]:
         obj = _parse_cut(data[:run_at] + data[marker_at:])
     if obj is None:
         cut = None
-        obj = read_json(path)
+        obj = parse_json(decode_text(data, path), path)
     if not isinstance(obj, dict) or "A" not in obj or "L" not in obj:
         raise ValueError("instance file must be a JSON object with keys A and L")
     values = obj["A"]

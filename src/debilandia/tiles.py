@@ -12,10 +12,13 @@ so recognition round-trips exactly through point reconstruction.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 CELL = 4  # cells are 4x4 blocks of lattice points
 
@@ -107,30 +110,36 @@ class AtlasError(ValueError):
     """Raised for atlas files that violate the atlas invariants."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TileAtlas:
     """Mapping from tile kind to its 16-bit cell occupancy mask.
 
     Bit i of a mask is the point at (dx, dy) = (i % 4, i // 4), with dy
-    counted upward from the cell's bottom edge.
+    counted upward from the cell's bottom edge. An atlas is read-only
+    (`patterns` is a read-only copy of the mapping it was given), so one
+    instance can be shared: `atlas_default` hands out the same one.
     """
 
-    patterns: dict[TileKind, int]
+    patterns: Mapping[TileKind, int]
     _by_mask: dict[int, TileKind] = field(init=False, repr=False, compare=False)
     _points: dict[TileKind, frozenset[Point]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if set(self.patterns) != set(TileKind):
+        patterns = MappingProxyType(dict(self.patterns))
+        if set(patterns) != set(TileKind):
             raise AtlasError("atlas must define exactly the 13 tile kinds")
-        if any(mask == 0 or mask >> 16 for mask in self.patterns.values()):
+        if any(mask == 0 or mask >> 16 for mask in patterns.values()):
             raise AtlasError("atlas masks must be non-empty 16-bit values")
-        self._by_mask = {mask: kind for kind, mask in self.patterns.items()}
-        if len(self._by_mask) != len(self.patterns):
+        by_mask = {mask: kind for kind, mask in patterns.items()}
+        if len(by_mask) != len(patterns):
             raise AtlasError("atlas masks must be pairwise distinct")
-        self._points = {
+        points = {
             kind: frozenset((i % CELL, i // CELL) for i in range(16) if mask >> i & 1)
-            for kind, mask in self.patterns.items()
+            for kind, mask in patterns.items()
         }
+        object.__setattr__(self, "patterns", patterns)
+        object.__setattr__(self, "_by_mask", by_mask)
+        object.__setattr__(self, "_points", points)
 
     def points(self, kind: TileKind) -> frozenset[Point]:
         """Cell-local (dx, dy) offsets of the pattern's points, built once per atlas."""
@@ -148,21 +157,27 @@ class TileAtlas:
 
     @classmethod
     def load(cls, path: str | Path) -> "TileAtlas":
-        return cls.from_json_obj(read_json(path))
+        return cls.from_json_obj(parse_json(read_text(path), path))
+
+
+def decode_text(data: bytes, path: str | Path) -> str:
+    """The text of a UTF-8 file's bytes, its newlines translated as a text-mode
+    read translates them; bytes that are not UTF-8 are a ValueError naming the path."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text; bytes that are not UTF-8 are a ValueError naming the path."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """A UTF-8 file's text, decoded as decode_text decodes its bytes."""
+    return decode_text(Path(path).read_bytes(), path)
 
 
-def read_json(path: str | Path):
-    """Parse a JSON file; malformed JSON, nesting too deep for the parser, or an
-    integer too long to convert is a ValueError naming the path."""
-    text = read_text(path)
+def parse_json(text: str, path: str | Path):
+    """Parse the text of the file at path; malformed JSON, nesting too deep for
+    the parser, or an integer too long to convert is a ValueError naming the path."""
     try:
         return json.loads(text)
     except RecursionError:
@@ -183,8 +198,9 @@ def _string_to_mask(text: str) -> int:
     return sum(1 << ((CELL - 1 - i // CELL) * CELL + i % CELL) for i, ch in enumerate(text) if ch == "1")
 
 
+@cache
 def atlas_default() -> TileAtlas:
-    """The canonical atlas shipped with the package."""
+    """The canonical atlas shipped with the package, loaded once per process."""
     data = resources.files("debilandia").joinpath("data/atlas.json").read_text()
     return TileAtlas.from_json_obj(json.loads(data))
 

@@ -420,3 +420,21 @@ def test_readme_command_lines_parse():
     assert [argv[1] for argv in commands] == ["simulate", "verify", "encode", "solve", "bench"]
     for argv in commands:
         assert _build_parser().parse_args(argv[1:]).command == argv[1]
+
+
+@pytest.mark.parametrize("via", ["--atlas", "env"])
+def test_an_atlas_file_is_read_on_every_call(tmp_path, monkeypatch, capsys, via):
+    # only the packaged atlas is loaded once per process
+    atlas_file = tmp_path / "atlas.json"
+    save_atlas(atlas_default(), atlas_file)
+    points_file = tmp_path / "points.json"
+    write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
+    argv = ["simulate", "--points", str(points_file), "--max-gens", "5"]
+    if via == "env":
+        monkeypatch.setenv("DEBILANDIA_ATLAS", str(atlas_file))
+    else:
+        argv += ["--atlas", str(atlas_file)]
+    assert main(argv) == 0
+    atlas_file.write_text("{}")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: atlas file must map exactly the names")

@@ -4,7 +4,7 @@ A file whose list L ends in the layout `json.dumps` writes (`5, 4, 4, 25]}`,
 any one comma-and-whitespace separator throughout) has its run of fours cut
 out of the text and comes back as a `Certificate` holding E as a count; its
 pair section, when it is `build_candidate`'s, is proven on the text and held
-as `SquarePoints(A)`. Any other file is parsed whole by `tiles.read_json`.
+as `SquarePoints(A)`. Any other file is parsed whole by `tiles.parse_json`.
 `verify` through the CLI must print, exit and write the same on every path,
 for files written in both layouts and then mutated in and around the run or
 the section, and `verify` and `scan_tail` must read a `Certificate` as the
@@ -415,3 +415,28 @@ def test_loading_a_canonical_skeleton_peaks_under_twice_the_file(tmp_path):
         tracemalloc.stop()
     assert inst.size == 120 and type(loaded.prefix) is SquarePoints
     assert peak < 2 * path.stat().st_size
+
+
+def text_read_error(path: Path) -> str:
+    """The error line of a file read in text mode and parsed whole."""
+    try:
+        json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError is one too
+        return f"error: {path}: {exc}\n"
+    raise AssertionError(f"{path} parses")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"A": [1], ' + b" " * 9000 + b'\xff"L": [2, 5, 25]}',  # a bad byte past the first 8 KB
+        b'{"A": [1], "L": [2, 5, 25]}' + b" " * 70000 + b"\xe2\x82",  # a character cut short at the end
+        b'{"A": [1],\r\n "L": [2, 5,\r\n 25]\r\n}\r\n x',  # text mode reads each CRLF as one newline
+        b'{"A": [1],\r "L": [2\r\r\n 5, 25]}',
+        b'{"A":\r\n [1]\n, "L": [2, 5, 4, 25]\r}\r\n}',
+    ],
+)
+def test_a_file_parsed_whole_fails_as_a_text_mode_read_does(tmp_path, data):
+    path, report = tmp_path / "instance.json", tmp_path / "report.json"
+    path.write_bytes(data)
+    assert run_verify(path, report) == (2, "", text_read_error(path), None)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -81,6 +82,19 @@ def test_default_atlas_distinct_and_nonempty():
 def test_atlas_default_deterministic():
     a, b = atlas_default(), atlas_default()
     assert a.patterns == b.patterns
+
+
+def test_atlas_default_is_loaded_once_and_read_only():
+    atlas = atlas_default()
+    assert atlas_default() is atlas
+    with pytest.raises(TypeError):
+        atlas.patterns[TileKind.TIP] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        atlas.patterns = {}
+    masks = dict(atlas.patterns)
+    copy = TileAtlas(masks)
+    masks[TileKind.TIP] = masks[TileKind.TAPE_1]  # the atlas holds its own copy
+    assert copy.patterns == atlas.patterns and copy == atlas
 
 
 def test_every_pattern_contains_cell_origin():
