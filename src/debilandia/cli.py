@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -19,32 +18,28 @@ import tempfile
 from dataclasses import astuple
 from functools import cache
 from pathlib import Path
+from typing import Callable, TextIO, TypeVar
 
 from .engine import Fired, RuleCopied, StepRecord, Terminated, run
-from .grid import read_points, recognize, state_hash
-from .instances import (
-    MARKER_RUNS,
-    MARKER_STOPS,
-    Instance,
-    build_candidate,
-    certificate_text,
-    instance_to_json_obj,
-    load_instance_file,
-)
+from .grid import SquarePoints, read_points, recognize, state_hash
+from .instances import MARKER_RUNS, MARKER_STOPS, Certificate, Instance, load_instance_file, write_certificate
 from .solver import SAMPLE_POOL, construct_certificate, growth_probe
 from .tiles import TileAtlas, atlas_default
 from .verifier import verify
 
 ENV_ATLAS = "DEBILANDIA_ATLAS"
 
+T = TypeVar("T")
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write text to path through a temporary file beside it; an OSError names path, not that file."""
+
+def _atomic_write(path: Path, write: Callable[[TextIO], T]) -> T:
+    """Stream write(handle) into a temporary file beside path, which then replaces
+    path, and return its result; an OSError names path, not that file."""
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+                result = write(handle)
             # mkstemp makes the file 0600; give it the mode a plain open would
             os.umask(umask := os.umask(0))
             os.chmod(tmp, 0o666 & ~umask)
@@ -54,10 +49,7 @@ def _atomic_write(path: Path, text: str) -> None:
             raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
-
-
-def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return result
 
 
 def _load_atlas(explicit: str | None) -> TileAtlas:
@@ -102,14 +94,16 @@ def _trace_writer(handle):
     return emit
 
 
+def _traced(trace: str | None, call: Callable[..., T]) -> T:
+    """call(on_step), where on_step is None or streams trace records into the file trace names."""
+    return _atomic_write(Path(trace), lambda handle: call(_trace_writer(handle))) if trace else call(None)
+
+
 def _cmd_simulate(args) -> int:
     _check_floor("--max-gens", args.max_gens, 0)
     atlas = _load_atlas(args.atlas)
     state = recognize(read_points(args.points), atlas)
-    buffer = io.StringIO()
-    result = run(state, args.max_gens, on_step=_trace_writer(buffer) if args.trace else None)
-    if args.trace:
-        _atomic_write(Path(args.trace), buffer.getvalue())
+    result = _traced(args.trace, lambda on_step: run(state, args.max_gens, on_step=on_step))
     summary = {
         "status": result.status.value,
         "reason": result.reason.value if result.reason else None,
@@ -127,13 +121,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     atlas = _load_atlas(args.atlas)
     inst, items = load_instance_file(args.instance)
-    buffer = io.StringIO()
-    report = verify(inst, items, atlas, on_step=_trace_writer(buffer) if args.trace else None)
-    if args.trace:
-        _atomic_write(Path(args.trace), buffer.getvalue())
+    report = _traced(args.trace, lambda on_step: verify(inst, items, atlas, on_step=on_step))
     verdict = report.to_json_obj()
     if args.report:
-        _write_json(Path(args.report), verdict)
+        text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
+        _atomic_write(Path(args.report), lambda handle: handle.write(text))
     print(json.dumps({k: verdict[k] for k in ("verdict", "reason", "step")}, sort_keys=True))
     return 0 if report.accepted else 1
 
@@ -141,13 +133,13 @@ def _cmd_verify(args) -> int:
 def _cmd_encode(args) -> int:
     _check_floor("--e", args.e, 0)
     inst = _parse_set_a(args.set_a)
-    items = build_candidate(inst, args.e, args.marker)
     out = Path(args.out)
     text = out.with_suffix(".txt")
     if text == out:
         raise ValueError(f"--out {out} would be overwritten by the text form; give it another suffix")
-    _write_json(out, instance_to_json_obj(inst, items))
-    _atomic_write(text, certificate_text(items) + "\n")
+    cert = Certificate(SquarePoints(inst.a_values), args.e, args.marker)
+    _atomic_write(out, lambda handle: write_certificate(handle, cert, as_json=True))
+    _atomic_write(text, lambda handle: write_certificate(handle, cert, as_json=False))
     print(f"wrote {out} and {text}")
     return 0
 
@@ -162,7 +154,7 @@ def _cmd_solve(args) -> int:
     if not outcome.found:
         print(f"no certificate: {outcome.reason}", file=sys.stderr)
         return 1
-    _write_json(Path(args.out), instance_to_json_obj(inst, outcome.certificate))
+    _atomic_write(Path(args.out), lambda handle: write_certificate(handle, outcome.certificate, as_json=True))
     print(f"wrote {args.out}")
     return 0
 
@@ -179,11 +171,13 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"--sizes values must lie in 1..{len(SAMPLE_POOL)}, got {size}")
     atlas = _load_atlas(args.atlas)
     rows = growth_probe(sizes, args.trials, atlas, max_gens=args.max_gens, seed=args.seed)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["m", "trial", "cells_placed", "factorial_sq_claim", "generations", "cells_scanned", "found"])
-    writer.writerows([*astuple(row)[:-1], int(row.found)] for row in rows)
-    _atomic_write(Path(args.csv), buffer.getvalue())
+
+    def write_rows(handle: TextIO) -> None:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["m", "trial", "cells_placed", "factorial_sq_claim", "generations", "cells_scanned", "found"])
+        writer.writerows([*astuple(row)[:-1], int(row.found)] for row in rows)
+
+    _atomic_write(Path(args.csv), write_rows)
     print(f"wrote {len(rows)} rows to {args.csv}")
     return 0
 

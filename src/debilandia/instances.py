@@ -16,23 +16,25 @@ Each pair (a, b) places the lattice point x=a, y=b. For a valid certificate
 len(L) = 3T + E + 2 where T is the pair count, while the verifier's input
 measure is N = P + E + T + 4 = 3T + E + 4, 2 more by construction. The
 verifier is the one reader of this grammar (group_tuples, check_coverage and
-scan_tail in turn); build_candidate is the one writer. load_instance_file
+scan_tail in turn). The canonical certificate is `Certificate(SquarePoints(A),
+E, marker)`, and write_certificate is its one writer. load_instance_file
 reads a file in the layouts json.dumps writes as a `Certificate`: E as a
-count, and a pair section in build_candidate's order, proven on the file
-text, as `grid.SquarePoints(A)`, so it parses only the bytes around them.
-Any other pair section is read as two member columns (`grid.Pairs`).
+count, and a pair section proven on the file text as `grid.SquarePoints(A)`,
+so it parses only the bytes around them. The writer and that proof take the
+section's text from square_rows. Any other pair section is read as two
+member columns (`grid.Pairs`).
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, product, repeat
+from itertools import islice, repeat
 from operator import add, mul
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, TextIO
 
 from .grid import Pairs, SquarePoints
 from .tiles import decode_text, parse_json
@@ -91,7 +93,7 @@ class Instance:
 
 
 def group_tuples(
-    inst: Instance, items: Sequence[int] | SquarePoints, start: int
+    inst: Instance, items: list[int] | SquarePoints, start: int
 ) -> tuple[Pairs | SquarePoints, int, int]:
     """Read ``a b 7 a b 7 ... a b 5`` from items[start:].
 
@@ -115,7 +117,7 @@ def group_tuples(
     _raise_pair_reject(members, items, start)
 
 
-def _raise_pair_reject(members: set[int], items: Sequence[int], start: int) -> NoReturn:
+def _raise_pair_reject(members: set[int], items: list[int], start: int) -> NoReturn:
     """Walk a pair section that group_tuples refused and raise at its first violation."""
     width = 0  # members read into the current pair
     for i, token in enumerate(islice(items, start, None), start):
@@ -162,7 +164,7 @@ def check_coverage(inst: Instance, pairs: Pairs | SquarePoints, end_pos: int) ->
 _SCAN_CHUNK = 4096
 
 
-def scan_tail(items: Sequence[int], start: int) -> tuple[int, int, int]:
+def scan_tail(items: list[int] | Certificate, start: int) -> tuple[int, int, int]:
     """Read ``4 ... 4 marker`` from items[start:].
 
     Returns (E, marker, tokens touched scanning fours). Trailing data is the
@@ -188,37 +190,13 @@ def scan_tail(items: Sequence[int], start: int) -> tuple[int, int, int]:
     return gens, marker, gens
 
 
-def build_candidate(inst: Instance, gen_count: int, marker: int) -> list[int]:
-    """The canonical certificate skeleton: A x A in lexicographic order, E fours, marker."""
-    if marker not in (MARKER_STOPS, MARKER_RUNS):
-        raise ValueError("marker must be 25 or 43")
-    if gen_count < 0:
-        raise ValueError("gen_count must be >= 0")
-    items = [MARKER_START]
-    for pair in product(inst.a_values, repeat=2):
-        items += pair
-        items.append(MARKER_SEP)
-    items[-1] = MARKER_END_TUPLES  # no 7 after the last pair
-    items += [MARKER_GENERATION] * gen_count
-    items.append(marker)
-    return items
-
-
-def certificate_text(items: Sequence[int]) -> str:
-    return " ".join(str(v) for v in items)
-
-
-def instance_to_json_obj(inst: Instance, items: Sequence[int]) -> dict:
-    return {"A": list(inst.a_values), "L": list(items)}
-
-
 class Certificate:
     """The certificate list prefix + [4] * E + [marker], its run held as E.
 
     prefix ends in the whole 5 token that the run follows, so the pair
     section and any reject in it lie in prefix; or it is `SquarePoints(A)`,
-    proven on the file text to be ``2 <build_candidate's pairs> 5``. len()
-    is the list's length.
+    for ``2 <A x A in lexicographic order> 5``: the solver's certificate, or
+    a file's section proven on its text. len() is the list's length.
     """
 
     __slots__ = ("prefix", "gens", "marker")
@@ -231,6 +209,43 @@ class Certificate:
     def __len__(self) -> int:
         tokens = 3 * len(self.prefix) + 1 if isinstance(self.prefix, SquarePoints) else len(self.prefix)
         return tokens + self.gens + 1
+
+
+def square_rows(values: tuple[int, ...], sep: str) -> Iterator[str]:
+    """The text of the canonical pair section for sorted A, a row at a time.
+
+    Row a is ``a SEP b SEP 7 SEP`` for each b of A, and the last row has no
+    ``7 SEP`` after its last pair. Between ``2 SEP`` and ``5``, the rows
+    joined hold exactly the pairs of A x A in lexicographic order. Each row
+    is O(|A|) long, and only one is built at a time.
+    """
+    seven = "7" + sep
+    tails = [f"{sep}{b}{sep}{seven}" for b in values]
+    for a in values:
+        head = str(a)
+        row = head + head.join(tails)
+        yield row if a != values[-1] else row[: -len(seven)]
+
+
+def write_certificate(handle: TextIO, cert: Certificate, as_json: bool) -> None:
+    """Write a certificate whose prefix is `SquarePoints(A)`: as JSON, the text
+    of json.dumps({"A": A, "L": L}, indent=2, sort_keys=True) and a newline,
+    else L's ints joined by spaces and a newline.
+
+    The pairs are square_rows's, and the run goes out _SCAN_CHUNK fours at a
+    time, so memory is O(|A|) for any E; each four takes 7 bytes as JSON
+    and 2 as text.
+    """
+    values = cert.prefix.values
+    sep = ",\n    " if as_json else " "  # how json.dumps(indent=2) separates L's items
+    if as_json:
+        handle.write('{\n  "A": [\n    ' + sep.join(map(str, values)) + '\n  ],\n  "L": [\n    ')
+    handle.write("2" + sep)
+    handle.writelines(square_rows(values, sep))  # its last pair ends in SEP
+    handle.write("5")
+    four = sep + "4"
+    handle.writelines(repeat(four * _SCAN_CHUNK, cert.gens // _SCAN_CHUNK))
+    handle.write(four * (cert.gens % _SCAN_CHUNK) + f"{sep}{cert.marker}" + ("\n  ]\n}\n" if as_json else "\n"))
 
 
 _JSON_WS = b" \t\n\r"
@@ -305,13 +320,12 @@ def _parse_cut(data: bytes) -> dict | None:
 
 
 def _square_instance(data: bytes, bracket: int, five: int, run_at: int, marker_at: int) -> Instance | None:
-    """The file's instance when L is ``[ 2 SEP`` build_candidate's pairs ``5``,
-    the run and the marker; None otherwise.
+    """The file's instance when L is ``[ 2 SEP``, the canonical pairs of A x A,
+    ``5``, the run and the marker; None otherwise.
 
     Only the bytes outside the pairs and the run are parsed. The pairs are
-    compared with sorted A's text a row at a time, row a being ``a SEP b SEP
-    7 SEP`` for each b of A (no ``7 SEP`` after the last pair): text equal
-    to it holds exactly build_candidate's ints.
+    compared with square_rows's text for sorted A a row at a time: text
+    equal to it holds exactly the canonical section's ints.
     """
     sep = data[five + 1 : run_at]
     start = bracket + 1
@@ -327,20 +341,14 @@ def _square_instance(data: bytes, bracket: int, five: int, run_at: int, marker_a
         inst = Instance(tuple(obj["A"]))
     except ValueError:
         return None
-    seven = b"7" + sep
-    tails = [b"%s%d%s%s" % (sep, b, sep, seven) for b in inst.a_values]
-    for a in inst.a_values:
-        head = b"%d" % a
-        row = head + head.join(tails)
-        if a == inst.a_values[-1]:
-            row = row[: -len(seven)]
+    for row in map(str.encode, square_rows(inst.a_values, sep.decode())):  # sep is ASCII, see _cut_run
         if not data.startswith(row, start):
             return None
         start += len(row)
     return inst if start == five else None
 
 
-def load_instance_file(path: str | Path) -> tuple[Instance, Sequence[int]]:
+def load_instance_file(path: str | Path) -> tuple[Instance, list[int] | Certificate]:
     """Read {"A": [...], "L": [...]}; malformed files raise ValueError.
 
     L comes back as a `Certificate` when its run of fours can be cut out of

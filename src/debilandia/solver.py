@@ -15,9 +15,11 @@ In this formalisation the answer is fixed by the board's structure: once
 extraction finds a machine, the markers 25 and 43 are complementary at
 every generation count, so a certificate exists exactly when extraction
 succeeds. Deciding costs recognition plus extraction, O(|A| + tiles), and
-construct_certificate costs O(|A|^2 + max_gens): the |A|^2 pairs it writes
-plus one run. Every |A| is solved, with no limit on its size; memory is
-O(|A|^2), the list written. growth_probe measures that cost next to (M!)^2.
+construct_certificate adds one run, O(max_gens). Every |A| is solved, with
+no limit on its size. The certificate is `Certificate(SquarePoints(A), E,
+marker)`, O(|A|) in memory: no |A|^2-sized list is built, and
+instances.write_certificate streams its O(|A|^2 + E) bytes. growth_probe
+measures the cost next to (M!)^2.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from dataclasses import dataclass
 from .embedding import NotATuringMachine, extract_tm
 from .engine import RunStatus, run
 from .grid import SquarePoints, recognize
-from .instances import (
-    MARKER_RUNS,
-    MARKER_STOPS,
-    RESERVED,
-    Instance,
-    build_candidate,
-)
+from .instances import MARKER_RUNS, MARKER_STOPS, RESERVED, Certificate, Instance
 from .tiles import TileAtlas
 
 SAMPLE_POOL = tuple(v for v in range(1, 201) if v not in RESERVED)  # growth_probe's random elements
@@ -43,7 +39,7 @@ SAMPLE_POOL = tuple(v for v in range(1, 201) if v not in RESERVED)  # growth_pro
 
 @dataclass
 class SolveOutcome:
-    certificate: list[int] | None
+    certificate: Certificate | None
     reason: str | None
     cells_placed: int
     cells_scanned: int
@@ -55,7 +51,7 @@ class SolveOutcome:
 
 
 def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> SolveOutcome:
-    """Build the unique skeleton and decide its generation count and marker.
+    """Decide the unique skeleton's generation count and marker.
 
     Markers: a halt witnessed within max_gens yields 25 with the earliest
     budget that witnesses it; a detected cycle also stabilizes the game, so
@@ -64,8 +60,9 @@ def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> So
     certifies exactly what the checker checks (no stabilization within the
     claimed generations). No machine structure means no certificate at all.
 
-    There is no limit on |A|. Time is O(|A|^2 + max_gens) and memory
-    O(|A|^2), the certificate list written.
+    There is no limit on |A|. Time is O(|A| + tiles + max_gens), and the
+    certificate is `Certificate(SquarePoints(A), E, marker)`, O(|A|) in
+    memory; writing it streams its bytes (instances.write_certificate).
     """
     if max_gens < 1:
         raise ValueError("max_gens must be >= 1")
@@ -84,8 +81,7 @@ def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> So
         gen_count, marker = result.first_index + result.period, MARKER_STOPS
     else:
         gen_count, marker = max_gens, MARKER_RUNS
-    certificate = build_candidate(inst, gen_count, marker)
-    return SolveOutcome(certificate, None, placed, scanned, result.generations_run)
+    return SolveOutcome(Certificate(points, gen_count, marker), None, placed, scanned, result.generations_run)
 
 
 @dataclass

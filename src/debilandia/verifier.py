@@ -28,7 +28,7 @@ itemized sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .embedding import NotATuringMachine, extract_tm_counted
 from .engine import RunResult, RunStatus, StepRecord, run
@@ -156,7 +156,7 @@ class VerifierReport:
 
 def verify(
     inst: Instance,
-    items: Sequence[int],
+    items: list[int] | Certificate,
     atlas: TileAtlas,
     on_step: Callable[[StepRecord], None] | None = None,
 ) -> VerifierReport:

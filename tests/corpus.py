@@ -7,13 +7,16 @@ import random
 from operator import attrgetter
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from debilandia import engine
 from debilandia.engine import Fired, step
 from debilandia.grid import GameState
-from debilandia.instances import MARKER_RUNS, MARKER_STOPS, Instance, build_candidate
+from debilandia.instances import MARKER_RUNS, MARKER_STOPS, Instance
 from debilandia.tiles import TileAtlas, TileKind, TileType
 from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmConfig, TmSpec, initial_config, tm_step
 from debilandia.verifier import verify
+from grammar_oracle import build_candidate
 
 # Halts immediately from state 0: its only rule needs state 1.
 NEVER_MATCH = (Rule(1, 1, 1, 1, MOVE_RIGHT),)
@@ -65,6 +68,19 @@ LOCKSTEP_MACHINES = {
 # {0,3} {0,1} {0,1,2,3} {0,2} {0,1,2} {0,1,3}, so the product points A x A
 # recognize to exactly a tape tile, the tip stack, and one complete packet.
 ACCEPT_A = (51, 54, 55, 56, 59, 60, 61, 62, 63, 65, 67, 68, 69, 71, 72, 74)
+
+
+@st.composite
+def near_the_fixture(draw) -> set[int]:
+    """The accepting set translated, then maybe with one element added or removed."""
+    shift = draw(st.integers(-7, 10**4))
+    values = {a + shift for a in ACCEPT_A}
+    edit = draw(st.sampled_from(["none", "add", "remove"]))
+    if edit == "add":
+        values.add(draw(st.integers(min(values) - 8, max(values) + 8)))
+    elif edit == "remove":
+        values.discard(draw(st.sampled_from(sorted(values))))
+    return values
 
 
 def random_tapes(seed: int, count: int = 20, max_len: int = 12) -> list[str]:

@@ -14,10 +14,17 @@ has already proven, or as `grid.SquarePoints` for a section that
 `read_sections` runs the package's three in the verifier's order, for tests
 of reject positions that only make sense across the sections; its pairs
 are the package's.
+
+`build_candidate`, `instance_obj`, `json_text` and `flat_text` were the
+package's writer: the canonical certificate as a list of 3|A|^2 + E + 2
+ints, then rendered whole by `json.dumps` or `str.join`. `instances.write_certificate` streams the
+same bytes from a `Certificate`; these stay as its oracle and as a way to
+build lists for the grammar tests.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import product
 from typing import Sequence
 
@@ -28,11 +35,43 @@ from debilandia.instances import (
     MARKER_GENERATION,
     MARKER_RUNS,
     MARKER_SEP,
+    MARKER_START,
     MARKER_STOPS,
     Instance,
     RejectedCertificate,
     RejectReason,
 )
+
+
+def build_candidate(inst: Instance, gen_count: int, marker: int) -> list[int]:
+    """The canonical certificate skeleton: A x A in lexicographic order, E fours, marker."""
+    if marker not in (MARKER_STOPS, MARKER_RUNS):
+        raise ValueError("marker must be 25 or 43")
+    if gen_count < 0:
+        raise ValueError("gen_count must be >= 0")
+    items = [MARKER_START]
+    for pair in product(inst.a_values, repeat=2):
+        items += pair
+        items.append(MARKER_SEP)
+    items[-1] = MARKER_END_TUPLES  # no 7 after the last pair
+    items += [MARKER_GENERATION] * gen_count
+    items.append(marker)
+    return items
+
+
+def instance_obj(inst: Instance, items: Sequence[int]) -> dict:
+    """The instance file's object: sorted A, then L."""
+    return {"A": list(inst.a_values), "L": list(items)}
+
+
+def json_text(obj: dict) -> str:
+    """An instance file in the layout encode and solve write."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def flat_text(items: Sequence[int]) -> str:
+    """The text form encode writes beside the JSON: L's ints on one line."""
+    return " ".join(str(v) for v in items) + "\n"
 
 
 def group_tuples(inst: Instance, items: Sequence[int], start: int) -> tuple[list[tuple[int, int]], int, int]:

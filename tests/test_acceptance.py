@@ -24,10 +24,11 @@ from corpus import (
     sweep_candidates,
     tape_text,
 )
+from grammar_oracle import build_candidate
 from debilandia.embedding import compile_direct, compile_universal
 from debilandia.engine import Fired, RuleCopied, RunStatus, Terminated, run, step
 from debilandia.grid import recognize, state_hash
-from debilandia.instances import Instance, RejectReason, build_candidate
+from debilandia.instances import Instance, RejectReason
 from debilandia.solver import construct_certificate, growth_probe
 from debilandia.tiles import TileAtlas, TileKind, atlas_default, classify_cell
 from debilandia.tm import Rule

@@ -17,10 +17,11 @@ from types import SimpleNamespace
 import pytest
 
 from corpus import ACCEPT_A, BOUNCE, ZERO_RUNNER, spec_with
+from grammar_oracle import build_candidate, instance_obj
 from debilandia.embedding import compile_direct
 from debilandia.engine import RunStatus
 from debilandia.grid import SquarePoints, recognize
-from debilandia.instances import Instance, build_candidate, instance_to_json_obj, load_instance_file
+from debilandia.instances import Instance, load_instance_file
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS_PATH = PERFBENCH / "spans.py"
@@ -77,7 +78,7 @@ def test_verify_ledger_matches_traced_spans(spans, atlas, tmp_path, a_values, ge
     inst = Instance(a_values)
     items = build_candidate(inst, gens, 25)
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(instance_to_json_obj(inst, items)))
+    path.write_text(json.dumps(instance_obj(inst, items)))
     _, loaded = load_instance_file(path)
     assert type(loaded.prefix) is SquarePoints
     for certificate in (items, loaded):

@@ -8,15 +8,16 @@ from pathlib import Path
 import pytest
 
 from corpus import ACCEPT_A, PING_PONG, save_atlas, spec_with
+from grammar_oracle import build_candidate, instance_obj
 from debilandia.cli import _build_parser, main
 from debilandia.embedding import compile_direct, compile_universal
-from debilandia.instances import Instance, build_candidate, instance_to_json_obj
+from debilandia.instances import Instance
 from debilandia.tiles import atlas_default
 
 
 def write_instance(path: Path, values, gens, marker) -> None:
     inst = Instance(tuple(values))
-    path.write_text(json.dumps(instance_to_json_obj(inst, build_candidate(inst, gens, marker))))
+    path.write_text(json.dumps(instance_obj(inst, build_candidate(inst, gens, marker))))
 
 
 def write_points(path: Path, points) -> None:

@@ -18,6 +18,7 @@ from pathlib import Path
 from unittest import mock
 
 import grammar_oracle
+from grammar_oracle import build_candidate, instance_obj
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,10 +32,8 @@ from debilandia.instances import (
     RESERVED,
     Instance,
     RejectedCertificate,
-    build_candidate,
     check_coverage,
     group_tuples,
-    instance_to_json_obj,
     load_instance_file,
     scan_tail,
 )
@@ -269,7 +268,7 @@ def test_canonical_and_permuted_sections_give_the_same_report(atlas, a_values, g
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.json"
         for listed, held in ((items, SquarePoints), (other, SquarePoints if permuted == canonical else list)):
-            path.write_text(json.dumps(instance_to_json_obj(inst, listed)))
+            path.write_text(json.dumps(instance_obj(inst, listed)))
             _, loaded = load_instance_file(path)
             assert type(loaded.prefix) is held
             assert type(group_tuples(inst, loaded.prefix, 1)[0]) is (Pairs if held is list else SquarePoints)

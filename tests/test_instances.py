@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import pytest
@@ -5,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import ACCEPT_A
-from grammar_oracle import read_sections
+from grammar_oracle import build_candidate, flat_text, read_sections
+from debilandia.grid import SquarePoints
 from debilandia.instances import (
     RESERVED,
+    Certificate,
     Instance,
     RejectReason,
     RejectedCertificate,
-    build_candidate,
-    certificate_text,
     check_coverage,
     group_tuples,
     scan_tail,
+    write_certificate,
 )
 from debilandia.verifier import verify
 
@@ -157,7 +159,10 @@ def test_build_candidate_worked_example():
     inst = Instance((1, 3))
     items = [2, 1, 1, 7, 1, 3, 7, 3, 1, 7, 3, 3, 5, 4, 4, 25]
     assert build_candidate(inst, 2, 25) == items
-    assert certificate_text(items) == "2 1 1 7 1 3 7 3 1 7 3 3 5 4 4 25"
+    assert flat_text(items) == "2 1 1 7 1 3 7 3 1 7 3 3 5 4 4 25\n"
+    handle = io.StringIO()
+    write_certificate(handle, Certificate(SquarePoints(inst.a_values), 2, 25), as_json=False)
+    assert handle.getvalue() == flat_text(items)
 
 
 a_sets = st.sets(

@@ -3,7 +3,7 @@
 A file whose list L ends in the layout `json.dumps` writes (`5, 4, 4, 25]}`,
 any one comma-and-whitespace separator throughout) has its run of fours cut
 out of the text and comes back as a `Certificate` holding E as a count; its
-pair section, when it is `build_candidate`'s, is proven on the text and held
+pair section, when it is A x A in lexicographic order, is proven on the text and held
 as `SquarePoints(A)`. Any other file is parsed whole by `tiles.parse_json`.
 `verify` through the CLI must print, exit and write the same on every path,
 for files written in both layouts and then mutated in and around the run or
@@ -25,16 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import ACCEPT_A
+from grammar_oracle import build_candidate, instance_obj, json_text
 from debilandia import instances
-from debilandia.cli import _write_json, main
+from debilandia.cli import main
 from debilandia.grid import SquarePoints
 from debilandia.instances import (
     RESERVED,
     Certificate,
     Instance,
     RejectedCertificate,
-    build_candidate,
-    instance_to_json_obj,
     load_instance_file,
     scan_tail,
 )
@@ -61,7 +60,7 @@ def write_layout(path: Path, obj: dict, layout: str) -> None:
     if layout == "dumps":
         path.write_text(json.dumps(obj))
     else:
-        _write_json(path, obj)
+        path.write_text(json_text(obj))
 
 
 def run_verify(path: Path, report: Path) -> tuple:
@@ -154,7 +153,7 @@ def mutated_text(data, obj: dict, layout: str) -> str:
 )
 def test_verify_is_the_same_whichever_way_the_file_is_read(a_values, gens, marker, layout, data):
     inst = Instance(a_values)
-    obj = instance_to_json_obj(inst, build_candidate(inst, gens, marker))
+    obj = instance_obj(inst, build_candidate(inst, gens, marker))
     with tempfile.TemporaryDirectory() as tmp:
         path, report = Path(tmp) / "instance.json", Path(tmp) / "report.json"
         path.write_text(mutated_text(data, obj, layout))
@@ -167,7 +166,7 @@ def test_canonical_layouts_hold_the_run_as_a_count(tmp_path, layout, gens):
     inst = Instance(ACCEPT_A)
     items = build_candidate(inst, gens, 25)
     path = tmp_path / "instance.json"
-    obj = instance_to_json_obj(inst, items)
+    obj = instance_obj(inst, items)
     obj["A"].reverse()  # the section is proven against A sorted, whatever the file's order
     write_layout(path, obj, layout)
     loaded_inst, loaded = load_instance_file(path)
@@ -206,7 +205,7 @@ def test_only_a_last_L_in_one_layout_is_cut(tmp_path, write, cut):
     inst = Instance(ACCEPT_A)
     items = build_candidate(inst, 3, 25)
     path = tmp_path / "instance.json"
-    path.write_text(write(instance_to_json_obj(inst, items)))
+    path.write_text(write(instance_obj(inst, items)))
     _, loaded = load_instance_file(path)
     assert type(loaded) is (Certificate if cut else list)
     assert expanded(loaded) == items
@@ -405,7 +404,7 @@ def test_loading_a_canonical_skeleton_peaks_under_twice_the_file(tmp_path):
     # the file's bytes are held once; only the bytes outside the section and the run are parsed
     inst = Instance(tuple(range(100, 1300, 10)))
     path = tmp_path / "skeleton.json"
-    path.write_text(json.dumps(instance_to_json_obj(inst, build_candidate(inst, 1500, 43))))
+    path.write_text(json.dumps(instance_obj(inst, build_candidate(inst, 1500, 43))))
     load_instance_file(path)  # warm up
     tracemalloc.start()
     try:

@@ -3,11 +3,11 @@ import math
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corpus import ACCEPT_A, sweep_candidates
-from grammar_oracle import read_sections
+from corpus import ACCEPT_A, near_the_fixture, sweep_candidates
+from grammar_oracle import build_candidate
 from debilandia.embedding import NotATuringMachine, extract_tm
 from debilandia.grid import SquarePoints, recognize
-from debilandia.instances import MARKER_RUNS, MARKER_STOPS, RESERVED, Instance, build_candidate
+from debilandia.instances import MARKER_RUNS, MARKER_STOPS, RESERVED, Certificate, Instance
 from debilandia.solver import (
     SAMPLE_POOL,
     construct_certificate,
@@ -44,17 +44,20 @@ def test_accepting_fixture_is_found_and_verifies(atlas):
     inst = Instance(ACCEPT_A)
     outcome = construct_certificate(inst, 16, atlas)
     assert outcome.found
-    _, gens, marker = read_sections(inst, outcome.certificate)
-    assert marker == MARKER_STOPS
-    assert gens == 1  # the board halts on its first read attempt
-    assert verify(inst, outcome.certificate, atlas).accepted
+    cert = outcome.certificate
+    assert type(cert) is Certificate and type(cert.prefix) is SquarePoints
+    assert cert.prefix.values == inst.a_values
+    assert cert.marker == MARKER_STOPS
+    assert cert.gens == 1  # the board halts on its first read attempt
+    assert verify(inst, cert, atlas).accepted
 
 
 def test_solver_is_deterministic(atlas):
     inst = Instance(ACCEPT_A)
     first = construct_certificate(inst, 16, atlas)
     second = construct_certificate(inst, 16, atlas)
-    assert first.certificate == second.certificate
+    fields = [(o.certificate.prefix.values, o.certificate.gens, o.certificate.marker) for o in (first, second)]
+    assert fields[0] == fields[1]
 
 
 def test_default_arguments_solve_the_fixture(atlas):
@@ -82,19 +85,6 @@ def test_random_instance_respects_reserved():
     for _ in range(50):
         inst = random_instance(rng, 4)
         assert len(inst.a_values) == 4
-
-
-@st.composite
-def near_the_fixture(draw) -> set[int]:
-    """The accepting set translated, then maybe with one element added or removed."""
-    shift = draw(st.integers(-7, 10**4))
-    values = {a + shift for a in ACCEPT_A}
-    edit = draw(st.sampled_from(["none", "add", "remove"]))
-    if edit == "add":
-        values.add(draw(st.integers(min(values) - 8, max(values) + 8)))
-    elif edit == "remove":
-        values.discard(draw(st.sampled_from(sorted(values))))
-    return values
 
 
 @settings(max_examples=150, deadline=None)

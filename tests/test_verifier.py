@@ -3,14 +3,13 @@ from itertools import product
 import pytest
 
 from corpus import ACCEPT_A, clone_state
-from grammar_oracle import read_sections
+from grammar_oracle import build_candidate, read_sections
 from debilandia.engine import run
 from debilandia.grid import recognize
 from debilandia.instances import (
     Instance,
     RejectedCertificate,
     RejectReason,
-    build_candidate,
 )
 from debilandia.verifier import (
     CostLedger,
