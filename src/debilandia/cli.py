@@ -1,8 +1,9 @@
 """Command-line front end: simulate, verify, encode, solve, bench.
 
 Exit codes: 0 success/accept, 1 reject or no certificate found, 2 malformed
-input files or flags. Output files are written atomically (temp + rename)
-and identical invocations on identical inputs produce byte-identical output.
+input files or flags. Output files are written atomically (temp + rename),
+all of a command's or none, and identical invocations on identical inputs
+produce byte-identical output.
 The DEBILANDIA_ATLAS environment variable points at an alternative atlas
 file; --atlas (where offered) wins over the environment.
 """
@@ -11,10 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import astuple
 from functools import cache
 from pathlib import Path
@@ -32,23 +36,54 @@ ENV_ATLAS = "DEBILANDIA_ATLAS"
 T = TypeVar("T")
 
 
-def _atomic_write(path: Path, write: Callable[[TextIO], T]) -> T:
-    """Stream write(handle) into a temporary file beside path, which then replaces
-    path, and return its result; an OSError names path, not that file."""
+@contextmanager
+def _named(path: Path | None) -> Iterator[None]:
+    """Re-raise an OSError as one that names path (when given), not a temporary file."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                result = write(handle)
-            # mkstemp makes the file 0600; give it the mode a plain open would
-            os.umask(umask := os.umask(0))
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        yield
     except OSError as exc:
+        if path is None:
+            raise
         raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
+def _atomic_write(write: Callable[..., T], *paths: str | None) -> T:
+    """Call write with a handle on a temporary file beside each path (None
+    for a path that is None), then let the files replace their paths, and
+    return write's result. A path that is a directory, or whose parent is
+    not one, is refused before any file is made; on any error the files are
+    removed, so no path is replaced unless every file was filled. An OSError
+    names its path, not a temporary file; one that write raises names the
+    path only when there is one."""
+    outputs = [Path(name) for name in paths if name is not None]
+    for path in outputs:
+        if path.is_dir():  # os.replace would refuse it only after the filling
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    files: list[tuple[Path, str, TextIO]] = []
+    try:
+        for path in outputs:
+            with _named(path):
+                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            files.append((path, tmp, os.fdopen(fd, "w")))
+        handles = (handle for *_, handle in files)
+        with _named(outputs[0] if len(outputs) == 1 else None):
+            result = write(*(None if name is None else next(handles) for name in paths))
+        # mkstemp makes the file 0600; give it the mode a plain open would
+        os.umask(umask := os.umask(0))
+        for path, tmp, handle in files:
+            with _named(path):
+                handle.close()
+            os.chmod(tmp, 0o666 & ~umask)
+        for path, tmp, _ in files:
+            with _named(path):
+                os.replace(tmp, path)
+    except BaseException:
+        for _, tmp, handle in files:
+            with suppress(OSError):
+                handle.close()
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
     return result
 
 
@@ -81,7 +116,11 @@ def _outcome_name(outcome) -> str:
     return _OUTCOME_NAMES[type(outcome)]
 
 
-def _trace_writer(handle):
+def _trace_writer(handle: TextIO | None) -> Callable[[StepRecord], None] | None:
+    """An on_step that streams trace records into handle; None for no handle."""
+    if handle is None:
+        return None
+
     def emit(record: StepRecord) -> None:
         line = {
             "gen": record.gen,
@@ -94,16 +133,11 @@ def _trace_writer(handle):
     return emit
 
 
-def _traced(trace: str | None, call: Callable[..., T]) -> T:
-    """call(on_step), where on_step is None or streams trace records into the file trace names."""
-    return _atomic_write(Path(trace), lambda handle: call(_trace_writer(handle))) if trace else call(None)
-
-
 def _cmd_simulate(args) -> int:
     _check_floor("--max-gens", args.max_gens, 0)
     atlas = _load_atlas(args.atlas)
     state = recognize(read_points(args.points), atlas)
-    result = _traced(args.trace, lambda on_step: run(state, args.max_gens, on_step=on_step))
+    result = _atomic_write(lambda trace: run(state, args.max_gens, on_step=_trace_writer(trace)), args.trace or None)
     summary = {
         "status": result.status.value,
         "reason": result.reason.value if result.reason else None,
@@ -121,13 +155,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     atlas = _load_atlas(args.atlas)
     inst, items = load_instance_file(args.instance)
-    report = _traced(args.trace, lambda on_step: verify(inst, items, atlas, on_step=on_step))
-    verdict = report.to_json_obj()
-    if args.report:
-        text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
-        _atomic_write(Path(args.report), lambda handle: handle.write(text))
+
+    def check(trace: TextIO | None, report_file: TextIO | None) -> dict:
+        verdict = verify(inst, items, atlas, on_step=_trace_writer(trace)).to_json_obj()
+        if report_file:
+            report_file.write(json.dumps(verdict, indent=2, sort_keys=True) + "\n")
+        return verdict
+
+    verdict = _atomic_write(check, args.trace or None, args.report or None)
     print(json.dumps({k: verdict[k] for k in ("verdict", "reason", "step")}, sort_keys=True))
-    return 0 if report.accepted else 1
+    return 0 if verdict["verdict"] == "accept" else 1
 
 
 def _cmd_encode(args) -> int:
@@ -138,8 +175,12 @@ def _cmd_encode(args) -> int:
     if text == out:
         raise ValueError(f"--out {out} would be overwritten by the text form; give it another suffix")
     cert = Certificate(SquarePoints(inst.a_values), args.e, args.marker)
-    _atomic_write(out, lambda handle: write_certificate(handle, cert, as_json=True))
-    _atomic_write(text, lambda handle: write_certificate(handle, cert, as_json=False))
+
+    def write_both(json_file: TextIO, text_file: TextIO) -> None:
+        write_certificate(json_file, cert, as_json=True)
+        write_certificate(text_file, cert, as_json=False)
+
+    _atomic_write(write_both, str(out), str(text))
     print(f"wrote {out} and {text}")
     return 0
 
@@ -154,7 +195,7 @@ def _cmd_solve(args) -> int:
     if not outcome.found:
         print(f"no certificate: {outcome.reason}", file=sys.stderr)
         return 1
-    _atomic_write(Path(args.out), lambda handle: write_certificate(handle, outcome.certificate, as_json=True))
+    _atomic_write(lambda handle: write_certificate(handle, outcome.certificate, as_json=True), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -177,7 +218,7 @@ def _cmd_bench(args) -> int:
         writer.writerow(["m", "trial", "cells_placed", "factorial_sq_claim", "generations", "cells_scanned", "found"])
         writer.writerows([*astuple(row)[:-1], int(row.found)] for row in rows)
 
-    _atomic_write(Path(args.csv), write_rows)
+    _atomic_write(write_rows, args.csv)
     print(f"wrote {len(rows)} rows to {args.csv}")
     return 0
 

@@ -462,8 +462,7 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
     tiles can make one node per tile of the row. Per step call, in
     perfbench's traced reference microseconds (span wrapper included;
     medians of three alternating runs): a fire 3.0 on tape-sweep and 2.7 on
-    rule-load, down from 4.1 and 4.0 when it built a tape, a board and a
-    state; a copy 4.5, down from 6.2 when it copied the map of rows.
+    rule-load; a copy 4.5.
     """
     if max_gens < 0:
         raise ValueError("max_gens must be >= 0")

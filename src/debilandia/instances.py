@@ -18,11 +18,10 @@ measure is N = P + E + T + 4 = 3T + E + 4, 2 more by construction. The
 verifier is the one reader of this grammar (group_tuples, check_coverage and
 scan_tail in turn). The canonical certificate is `Certificate(SquarePoints(A),
 E, marker)`, and write_certificate is its one writer. load_instance_file
-reads a file in the layouts json.dumps writes as a `Certificate`: E as a
-count, and a pair section proven on the file text as `grid.SquarePoints(A)`,
-so it parses only the bytes around them. The writer and that proof take the
-section's text from square_rows. Any other pair section is read as two
-member columns (`grid.Pairs`).
+returns a file proven canonical on its text as that `Certificate`, parsing
+only the bytes around its pairs and its run; the writer and that proof take
+the section's text from square_rows. Any other file is parsed whole into a
+list, whose pair section is read as two member columns (`grid.Pairs`).
 """
 
 from __future__ import annotations
@@ -168,14 +167,12 @@ def scan_tail(items: list[int] | Certificate, start: int) -> tuple[int, int, int
     """Read ``4 ... 4 marker`` from items[start:].
 
     Returns (E, marker, tokens touched scanning fours). Trailing data is the
-    caller's concern. A `Certificate` read from its run gives E in O(1);
-    from an earlier start its prefix is walked, which stops at the 5 ending
-    it at the latest. A list's run is counted a fixed-size slice at a time.
+    caller's concern. A `Certificate`, whose run starts one past its 5, gives
+    its E and marker in O(1). A list's run is counted a fixed-size slice at a
+    time.
     """
     if isinstance(items, Certificate):
-        if start == len(items) - items.gens - 1:
-            return items.gens, items.marker, items.gens
-        items = items.prefix
+        return items.gens, items.marker, items.gens
     i = start
     while items[i : i + _SCAN_CHUNK].count(MARKER_GENERATION) == _SCAN_CHUNK:
         i += _SCAN_CHUNK
@@ -191,24 +188,21 @@ def scan_tail(items: list[int] | Certificate, start: int) -> tuple[int, int, int
 
 
 class Certificate:
-    """The certificate list prefix + [4] * E + [marker], its run held as E.
-
-    prefix ends in the whole 5 token that the run follows, so the pair
-    section and any reject in it lie in prefix; or it is `SquarePoints(A)`,
-    for ``2 <A x A in lexicographic order> 5``: the solver's certificate, or
-    a file's section proven on its text. len() is the list's length.
+    """The canonical certificate ``2 <A x A in lexicographic order> 5``, E
+    fours and a marker, its pairs held as prefix = `SquarePoints(A)` and its
+    run as the count E: the solver's certificate, or a file proven canonical
+    on its text. len() is the list's length, 3|A|^2 + E + 2.
     """
 
     __slots__ = ("prefix", "gens", "marker")
 
-    def __init__(self, prefix: list[int] | SquarePoints, gens: int, marker: int) -> None:
+    def __init__(self, prefix: SquarePoints, gens: int, marker: int) -> None:
         self.prefix = prefix
         self.gens = gens
         self.marker = marker
 
     def __len__(self) -> int:
-        tokens = 3 * len(self.prefix) + 1 if isinstance(self.prefix, SquarePoints) else len(self.prefix)
-        return tokens + self.gens + 1
+        return 3 * len(self.prefix) + self.gens + 2
 
 
 def square_rows(values: tuple[int, ...], sep: str) -> Iterator[str]:
@@ -351,26 +345,21 @@ def _square_instance(data: bytes, bracket: int, five: int, run_at: int, marker_a
 def load_instance_file(path: str | Path) -> tuple[Instance, list[int] | Certificate]:
     """Read {"A": [...], "L": [...]}; malformed files raise ValueError.
 
-    L comes back as a `Certificate` when its run of fours can be cut out of
-    the file bytes (see _cut_run) and "L" is the file's last key, once,
-    holding `SquarePoints(A)` or else the list parsed from the bytes without
-    the run. Any other file's bytes, already read, are parsed whole by
-    tiles.parse_json and L comes back as a list. All hold the same items,
-    which `verify` reads alike, and raise the same errors.
+    L comes back as `Certificate(SquarePoints(A), E, marker)` when the file
+    bytes are proven canonical: its run of fours cut out by _cut_run, "L"
+    the file's last key, once, and its pair section A x A in order (see
+    _square_instance). Any other file's bytes, already read, are parsed
+    whole by tiles.parse_json and L comes back as that list. Both hold the
+    same items, which `verify` reads alike.
     """
     data = Path(path).read_bytes()
     cut = _cut_run(data)
-    obj = None
-    if cut:
+    inst = cut and _square_instance(data, *cut)
+    if inst:
         five, run_at, marker_at = cut[1:]
         gens = (marker_at - run_at) // (run_at - five)
-        inst = _square_instance(data, *cut)
-        if inst:
-            return inst, Certificate(SquarePoints(inst.a_values), gens, int(data[marker_at : marker_at + 2]))
-        obj = _parse_cut(data[:run_at] + data[marker_at:])
-    if obj is None:
-        cut = None
-        obj = parse_json(decode_text(data, path), path)
+        return inst, Certificate(SquarePoints(inst.a_values), gens, int(data[marker_at : marker_at + 2]))
+    obj = parse_json(decode_text(data, path), path)
     if not isinstance(obj, dict) or "A" not in obj or "L" not in obj:
         raise ValueError("instance file must be a JSON object with keys A and L")
     values = obj["A"]
@@ -379,7 +368,4 @@ def load_instance_file(path: str | Path) -> tuple[Instance, list[int] | Certific
         raise ValueError("A and L must be JSON arrays")
     if not set(map(type, items)) <= {int}:
         raise ValueError("L must contain integers only")
-    if cut:
-        marker = items.pop()
-        items = Certificate(items, gens, marker)
     return Instance(tuple(values)), items

@@ -162,7 +162,7 @@ def verify(
 ) -> VerifierReport:
     """Check one certificate, a list or a `Certificate`; never raises for bad certificates."""
     ledger = CostLedger()
-    prefix = items.prefix if isinstance(items, Certificate) else items  # holds the first 5, or is A x A
+    prefix = items.prefix if isinstance(items, Certificate) else items  # a Certificate's is A x A
 
     def reject(reason: RejectReason, **extra) -> VerifierReport:
         report = VerifierReport(False, ledger, reason=reason, step=_REASON_STEP[reason], **extra)

@@ -21,7 +21,7 @@ from grammar_oracle import build_candidate, instance_obj
 from debilandia.embedding import compile_direct
 from debilandia.engine import RunStatus
 from debilandia.grid import SquarePoints, recognize
-from debilandia.instances import Instance, load_instance_file
+from debilandia.instances import Certificate, Instance, load_instance_file
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS_PATH = PERFBENCH / "spans.py"
@@ -114,3 +114,15 @@ def test_every_workload_passes_at_tiny_sizes(bench, tmp_path, workload):
     bench.run_pass(lib, ops, checker, bench.spans.Tracer(lib))
     assert checker.attempted == 2 * len(ops)
     assert checker.failed == 0, checker.messages
+
+
+def test_every_benchmarked_verify_loads_a_proven_certificate(bench, tmp_path):
+    # certificate-check times verify on canonical files only, so every one
+    # loads with its section proven on the text, never parsed whole
+    lib = SimpleNamespace(**{m: importlib.import_module(f"debilandia.{m}") for m in bench.MODULES})
+    ops = bench.workloads.build("certificate-check", 1, tmp_path, lib, bench.workloads.TINY)
+    verifies = [op for op in ops if op.name.startswith("verify:")]
+    assert verifies
+    for op in verifies:
+        _, loaded = load_instance_file(op.argv[op.argv.index("--instance") + 1])
+        assert type(loaded) is Certificate and type(loaded.prefix) is SquarePoints, op.name

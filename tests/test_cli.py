@@ -289,6 +289,36 @@ def test_an_output_path_in_a_missing_directory_is_named(tmp_path, capsys, argv):
     assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
+def test_encode_writes_both_files_or_neither(tmp_path, capsys, monkeypatch):
+    # a directory where the text form goes: the JSON form must not be written either
+    monkeypatch.chdir(tmp_path)
+    Path("cert.json").write_bytes(b"kept")
+    Path("cert.txt").mkdir()
+    assert main(["encode", "--set-a", "1,3", "--e", "2", "--marker", "25", "--out", "cert.json"]) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 21] Is a directory: 'cert.txt'\n")
+    assert Path("cert.json").read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.json", "cert.txt"]
+
+
+@pytest.mark.parametrize("broken", ["directory", "missing-parent"])
+def test_verify_writes_its_trace_and_report_or_neither(tmp_path, capsys, broken):
+    instance, trace = tmp_path / "inst.json", tmp_path / "t.jsonl"
+    write_instance(instance, ACCEPT_A, 1, 25)
+    trace.write_bytes(b"kept")
+    report = tmp_path / "report"
+    if broken == "directory":
+        report.mkdir()
+        expected = f"error: [Errno 21] Is a directory: {str(report)!r}\n"
+    else:
+        report = report / "report.json"
+        expected = f"error: [Errno 2] No such file or directory: {str(report)!r}\n"
+    argv = ["verify", "--instance", str(instance), "--trace", str(trace), "--report", str(report)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", expected)
+    assert trace.read_bytes() == b"kept"
+    assert {p.name for p in tmp_path.iterdir()} <= {"inst.json", "report", "t.jsonl"}  # no temporary file
+
+
 def test_solve_round_trips_through_verify(tmp_path, capsys):
     out = tmp_path / "cert.json"
     set_a = ",".join(str(v) for v in ACCEPT_A)

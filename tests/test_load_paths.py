@@ -1,14 +1,14 @@
-"""Differential tests: the ways `load_instance_file` reads an instance file.
+"""Differential tests: the two ways `load_instance_file` reads an instance file.
 
 A file whose list L ends in the layout `json.dumps` writes (`5, 4, 4, 25]}`,
-any one comma-and-whitespace separator throughout) has its run of fours cut
-out of the text and comes back as a `Certificate` holding E as a count; its
-pair section, when it is A x A in lexicographic order, is proven on the text and held
-as `SquarePoints(A)`. Any other file is parsed whole by `tiles.parse_json`.
-`verify` through the CLI must print, exit and write the same on every path,
+any one comma-and-whitespace separator throughout) and whose pair section is
+A x A in lexicographic order is proven canonical on its text and comes back
+as `Certificate(SquarePoints(A), E, marker)`, holding E as a count. Any other
+file is parsed whole by `tiles.parse_json` and comes back as its list.
+`verify` through the CLI must print, exit and write the same on both paths,
 for files written in both layouts and then mutated in and around the run or
-the section, and `verify` and `scan_tail` must read a `Certificate` as the
-list it stands for.
+the section, and `verify` must read a `Certificate` as the list it stands
+for.
 """
 
 import contextlib
@@ -29,14 +29,7 @@ from grammar_oracle import build_candidate, instance_obj, json_text
 from debilandia import instances
 from debilandia.cli import main
 from debilandia.grid import SquarePoints
-from debilandia.instances import (
-    RESERVED,
-    Certificate,
-    Instance,
-    RejectedCertificate,
-    load_instance_file,
-    scan_tail,
-)
+from debilandia.instances import RESERVED, Certificate, Instance, load_instance_file
 from debilandia.verifier import verify
 
 POOL = [v for v in range(1, 40) if v not in RESERVED]
@@ -50,10 +43,8 @@ def expanded(items) -> list[int]:
     """The list a `Certificate` stands for; a list as it is."""
     if type(items) is not Certificate:
         return items
-    prefix = items.prefix
-    if type(prefix) is SquarePoints:
-        prefix = [2] + [v for pair in prefix for v in (*pair, 7)][:-1] + [5]
-    return prefix + [4] * items.gens + [items.marker]
+    pairs = [v for pair in items.prefix for v in (*pair, 7)][:-1]
+    return [2] + pairs + [5] + [4] * items.gens + [items.marker]
 
 
 def write_layout(path: Path, obj: dict, layout: str) -> None:
@@ -267,45 +258,6 @@ def test_cut_run_walks_the_run_as_a_one_unit_walk_does():
         expected = [instances._cut_run(text) for text in texts]
     assert [instances._cut_run(text) for text in texts] == expected
     assert sum(cut is not None for cut in expected) > len(texts) // 3
-
-
-def outcome(fn, *args):
-    try:
-        return ("ok", fn(*args))
-    except RejectedCertificate as exc:
-        return ("reject", exc.reason, exc.position)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    a_values=A_VALUES,
-    gens=st.integers(0, 6),
-    marker=st.sampled_from([25, 43]),
-    data=st.data(),
-)
-def test_a_certificate_reads_as_its_list(atlas, a_values, gens, marker, data):
-    # prefixes are build_candidate's, up to three edits away, ending in a 5;
-    # an edit can put a 5, a 25 or a 43 before that last 5
-    inst = Instance(a_values)
-    prefix = build_candidate(inst, 0, marker)[:-1]
-    tokens = st.sampled_from(list(inst.a_values) + [2, 4, 5, 7, 25, 43])
-    for _ in range(data.draw(st.integers(0, 3))):
-        i = data.draw(st.integers(0, len(prefix) - 1))
-        choice = data.draw(st.sampled_from(["replace", "insert", "delete"]))
-        if choice == "insert":
-            prefix.insert(i, data.draw(tokens))
-        elif choice == "replace":
-            prefix[i] = data.draw(tokens)
-        else:
-            del prefix[i]
-    if prefix[-1:] != [5]:
-        prefix.append(5)
-    held = Certificate(prefix, gens, marker)
-    items = expanded(held)
-    assert len(held) == len(items)
-    for start in range(len(prefix) + 1):
-        assert outcome(scan_tail, held, start) == outcome(scan_tail, items, start)
-    assert verify(inst, held, atlas).to_json_obj() == verify(inst, items, atlas).to_json_obj()
 
 
 def run_verify_unproven(path: Path, report: Path) -> tuple:
