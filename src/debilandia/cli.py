@@ -11,15 +11,12 @@ file; --atlas (where offered) wins over the environment.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import json
 import os
 import sys
-import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
-from dataclasses import astuple
 from functools import cache
 from pathlib import Path
 from typing import Callable, TextIO, TypeVar
@@ -50,18 +47,30 @@ def _named(path: Path | None) -> Iterator[None]:
 def _atomic_write(write: Callable[..., T], *paths: str | None) -> T:
     """Call write with a handle on a temporary file beside each path (None
     for a path that is None), then let the files replace their paths, and
-    return write's result. A path that is a directory, or whose parent is
-    not one, is refused before any file is made; on any error the files are
-    removed, so no path is replaced unless every file was filled. An OSError
-    names its path, not a temporary file; one that write raises names the
-    path only when there is one."""
+    return write's result. A path that is a directory, whose parent is not
+    one, or that names the directory entry another path names is refused
+    before any file is made; on any error the files are removed, so no path
+    is replaced unless every file was filled. An OSError names its path, not
+    a temporary file; one that write raises names the path only when there
+    is one."""
     outputs = [Path(name) for name in paths if name is not None]
     for path in outputs:
         if path.is_dir():  # os.replace would refuse it only after the filling
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if len(outputs) > 1:  # realpath costs a stat per component; one output cannot clash
+        # os.replace replaces a symlink, not its target, so two outputs are
+        # one file when they name one entry of one directory
+        entries = set()
+        for path in outputs:
+            entry = (os.path.realpath(path.parent), path.name)
+            if entry in entries:
+                raise ValueError(f"two outputs name one file: {path}")
+            entries.add(entry)
     files: list[tuple[Path, str, TextIO]] = []
     try:
         for path in outputs:
+            import tempfile  # loaded by the first command that writes a file
+
             with _named(path):
                 fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
             files.append((path, tmp, os.fdopen(fd, "w")))
@@ -214,9 +223,11 @@ def _cmd_bench(args) -> int:
     rows = growth_probe(sizes, args.trials, atlas, max_gens=args.max_gens, seed=args.seed)
 
     def write_rows(handle: TextIO) -> None:
+        import csv  # only bench writes CSV
+
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["m", "trial", "cells_placed", "factorial_sq_claim", "generations", "cells_scanned", "found"])
-        writer.writerows([*astuple(row)[:-1], int(row.found)] for row in rows)
+        writer.writerows([*row[:-1], int(row.found)] for row in rows)
 
     _atomic_write(write_rows, args.csv)
     print(f"wrote {len(rows)} rows to {args.csv}")

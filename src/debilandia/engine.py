@@ -44,9 +44,8 @@ any tape length and any number of packets (see run).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .grid import GameState, state_hash
 from .tiles import CellAddr, TileKind, TileType, read_tile, status_tile, tape_tile
@@ -67,19 +66,16 @@ class StopReason(Enum):
     MALFORMED_TIP_CONTEXT = "malformed_tip_context"
 
 
-@dataclass(frozen=True)
-class Fired:
+class Fired(NamedTuple):
     packet_row: int
 
 
-@dataclass(frozen=True)
-class RuleCopied:
+class RuleCopied(NamedTuple):
     target_row: int
     slot: int
 
 
-@dataclass(frozen=True)
-class Terminated:
+class Terminated(NamedTuple):
     reason: StopReason
 
 
@@ -92,8 +88,7 @@ class RunStatus(Enum):
     BUDGET = "budget_exhausted"
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     final_state: GameState
     generations_run: int
     status: RunStatus
@@ -107,8 +102,7 @@ class RunResult:
         return self.status is not RunStatus.BUDGET
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     gen: int
     outcome: StepOutcome
     state_hash: int
@@ -213,7 +207,6 @@ def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
     return None if stays.keys() & moved.keys() else stays | moved
 
 
-@dataclass(slots=True, eq=False)
 class _Shared:
     """The board off a state's tip context, shared by the states from one copy to the next.
 
@@ -231,16 +224,31 @@ class _Shared:
     copies, the RuleCopied outcomes by row << 3 | slot.
     """
 
-    tip: CellAddr | None
-    rows: dict[int, dict[int, TileKind]]
-    copied: tuple | None
-    stack: tuple | None
-    top: int | None
-    first: dict[int, tuple]
-    nontape: int
-    count: int
-    nodes: dict[tuple, _Node]
-    copies: dict[int, RuleCopied]
+    __slots__ = ("tip", "rows", "copied", "stack", "top", "first", "nontape", "count", "nodes", "copies")
+
+    def __init__(
+        self,
+        tip: CellAddr | None,
+        rows: dict[int, dict[int, TileKind]],
+        copied: tuple | None,
+        stack: tuple | None,
+        top: int | None,
+        first: dict[int, tuple],
+        nontape: int,
+        count: int,
+        nodes: dict[tuple, _Node],
+        copies: dict[int, RuleCopied],
+    ) -> None:
+        self.tip = tip
+        self.rows = rows
+        self.copied = copied
+        self.stack = stack
+        self.top = top
+        self.first = first
+        self.nontape = nontape
+        self.count = count
+        self.nodes = nodes
+        self.copies = copies
 
     def rows_of(self, state: GameState) -> dict[int, dict[int, TileKind]]:
         """The state's tiles by row, then column, sharing the maps of rows; O(rows + copies + row)."""

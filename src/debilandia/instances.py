@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, repeat
 from operator import add, mul
 from pathlib import Path
 from typing import NoReturn, TextIO
 
+from .frozen import Frozen
 from .grid import Pairs, SquarePoints
 from .tiles import decode_text, parse_json
 
@@ -68,23 +68,22 @@ class RejectedCertificate(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Frozen):
     """The set A, canonically ascending. B = A plus the six markers."""
 
+    __slots__ = _fields = ("a_values",)
     a_values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        values = self.a_values
-        if not values:
+    def __init__(self, a_values: tuple[int, ...]) -> None:
+        if not a_values:
             raise ValueError("set A must not be empty")
-        if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in values):
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in a_values):
             raise ValueError("set A must contain positive integers")
-        if len(set(values)) != len(values):
+        if len(set(a_values)) != len(a_values):
             raise ValueError("set A must not repeat values")
-        if set(values) & RESERVED:
+        if set(a_values) & RESERVED:
             raise ValueError(f"set A must avoid the reserved values {sorted(RESERVED)}")
-        object.__setattr__(self, "a_values", tuple(sorted(values)))
+        object.__setattr__(self, "a_values", tuple(sorted(a_values)))
 
     @property
     def size(self) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .embedding import NotATuringMachine, extract_tm
 from .engine import RunStatus, run
@@ -37,8 +37,7 @@ from .tiles import TileAtlas
 SAMPLE_POOL = tuple(v for v in range(1, 201) if v not in RESERVED)  # growth_probe's random elements
 
 
-@dataclass
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     certificate: Certificate | None
     reason: str | None
     cells_placed: int
@@ -84,8 +83,7 @@ def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> So
     return SolveOutcome(Certificate(points, gen_count, marker), None, placed, scanned, result.generations_run)
 
 
-@dataclass
-class GrowthRow:
+class GrowthRow(NamedTuple):
     size_m: int
     trial: int
     cells_placed: int

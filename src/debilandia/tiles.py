@@ -12,13 +12,14 @@ so recognition round-trips exactly through point reconstruction.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
+
+from .frozen import Frozen
 
 CELL = 4  # cells are 4x4 blocks of lattice points
 
@@ -110,22 +111,25 @@ class AtlasError(ValueError):
     """Raised for atlas files that violate the atlas invariants."""
 
 
-@dataclass(frozen=True)
-class TileAtlas:
+class TileAtlas(Frozen):
     """Mapping from tile kind to its 16-bit cell occupancy mask.
 
     Bit i of a mask is the point at (dx, dy) = (i % 4, i // 4), with dy
     counted upward from the cell's bottom edge. An atlas is read-only
     (`patterns` is a read-only copy of the mapping it was given), so one
-    instance can be shared: `atlas_default` hands out the same one.
+    instance can be shared: `atlas_default` hands out the same one. Atlases
+    compare on `patterns` alone; the lookup tables built from it are not
+    fields.
     """
 
+    __slots__ = ("patterns", "_by_mask", "_points")
+    _fields = ("patterns",)
     patterns: Mapping[TileKind, int]
-    _by_mask: dict[int, TileKind] = field(init=False, repr=False, compare=False)
-    _points: dict[TileKind, frozenset[Point]] = field(init=False, repr=False, compare=False)
+    _by_mask: dict[int, TileKind]
+    _points: dict[TileKind, frozenset[Point]]
 
-    def __post_init__(self) -> None:
-        patterns = MappingProxyType(dict(self.patterns))
+    def __init__(self, patterns: Mapping[TileKind, int]) -> None:
+        patterns = MappingProxyType(dict(patterns))
         if set(patterns) != set(TileKind):
             raise AtlasError("atlas must define exactly the 13 tile kinds")
         if any(mask == 0 or mask >> 16 for mask in patterns.values()):
@@ -200,9 +204,14 @@ def _string_to_mask(text: str) -> int:
 
 @cache
 def atlas_default() -> TileAtlas:
-    """The canonical atlas shipped with the package, loaded once per process."""
-    data = resources.files("debilandia").joinpath("data/atlas.json").read_text()
-    return TileAtlas.from_json_obj(json.loads(data))
+    """The canonical atlas shipped with the package, loaded once per process.
+
+    The file `data/atlas.json` is read through the loader that imported this
+    module, so it is found wherever the package was imported from, a
+    directory or a zip archive, and reading it imports no module.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", "atlas.json")
+    return TileAtlas.from_json_obj(json.loads(__spec__.loader.get_data(path)))
 
 
 def classify_cell(mask: int, atlas: TileAtlas) -> TileKind | None:

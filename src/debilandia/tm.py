@@ -9,53 +9,60 @@ Move encoding: 1 moves the head left, 0 moves it right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from .frozen import Frozen
 
 MOVE_LEFT = 1
 MOVE_RIGHT = 0
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
+    __slots__ = _fields = ("read", "state", "write", "next_state", "move")
     read: int
     state: int
     write: int
     next_state: int
     move: int
 
-    def __post_init__(self) -> None:
-        for name in ("read", "state", "write", "next_state", "move"):
-            if getattr(self, name) not in (0, 1):
+    def __init__(self, read: int, state: int, write: int, next_state: int, move: int) -> None:
+        for name, value in zip(self._fields, (read, state, write, next_state, move)):
+            if value not in (0, 1):
                 raise ValueError(f"rule field {name} must be 0 or 1")
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class TmSpec:
+class TmSpec(Frozen):
     """Machine description: deterministic rules plus the initial configuration."""
 
+    __slots__ = _fields = ("rules", "tape", "head", "initial_state")
     rules: tuple[Rule, ...]
     tape: str
-    head: int = 0
-    initial_state: int = 0
+    head: int
+    initial_state: int
 
-    def __post_init__(self) -> None:
-        keys = [(r.read, r.state) for r in self.rules]
+    def __init__(self, rules: tuple[Rule, ...], tape: str, head: int = 0, initial_state: int = 0) -> None:
+        keys = [(r.read, r.state) for r in rules]
         if len(set(keys)) != len(keys):
             raise ValueError("two rules share the same (read, state) key")
-        if set(self.tape) - {"0", "1"}:
+        if set(tape) - {"0", "1"}:
             raise ValueError("tape must be a string of 0/1")
-        if self.initial_state not in (0, 1):
+        if initial_state not in (0, 1):
             raise ValueError("initial_state must be 0 or 1")
+        for name, value in zip(self._fields, (rules, tape, head, initial_state)):
+            object.__setattr__(self, name, value)
 
     def rule_for(self, read: int, state: int) -> Rule | None:
         return {(r.read, r.state): r for r in self.rules}.get((read, state))
 
 
-@dataclass
 class TmConfig:
-    cells: dict[int, int] = field(default_factory=dict)  # index -> bit, 0 implied
-    head: int = 0
-    state: int = 0
+    __slots__ = ("cells", "head", "state")
+
+    def __init__(self, cells: dict[int, int] | None = None, head: int = 0, state: int = 0) -> None:
+        self.cells = {} if cells is None else cells  # index -> bit, 0 implied
+        self.head = head
+        self.state = state
 
     def read(self) -> int:
         return self.cells.get(self.head, 0)
@@ -80,8 +87,7 @@ def tm_step(spec: TmSpec, config: TmConfig) -> TmConfig | None:
     return TmConfig(cells, head, rule.next_state)
 
 
-@dataclass
-class TmRunResult:
+class TmRunResult(NamedTuple):
     halted: bool
     steps: int
     config: TmConfig

@@ -27,8 +27,7 @@ itemized sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .embedding import NotATuringMachine, extract_tm_counted
 from .engine import RunResult, RunStatus, StepRecord, run
@@ -58,19 +57,27 @@ _REASON_STEP = {
 }
 
 
-@dataclass
 class CostLedger:
-    t_count: int = 0
-    p_count: int = 0
-    gen_count: int = 0
-    c1: int = 0
-    c2: int = 0
-    c3: int = 0
-    c4: int = 0
-    c5: int = 0
-    c6: int = 0
-    c7: int = 0
-    c8: int = 0
+    __slots__ = ("t_count", "p_count", "gen_count", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
+
+    def __init__(
+        self,
+        t_count: int = 0,
+        p_count: int = 0,
+        gen_count: int = 0,
+        c1: int = 0,
+        c2: int = 0,
+        c3: int = 0,
+        c4: int = 0,
+        c5: int = 0,
+        c6: int = 0,
+        c7: int = 0,
+        c8: int = 0,
+    ) -> None:
+        self.t_count, self.p_count, self.gen_count = t_count, p_count, gen_count
+        self.c1, self.c2, self.c3 = c1, c2, c3
+        self.c4, self.c5, self.c6 = c4, c5, c6
+        self.c7, self.c8 = c7, c8
 
     @property
     def n_input(self) -> int:
@@ -116,15 +123,14 @@ def bracket_ceiling_total(t_count: int, p_count: int, gen_count: int) -> int:
     return sum(ceiling for _, ceiling in ledger.brackets().values())
 
 
-@dataclass
-class VerifierReport:
+class VerifierReport(NamedTuple):
     accepted: bool
     ledger: CostLedger
     reason: RejectReason | None = None
     step: int | None = None
     stopped: bool | None = None
     marker: int | None = None
-    run_result: RunResult | None = field(default=None, repr=False)
+    run_result: RunResult | None = None
 
     @property
     def f_n(self) -> int:

@@ -3,10 +3,13 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import debilandia
 from corpus import ACCEPT_A, PING_PONG, save_atlas, spec_with
 from grammar_oracle import build_candidate, instance_obj
 from debilandia.cli import _build_parser, main
@@ -229,6 +232,11 @@ def test_trace_and_report_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(report_file.read_bytes()).hexdigest() == (
         "663994ff6f71f5a39c1ff4a53e1ae4105b69c89183975258456059613ce23c49"
     )
+    csv_file = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", "1,2", "--trials", "2", "--seed", "5", "--csv", str(csv_file)]) == 0
+    assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
+        "7da8742566ce2f4aa4a022dff6abb515104e3791674965cae8ca3a5592c124d6"
+    )
 
 
 def test_encode_emits_json_and_text(tmp_path):
@@ -317,6 +325,40 @@ def test_verify_writes_its_trace_and_report_or_neither(tmp_path, capsys, broken)
     assert capsys.readouterr() == ("", expected)
     assert trace.read_bytes() == b"kept"
     assert {p.name for p in tmp_path.iterdir()} <= {"inst.json", "report", "t.jsonl"}  # no temporary file
+
+
+@pytest.mark.parametrize("trace", ["same.out", "./same.out"])
+def test_two_outputs_that_are_one_file_are_refused(tmp_path, monkeypatch, capsys, trace):
+    monkeypatch.chdir(tmp_path)
+    write_instance(Path("cert.json"), ACCEPT_A, 1, 25)
+    assert main(["verify", "--instance", "cert.json", "--trace", trace, "--report", "same.out"]) == 2
+    assert capsys.readouterr() == ("", "error: two outputs name one file: same.out\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]  # no output, no temporary file
+
+
+def test_a_symlink_to_another_output_is_its_own_file(tmp_path, monkeypatch, capsys):
+    # os.replace replaces the link, not its target, so the two outputs do not clash
+    monkeypatch.chdir(tmp_path)
+    write_instance(Path("cert.json"), ACCEPT_A, 1, 25)
+    Path("link.out").symlink_to("same.out")
+    assert main(["verify", "--instance", "cert.json", "--trace", "same.out", "--report", "link.out"]) == 0
+    assert not Path("link.out").is_symlink() and json.loads(Path("link.out").read_text())["verdict"] == "accept"
+    assert Path("same.out").read_text().startswith('{"changed_cells"')
+
+
+def test_simulate_loads_no_module_it_does_not_use(tmp_path):
+    # -S keeps site, and the .pth files it runs, from loading modules first
+    points = tmp_path / "points.json"
+    write_points(points, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
+    unused = ("dataclasses", "inspect", "importlib.resources", "csv", "tempfile")
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(debilandia.__file__).parents[1])!r}); "
+        f"from debilandia.cli import main; rc = main(['simulate', '--points', {str(points)!r}]); "
+        f"print(rc, [name for name in {unused!r} if name in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_solve_round_trips_through_verify(tmp_path, capsys):

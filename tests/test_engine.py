@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -255,9 +254,9 @@ def test_step_outcomes_are_frozen_values():
     copied = step(state_of({(0, 0): TileKind.READ_1, (0, 1): TileKind.TIP}))[1]
     for outcome, fresh in ((fired[0], Fired(2)), (fired[1], Fired(2)), (copied, RuleCopied(2, 1))):
         assert outcome == fresh and hash(outcome) == hash(fresh)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(outcome, dataclasses.fields(outcome)[0].name, 7)
-    assert fired[0] == Fired(2)  # unchanged by the refused assignment
+        with pytest.raises(AttributeError):
+            setattr(outcome, outcome._fields[0], 7)
+        assert outcome == fresh  # unchanged by the refused assignment
 
 
 def test_copies_onto_one_row_and_slot_share_their_outcome():
@@ -267,7 +266,7 @@ def test_copies_onto_one_row_and_slot_share_their_outcome():
     copied, again = step(state)[1], step(state)[1]
     assert copied is again
     assert copied == RuleCopied(2, 1) and hash(copied) == hash(RuleCopied(2, 1))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         copied.slot = 7
     assert copied == RuleCopied(2, 1)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -86,15 +85,19 @@ def test_atlas_default_deterministic():
 
 def test_atlas_default_is_loaded_once_and_read_only():
     atlas = atlas_default()
+    patterns = atlas.patterns
     assert atlas_default() is atlas
     with pytest.raises(TypeError):
         atlas.patterns[TileKind.TIP] = 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         atlas.patterns = {}
+    assert atlas.patterns is patterns and len(patterns) == 13  # unchanged by the refused assignments
     masks = dict(atlas.patterns)
     copy = TileAtlas(masks)
     masks[TileKind.TIP] = masks[TileKind.TAPE_1]  # the atlas holds its own copy
     assert copy.patterns == atlas.patterns and copy == atlas
+    masks[TileKind.TAPE_1] = atlas.patterns[TileKind.TIP]  # TIP and TAPE_1 swapped
+    assert TileAtlas(masks) != atlas
 
 
 def test_every_pattern_contains_cell_origin():
