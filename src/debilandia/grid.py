@@ -13,7 +13,7 @@ from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, classify_cell, parse_json, read_text
+from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, classify_cell, decode_text, parse_json
 
 _TIP = TileKind.TIP  # a module global: reading a member off its Enum class costs several times more
 _MASK64 = (1 << 64) - 1
@@ -128,45 +128,46 @@ class Pairs:
         return zip(self.xs, self.ys)
 
 
-_POINTS_OPEN = '{"points": [['  # the text json.dumps writes around a non-empty list
-_POINTS_CLOSE = "]]}"
-_NO_DIGITS = str.maketrans("", "", "0123456789")
+_POINTS_OPEN = b'{"points": [['  # the bytes json.dumps writes around a non-empty list
+_POINTS_CLOSE = b"]]}"
 
 
 def read_points(path: str | Path) -> Pairs:
     """The points of a file {"points": [[x, y], ...]} of non-negative ints, as two columns.
 
-    The file is read once. Text in the layout json.dumps writes by default is
-    proven on its text (see _proven_points) and parsed as one flat array; any
-    other text is parsed whole and checked in C-level passes over the lists.
-    Both give the same points and raise the same errors.
+    The file's bytes are read once. Bytes in the layout json.dumps writes by
+    default are proven as they stand (see _proven_points) and parsed as one
+    flat array; any other file is decoded by tiles.decode_text, parsed whole
+    and checked in C-level passes over the lists. Both give the same points
+    and raise the same errors.
     """
-    text = read_text(path)
-    points = _proven_points(text)
-    return points if points is not None else _parsed_points(text, path)
+    data = Path(path).read_bytes()
+    points = _proven_points(data)
+    return points if points is not None else _parsed_points(decode_text(data, path), path)
 
 
-def _proven_points(text: str) -> Pairs | None:
-    """The points of `json.dumps({"points": [[x, y], ...]})`, the list non-empty; None for other text.
+def _proven_points(data: bytes) -> Pairs | None:
+    """The points of `json.dumps({"points": [[x, y], ...]})`, the list non-empty; None for other bytes.
 
-    The text must open with `{"points": [[` and close with `]]}` verbatim,
+    The bytes must open with `{"points": [[` and close with `]]}` verbatim,
     and the list between them must read `[, ], [, ], ..., [, ]` with its
-    ASCII digits deleted. Then every coordinate is a run of digits, two to a
+    ASCII digits deleted. So the file is ASCII, holds no newline, and reads
+    as its decoded text would. Every coordinate is a run of digits, two to a
     point, and the JSON parser reads the runs as one flat array; a run it
-    refuses (empty, a leading zero, too many digits) sends the text back to
+    refuses (empty, a leading zero, too many digits) sends the file back to
     the caller. Only the `], [` between two points is cut out before the
     parse, so a digit run written against a bracket (`[1, 2]5` or `5[3, 4]`)
     leaves a stray bracket that the parser refuses. No list is built per
     point and no type is checked: a run of digits can only be a non-negative int.
     """
-    if not (text.startswith(_POINTS_OPEN) and text.endswith(_POINTS_CLOSE)):
+    if not (data.startswith(_POINTS_OPEN) and data.endswith(_POINTS_CLOSE)):
         return None
-    start, end = len(_POINTS_OPEN), len(text) - len(_POINTS_CLOSE)
-    skeleton = text[start - 1 : end + 1].translate(_NO_DIGITS)  # "[, ]" a point, ", " between two
-    if skeleton != "[, ], " * (len(skeleton) // 6) + "[, ]":
+    start, end = len(_POINTS_OPEN), len(data) - len(_POINTS_CLOSE)
+    skeleton = data[start - 1 : end + 1].translate(None, b"0123456789")  # "[, ]" a point, ", " between two
+    if skeleton != b"[, ], " * (len(skeleton) // 6) + b"[, ]":
         return None
     try:
-        flat = json.loads("[" + text[start:end].replace("], [", ", ") + "]")
+        flat = json.loads(b"[" + data[start:end].replace(b"], [", b", ") + b"]")
     except ValueError:
         return None
     return Pairs(flat[0::2], flat[1::2])

@@ -18,10 +18,11 @@ measure is N = P + E + T + 4 = 3T + E + 4, 2 more by construction. The
 verifier is the one reader of this grammar (group_tuples, check_coverage and
 scan_tail in turn). The canonical certificate is `Certificate(SquarePoints(A),
 E, marker)`, and write_certificate is its one writer. load_instance_file
-returns a file proven canonical on its text as that `Certificate`, parsing
-only the bytes around its pairs and its run; the writer and that proof take
-the section's text from square_rows. Any other file is parsed whole into a
-list, whose pair section is read as two member columns (`grid.Pairs`).
+reads a file's bytes once: bytes proven canonical come back as that
+`Certificate`, from the proof itself, which parses only the bytes around the
+pairs and the run; the writer and that proof take the section's text from
+square_rows. Any other file is decoded and parsed whole into a list, whose
+pair section is read as two member columns (`grid.Pairs`).
 """
 
 from __future__ import annotations
@@ -312,14 +313,20 @@ def _parse_cut(data: bytes) -> dict | None:
     return obj if keys.count("L") == 1 and keys[-1] == "L" else None
 
 
-def _square_instance(data: bytes, bracket: int, five: int, run_at: int, marker_at: int) -> Instance | None:
-    """The file's instance when L is ``[ 2 SEP``, the canonical pairs of A x A,
-    ``5``, the run and the marker; None otherwise.
+def _proven_certificate(data: bytes) -> tuple[Instance, Certificate] | None:
+    """The file's instance and `Certificate(SquarePoints(A), E, marker)` when
+    _cut_run cuts out its run and L is ``[ 2 SEP``, the canonical pairs of
+    A x A, ``5``, the run and the marker; None otherwise.
 
     Only the bytes outside the pairs and the run are parsed. The pairs are
-    compared with square_rows's text for sorted A a row at a time: text
-    equal to it holds exactly the canonical section's ints.
+    compared with square_rows's text for sorted A a row at a time: bytes
+    equal to it hold exactly the canonical section's ints. E is the run's
+    length over the length of one ``4 SEP`` unit.
     """
+    cut = _cut_run(data)
+    if cut is None:
+        return None
+    bracket, five, run_at, marker_at = cut
     sep = data[five + 1 : run_at]
     start = bracket + 1
     while data[start] in _JSON_WS:
@@ -338,26 +345,26 @@ def _square_instance(data: bytes, bracket: int, five: int, run_at: int, marker_a
         if not data.startswith(row, start):
             return None
         start += len(row)
-    return inst if start == five else None
+    if start != five:
+        return None
+    gens = (marker_at - run_at) // (run_at - five)
+    return inst, Certificate(SquarePoints(inst.a_values), gens, int(data[marker_at : marker_at + 2]))
 
 
 def load_instance_file(path: str | Path) -> tuple[Instance, list[int] | Certificate]:
     """Read {"A": [...], "L": [...]}; malformed files raise ValueError.
 
-    L comes back as `Certificate(SquarePoints(A), E, marker)` when the file
-    bytes are proven canonical: its run of fours cut out by _cut_run, "L"
-    the file's last key, once, and its pair section A x A in order (see
-    _square_instance). Any other file's bytes, already read, are parsed
-    whole by tiles.parse_json and L comes back as that list. Both hold the
-    same items, which `verify` reads alike.
+    The file's bytes are read once. L comes back as `Certificate(SquarePoints(A),
+    E, marker)` when _proven_certificate proves them canonical: its run of
+    fours cut out by _cut_run, "L" the file's last key, once, and its pair
+    section A x A in order. Any other file's bytes are decoded by
+    tiles.decode_text and parsed whole by tiles.parse_json, and L comes back
+    as that list. Both hold the same items, which `verify` reads alike.
     """
     data = Path(path).read_bytes()
-    cut = _cut_run(data)
-    inst = cut and _square_instance(data, *cut)
-    if inst:
-        five, run_at, marker_at = cut[1:]
-        gens = (marker_at - run_at) // (run_at - five)
-        return inst, Certificate(SquarePoints(inst.a_values), gens, int(data[marker_at : marker_at + 2]))
+    proven = _proven_certificate(data)
+    if proven:
+        return proven
     obj = parse_json(decode_text(data, path), path)
     if not isinstance(obj, dict) or "A" not in obj or "L" not in obj:
         raise ValueError("instance file must be a JSON object with keys A and L")

@@ -145,6 +145,9 @@ class TileAtlas(Frozen):
         object.__setattr__(self, "_by_mask", by_mask)
         object.__setattr__(self, "_points", points)
 
+    def __reduce__(self):
+        return type(self), (dict(self.patterns),)  # a read-only mapping cannot be pickled
+
     def points(self, kind: TileKind) -> frozenset[Point]:
         """Cell-local (dx, dy) offsets of the pattern's points, built once per atlas."""
         return self._points[kind]
@@ -161,22 +164,20 @@ class TileAtlas(Frozen):
 
     @classmethod
     def load(cls, path: str | Path) -> "TileAtlas":
-        return cls.from_json_obj(parse_json(read_text(path), path))
+        return cls.from_json_obj(parse_json(decode_text(Path(path).read_bytes(), path), path))
 
 
 def decode_text(data: bytes, path: str | Path) -> str:
     """The text of a UTF-8 file's bytes, its newlines translated as a text-mode
-    read translates them; bytes that are not UTF-8 are a ValueError naming the path."""
+    read translates them; bytes that are not UTF-8 are a ValueError naming the path.
+
+    Every reader reads a file's bytes once and decodes them here only to
+    parse the whole file: a file proven on its bytes is never decoded."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text, decoded as decode_text decodes its bytes."""
-    return decode_text(Path(path).read_bytes(), path)
 
 
 def parse_json(text: str, path: str | Path):

@@ -60,24 +60,9 @@ _REASON_STEP = {
 class CostLedger:
     __slots__ = ("t_count", "p_count", "gen_count", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
 
-    def __init__(
-        self,
-        t_count: int = 0,
-        p_count: int = 0,
-        gen_count: int = 0,
-        c1: int = 0,
-        c2: int = 0,
-        c3: int = 0,
-        c4: int = 0,
-        c5: int = 0,
-        c6: int = 0,
-        c7: int = 0,
-        c8: int = 0,
-    ) -> None:
+    def __init__(self, t_count: int = 0, p_count: int = 0, gen_count: int = 0) -> None:
         self.t_count, self.p_count, self.gen_count = t_count, p_count, gen_count
-        self.c1, self.c2, self.c3 = c1, c2, c3
-        self.c4, self.c5, self.c6 = c4, c5, c6
-        self.c7, self.c8 = c7, c8
+        self.c1 = self.c2 = self.c3 = self.c4 = self.c5 = self.c6 = self.c7 = self.c8 = 0
 
     @property
     def n_input(self) -> int:

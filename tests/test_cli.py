@@ -387,6 +387,13 @@ def test_solve_cap_exceeded_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_rejects_a_set_that_is_not_integers(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["solve", "--set-a", "1,x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --set-a must be comma-separated integers: ")
+    assert not out.exists()
+
+
 def test_bench_csv(tmp_path):
     csv_file = tmp_path / "bench.csv"
     rc = main(["bench", "--sizes", "1,2", "--trials", "2", "--seed", "5", "--csv", str(csv_file)])

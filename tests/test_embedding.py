@@ -44,6 +44,13 @@ def test_compile_rejects_head_off_tape(atlas):
         compile_direct(spec_with((), "11", head=2), atlas)
 
 
+def test_compile_rejects_negative_padding_and_a_payload_not_of_bits(atlas):
+    with pytest.raises(ValueError, match="pad must be >= 0"):
+        compile_direct(spec_with(PING_PONG, "11"), atlas, pad=-1)
+    with pytest.raises(ValueError, match="payload must be a string of 0/1"):
+        compile_universal(spec_with(PING_PONG, "1"), "012", atlas)
+
+
 def test_direct_round_trip(atlas):
     spec = spec_with(PING_PONG, "0110", head=2, state=1)
     recovered = extract_tm(recognize(compile_direct(spec, atlas), atlas))

@@ -32,6 +32,17 @@ def test_empty_points_give_empty_state(atlas):
     assert state.tiles == {} and state.junk_cells == 0
 
 
+def test_an_empty_square_gives_the_empty_state(atlas):
+    state = recognize(SquarePoints(()), atlas)
+    assert state == GameState({}, (0, 0), 0)
+
+
+def test_a_state_shows_its_fields_and_equals_only_a_state():
+    state = GameState({(0, 1): TileKind.TIP}, (4, 8), 2)
+    assert repr(state) == "GameState(tiles={(0, 1): <TileKind.TIP: 'tip'>}, anchor=(4, 8), junk_cells=2)"
+    assert state != (state.tiles, state.anchor, state.junk_cells)
+
+
 def test_single_pattern_at_offset(atlas):
     # a tip pattern dropped at (10, 20) anchors there and fills cell (0, 0)
     state = recognize(place(atlas, TileKind.TIP, (0, 0), (10, 20)), atlas)

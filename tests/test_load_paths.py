@@ -262,7 +262,7 @@ def test_cut_run_walks_the_run_as_a_one_unit_walk_does():
 
 def run_verify_unproven(path: Path, report: Path) -> tuple:
     """run_verify with the pair section never proven on the text."""
-    with mock.patch.object(instances, "_square_instance", return_value=None):
+    with mock.patch.object(instances, "_proven_certificate", return_value=None):
         return run_verify(path, report)
 
 

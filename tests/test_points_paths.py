@@ -168,7 +168,7 @@ def test_a_json_dumps_file_is_never_parsed_whole(points):
     ],
 )
 def test_only_the_json_dumps_layout_is_proven(text, proven):
-    held = grid._proven_points(text)
+    held = grid._proven_points(text.encode())
     assert (held is not None) is proven
     if proven:
         flat = [v for point in json.loads(text)["points"] for v in point]
@@ -192,3 +192,11 @@ def test_reading_a_canonical_file_peaks_under_130_bytes_a_point(tmp_path):
         tracemalloc.stop()
     assert len(held) == count
     assert peak < 130 * count
+
+
+def test_a_json_dumps_file_is_proven_without_being_decoded(tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [list(p) for p in BOARD]}))
+    with mock.patch.object(grid, "decode_text", side_effect=AssertionError("decoded a proven file")):
+        held = read_points(path)
+    assert list(held) == [tuple(p) for p in BOARD]

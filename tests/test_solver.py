@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corpus import ACCEPT_A, near_the_fixture, sweep_candidates
 from grammar_oracle import build_candidate
 from debilandia.embedding import NotATuringMachine, extract_tm
+from debilandia.engine import RunResult, RunStatus
 from debilandia.grid import SquarePoints, recognize
 from debilandia.instances import MARKER_RUNS, MARKER_STOPS, RESERVED, Certificate, Instance
 from debilandia.solver import (
@@ -104,3 +107,23 @@ def test_the_problem_is_decided_by_structure_alone(atlas, values):
         extracted = False
     found = construct_certificate(inst, 16, atlas).found
     assert accepted == extracted == found
+
+
+@pytest.mark.parametrize(
+    "status, first_index, period, gens, marker",
+    [(RunStatus.CYCLE, 3, 2, 5, MARKER_STOPS), (RunStatus.BUDGET, None, None, 9, MARKER_RUNS)],
+    ids=["cycle", "budget"],
+)
+def test_a_cycle_or_a_spent_budget_sets_the_certificate(atlas, status, first_index, period, gens, marker):
+    # no real board near the fixture cycles or outlasts its budget, so the run is stubbed
+    inst = Instance(ACCEPT_A)
+    board = recognize(SquarePoints(inst.a_values), atlas)
+    ran = RunResult(board, gens, status, period=period, first_index=first_index)
+    with mock.patch("debilandia.solver.run", return_value=ran):
+        outcome = construct_certificate(inst, 9, atlas)
+    assert (outcome.certificate.gens, outcome.certificate.marker, outcome.generations) == (gens, marker, gens)
+
+
+def test_a_budget_below_one_generation_is_refused(atlas):
+    with pytest.raises(ValueError, match="max_gens must be >= 1"):
+        construct_certificate(Instance(ACCEPT_A), 0, atlas)

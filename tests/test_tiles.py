@@ -142,6 +142,12 @@ def test_bad_atlas_files_rejected(atlas, mutate):
         TileAtlas.from_json_obj(obj)
 
 
+def test_an_atlas_without_every_kind_is_refused(atlas):
+    patterns = {kind: mask for kind, mask in atlas.patterns.items() if kind is not TileKind.TIP}
+    with pytest.raises(AtlasError, match="exactly the 13 tile kinds"):
+        TileAtlas(patterns)
+
+
 def test_classify_identity_for_all_kinds(atlas):
     for kind in TileKind:
         assert classify_cell(atlas.patterns[kind], atlas) is kind

@@ -96,3 +96,17 @@ def test_move_encoding():
     spec = spec_with((Rule(0, 0, 0, 0, MOVE_LEFT),), "0")
     cfg = tm_step(spec, initial_config(spec))
     assert cfg.head == -1
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TmSpec((), "012"), "tape must be a string of 0/1"),
+        (lambda: TmSpec((), "01", initial_state=2), "initial_state must be 0 or 1"),
+        (lambda: tm_run(TmSpec((), "0"), -1), "budget must be >= 0"),
+    ],
+    ids=["tape", "initial-state", "budget"],
+)
+def test_a_spec_or_run_outside_its_domain_is_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
