@@ -29,8 +29,10 @@ a non-tape tile is a rules violation and terminates the game instead.
 
 A state the engine makes is one GameState. Its slots hold the tip context:
 the tile under the tip, the read-slot and status tiles, and the position
-key, whose first four fields are the row below the tip as a zipper (Huet,
-"The Zipper", 1997) of hash-consed stacks (Goto 1974; Filliatre and Conchon,
+key, whose first ten fields are the row below the tip as a zipper (Huet,
+"The Zipper", 1997) of two run-length stacks. A run is a maximal stretch of
+equal tiles at gap 1; each stack keeps its top run unboxed in the key, and
+the runs below it are hash-consed nodes (Goto 1974; Filliatre and Conchon,
 "Type-safe modular hash-consing", 2006). The rest of the board is a _Shared
 record that a state shares with its successors up to the next copy: the rows
 as indexed, the cells copies wrote since, the packet index and the node
@@ -150,53 +152,71 @@ _new = object.__new__  # a node or state made field by field skips a Python __in
 
 
 class _Node:
-    """One tile of a tape stack, linked to the tiles beyond it (away from the tip).
+    """A run of a tape stack below its top run, linked to the runs beyond it (away from the tip).
 
-    gap is the distance to the next tile, 0 at the bottom of the stack. A
-    node is made only where it is interned in its board's node table under
-    (kind code, gap, next), so two stacks of the same tiles at the same gaps
-    share their nodes.
+    A run is a maximal stretch of count equal tiles, of kind code, at gap 1.
+    gap is the distance from the run's far end to the next run, 0 at the
+    bottom of the stack. A node is made only where it is interned in its
+    board's node table under (code, count, gap, next), so two stacks of the
+    same tiles at the same gaps share their nodes.
     """
 
-    __slots__ = ("kind", "gap", "next")
+    __slots__ = ("code", "count", "gap", "next")
 
 
-_NIL = _new(_Node)  # the bottom of every stack: no tile
-_NIL.kind, _NIL.gap, _NIL.next = None, 0, None
+_NIL = _new(_Node)  # the bottom of every stack: no run; an empty top run reads (0, 0, 0, 0, _NIL) off it
+_NIL.code, _NIL.count, _NIL.gap, _NIL.next = 0, 0, 0, _NIL
+_KIND = (None, *TileKind)  # a tile kind by its code
+
+
+def _node(nodes: dict, code: int, count: int, gap: int, beyond: _Node) -> _Node:
+    """The node of one run, interned in nodes."""
+    key = (code, count, gap, beyond)
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = _new(_Node)
+        node.code, node.count, node.gap, node.next = key
+    return node
 
 
 def _stacks(nodes: dict, cells: dict[int, TileKind], tc: int) -> list:
-    """The zipper of a row's tiles around column tc, [left top, left d, right top, right d], interned in nodes.
+    """The zipper of a row's tiles around column tc, as two sides, left then right; O(row).
 
-    Each stack is built from its far end; an empty stack is _NIL at distance 0.
+    A side is its top run, unboxed: the run's kind code, its count, its
+    distance from the tip column and its gap to the next run, then the node
+    of that next run. Each side is built from its far end, one node per run
+    but the top one, interned in nodes; an empty side is (0, 0, 0, 0, _NIL).
     """
     cols = sorted(cells)
     stacks = []
     for side, sign in ((cols[: bisect_left(cols, tc)], -1), (cols[bisect_right(cols, tc) :][::-1], 1)):
-        top, d = _NIL, 0
+        k = c = d = g = 0
+        beyond = _NIL
         for col in side:
             dist = (col - tc) * sign
-            kind = cells[col]
-            key = (kind.code, d and d - dist, top)
-            node = nodes.get(key)
-            if node is None:
-                node = nodes[key] = _new(_Node)
-                node.kind, node.gap, node.next = kind, key[1], top
-            top, d = node, dist
-        stacks += (top, d)
+            code = cells[col].code
+            if code == k and dist == d - 1:
+                c += 1
+            else:
+                if k:
+                    beyond, g = _node(nodes, k, c, g, beyond), d - dist
+                k, c = code, 1
+            d = dist
+        stacks += (k, c, d, g, beyond)
     return stacks
 
 
 def _tape_cells(state: GameState) -> dict[int, TileKind]:
     """The tape row's tiles by absolute column, off the state's zipper; O(row)."""
     tc = state.shared.tip[0]
-    left, ld, right, rd, _ = state.key
+    key = state.key
     cells = {} if state.head is None else {tc: state.head}
-    for top, col, sign in ((left, tc - ld, -1), (right, tc + rd, 1)):
-        while top is not _NIL:
-            cells[col] = top.kind
-            col += sign * top.gap
-            top = top.next
+    for sign, (k, c, d, g, beyond) in ((-1, key[:5]), (1, key[5:10])):
+        col = tc + sign * d
+        while k:
+            cells.update(dict.fromkeys(range(col, col + sign * c, sign), _KIND[k]))
+            col += sign * (c - 1 + g)
+            k, c, g, beyond = beyond.code, beyond.count, beyond.gap, beyond.next
     return cells
 
 
@@ -217,10 +237,10 @@ class _Shared:
     the incomplete well-formed packet rows as nested (row, prefix, rest)
     tuples, highest first; top is the highest well-formed packet row; first
     maps R1.code << 4 | R2.code to what firing the lowest complete packet with
-    them makes: (Fired(row), made once, the tape, read and status tiles set,
-    the shift dx, the low byte of the new key's code, the packet). nontape
-    counts the tape row's tiles that are not tape tiles, count the tiles off
-    the read slot. A copy makes the next record; all share the node table and
+    them makes: (Fired(row), made once, the code of the tape tile written,
+    the read and status tiles set, the shift dx, the low byte of the new
+    key's code, the packet). nontape counts the tape row's tiles that are
+    not tape tiles, count the tiles off the read slot. A copy makes the next record; all share the node table and
     copies, the RuleCopied outcomes by row << 3 | slot.
     """
 
@@ -309,7 +329,7 @@ def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
     key = r1.code << 4 | r2.code
     if key not in first or row < first[key][0].packet_row:
         status = status_tile(r4.bit)
-        fire = (Fired(row), tape_tile(r3.bit), r1, status, -1 if r5.bit == 1 else 1, r1.code << 4 | status.code)
+        fire = (Fired(row), tape_tile(r3.bit).code, r1, status, -1 if r5.bit == 1 else 1, r1.code << 4 | status.code)
         first = {**first, key: (*fire, prefix)}
     return stack, top, first
 
@@ -317,15 +337,18 @@ def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
 def position_key(state: GameState) -> tuple | None:
     """The key of the state's tip context; None on a board without exactly one tip.
 
-    The tuple (left top, left d, right top, right d, code): the tape row's
-    two stacks, each as its top node and that tile's distance from the tip
-    column, and the head, read-slot and status tiles in four bits each. It
-    covers only what a fire changes, so it tells apart the states between
-    two copies, where every other cell stays as it is. Within one board
-    family, whose nodes come from one table, equal stacks are one node, so
-    two keys are equal exactly when the tip contexts are. Nodes compare by
-    identity: keys of separately indexed boards never match. O(1): a state
-    holds its key.
+    The tuple (left code, count, d, gap, next, right code, count, d, gap,
+    next, code): the tape row's two stacks, each as its top run (the run's
+    kind code and count, its distance from the tip column, and its gap to
+    the next run) and the node of the next run, then the head, read-slot
+    and status tiles in four bits each. An empty stack is (0, 0, 0, 0,
+    _NIL). It covers only what a fire changes, so it tells apart the states
+    between two copies, where every other cell stays as it is. Runs are
+    maximal, so equal stacks have equal top runs, and within one board
+    family, whose nodes come from one table, equal runs below them are one
+    node: two keys are equal exactly when the tip contexts are. Nodes
+    compare by identity: keys of separately indexed boards never match.
+    O(1): a state holds its key.
     """
     shared_of(state)
     return state.key
@@ -335,8 +358,10 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
     """Run exactly one generation; pure, deterministic.
 
     A fire reads its packet's index entry, moves one tile across the
-    zipper, interns the node it pushes and builds the successor state, all
-    inline, in this one call.
+    zipper and builds the successor state, all inline, in this one call.
+    Taking a tile off a run, or writing one onto an equal run at distance
+    1, changes a count; only a write that starts a new run interns a node,
+    the old top run.
     """
     shared = state.shared or shared_of(state)
     below = state.head
@@ -354,37 +379,40 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
         return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT if malformed else StopReason.NO_MATCHING_PACKET)
     fired, write, read, status, dx, code, _ = match
 
-    left, ld, right, rd, _ = state.key
     if shared.nontape:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
         tc = shared.tip[0]
-        cells = _relaid({**_tape_cells(state), tc: write}, dx)
+        cells = _relaid({**_tape_cells(state), tc: _KIND[write]}, dx)
         if cells is None:
             return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
         head = cells.get(tc)
-        left, ld, right, rd = _stacks(shared.nodes, cells, tc)
+        key = (*_stacks(shared.nodes, cells, tc), code if head is None else head.code << 8 | code)
     else:  # the near stack slides towards the tip, write goes on top of the far one
         if dx == 1:
-            near, d, far, fd = left, ld, right, rd
+            nk, nc, nd, ng, beyond, fk, fc, fd, fg, far, _ = state.key
         else:
-            near, d, far, fd = right, rd, left, ld
-        if d == 1:
-            head, near, d = near.kind, near.next, near.gap
+            fk, fc, fd, fg, far, nk, nc, nd, ng, beyond, _ = state.key
+        if nd == 1:  # the near run's first tile comes under the tip
+            head, code = _KIND[nk], nk << 8 | code
+            if nc > 1:
+                nc -= 1
+            else:
+                nk, nc, nd, ng, beyond = beyond.code, beyond.count, ng, beyond.gap, beyond.next
         else:
-            head, d = None, d and d - 1
-        nodes = shared.nodes
-        node_key = (write.code, fd, far)
-        node = nodes.get(node_key)
-        if node is None:
-            node = nodes[node_key] = _new(_Node)
-            node.kind, node.gap, node.next = write, fd, far
+            head, nd = None, nd and nd - 1
+        if fd == 1 and fk == write:
+            fc += 1
+        else:
+            if fk:
+                far, fg = _node(shared.nodes, fk, fc, fg, far), fd
+            fk, fc, fd = write, 1, 1
         if dx == 1:
-            left, ld, right, rd = near, d, node, 1
+            key = (nk, nc, nd, ng, beyond, fk, fc, fd, fg, far, code)
         else:
-            left, ld, right, rd = node, 1, near, d
+            key = (fk, fc, fd, fg, far, nk, nc, nd, ng, beyond, code)
     new = _new(GameState)  # assigned three at a time, which builds no tuple
     new._tiles, new.anchor, new.junk_cells = None, state.anchor, state.junk_cells
     new.shared, new.head, new.read = shared, head, read
-    new.status, new.key = status, (left, ld, right, rd, code if head is None else head.code << 8 | code)
+    new.status, new.key = status, key
     return new, fired
 
 
@@ -408,10 +436,14 @@ def _copy_rule(state: GameState, shared: _Shared, below: TileKind) -> tuple[Game
         prefix = classify_packet([below, *[old.get(tc + i) for i in range(2, PACKET_WIDTH + 1)]]) if old else [below]
     stack, top, first = _indexed(target, prefix, rest, shared.top, shared.first)
 
-    left, ld, right, rd, code = state.key
+    lk, lc, ld, lg, beyond, rk, rc, rd, rg, right, code = state.key
     code &= 0xFF
     if ld == 1:  # the consumed tile goes, and every tile left of it comes one cell right
-        head, left, ld = left.kind, left.next, left.gap
+        head, code = _KIND[lk], lk << 8 | code
+        if lc > 1:
+            lc -= 1
+        else:
+            lk, lc, ld, lg, beyond = beyond.code, beyond.count, lg, beyond.gap, beyond.next
     else:
         head, ld = None, ld and ld - 1
     outcome = shared.copies.get(target << 3 | slot)
@@ -423,7 +455,7 @@ def _copy_rule(state: GameState, shared: _Shared, below: TileKind) -> tuple[Game
     new = _new(GameState)
     new._tiles, new.anchor, new.junk_cells = None, state.anchor, state.junk_cells
     new.shared, new.head, new.read = shared, head, state.read
-    new.status, new.key = state.status, (left, ld, right, rd, code if head is None else head.code << 8 | code)
+    new.status, new.key = state.status, (lk, lc, ld, lg, beyond, rk, rc, rd, rg, right, code)
     return new, outcome
 
 
@@ -458,19 +490,22 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
     consumes no budget, so witnessing a halt after g successful generations
     needs max_gens > g.
 
-    Cost, for a state of n tiles, g generations since the last copy, and F
-    nodes made since the state was indexed: O(n) time to index the state,
-    then O(1) Python work per generation at any tape length and any number
-    of packets. A generation builds one state; a fire also makes at most one
-    node, and a copy one record and one list cell. With on_step, each record
-    adds an O(n) state_hash and an O(row) diff of the tape row, so a traced
-    run stays O(n) per generation. Memory is O(n + g + F): the current
-    state, one key per generation since the last copy, and the node table,
-    which keeps every node it made; a fire that re-lays a row holding other
-    tiles can make one node per tile of the row. Per step call, in
-    perfbench's traced reference microseconds (span wrapper included;
-    medians of three alternating runs): a fire 3.0 on tape-sweep and 2.7 on
-    rule-load; a copy 4.5.
+    Cost, for a state of n tiles, r runs in its tape row, g generations
+    since the last copy, and F nodes made since the state was indexed: O(n)
+    time to index the state, then O(1) Python work per generation at any
+    tape length and any number of packets. A generation builds one state;
+    a fire also makes at most one node, only when it starts a new run, and
+    a copy one record and one list cell. With on_step, each record adds an
+    O(n) state_hash and an O(row) diff of the tape row, so a traced run
+    stays O(n) per generation. Memory is O(n + g + F): the current state,
+    one key per generation since the last copy, and the node table, which
+    holds at most r nodes when the state is indexed and keeps every node it
+    made. A fire that re-lays a row holding other tiles takes O(row) time
+    and makes a node for each run below the top one out to the farthest run
+    whose gap changed: none when only the top run's gap changed. Per step
+    call, in perfbench's traced reference microseconds (span wrapper
+    included; medians of three alternating runs): a fire 2.2 on tape-sweep
+    and 2.3 on rule-load; a copy 4.2.
     """
     if max_gens < 0:
         raise ValueError("max_gens must be >= 0")

@@ -93,13 +93,20 @@ def random_tapes(seed: int, count: int = 20, max_len: int = 12) -> list[str]:
 
 
 def lockstep_corpus() -> list[tuple[str, tuple[Rule, ...], list[str]]]:
-    """(name, rules, tapes) for every lockstep machine, 20 seeded tapes each."""
+    """(name, rules, tapes) for every lockstep machine, 20 seeded tapes each, then BOUNCE.
+
+    Every lockstep machine moves one way only. BOUNCE walks right across a
+    run of zeros to the first one, then its head crosses the boundary
+    between them both ways, one way each generation; where another run lies
+    beyond it, the crossing boxes and unboxes the run it writes onto.
+    """
     corpus = []
     for seed, (name, rules) in enumerate(sorted(LOCKSTEP_MACHINES.items())):
         tapes = random_tapes(seed * 7 + 1, count=20, max_len=12)
         if name == "zero_runner":
             tapes[0] = "0" * 12  # the guaranteed budget-exhausting case
         corpus.append((name, rules, tapes))
+    corpus.append(("bounce", BOUNCE, ["1", "01", "0101", "0011", "00110", "0001011"]))
     return corpus
 
 
@@ -148,7 +155,7 @@ def one_family(tile_maps, nodes: dict | None = None) -> list[GameState]:
         if shared.tip is not None:
             tc, tr = shared.tip
             tape = state.rows().get(tr - 1, {})
-            state.key = (*engine._stacks(nodes, tape, tc), state.key[4])
+            state.key = (*engine._stacks(nodes, tape, tc), state.key[-1])
             shared.nodes = nodes
     return states
 

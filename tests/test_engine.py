@@ -389,16 +389,32 @@ def test_position_key_covers_exactly_the_tip_context():
     assert len(set(keys[: len(changed) + 1])) == len(changed) + 1
     assert keys[len(changed) + 1] == keys[0]
     assert keys[-2:] == [None, None]
-    # tape tiles on one side of an empty head cell at the given gaps (some
-    # stacks differ only below their top), then every map laid out twice
-    for gaps in ([1], [2], [1, 2], [1, 3], [3, 1], [2, 2], []):
+    # tape tiles on one side of an empty head cell, each at its gap from the
+    # one before (some stacks differ only below their top run): equal tiles
+    # at gap 1 make a run, so a run stands against the same tiles at gap 2,
+    # a run one tile longer, and a run broken by another kind, on top and
+    # below; then every map laid out twice
+    one, zero = TileKind.TAPE_1, TileKind.TAPE_0
+    rows = [[1], [2], [1, 2], [1, 3], [3, 1], [2, 2], []]
+    rows = [[(gap, one) for gap in gaps] for gaps in rows]
+    rows += [
+        [(1, one), (1, one)],
+        [(1, one), (1, one), (1, one)],
+        [(1, one), (1, zero), (1, one)],
+        [(1, zero), (1, one), (1, one)],
+        [(1, zero), (1, one), (2, one)],
+        [(1, zero), (1, one), (1, one), (1, one)],
+        [(1, zero), (1, one), (1, zero), (1, one)],
+        [(1, one), (1, one), (2, zero), (1, zero)],
+        [(1, one), (1, one), (2, zero), (1, zero), (1, zero)],
+    ]
+    for row in rows:
         for side in (-1, 1):
-            row = {}
-            col = 0
-            for gap in gaps:
+            col, tiles = 0, {(0, 1): TileKind.TIP, (0, 3): TileKind.STATUS_0}
+            for gap, kind in row:
                 col += side * gap
-                row[(col, 0)] = TileKind.TAPE_1
-            tile_maps.append({(0, 1): TileKind.TIP, (0, 3): TileKind.STATUS_0} | row)
+                tiles[(col, 0)] = kind
+            tile_maps.append(tiles)
     tile_maps *= 2
     keys = [position_key(state) for state in one_family(tile_maps)]
     assert_keys_match_tip_contexts(keys, [tip_context(tiles) for tiles in tile_maps])

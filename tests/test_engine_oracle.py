@@ -28,7 +28,7 @@ from corpus import (
 from debilandia.embedding import NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
 from debilandia.engine import Fired, RuleCopied, StopReason, Terminated, position_key, run, step
 from debilandia.grid import GameState, recognize, state_hash
-from debilandia.tiles import TileKind, TileType, slot_tile
+from debilandia.tiles import TileKind, TileType, read_tile, slot_tile, status_tile, tape_tile
 from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmSpec
 
 TAPES = [TileKind.TAPE_0, TileKind.TAPE_1]
@@ -229,6 +229,28 @@ def test_row_board_matches_dict_engine_on_long_tapes(atlas, move, from_right_end
     assert_engines_agree(recognize(compile_direct(spec, atlas, pad=2), atlas), 320)
     if from_right_end:  # the universal layout loads four packets, then walks the payload
         assert_engines_agree(recognize(compile_universal(spec, tape, atlas), atlas), 340)
+
+
+@pytest.mark.parametrize("move", [MOVE_LEFT, MOVE_RIGHT])
+def test_a_fire_joins_the_far_run_only_from_one_cell_away(move):
+    # the head walks away from an empty cell with a tile of either kind
+    # beyond it: the first fire writes its tile two cells from that one,
+    # the next ones onto the run it started, until the head crosses into
+    # the closing 1 and then leaves the tape
+    rules = (Rule(0, 0, 0, 0, move), Rule(1, 0, 1, 0, move))
+    packets = {}
+    for k, rule in enumerate(rules):
+        bits = (rule.read, rule.state, rule.write, rule.next_state, 1 - rule.move)
+        packets |= {(i, 2 + k): slot_tile(i, bit) for i, bit in enumerate(bits, start=1)}
+    for behind in "01":
+        for head in "01":
+            row = f"{behind}.{head}{head}1"
+            if move == MOVE_LEFT:
+                row = row[::-1]
+            tc = row.index(".") + (1 if move == MOVE_RIGHT else -1)
+            tiles = {(col - tc, 0): tape_tile(int(ch)) for col, ch in enumerate(row) if ch != "."}
+            tiles |= {(0, 1): TileKind.TIP, (0, 2): read_tile(0), (0, 3): status_tile(0)} | packets
+            assert_engines_agree(GameState(tiles), 10)
 
 
 def tip_over_tokens(tokens: list[TileKind], packets: dict[int, dict[int, TileKind]]) -> dict:

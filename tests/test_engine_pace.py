@@ -1,8 +1,9 @@
 """Engine pace: a generation's work and allocation do not grow with the tape.
 
-The row below the tip is a zipper, so a fire or a rule copy costs O(1)
-Python work and memory at any tape length. The run tests state a loose
-wall-clock ceiling; the allocation guard measures bytes, which machine load
+The row below the tip is a zipper of run-length stacks, so a fire or a rule
+copy costs O(1) Python work and memory at any tape length. The run tests
+state a loose wall-clock ceiling; the allocation guard measures bytes and
+the node tests count the nodes a board's table holds, which machine load
 does not change.
 
 The boards are laid out tile by tile rather than recognized from points,
@@ -18,7 +19,7 @@ import pytest
 
 from corpus import BOUNCE, ZERO_RUNNER, game_tape_text, spec_with
 from debilandia.embedding import compile_direct, compile_universal, extract_tm
-from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, position_key, run, step
+from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, Terminated, position_key, run, shared_of, step
 from debilandia.grid import GameState, recognize
 from debilandia.tiles import TileKind, read_tile, slot_tile, status_tile, tape_tile
 from debilandia.tm import MOVE_LEFT, Rule
@@ -133,3 +134,55 @@ def test_a_copy_onto_4000_packets_allocates_a_bounded_amount():
     _, outcome, peak = allocated_by_one_step(GameState(tiles))
     assert outcome == RuleCopied(2 + packets, 1)
     assert peak < STEP_BYTES, f"{outcome} allocated {peak} bytes"
+
+
+def test_indexing_a_uniform_tape_makes_the_same_nodes_at_any_length():
+    # the zeros right of the head are one run, kept unboxed on top of the
+    # right stack: the final 1 below it is the table's one node
+    made = [len(shared_of(direct_board(ZERO_RUNNER, "0" * length + "1")).nodes) for length in (10**3, 64 * 10**3)]
+    assert made == [1, 1]
+
+
+def test_running_a_uniform_tape_to_the_halt_makes_no_node():
+    # each fire takes a zero off the right run and writes one onto the left run
+    state = direct_board(ZERO_RUNNER, "0" * 10**3 + "1")
+    nodes = shared_of(state).nodes
+    made = len(nodes)
+    result = run(state, 10**3 + 1)
+    assert (result.status, result.generations_run) == (RunStatus.HALTED, 10**3)
+    assert len(nodes) == made
+
+
+def test_rule_copies_pop_the_left_stack_without_interning():
+    # left of the head lie four tokens, each a run of one, then the
+    # payload's zeros and its 1: the top run and five nodes below it
+    state = universal_board((Rule(0, 0, 0, 0, MOVE_LEFT),), "1" + "0" * 10**3)
+    nodes = shared_of(state).nodes
+    assert len(nodes) == 5
+    for _ in range(4):  # a copy unboxes the run below the one it takes
+        _, _, _, gap, beyond = state.key[:5]
+        state, outcome = step(state)
+        assert isinstance(outcome, RuleCopied)
+        assert state.key[:5] == (beyond.code, beyond.count, gap, beyond.gap, beyond.next)
+    zeros = state.key[:5]
+    state, outcome = step(state)  # the last copy takes one zero off its run
+    assert isinstance(outcome, RuleCopied)
+    assert state.key[:5] == (zeros[0], zeros[1] - 1, *zeros[2:])
+    assert len(nodes) == 5
+
+
+@pytest.mark.parametrize("length", [250, 10**3])
+def test_a_relaid_row_makes_a_bounded_number_of_nodes_per_fire(length):
+    # a read tile far left in the tape row makes every fire re-lay the row;
+    # only the runs next to it change their gap, and both are top runs, so
+    # the read tile's own node is the one a fire may make. A re-lay that
+    # interned one node per tile made about length / 2 per fire
+    state = GameState(direct_board(ZERO_RUNNER, "0" * length + "1").tiles | {(-4010, 0): TileKind.READ_0})
+    nodes = shared_of(state).nodes
+    for _ in range(length):
+        made = len(nodes)
+        state, outcome = step(state)
+        assert isinstance(outcome, Fired)
+        assert len(nodes) - made <= 1
+    assert step(state)[1] == Terminated(StopReason.NO_MATCHING_PACKET)
+    assert game_tape_text(state) == "1"
