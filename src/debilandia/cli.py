@@ -4,8 +4,6 @@ Exit codes: 0 success/accept, 1 reject or no certificate found, 2 malformed
 input files or flags. Output files are written atomically (temp + rename),
 all of a command's or none, and identical invocations on identical inputs
 produce byte-identical output.
-The DEBILANDIA_ATLAS environment variable points at an alternative atlas
-file; --atlas (where offered) wins over the environment.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from .instances import MARKER_RUNS, MARKER_STOPS, Certificate, Instance, load_in
 from .solver import SAMPLE_POOL, construct_certificate, growth_probe
 from .tiles import TileAtlas, atlas_default
 from .verifier import verify
-
-ENV_ATLAS = "DEBILANDIA_ATLAS"
 
 T = TypeVar("T")
 
@@ -96,11 +92,8 @@ def _atomic_write(write: Callable[..., T], *paths: str | None) -> T:
     return result
 
 
-def _load_atlas(explicit: str | None) -> TileAtlas:
-    path = explicit or os.environ.get(ENV_ATLAS)
-    if path:
-        return TileAtlas.load(path)
-    return atlas_default()
+def _load_atlas(path: str | None) -> TileAtlas:
+    return TileAtlas.load(path) if path else atlas_default()
 
 
 def _parse_set_a(text: str) -> Instance:

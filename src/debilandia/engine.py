@@ -148,7 +148,7 @@ def scan_packets(state: GameState, tip: CellAddr) -> list[tuple[int, list[TileKi
 
 
 _EMPTY_ROW: dict[int, TileKind] = {}
-_new = object.__new__  # a node or state made field by field skips a Python __init__ call
+_new = object.__new__  # a node, record or state made field by field skips a Python __init__ call
 
 
 class _Node:
@@ -228,47 +228,24 @@ def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
 
 
 class _Shared:
-    """The board off a state's tip context, shared by the states from one copy to the next.
+    """The board off a state's tip context, shared by the states from one copy to the next; made field by field.
 
-    tip is the one tip, or None. rows maps a row to its tiles by column as
-    indexed, without the tape row tr - 1 and the cells (tc, tr + 1) and
-    (tc, tr + 2); no step changes it, and copied lists the cells copies wrote
-    since, newest first, as nested (row, col, kind, rest) tuples. stack holds
-    the incomplete well-formed packet rows as nested (row, prefix, rest)
-    tuples, highest first; top is the highest well-formed packet row; first
-    maps R1.code << 4 | R2.code to what firing the lowest complete packet with
-    them makes: (Fired(row), made once, the code of the tape tile written,
-    the read and status tiles set, the shift dx, the low byte of the new
-    key's code, the packet). nontape counts the tape row's tiles that are
-    not tape tiles, count the tiles off the read slot. A copy makes the next record; all share the node table and
-    copies, the RuleCopied outcomes by row << 3 | slot.
+    tip: the one tip, or None.
+    rows: a row's tiles by column as indexed, which no step changes, without the tape row tr - 1 and the
+        cells (tc, tr + 1) and (tc, tr + 2).
+    copied: the cells copies wrote since, newest first, as nested (row, col, kind, rest) tuples, or None.
+    stack: the incomplete well-formed packet rows, highest first, as nested (row, prefix, rest) tuples, or None.
+    top: the highest well-formed packet row, or None.
+    first: R1.code << 4 | R2.code to what firing the lowest complete packet with them makes: (Fired(row), made
+        once, the code of the tape tile written, the read and status tiles set, the shift dx, the low byte of
+        the new key's code, the packet).
+    nontape: the number of the tape row's tiles that are not tape tiles.
+    count: the number of the board's tiles, the read slot's not counted.
+    nodes: the node table, shared by every record of the board.
+    copies: the RuleCopied outcomes by row << 3 | slot, shared by every record of the board.
     """
 
     __slots__ = ("tip", "rows", "copied", "stack", "top", "first", "nontape", "count", "nodes", "copies")
-
-    def __init__(
-        self,
-        tip: CellAddr | None,
-        rows: dict[int, dict[int, TileKind]],
-        copied: tuple | None,
-        stack: tuple | None,
-        top: int | None,
-        first: dict[int, tuple],
-        nontape: int,
-        count: int,
-        nodes: dict[tuple, _Node],
-        copies: dict[int, RuleCopied],
-    ) -> None:
-        self.tip = tip
-        self.rows = rows
-        self.copied = copied
-        self.stack = stack
-        self.top = top
-        self.first = first
-        self.nontape = nontape
-        self.count = count
-        self.nodes = nodes
-        self.copies = copies
 
     def rows_of(self, state: GameState) -> dict[int, dict[int, TileKind]]:
         """The state's tiles by row, then column, sharing the maps of rows; O(rows + copies + row)."""
@@ -295,7 +272,10 @@ def shared_of(state: GameState) -> _Shared:
         return state.shared
     rows = state.rows()
     tips = state.tip_cells()
-    shared = _Shared(None, rows, None, None, None, {}, 0, len(state.tiles), {}, {})
+    shared = _new(_Shared)
+    shared.tip, shared.rows, shared.copied = None, rows, None
+    shared.stack, shared.top, shared.first = None, None, {}
+    shared.nontape, shared.count, shared.nodes, shared.copies = 0, len(state.tiles), {}, {}
     state.head = state.read = state.status = state.key = None
     if len(tips) == 1:
         tc, tr = shared.tip = tips[0]
@@ -357,11 +337,15 @@ def position_key(state: GameState) -> tuple | None:
 def step(state: GameState) -> tuple[GameState, StepOutcome]:
     """Run exactly one generation; pure, deterministic.
 
-    A fire reads its packet's index entry, moves one tile across the
-    zipper and builds the successor state, all inline, in this one call.
-    Taking a tile off a run, or writing one onto an equal run at distance
-    1, changes a count; only a write that starts a new run interns a node,
-    the old top run.
+    Both moves slide the row below the tip by one cell, inline, in this one
+    call. A fire reads its packet's index entry, writes its tape tile under
+    the tip and slides the tape: the near stack gives its first tile to the
+    head, and the write goes on top of the far stack. A copy adds the tile
+    under the tip to the packet index and makes the next shared record, then
+    slides the left stack one cell right and writes nothing. Taking a tile
+    off a run, or writing one onto an equal run at distance 1, changes a
+    count; only a write that starts a new run interns a node, the old top
+    run. A fire on a row that also holds non-tape tiles re-lays the row.
     """
     shared = state.shared or shared_of(state)
     below = state.head
@@ -370,23 +354,52 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
             return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_cells() else StopReason.NO_TIP)
         return state, Terminated(StopReason.NOTHING_BELOW_TIP)
     read_key = _READ_KEY.get(below.code)
-    if read_key is None:  # not a tape tile
-        return _copy_rule(state, shared, below)
-    status = state.status
-    match = None if status is None else shared.first.get(read_key | status.code)
-    if match is None:
-        malformed = status is None or status.family != "status"
-        return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT if malformed else StopReason.NO_MATCHING_PACKET)
-    fired, write, read, status, dx, code, _ = match
+    if read_key is None:  # not a tape tile: copy it into the next packet slot
+        tc, tr = shared.tip
+        if shared.stack is not None:  # a stacked row is well-formed with nothing past its prefix
+            target, prefix, rest = shared.stack
+            slot = len(prefix) + 1
+            if below.slot != slot:
+                return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
+            prefix = [*prefix, below]
+        else:
+            target, slot, rest = (tr if shared.top is None else shared.top) + 1, 1, None
+            old = shared.rows.get(target, _EMPTY_ROW)
+            # a fresh row lies above every row a copy wrote, but for one a copy
+            # left malformed; that row is still the target, and the newest copy's
+            newest = shared.copied
+            if below.slot != 1 or tc + 1 in old or (newest is not None and newest[0] == target):
+                return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
+            # a fresh row that already holds tiles is classified; an empty one holds the copied tile alone
+            prefix = [below]
+            if old:
+                prefix = classify_packet([below, *[old.get(tc + i) for i in range(2, PACKET_WIDTH + 1)]])
+        outcome = shared.copies.get(target << 3 | slot)
+        if outcome is None:
+            outcome = shared.copies[target << 3 | slot] = RuleCopied(target, slot)
+        last, shared = shared, _new(_Shared)
+        shared.stack, shared.top, shared.first = _indexed(target, prefix, rest, last.top, last.first)
+        shared.tip, shared.rows, shared.copied = last.tip, last.rows, (target, tc + slot, below, last.copied)
+        shared.nontape, shared.count = last.nontape - 1, last.count
+        shared.nodes, shared.copies = last.nodes, last.copies
+        # the tiles left of the consumed one slide one cell right; nothing is written, and the key loses its head
+        write, read, status, dx, code = 0, state.read, state.status, 1, state.key[10] & 0xFF
+    else:
+        status = state.status
+        match = None if status is None else shared.first.get(read_key | status.code)
+        if match is None:
+            malformed = status is None or status.family != "status"
+            return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT if malformed else StopReason.NO_MATCHING_PACKET)
+        outcome, write, read, status, dx, code, _ = match
 
-    if shared.nontape:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
+    if shared.nontape and write:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
         tc = shared.tip[0]
         cells = _relaid({**_tape_cells(state), tc: _KIND[write]}, dx)
         if cells is None:
             return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
         head = cells.get(tc)
         key = (*_stacks(shared.nodes, cells, tc), code if head is None else head.code << 8 | code)
-    else:  # the near stack slides towards the tip, write goes on top of the far one
+    else:  # the near stack slides towards the tip, a write goes on top of the far one
         if dx == 1:
             nk, nc, nd, ng, beyond, fk, fc, fd, fg, far, _ = state.key
         else:
@@ -399,9 +412,9 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
                 nk, nc, nd, ng, beyond = beyond.code, beyond.count, ng, beyond.gap, beyond.next
         else:
             head, nd = None, nd and nd - 1
-        if fd == 1 and fk == write:
+        if fd == 1 and fk == write:  # an empty far stack has fd == 0, so a copy never joins a run
             fc += 1
-        else:
+        elif write:
             if fk:
                 far, fg = _node(shared.nodes, fk, fc, fg, far), fd
             fk, fc, fd = write, 1, 1
@@ -413,49 +426,6 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
     new._tiles, new.anchor, new.junk_cells = None, state.anchor, state.junk_cells
     new.shared, new.head, new.read = shared, head, read
     new.status, new.key = status, key
-    return new, fired
-
-
-def _copy_rule(state: GameState, shared: _Shared, below: TileKind) -> tuple[GameState, StepOutcome]:
-    tc, tr = shared.tip
-    if shared.stack is not None:  # a stacked row is well-formed with nothing past its prefix
-        target, prefix, rest = shared.stack
-        slot = len(prefix) + 1
-        if below.slot != slot:
-            return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-        prefix = [*prefix, below]
-    else:
-        target, slot, rest = (tr if shared.top is None else shared.top) + 1, 1, None
-        old = shared.rows.get(target, _EMPTY_ROW)
-        # a fresh row lies above every row a copy wrote, but for one a copy
-        # left malformed; that row is still the target, and the newest copy's
-        newest = shared.copied
-        if below.slot != 1 or tc + 1 in old or (newest is not None and newest[0] == target):
-            return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-        # a fresh row that already holds tiles is classified; an empty one holds the copied tile alone
-        prefix = classify_packet([below, *[old.get(tc + i) for i in range(2, PACKET_WIDTH + 1)]]) if old else [below]
-    stack, top, first = _indexed(target, prefix, rest, shared.top, shared.first)
-
-    lk, lc, ld, lg, beyond, rk, rc, rd, rg, right, code = state.key
-    code &= 0xFF
-    if ld == 1:  # the consumed tile goes, and every tile left of it comes one cell right
-        head, code = _KIND[lk], lk << 8 | code
-        if lc > 1:
-            lc -= 1
-        else:
-            lk, lc, ld, lg, beyond = beyond.code, beyond.count, lg, beyond.gap, beyond.next
-    else:
-        head, ld = None, ld and ld - 1
-    outcome = shared.copies.get(target << 3 | slot)
-    if outcome is None:
-        outcome = shared.copies[target << 3 | slot] = RuleCopied(target, slot)
-    copied = (target, tc + slot, below, shared.copied)
-    tip, rows, nontape, count = shared.tip, shared.rows, shared.nontape - 1, shared.count
-    shared = _Shared(tip, rows, copied, stack, top, first, nontape, count, shared.nodes, shared.copies)
-    new = _new(GameState)
-    new._tiles, new.anchor, new.junk_cells = None, state.anchor, state.junk_cells
-    new.shared, new.head, new.read = shared, head, state.read
-    new.status, new.key = state.status, (lk, lc, ld, lg, beyond, rk, rc, rd, rg, right, code)
     return new, outcome
 
 
@@ -502,10 +472,7 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
     holds at most r nodes when the state is indexed and keeps every node it
     made. A fire that re-lays a row holding other tiles takes O(row) time
     and makes a node for each run below the top one out to the farthest run
-    whose gap changed: none when only the top run's gap changed. Per step
-    call, in perfbench's traced reference microseconds (span wrapper
-    included; medians of three alternating runs): a fire 2.2 on tape-sweep
-    and 2.3 on rule-load; a copy 4.2.
+    whose gap changed: none when only the top run's gap changed.
     """
     if max_gens < 0:
         raise ValueError("max_gens must be >= 0")

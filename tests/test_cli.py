@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -327,6 +328,24 @@ def test_verify_writes_its_trace_and_report_or_neither(tmp_path, capsys, broken)
     assert {p.name for p in tmp_path.iterdir()} <= {"inst.json", "report", "t.jsonl"}  # no temporary file
 
 
+@pytest.mark.parametrize("both", [True, False], ids=["trace-and-report", "report"])
+def test_an_error_while_filling_the_outputs_names_a_path_only_for_one(tmp_path, monkeypatch, capsys, both):
+    # with two outputs, no one path is to blame for an error raised while both fill
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("debilandia.cli.verify", full)
+    instance, report = tmp_path / "inst.json", tmp_path / "r.json"
+    write_instance(instance, ACCEPT_A, 1, 25)
+    argv = ["verify", "--instance", str(instance), "--report", str(report)]
+    if both:
+        argv += ["--trace", str(tmp_path / "t.jsonl")]
+    assert main(argv) == 2
+    expected = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr() == ("", expected + ("\n" if both else f": {str(report)!r}\n"))
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]  # no output, no temporary file
+
+
 @pytest.mark.parametrize("trace", ["same.out", "./same.out"])
 def test_two_outputs_that_are_one_file_are_refused(tmp_path, monkeypatch, capsys, trace):
     monkeypatch.chdir(tmp_path)
@@ -481,18 +500,6 @@ def test_unknown_subcommand_exits_two(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_atlas_env_override(tmp_path, monkeypatch, capsys):
-    atlas_file = tmp_path / "atlas.json"
-    save_atlas(atlas_default(), atlas_file)
-    monkeypatch.setenv("DEBILANDIA_ATLAS", str(atlas_file))
-    points_file = tmp_path / "points.json"
-    write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
-    assert main(["simulate", "--points", str(points_file), "--max-gens", "5"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("DEBILANDIA_ATLAS", str(tmp_path / "missing.json"))
-    assert main(["simulate", "--points", str(points_file), "--max-gens", "5"]) == 2
-
-
 def test_readme_command_lines_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
@@ -502,18 +509,13 @@ def test_readme_command_lines_parse():
         assert _build_parser().parse_args(argv[1:]).command == argv[1]
 
 
-@pytest.mark.parametrize("via", ["--atlas", "env"])
-def test_an_atlas_file_is_read_on_every_call(tmp_path, monkeypatch, capsys, via):
+def test_an_atlas_file_is_read_on_every_call(tmp_path, capsys):
     # only the packaged atlas is loaded once per process
     atlas_file = tmp_path / "atlas.json"
     save_atlas(atlas_default(), atlas_file)
     points_file = tmp_path / "points.json"
     write_points(points_file, compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
-    argv = ["simulate", "--points", str(points_file), "--max-gens", "5"]
-    if via == "env":
-        monkeypatch.setenv("DEBILANDIA_ATLAS", str(atlas_file))
-    else:
-        argv += ["--atlas", str(atlas_file)]
+    argv = ["simulate", "--points", str(points_file), "--max-gens", "5", "--atlas", str(atlas_file)]
     assert main(argv) == 0
     atlas_file.write_text("{}")
     assert main(argv) == 2

@@ -156,19 +156,31 @@ def test_running_a_uniform_tape_to_the_halt_makes_no_node():
 def test_rule_copies_pop_the_left_stack_without_interning():
     # left of the head lie four tokens, each a run of one, then the
     # payload's zeros and its 1: the top run and five nodes below it
+    # a copy makes the next shared record, which shares the node table and
+    # the outcome cache with the one before; a fire keeps its state's record
     state = universal_board((Rule(0, 0, 0, 0, MOVE_LEFT),), "1" + "0" * 10**3)
     nodes = shared_of(state).nodes
+    copies = state.shared.copies
     assert len(nodes) == 5
+
+    def copy(state):
+        new, outcome = step(state)
+        assert isinstance(outcome, RuleCopied)
+        assert new.shared is not state.shared
+        assert new.shared.nodes is nodes and new.shared.copies is copies
+        return new
+
     for _ in range(4):  # a copy unboxes the run below the one it takes
         _, _, _, gap, beyond = state.key[:5]
-        state, outcome = step(state)
-        assert isinstance(outcome, RuleCopied)
+        state = copy(state)
         assert state.key[:5] == (beyond.code, beyond.count, gap, beyond.gap, beyond.next)
     zeros = state.key[:5]
-    state, outcome = step(state)  # the last copy takes one zero off its run
-    assert isinstance(outcome, RuleCopied)
+    state = copy(state)  # the last copy takes one zero off its run
     assert state.key[:5] == (zeros[0], zeros[1] - 1, *zeros[2:])
     assert len(nodes) == 5
+    new, outcome = step(state)
+    assert isinstance(outcome, Fired)
+    assert new.shared is state.shared
 
 
 @pytest.mark.parametrize("length", [250, 10**3])
