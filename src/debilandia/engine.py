@@ -35,7 +35,7 @@ equal tiles at gap 1; each stack keeps its top run unboxed in the key, and
 the runs below it are hash-consed nodes (Goto 1974; Filliatre and Conchon,
 "Type-safe modular hash-consing", 2006). The rest of the board is a _Shared
 record that a state shares with its successors up to the next copy: the rows
-as indexed, the cells copies wrote since, the packet index and the node
+as indexed, the cells each copy wrote since, the packet index and the node
 table. A fire changes only the tip context and reads one index entry; a copy
 adds a packet tile that no step removes, so no state recurs across it. So
 run starts cycle detection afresh at every copy and keys a state on its tip
@@ -233,7 +233,7 @@ class _Shared:
     tip: the one tip, or None.
     rows: a row's tiles by column as indexed, which no step changes, without the tape row tr - 1 and the
         cells (tc, tr + 1) and (tc, tr + 2).
-    copied: the cells copies wrote since, newest first, as nested (row, col, kind, rest) tuples, or None.
+    copied: the cells each copy wrote since, newest first, as nested (row, col, kind, rest) tuples, or None.
     stack: the incomplete well-formed packet rows, highest first, as nested (row, prefix, rest) tuples, or None.
     top: the highest well-formed packet row, or None.
     first: R1.code << 4 | R2.code to what firing the lowest complete packet with them makes: (Fired(row), made
@@ -242,13 +242,12 @@ class _Shared:
     nontape: the number of the tape row's tiles that are not tape tiles.
     count: the number of the board's tiles, the read slot's not counted.
     nodes: the node table, shared by every record of the board.
-    copies: the RuleCopied outcomes by row << 3 | slot, shared by every record of the board.
     """
 
-    __slots__ = ("tip", "rows", "copied", "stack", "top", "first", "nontape", "count", "nodes", "copies")
+    __slots__ = ("tip", "rows", "copied", "stack", "top", "first", "nontape", "count", "nodes")
 
     def rows_of(self, state: GameState) -> dict[int, dict[int, TileKind]]:
-        """The state's tiles by row, then column, sharing the maps of rows; O(rows + copies + row)."""
+        """The state's tiles by row, then column, sharing the maps of rows; O(rows + copied cells + row)."""
         rows = dict(self.rows)
         if self.tip is None:
             return rows
@@ -275,7 +274,7 @@ def shared_of(state: GameState) -> _Shared:
     shared = _new(_Shared)
     shared.tip, shared.rows, shared.copied = None, rows, None
     shared.stack, shared.top, shared.first = None, None, {}
-    shared.nontape, shared.count, shared.nodes, shared.copies = 0, len(state.tiles), {}, {}
+    shared.nontape, shared.count, shared.nodes = 0, len(state.tiles), {}
     state.head = state.read = state.status = state.key = None
     if len(tips) == 1:
         tc, tr = shared.tip = tips[0]
@@ -323,11 +322,12 @@ def position_key(state: GameState) -> tuple | None:
     the next run) and the node of the next run, then the head, read-slot
     and status tiles in four bits each. An empty stack is (0, 0, 0, 0,
     _NIL). It covers only what a fire changes, so it tells apart the states
-    between two copies, where every other cell stays as it is. Runs are
-    maximal, so equal stacks have equal top runs, and within one board
-    family, whose nodes come from one table, equal runs below them are one
-    node: two keys are equal exactly when the tip contexts are. Nodes
-    compare by identity: keys of separately indexed boards never match.
+    between one copy and the next, where every other cell stays as it is.
+    Runs are maximal, so equal stacks have equal top runs, and within one
+    board family, whose nodes come from one table, equal runs below them
+    are one node: two keys are equal exactly when the tip contexts are.
+    Nodes compare by identity: keys of separately indexed boards never
+    match.
     O(1): a state holds its key.
     """
     shared_of(state)
@@ -341,11 +341,13 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
     call. A fire reads its packet's index entry, writes its tape tile under
     the tip and slides the tape: the near stack gives its first tile to the
     head, and the write goes on top of the far stack. A copy adds the tile
-    under the tip to the packet index and makes the next shared record, then
-    slides the left stack one cell right and writes nothing. Taking a tile
-    off a run, or writing one onto an equal run at distance 1, changes a
-    count; only a write that starts a new run interns a node, the old top
-    run. A fire on a row that also holds non-tape tiles re-lays the row.
+    under the tip to the packet index, makes the next shared record and a
+    new RuleCopied, then slides the left stack one cell right and writes
+    nothing; it fills a slot that no later step empties, so one run fills
+    each cell at most once. Taking a tile off a run, or writing one onto an
+    equal run at distance 1, changes a count; only a write that starts a new
+    run interns a node, the old top run. A fire on a row that also holds
+    non-tape tiles re-lays the row.
     """
     shared = state.shared or shared_of(state)
     below = state.head
@@ -374,14 +376,11 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
             prefix = [below]
             if old:
                 prefix = classify_packet([below, *[old.get(tc + i) for i in range(2, PACKET_WIDTH + 1)]])
-        outcome = shared.copies.get(target << 3 | slot)
-        if outcome is None:
-            outcome = shared.copies[target << 3 | slot] = RuleCopied(target, slot)
+        outcome = RuleCopied(target, slot)
         last, shared = shared, _new(_Shared)
         shared.stack, shared.top, shared.first = _indexed(target, prefix, rest, last.top, last.first)
         shared.tip, shared.rows, shared.copied = last.tip, last.rows, (target, tc + slot, below, last.copied)
-        shared.nontape, shared.count = last.nontape - 1, last.count
-        shared.nodes, shared.copies = last.nodes, last.copies
+        shared.nontape, shared.count, shared.nodes = last.nontape - 1, last.count, last.nodes
         # the tiles left of the consumed one slide one cell right; nothing is written, and the key loses its head
         write, read, status, dx, code = 0, state.read, state.status, 1, state.key[10] & 0xFF
     else:
@@ -465,14 +464,15 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
     time to index the state, then O(1) Python work per generation at any
     tape length and any number of packets. A generation builds one state;
     a fire also makes at most one node, only when it starts a new run, and
-    a copy one record and one list cell. With on_step, each record adds an
-    O(n) state_hash and an O(row) diff of the tape row, so a traced run
-    stays O(n) per generation. Memory is O(n + g + F): the current state,
-    one key per generation since the last copy, and the node table, which
-    holds at most r nodes when the state is indexed and keeps every node it
-    made. A fire that re-lays a row holding other tiles takes O(row) time
-    and makes a node for each run below the top one out to the farthest run
-    whose gap changed: none when only the top run's gap changed.
+    a copy one record, one list cell and its RuleCopied. With on_step, each
+    record adds an O(n) state_hash and an O(row) diff of the tape row, so a
+    traced run stays O(n) per generation. Memory is O(n + g + F): the
+    current state, one key per generation since the last copy, and the
+    node table, which holds at most r nodes when the state is indexed and
+    keeps every node it made. A fire that re-lays a row holding other tiles
+    takes O(row) time and makes a node for each run below the top one out
+    to the farthest run whose gap changed: none when only the top run's gap
+    changed.
     """
     if max_gens < 0:
         raise ValueError("max_gens must be >= 0")

@@ -92,18 +92,18 @@ class Instance(Frozen):
 
 
 def group_tuples(
-    inst: Instance, items: list[int] | SquarePoints, start: int
+    inst: Instance, items: list[int] | Certificate, start: int
 ) -> tuple[Pairs | SquarePoints, int, int]:
     """Read ``a b 7 a b 7 ... a b 5`` from items[start:].
 
     Returns (pairs, index one past the 5, tokens touched); every coordinate
     of the pairs is a member of A. Raises RejectedCertificate for shape
-    violations; pair coverage is not checked here. A section proven on the
-    file text (`SquarePoints`) is handed on in O(1). A list is checked with
-    list and set operations; the token walk runs only to locate a reject.
+    violations; pair coverage is not checked here. A `Certificate` hands on
+    its prefix, proven A x A, in O(1). A list is checked with list and set
+    operations; the token walk runs only to locate a reject.
     """
-    if isinstance(items, SquarePoints):
-        return items, start + 3 * len(items), 3 * len(items)
+    if isinstance(items, Certificate):
+        return items.prefix, start + 3 * len(items.prefix), 3 * len(items.prefix)
     members = set(inst.a_values)
     try:
         end = items.index(MARKER_END_TUPLES, start)

@@ -153,7 +153,6 @@ def verify(
 ) -> VerifierReport:
     """Check one certificate, a list or a `Certificate`; never raises for bad certificates."""
     ledger = CostLedger()
-    prefix = items.prefix if isinstance(items, Certificate) else items  # a Certificate's is A x A
 
     def reject(reason: RejectReason, **extra) -> VerifierReport:
         report = VerifierReport(False, ledger, reason=reason, step=_REASON_STEP[reason], **extra)
@@ -161,11 +160,11 @@ def verify(
         return report
 
     ledger.c1 = 1
-    if not isinstance(prefix, SquarePoints) and (not prefix or prefix[0] != 2):
+    if not isinstance(items, Certificate) and (not items or items[0] != 2):
         return reject(RejectReason.CONDITION_1)
 
     try:
-        pairs, after_five, touched = group_tuples(inst, prefix, 1)
+        pairs, after_five, touched = group_tuples(inst, items, 1)
     except RejectedCertificate as exc:
         ledger.c2 = exc.position  # tokens 1..position examined
         ledger.t_count = (exc.position - 1) // 3  # completed pairs so far

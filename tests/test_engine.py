@@ -259,13 +259,12 @@ def test_step_outcomes_are_frozen_values():
         assert outcome == fresh  # unchanged by the refused assignment
 
 
-def test_copies_onto_one_row_and_slot_share_their_outcome():
-    # a copy returns the RuleCopied its board made once for that (row, slot);
-    # it must still be a value equal to a fresh one, and not be changeable
+def test_copies_onto_one_row_and_slot_give_equal_outcomes():
+    # stepping one state twice copies onto one (row, slot) twice; each copy
+    # makes its own RuleCopied, an equal value that cannot be changed
     state = state_of({(0, 0): TileKind.READ_1, (0, 1): TileKind.TIP})
     copied, again = step(state)[1], step(state)[1]
-    assert copied is again
-    assert copied == RuleCopied(2, 1) and hash(copied) == hash(RuleCopied(2, 1))
+    assert copied == again == RuleCopied(2, 1) and hash(copied) == hash(again) == hash(RuleCopied(2, 1))
     with pytest.raises(AttributeError):
         copied.slot = 7
     assert copied == RuleCopied(2, 1)

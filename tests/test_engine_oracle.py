@@ -93,6 +93,10 @@ def assert_engines_agree(state: GameState, max_gens: int) -> None:
 
     records, expected_records = [], []
     result = run(state, max_gens, on_step=records.append)
+    # a copy fills a slot that no later step empties, so a run's copies name
+    # pairwise distinct (row, slot) cells, and a copy makes its own outcome
+    copied = [record.outcome for record in records if isinstance(record.outcome, RuleCopied)]
+    assert len(set(copied)) == len(copied)
     expected = dict_engine.run(
         GameState(dict(state.tiles), state.anchor, state.junk_cells), max_gens, on_step=expected_records.append
     )

@@ -279,7 +279,7 @@ def test_canonical_and_permuted_sections_give_the_same_report(atlas, a_values, g
             _, loaded = load_instance_file(path)
             if listed == items:
                 assert type(loaded) is Certificate and type(loaded.prefix) is SquarePoints
-                assert type(group_tuples(inst, loaded.prefix, 1)[0]) is SquarePoints
+                assert type(group_tuples(inst, loaded, 1)[0]) is SquarePoints
             else:
                 assert type(loaded) is list and loaded == listed
                 assert type(group_tuples(inst, loaded, 1)[0]) is Pairs

@@ -14,6 +14,7 @@ from debilandia.instances import (
     Instance,
     RejectReason,
     RejectedCertificate,
+    _raise_pair_reject,
     check_coverage,
     group_tuples,
     scan_tail,
@@ -123,6 +124,15 @@ def test_reject_missing_terminator():
     expect_reject(lambda: group_tuples(inst, items, 1), RejectReason.CONDITION_4, 12)
     # list ends inside the pair section
     expect_reject(lambda: group_tuples(inst, [2, 1, 1, 7, 1, 3], 1), RejectReason.CONDITION_4, 6)
+
+
+def test_the_pair_walk_refuses_a_well_formed_section():
+    # group_tuples hands the walk only sections it refused; a well-formed
+    # one reaching it is a fault in group_tuples, not a reject
+    inst = Instance((1, 3))
+    items = [2, 1, 1, 7, 1, 3, 7, 3, 1, 7, 3, 3, 5, 4, 25]
+    with pytest.raises(AssertionError, match="refused a well-formed pair section"):
+        _raise_pair_reject(set(inst.a_values), items, 1)
 
 
 def test_reject_non_four_in_generation_run():

@@ -13,6 +13,8 @@ from debilandia.instances import (
 )
 from debilandia.verifier import (
     CostLedger,
+    VerifierReport,
+    _assert_polynomial,
     bound_of,
     bracket_ceiling_total,
     f_formula,
@@ -36,6 +38,18 @@ def test_bound_values():
     assert bound_of(19) == 1349
     with pytest.raises(ValueError):
         bound_of(-1)
+
+
+def test_a_report_over_the_bound_raises_naming_both_numbers():
+    # verify's own reports stay under the bound, so only a ledger filled by
+    # hand reaches the raise; N = 4 gives the bound 2 * 16 + 33 * 4 = 164
+    ledger = ledger_with(0, 0)
+    report = VerifierReport(False, ledger, reason=RejectReason.CONDITION_5, step=5)
+    ledger.c5 = 164
+    _assert_polynomial(report)  # at the bound
+    ledger.c5 = 165
+    with pytest.raises(AssertionError, match=r"exceeded the polynomial bound: 165 > 164$"):
+        _assert_polynomial(report)
 
 
 def test_bracket_sum_is_one_below_f():
