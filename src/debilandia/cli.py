@@ -98,7 +98,7 @@ def _load_atlas(path: str | None) -> TileAtlas:
 
 def _parse_set_a(text: str) -> Instance:
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        values = tuple(map(int, filter(str.strip, text.split(","))))
     except ValueError as exc:
         raise ValueError(f"--set-a must be comma-separated integers: {exc}") from exc
     return Instance(values)

@@ -47,7 +47,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable
 
 from .grid import GameState, state_hash
 from .tiles import CellAddr, TileKind, TileType, read_tile, status_tile, tape_tile
@@ -68,17 +69,16 @@ class StopReason(Enum):
     MALFORMED_TIP_CONTEXT = "malformed_tip_context"
 
 
-class Fired(NamedTuple):
-    packet_row: int
+class Fired(namedtuple("Fired", "packet_row")):
+    __slots__ = ()
 
 
-class RuleCopied(NamedTuple):
-    target_row: int
-    slot: int
+class RuleCopied(namedtuple("RuleCopied", "target_row slot")):
+    __slots__ = ()
 
 
-class Terminated(NamedTuple):
-    reason: StopReason
+class Terminated(namedtuple("Terminated", "reason")):
+    __slots__ = ()
 
 
 StepOutcome = Fired | RuleCopied | Terminated
@@ -90,13 +90,10 @@ class RunStatus(Enum):
     BUDGET = "budget_exhausted"
 
 
-class RunResult(NamedTuple):
-    final_state: GameState
-    generations_run: int
-    status: RunStatus
-    reason: StopReason | None = None
-    period: int | None = None
-    first_index: int | None = None
+class RunResult(
+    namedtuple("RunResult", "final_state generations_run status reason period first_index", defaults=(None,) * 3)
+):
+    __slots__ = ()
 
     @property
     def stopped(self) -> bool:
@@ -104,11 +101,8 @@ class RunResult(NamedTuple):
         return self.status is not RunStatus.BUDGET
 
 
-class StepRecord(NamedTuple):
-    gen: int
-    outcome: StepOutcome
-    state_hash: int
-    changed_cells: list[CellAddr]
+class StepRecord(namedtuple("StepRecord", "gen outcome state_hash changed_cells")):
+    __slots__ = ()
 
 
 def packet_rows(rows: dict[int, dict[int, TileKind]], tip: CellAddr) -> list[tuple[int, list[TileKind] | None]]:
@@ -230,7 +224,7 @@ def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
 class _Shared:
     """The board off a state's tip context, shared by the states from one copy to the next; made field by field.
 
-    tip: the one tip, or None.
+    tip: the one tip, or None: the record of a board without exactly one tip has no rows and no packets.
     rows: a row's tiles by column as indexed, which no step changes, without the tape row tr - 1 and the
         cells (tc, tr + 1) and (tc, tr + 2).
     copied: the cells each copy wrote since, newest first, as nested (row, col, kind, rest) tuples, or None.
@@ -249,8 +243,6 @@ class _Shared:
     def rows_of(self, state: GameState) -> dict[int, dict[int, TileKind]]:
         """The state's tiles by row, then column, sharing the maps of rows; O(rows + copied cells + row)."""
         rows = dict(self.rows)
-        if self.tip is None:
-            return rows
         tc, tr = self.tip
         laid = {r: {tc: kind} for r, kind in ((tr + 1, state.read), (tr + 2, state.status)) if kind is not None}
         copied = self.copied
@@ -266,18 +258,22 @@ class _Shared:
 
 
 def shared_of(state: GameState) -> _Shared:
-    """The state's shared record; a state the engine has not seen is indexed in place first, in O(tiles)."""
+    """The state's shared record; a state the engine has not seen is indexed in place first.
+
+    Indexing a board with one tip takes O(tiles). A board without exactly
+    one tip gets a record with no tip after its tips are counted, which the
+    state of A x A does off its block groups, building no tile.
+    """
     if state.shared is not None:
         return state.shared
-    rows = state.rows()
-    tips = state.tip_cells()
     shared = _new(_Shared)
-    shared.tip, shared.rows, shared.copied = None, rows, None
+    shared.tip, shared.rows, shared.copied = None, None, None
     shared.stack, shared.top, shared.first = None, None, {}
-    shared.nontape, shared.count, shared.nodes = 0, len(state.tiles), {}
+    shared.nontape, shared.count, shared.nodes = 0, 0, {}
     state.head = state.read = state.status = state.key = None
-    if len(tips) == 1:
-        tc, tr = shared.tip = tips[0]
+    if state.tip_count() == 1:
+        rows = state.rows()
+        tc, tr = shared.tip = state.tip_cells()[0]
         tape = rows.pop(tr - 1, {})
         read = state.read = rows.get(tr + 1, {}).pop(tc, None)
         status = state.status = rows.get(tr + 2, {}).pop(tc, None)
@@ -285,7 +281,7 @@ def shared_of(state: GameState) -> _Shared:
         for r, prefix in packet_rows(rows, (tc, tr)):
             shared.stack, shared.top, shared.first = _indexed(r, prefix, shared.stack, shared.top, shared.first)
         shared.nontape = len([kind for kind in tape.values() if kind.tile_type is not _TAPE])
-        shared.count -= read is not None
+        shared.count = state.tile_count() - (read is not None)
         head = state.head = tape.get(tc)
         code = sum(kind.code << shift for kind, shift in ((head, 8), (read, 4), (status, 0)) if kind is not None)
         state.key = (*_stacks(shared.nodes, tape, tc), code)
@@ -353,7 +349,7 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
     below = state.head
     if below is None:  # with one tip on the board, the cell below is never a tip
         if shared.tip is None:
-            return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_cells() else StopReason.NO_TIP)
+            return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_count() else StopReason.NO_TIP)
         return state, Terminated(StopReason.NOTHING_BELOW_TIP)
     read_key = _READ_KEY.get(below.code)
     if read_key is None:  # not a tape tile: copy it into the next packet slot

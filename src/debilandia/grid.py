@@ -2,8 +2,9 @@
 point reconstruction, hashing.
 
 States are sparse: a mapping from cell address to tile kind plus the lattice
-anchor and a count of junk cells. The engine treats states as values; nothing
-here mutates a state's tiles after construction.
+anchor and a count of junk cells; the state of A x A holds its block groups
+instead and builds the mapping when it is read. The engine treats states as
+values; nothing here mutates a state's tiles after construction.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, classify_cell, de
 _TIP = TileKind.TIP  # a module global: reading a member off its Enum class costs several times more
 _MASK64 = (1 << 64) - 1
 _EMPTY_HASH = 0x9E3779B97F4A7C15
+# a 4-bit y offset mask to the cell mask of one point at dx = 0 on each row it names
+_SPREAD = [sum(1 << CELL * dy for dy in range(CELL) if mask >> dy & 1) for mask in range(1 << CELL)]
 
 
 class GameState:
@@ -26,12 +29,13 @@ class GameState:
     Junk cells (occupied but matching no pattern) are inert: they never block
     movement or rule matching, so only their count is kept.
 
-    States are values. A state made by hand holds its `tiles` mapping; the
-    engine indexes it in place on first use, when it is stepped or a machine
-    is extracted from it, so mutate `tiles` only before either. A state the
-    engine makes is one object: its tip context (head, read and status
-    tiles, and its position key) and `shared`, the engine's record of the
-    rest of the board. It builds `tiles` from them when someone reads it.
+    States are values. A state made by hand holds its `tiles` mapping, and
+    recognize's state of A x A builds it on first read (_SquareState). The
+    engine indexes a state in place on first use, when it is stepped or a
+    machine is extracted from it, so mutate `tiles` only before either. A
+    state the engine makes is one object: its tip context (head, read and
+    status tiles, and its position key) and `shared`, the engine's record of
+    the rest of the board. It builds `tiles` from them when someone reads it.
     """
 
     __slots__ = ("_tiles", "anchor", "junk_cells", "shared", "head", "read", "status", "key")
@@ -50,10 +54,10 @@ class GameState:
 
     def rows(self) -> dict[int, dict[int, TileKind]]:
         """The tiles by row, then by column, no row empty; rows may be the engine's own maps: do not change them."""
-        if self.shared is not None:
+        if self.shared is not None and self.shared.tip is not None:
             return self.shared.rows_of(self)
         rows: dict[int, dict[int, TileKind]] = {}
-        for (col, r), kind in self._tiles.items():
+        for (col, r), kind in self.tiles.items():
             rows.setdefault(r, {})[col] = kind
         return rows
 
@@ -75,6 +79,41 @@ class GameState:
         if self.shared is not None and self.shared.tip is not None:
             return [self.shared.tip]
         return sorted(c for c, k in self.tiles.items() if k is _TIP)
+
+    def tip_count(self) -> int:
+        """len(tip_cells()), counted at C speed."""
+        return list(self.tiles.values()).count(_TIP)
+
+
+class _SquareState(GameState):
+    """recognize's state of A x A: its tiles held as block-group pairs, the map built when `tiles` is read.
+
+    pairs: (x blocks, y blocks, kind) for each pair of block groups whose
+    cells make a tile; every cell of the x blocks crossed with the y blocks
+    holds that kind. Tiles and tips are counted as sums of products of group
+    sizes, in O(groups^2), so a board without exactly one tip is told apart,
+    counted and refused without building a tile.
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: list[tuple[list[int], list[int], TileKind]], anchor: Point, junk_cells: int) -> None:
+        super().__init__(None, anchor, junk_cells)
+        self.pairs = pairs
+
+    @property
+    def tiles(self) -> dict[CellAddr, TileKind]:
+        if self._tiles is None:
+            self._tiles = {}
+            for x_blocks, y_blocks, kind in self.pairs:
+                self._tiles.update(dict.fromkeys(product(x_blocks, y_blocks), kind))
+        return self._tiles
+
+    def tile_count(self) -> int:
+        return sum(len(x_blocks) * len(y_blocks) for x_blocks, y_blocks, _ in self.pairs)
+
+    def tip_count(self) -> int:
+        return sum(len(x_blocks) * len(y_blocks) for x_blocks, y_blocks, kind in self.pairs if kind is _TIP)
 
 
 class SquarePoints:
@@ -229,12 +268,13 @@ def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:
 
 
 def _recognize_square(values: tuple[int, ...], atlas: TileAtlas) -> GameState:
-    """recognize of A x A in O(|A| + tiles).
+    """recognize of A x A in O(|A| + groups^2); the tiles are built when read (see _SquareState).
 
     Cell (bx, by) holds the points of block bx of A crossed with those of
-    block by, so its mask is fixed by the two blocks' 4-bit offset masks.
-    Blocks are grouped by mask (at most 15 groups) and each pair of groups is
-    classified once.
+    block by, so its mask is fixed by the two blocks' 4-bit offset masks:
+    x_mask * _SPREAD[y_mask], the x mask once on each row the y mask names.
+    Blocks are grouped by mask (at most 15 groups) and each pair of groups
+    is classified once.
     """
     if not values:
         return GameState({}, (0, 0), 0)
@@ -246,18 +286,17 @@ def _recognize_square(values: tuple[int, ...], atlas: TileAtlas) -> GameState:
     groups: dict[int, list[int]] = {}
     for block, mask in block_masks.items():
         groups.setdefault(mask, []).append(block)
-    tiles: dict[CellAddr, TileKind] = {}
+    pairs = []
     junk = 0
     for y_mask, y_blocks in groups.items():
-        y_offsets = [dy for dy in range(CELL) if y_mask >> dy & 1]
+        spread = _SPREAD[y_mask]
         for x_mask, x_blocks in groups.items():
-            cell_mask = sum(x_mask << CELL * dy for dy in y_offsets)
-            kind = classify_cell(cell_mask, atlas)
+            kind = classify_cell(x_mask * spread, atlas)
             if kind is None:
                 junk += len(x_blocks) * len(y_blocks)
             else:
-                tiles.update(dict.fromkeys(product(x_blocks, y_blocks), kind))
-    return GameState(tiles, (base, base), junk)
+                pairs.append((x_blocks, y_blocks, kind))
+    return _SquareState(pairs, (base, base), junk)
 
 
 def points_of(state: GameState, atlas: TileAtlas) -> set[Point]:

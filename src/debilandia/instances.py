@@ -78,11 +78,13 @@ class Instance(Frozen):
     def __init__(self, a_values: tuple[int, ...]) -> None:
         if not a_values:
             raise ValueError("set A must not be empty")
-        if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in a_values):
+        types = set(map(type, a_values))  # checked per type, then in one min(): an int subclass other than bool passes
+        if bool in types or not all(issubclass(t, int) for t in types) or min(a_values) < 1:
             raise ValueError("set A must contain positive integers")
-        if len(set(a_values)) != len(a_values):
+        members = set(a_values)
+        if len(members) != len(a_values):
             raise ValueError("set A must not repeat values")
-        if set(a_values) & RESERVED:
+        if members & RESERVED:
             raise ValueError(f"set A must avoid the reserved values {sorted(RESERVED)}")
         object.__setattr__(self, "a_values", tuple(sorted(a_values)))
 

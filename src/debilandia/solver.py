@@ -14,7 +14,8 @@ matter how the points land.
 In this formalisation the answer is fixed by the board's structure: once
 extraction finds a machine, the markers 25 and 43 are complementary at
 every generation count, so a certificate exists exactly when extraction
-succeeds. Deciding costs recognition plus extraction, O(|A| + tiles), and
+succeeds. Deciding costs recognition plus extraction: O(|A| + groups^2)
+without exactly one tip, which builds no tile, and O(|A| + tiles) with one;
 construct_certificate adds one run, O(max_gens). Every |A| is solved, with
 no limit on its size. The certificate is `Certificate(SquarePoints(A), E,
 marker)`, O(|A|) in memory: no |A|^2-sized list is built, and
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from collections import namedtuple
 
 from .embedding import NotATuringMachine, extract_tm
 from .engine import RunStatus, run
@@ -37,12 +38,8 @@ from .tiles import TileAtlas
 SAMPLE_POOL = tuple(v for v in range(1, 201) if v not in RESERVED)  # growth_probe's random elements
 
 
-class SolveOutcome(NamedTuple):
-    certificate: Certificate | None
-    reason: str | None
-    cells_placed: int
-    cells_scanned: int
-    generations: int
+class SolveOutcome(namedtuple("SolveOutcome", "certificate reason cells_placed cells_scanned generations")):
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
@@ -59,7 +56,8 @@ def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> So
     certifies exactly what the checker checks (no stabilization within the
     claimed generations). No machine structure means no certificate at all.
 
-    There is no limit on |A|. Time is O(|A| + tiles + max_gens), and the
+    There is no limit on |A|. Time is O(|A| + tiles + max_gens), O(|A|) on
+    a board without exactly one tip (see grid._SquareState), and the
     certificate is `Certificate(SquarePoints(A), E, marker)`, O(|A|) in
     memory; writing it streams its bytes (instances.write_certificate).
     """
@@ -67,7 +65,7 @@ def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> So
         raise ValueError("max_gens must be >= 1")
     points = SquarePoints(inst.a_values)
     state = recognize(points, atlas)
-    placed, scanned = len(points), len(state.tiles) + state.junk_cells
+    placed, scanned = len(points), state.tile_count() + state.junk_cells
     try:
         extract_tm(state)
     except NotATuringMachine as exc:
@@ -83,14 +81,10 @@ def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> So
     return SolveOutcome(Certificate(points, gen_count, marker), None, placed, scanned, result.generations_run)
 
 
-class GrowthRow(NamedTuple):
-    size_m: int
-    trial: int
-    cells_placed: int
-    factorial_sq_claim: int
-    generations: int
-    cells_scanned: int
-    found: bool
+class GrowthRow(
+    namedtuple("GrowthRow", "size_m trial cells_placed factorial_sq_claim generations cells_scanned found")
+):
+    __slots__ = ()
 
 
 def random_instance(rng: random.Random, size: int) -> Instance:

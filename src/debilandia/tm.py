@@ -9,7 +9,7 @@ Move encoding: 1 moves the head left, 0 moves it right.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .frozen import Frozen
 
@@ -87,10 +87,8 @@ def tm_step(spec: TmSpec, config: TmConfig) -> TmConfig | None:
     return TmConfig(cells, head, rule.next_state)
 
 
-class TmRunResult(NamedTuple):
-    halted: bool
-    steps: int
-    config: TmConfig
+class TmRunResult(namedtuple("TmRunResult", "halted steps config")):
+    __slots__ = ()
 
 
 def tm_run(spec: TmSpec, budget: int) -> TmRunResult:

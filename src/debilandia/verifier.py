@@ -27,7 +27,8 @@ itemized sum.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable
 
 from .embedding import NotATuringMachine, extract_tm_counted
 from .engine import RunResult, RunStatus, StepRecord, run
@@ -108,14 +109,10 @@ def bracket_ceiling_total(t_count: int, p_count: int, gen_count: int) -> int:
     return sum(ceiling for _, ceiling in ledger.brackets().values())
 
 
-class VerifierReport(NamedTuple):
-    accepted: bool
-    ledger: CostLedger
-    reason: RejectReason | None = None
-    step: int | None = None
-    stopped: bool | None = None
-    marker: int | None = None
-    run_result: RunResult | None = None
+class VerifierReport(
+    namedtuple("VerifierReport", "accepted ledger reason step stopped marker run_result", defaults=(None,) * 5)
+):
+    __slots__ = ()
 
     @property
     def f_n(self) -> int:
@@ -181,7 +178,7 @@ def verify(
 
     points = SquarePoints(inst.a_values)  # the pairs are exactly A x A
     state = recognize(points, atlas)
-    ledger.c4 = len(points) + len(state.tiles) + state.junk_cells
+    ledger.c4 = len(points) + state.tile_count() + state.junk_cells
     extraction: NotATuringMachine | None = None
     try:
         _, probes = extract_tm_counted(state)

@@ -1,5 +1,7 @@
 """Engine pace: a generation's work and allocation do not grow with the tape.
 
+A board of A x A without exactly one tip is refused without building a tile.
+
 The row below the tip is a zipper of run-length stacks, so a fire or a rule
 copy costs O(1) Python work and memory at any tape length. The run tests
 state a loose wall-clock ceiling; the allocation guard measures bytes and
@@ -21,6 +23,8 @@ from corpus import BOUNCE, ZERO_RUNNER, game_tape_text, spec_with
 from debilandia.embedding import compile_direct, compile_universal, extract_tm
 from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, Terminated, position_key, run, shared_of, step
 from debilandia.grid import GameState, recognize
+from debilandia.instances import Instance
+from debilandia.solver import construct_certificate
 from debilandia.tiles import TileKind, read_tile, slot_tile, status_tile, tape_tile
 from debilandia.tm import MOVE_LEFT, Rule
 
@@ -197,3 +201,21 @@ def test_a_relaid_row_makes_a_bounded_number_of_nodes_per_fire(length):
         assert len(nodes) - made <= 1
     assert step(state)[1] == Terminated(StopReason.NO_MATCHING_PACKET)
     assert game_tape_text(state) == "1"
+
+
+def test_a_tipless_square_is_refused_without_building_its_tiles(atlas):
+    # every 4-block of A has offsets {0, 3}, so the 640,000 cells of A x A
+    # are all tape tiles and none is a tip; building them peaks at about 86 MB
+    inst = Instance(tuple(v for k in range(800) for v in (44 + 4 * k, 47 + 4 * k)))
+    tracemalloc.start()
+    try:
+        outcome = construct_certificate(inst, 1000, atlas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (outcome.reason, outcome.cells_placed, outcome.cells_scanned) == (
+        "not_a_turing_machine:no_tip",
+        1600**2,
+        640_000,
+    )
+    assert peak < 10**6, f"peaked at {peak} bytes"

@@ -31,6 +31,38 @@ def test_instance_validation():
             Instance(tuple(bad))
 
 
+class Count(int):
+    """An int subclass other than bool."""
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((), "set A must not be empty"),
+        ((1, True), "set A must contain positive integers"),
+        ((1, 1.0), "set A must contain positive integers"),
+        ((1, "3"), "set A must contain positive integers"),
+        ((1, 0), "set A must contain positive integers"),
+        ((-2,), "set A must contain positive integers"),
+        ((0, 0), "set A must contain positive integers"),  # the type and sign check runs before the repeat check
+        ((3, 8, 3), "set A must not repeat values"),
+        ((2, 2), "set A must not repeat values"),  # and the repeat check before the reserved one
+        ((1, 25), "set A must avoid the reserved values [2, 4, 5, 7, 25, 43]"),
+    ],
+    ids=["empty", "true", "float", "str", "zero", "negative", "zero-twice", "repeat", "reserved-twice", "reserved"],
+)
+def test_each_bad_set_a_is_refused_with_its_message(values, message):
+    with pytest.raises(ValueError) as exc:
+        Instance(values)
+    assert str(exc.value) == message
+
+
+def test_an_int_subclass_other_than_bool_is_a_member():
+    inst = Instance((Count(8), 3))
+    assert inst.a_values == (3, 8)
+    assert type(inst.a_values[1]) is Count
+
+
 def pairs_of(items):
     """The (a, b) pairs of a skeleton's pair section."""
     end = items.index(5)
