@@ -151,13 +151,13 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     tc, tr = shared.tip
 
     probes += 2
-    read_slot, status = state.read, state.status
+    rows = state.rows()
+    read_slot, status = (rows.get(r, {}).get(tc) for r in (tr + 1, tr + 2))
     if read_slot is not None and read_slot.family != "read":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
     if status is None or status.family != "status":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
 
-    rows = state.rows()
     tape_row = rows.get(tr - 1, {})
     tape_cols = sorted(col for col, k in tape_row.items() if k.tile_type is TileType.TAPE)
     probes += len(tape_cols) + 1

@@ -27,20 +27,20 @@ Shifting moves whole rows at once, one cell per generation, so tiles stay
 cell-aligned and same-row collisions cannot happen; a tape tile shifted onto
 a non-tape tile is a rules violation and terminates the game instead.
 
-A state the engine makes is one GameState. Its slots hold the tip context:
-the tile under the tip, the read-slot and status tiles, and the position
-key, whose first ten fields are the row below the tip as a zipper (Huet,
-"The Zipper", 1997) of two run-length stacks. A run is a maximal stretch of
-equal tiles at gap 1; each stack keeps its top run unboxed in the key, and
-the runs below it are hash-consed nodes (Goto 1974; Filliatre and Conchon,
-"Type-safe modular hash-consing", 2006). The rest of the board is a _Shared
-record that a state shares with its successors up to the next copy: the rows
-as indexed, the cells each copy wrote since, the packet index and the node
-table. A fire changes only the tip context and reads one index entry; a copy
-adds a packet tile that no step removes, so no state recurs across it. So
-run starts cycle detection afresh at every copy and keys a state on its tip
-context alone, exactly, and an untraced generation costs O(1) Python work at
-any tape length and any number of packets (see run).
+A state the engine makes is one GameState holding a record and a position
+key, the only copy of its tip context. The key's first ten fields are the row
+below the tip as a zipper (Huet, "The Zipper", 1997) of two run-length
+stacks, its last the codes of the head, read-slot and status tiles. A run
+is a maximal stretch of equal tiles at gap 1; each stack keeps its top run
+unboxed in the key, and the runs below it are hash-consed nodes (Goto 1974;
+Filliatre and Conchon, "Type-safe modular hash-consing", 2006). The record,
+a _Shared, is the rest of the board, shared with the state's successors up
+to the next copy: the rows as indexed, the cells each copy wrote since, the
+packet index and the node table. A fire finds its index entry by the key's
+code and changes only the key; a copy adds a packet tile that no step
+removes, so no state recurs across it. So run restarts cycle detection at
+every copy and keys a state on its tip context alone, exactly; an untraced
+generation costs O(1) Python work at any tape and packet count (see run).
 """
 
 from __future__ import annotations
@@ -51,14 +51,12 @@ from collections import namedtuple
 from typing import Callable
 
 from .grid import GameState, state_hash
-from .tiles import CellAddr, TileKind, TileType, read_tile, status_tile, tape_tile
+from .tiles import CellAddr, TileKind, TileType, status_tile, tape_tile
 
 PACKET_WIDTH = 5
 
 # module globals: reading a member off its Enum class costs several times more
 _TAPE, _RULE = TileType.TAPE, TileType.RULE
-# the packet index key part of the read tile a fire writes, by the code of the tape tile under the tip
-_READ_KEY = {tape_tile(bit).code: read_tile(bit).code << 4 for bit in (0, 1)}
 
 
 class StopReason(Enum):
@@ -204,7 +202,7 @@ def _tape_cells(state: GameState) -> dict[int, TileKind]:
     """The tape row's tiles by absolute column, off the state's zipper; O(row)."""
     tc = state.shared.tip[0]
     key = state.key
-    cells = {} if state.head is None else {tc: state.head}
+    cells = {tc: _KIND[key[10] >> 8]} if key[10] >> 8 else {}
     for sign, (k, c, d, g, beyond) in ((-1, key[:5]), (1, key[5:10])):
         col = tc + sign * d
         while k:
@@ -230,9 +228,9 @@ class _Shared:
     copied: the cells each copy wrote since, newest first, as nested (row, col, kind, rest) tuples, or None.
     stack: the incomplete well-formed packet rows, highest first, as nested (row, prefix, rest) tuples, or None.
     top: the highest well-formed packet row, or None.
-    first: R1.code << 4 | R2.code to what firing the lowest complete packet with them makes: (Fired(row), made
-        once, the code of the tape tile written, the read and status tiles set, the shift dx, the low byte of
-        the new key's code, the packet).
+    first: tape_tile(R1.bit).code << 8 | R2.code, the key's code less its read field, to what firing the lowest
+        complete packet with them makes: (Fired(row), made once, the code of the tape tile written, the shift
+        dx, the new key's read and status fields, the packet).
     nontape: the number of the tape row's tiles that are not tape tiles.
     count: the number of the board's tiles, the read slot's not counted.
     nodes: the node table, shared by every record of the board.
@@ -244,7 +242,8 @@ class _Shared:
         """The state's tiles by row, then column, sharing the maps of rows; O(rows + copied cells + row)."""
         rows = dict(self.rows)
         tc, tr = self.tip
-        laid = {r: {tc: kind} for r, kind in ((tr + 1, state.read), (tr + 2, state.status)) if kind is not None}
+        code = state.key[10]
+        laid = {r: {tc: _KIND[field]} for r, field in ((tr + 1, code >> 4 & 0xF), (tr + 2, code & 0xF)) if field}
         copied = self.copied
         while copied is not None:
             r, col, kind, copied = copied
@@ -255,6 +254,10 @@ class _Shared:
         if tape:
             rows[tr - 1] = tape
         return rows
+
+    def tile_count(self, state: GameState) -> int:
+        """The number of the state's tiles: the board's, and the read slot's when it holds one."""
+        return self.count + (state.key[10] & 0xF0 != 0)
 
 
 def shared_of(state: GameState) -> _Shared:
@@ -270,20 +273,18 @@ def shared_of(state: GameState) -> _Shared:
     shared.tip, shared.rows, shared.copied = None, None, None
     shared.stack, shared.top, shared.first = None, None, {}
     shared.nontape, shared.count, shared.nodes = 0, 0, {}
-    state.head = state.read = state.status = state.key = None
+    state.key = None
     if state.tip_count() == 1:
         rows = state.rows()
         tc, tr = shared.tip = state.tip_cells()[0]
         tape = rows.pop(tr - 1, {})
-        read = state.read = rows.get(tr + 1, {}).pop(tc, None)
-        status = state.status = rows.get(tr + 2, {}).pop(tc, None)
+        read, status = (rows.get(r, {}).pop(tc, None) for r in (tr + 1, tr + 2))
         rows = shared.rows = {r: cells for r, cells in rows.items() if cells}
         for r, prefix in packet_rows(rows, (tc, tr)):
             shared.stack, shared.top, shared.first = _indexed(r, prefix, shared.stack, shared.top, shared.first)
         shared.nontape = len([kind for kind in tape.values() if kind.tile_type is not _TAPE])
         shared.count = state.tile_count() - (read is not None)
-        head = state.head = tape.get(tc)
-        code = sum(kind.code << shift for kind, shift in ((head, 8), (read, 4), (status, 0)) if kind is not None)
+        code = sum(kind.code << shift for kind, shift in ((tape.get(tc), 8), (read, 4), (status, 0)) if kind)
         state.key = (*_stacks(shared.nodes, tape, tc), code)
     state.shared = shared
     return shared
@@ -301,10 +302,9 @@ def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
     if len(prefix) < PACKET_WIDTH:
         return (row, prefix, stack), top, first
     r1, r2, r3, r4, r5 = prefix
-    key = r1.code << 4 | r2.code
+    key = tape_tile(r1.bit).code << 8 | r2.code
     if key not in first or row < first[key][0].packet_row:
-        status = status_tile(r4.bit)
-        fire = (Fired(row), tape_tile(r3.bit).code, r1, status, -1 if r5.bit == 1 else 1, r1.code << 4 | status.code)
+        fire = (Fired(row), tape_tile(r3.bit).code, -1 if r5.bit == 1 else 1, r1.code << 4 | status_tile(r4.bit).code)
         first = {**first, key: (*fire, prefix)}
     return stack, top, first
 
@@ -315,15 +315,15 @@ def position_key(state: GameState) -> tuple | None:
     The tuple (left code, count, d, gap, next, right code, count, d, gap,
     next, code): the tape row's two stacks, each as its top run (the run's
     kind code and count, its distance from the tip column, and its gap to
-    the next run) and the node of the next run, then the head, read-slot
-    and status tiles in four bits each. An empty stack is (0, 0, 0, 0,
-    _NIL). It covers only what a fire changes, so it tells apart the states
-    between one copy and the next, where every other cell stays as it is.
-    Runs are maximal, so equal stacks have equal top runs, and within one
-    board family, whose nodes come from one table, equal runs below them
-    are one node: two keys are equal exactly when the tip contexts are.
-    Nodes compare by identity: keys of separately indexed boards never
-    match.
+    the next run) and the node of the next run, then the tip context's tile
+    codes, head << 8 | read << 4 | status, 0 for an empty cell: the state's
+    only record of those tiles. An empty stack is (0, 0, 0, 0, _NIL). It
+    covers only what a fire changes, so it tells apart the states between
+    one copy and the next, where every other cell stays as it is. Runs are
+    maximal, so equal stacks have equal top runs, and within one board
+    family, whose nodes come from one table, equal runs below them are one
+    node: two keys are equal exactly when the tip contexts are. Nodes
+    compare by identity: keys of separately indexed boards never match.
     O(1): a state holds its key.
     """
     shared_of(state)
@@ -334,25 +334,33 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
     """Run exactly one generation; pure, deterministic.
 
     Both moves slide the row below the tip by one cell, inline, in this one
-    call. A fire reads its packet's index entry, writes its tape tile under
-    the tip and slides the tape: the near stack gives its first tile to the
-    head, and the write goes on top of the far stack. A copy adds the tile
-    under the tip to the packet index, makes the next shared record and a
-    new RuleCopied, then slides the left stack one cell right and writes
-    nothing; it fills a slot that no later step empties, so one run fills
-    each cell at most once. Taking a tile off a run, or writing one onto an
-    equal run at distance 1, changes a count; only a write that starts a new
-    run interns a node, the old top run. A fire on a row that also holds
-    non-tape tiles re-lays the row.
+    call. A fire looks up the key's head and status fields in the packet
+    index, writes its entry's tape tile under the tip and slides the tape:
+    the near stack gives its first tile to the head, and the write goes on
+    top of the far stack. Only a miss decodes the head, to copy a rule tile
+    or end the game. A copy adds the tile under the tip to the packet index,
+    makes the next shared record and a new RuleCopied, then slides the left
+    stack one cell right and writes nothing; it fills a slot that no later
+    step empties, so one run fills each cell at most once. Taking a tile off
+    a run, or writing one onto an equal run at distance 1, changes a count;
+    only a write that starts a new run interns a node, the old top run. A
+    fire on a row that also holds non-tape tiles re-lays the row.
     """
     shared = state.shared or shared_of(state)
-    below = state.head
-    if below is None:  # with one tip on the board, the cell below is never a tip
-        if shared.tip is None:
-            return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_count() else StopReason.NO_TIP)
-        return state, Terminated(StopReason.NOTHING_BELOW_TIP)
-    read_key = _READ_KEY.get(below.code)
-    if read_key is None:  # not a tape tile: copy it into the next packet slot
+    key = state.key
+    match = key and shared.first.get(key[10] & 0xF0F)
+    if match:
+        outcome, write, dx, code, _ = match
+    else:  # a miss ends the game, or copies the rule tile under the tip (with one tip, the cell below is no tip)
+        below = key and _KIND[key[10] >> 8]
+        if below is None or below.tile_type is _TAPE:
+            if key is None:
+                return state, Terminated(StopReason.MULTIPLE_TIPS if state.tip_count() else StopReason.NO_TIP)
+            if below is None:
+                return state, Terminated(StopReason.NOTHING_BELOW_TIP)
+            status = _KIND[key[10] & 0xF]
+            malformed = status is None or status.family != "status"
+            return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT if malformed else StopReason.NO_MATCHING_PACKET)
         tc, tr = shared.tip
         if shared.stack is not None:  # a stacked row is well-formed with nothing past its prefix
             target, prefix, rest = shared.stack
@@ -378,35 +386,27 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
         shared.tip, shared.rows, shared.copied = last.tip, last.rows, (target, tc + slot, below, last.copied)
         shared.nontape, shared.count, shared.nodes = last.nontape - 1, last.count, last.nodes
         # the tiles left of the consumed one slide one cell right; nothing is written, and the key loses its head
-        write, read, status, dx, code = 0, state.read, state.status, 1, state.key[10] & 0xFF
-    else:
-        status = state.status
-        match = None if status is None else shared.first.get(read_key | status.code)
-        if match is None:
-            malformed = status is None or status.family != "status"
-            return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT if malformed else StopReason.NO_MATCHING_PACKET)
-        outcome, write, read, status, dx, code, _ = match
+        write, dx, code = 0, 1, key[10] & 0xFF
 
     if shared.nontape and write:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
         tc = shared.tip[0]
         cells = _relaid({**_tape_cells(state), tc: _KIND[write]}, dx)
         if cells is None:
             return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-        head = cells.get(tc)
-        key = (*_stacks(shared.nodes, cells, tc), code if head is None else head.code << 8 | code)
+        key = (*_stacks(shared.nodes, cells, tc), code | cells[tc].code << 8 if tc in cells else code)
     else:  # the near stack slides towards the tip, a write goes on top of the far one
         if dx == 1:
-            nk, nc, nd, ng, beyond, fk, fc, fd, fg, far, _ = state.key
+            nk, nc, nd, ng, beyond, fk, fc, fd, fg, far, _ = key
         else:
-            fk, fc, fd, fg, far, nk, nc, nd, ng, beyond, _ = state.key
+            fk, fc, fd, fg, far, nk, nc, nd, ng, beyond, _ = key
         if nd == 1:  # the near run's first tile comes under the tip
-            head, code = _KIND[nk], nk << 8 | code
+            code |= nk << 8
             if nc > 1:
                 nc -= 1
             else:
                 nk, nc, nd, ng, beyond = beyond.code, beyond.count, ng, beyond.gap, beyond.next
         else:
-            head, nd = None, nd and nd - 1
+            nd = nd and nd - 1
         if fd == 1 and fk == write:  # an empty far stack has fd == 0, so a copy never joins a run
             fc += 1
         elif write:
@@ -419,8 +419,7 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
             key = (fk, fc, fd, fg, far, nk, nc, nd, ng, beyond, code)
     new = _new(GameState)  # assigned three at a time, which builds no tuple
     new._tiles, new.anchor, new.junk_cells = None, state.anchor, state.junk_cells
-    new.shared, new.head, new.read = shared, head, read
-    new.status, new.key = status, key
+    new.shared, new.key = shared, key
     return new, outcome
 
 
@@ -434,26 +433,27 @@ def _diff_cells(before: GameState, after: GameState, outcome: Fired | RuleCopied
     tc, tr = before.shared.tip
     old, new = _tape_cells(before), _tape_cells(after)
     changed = [(col, tr - 1) for col in old.keys() | new.keys() if old.get(col) is not new.get(col)]
+    diff = before.key[10] ^ after.key[10]  # the read-slot and status fields, which a copy leaves as they are
+    changed += [(tc, r) for r, field in ((tr + 1, diff & 0xF0), (tr + 2, diff & 0xF)) if field]
     if isinstance(outcome, RuleCopied):
         changed.append((tc + outcome.slot, outcome.target_row))
-    else:
-        pairs = ((tr + 1, before.read, after.read), (tr + 2, before.status, after.status))
-        changed += [(tc, r) for r, a, b in pairs if a is not b]
     return sorted(changed)
 
 
 def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] | None = None) -> RunResult:
     """Iterate generations until termination, a repeated state, or budget.
 
-    A copy adds a tile that no step removes, so no state before a copy
-    recurs after it: the record of keys starts afresh at every copy, from
-    the state the copy made. Every later generation's position key is
-    recorded. All the states of a run share one board family, so their keys
-    are exact: a key seen before is a repeat of that generation's state,
-    reported as a cycle whose period is the distance between the two
-    occurrences (a fixed point is a period-1 cycle). The terminating attempt
-    consumes no budget, so witnessing a halt after g successful generations
-    needs max_gens > g.
+    A run is copies, then fires: a fire leaves a tape tile or nothing under
+    the tip and moves only tape tiles, so no copy follows a fire, and the
+    record a run fires in is its last. A copy adds a tile that no step
+    removes, so no state before a copy recurs after it: the record of keys
+    starts afresh at every copy, from the state the copy made. Every later
+    generation's position key is recorded. All the states of a run share
+    one board family, so their keys are exact: a key seen before is a
+    repeat of that generation's state, reported as a cycle whose period is
+    the distance between the two occurrences (a fixed point is a period-1
+    cycle). The terminating attempt consumes no budget, so witnessing a
+    halt after g successful generations needs max_gens > g.
 
     Cost, for a state of n tiles, r runs in its tape row, g generations
     since the last copy, and F nodes made since the state was indexed: O(n)
@@ -486,10 +486,9 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
         if on_step is not None:
             on_step(StepRecord(gens, outcome, state_hash(new_state), _diff_cells(state, new_state, outcome)))
         state = new_state
-        key = state.key
         if isinstance(outcome, RuleCopied):
-            seen = {key: gens}
+            seen = {state.key: gens}
             continue
-        first = seen.setdefault(key, gens)
+        first = seen.setdefault(state.key, gens)
         if first != gens:
             return RunResult(state, gens, RunStatus.CYCLE, period=gens - first, first_index=first)

@@ -33,18 +33,18 @@ class GameState:
     recognize's state of A x A builds it on first read (_SquareState). The
     engine indexes a state in place on first use, when it is stepped or a
     machine is extracted from it, so mutate `tiles` only before either. A
-    state the engine makes is one object: its tip context (head, read and
-    status tiles, and its position key) and `shared`, the engine's record of
-    the rest of the board. It builds `tiles` from them when someone reads it.
+    state the engine makes holds only `shared`, the engine's record of the
+    board, and `key`, its position key, which is the only copy of its tip
+    context. It builds `tiles` from them when someone reads it.
     """
 
-    __slots__ = ("_tiles", "anchor", "junk_cells", "shared", "head", "read", "status", "key")
+    __slots__ = ("_tiles", "anchor", "junk_cells", "shared", "key")
 
     def __init__(self, tiles: dict[CellAddr, TileKind], anchor: Point = (0, 0), junk_cells: int = 0) -> None:
         self._tiles = tiles
         self.anchor = anchor
         self.junk_cells = junk_cells
-        self.shared = None  # the engine's record, set with the tip context when it indexes the state
+        self.shared = None  # the engine's record, set with the key when it indexes the state
 
     @property
     def tiles(self) -> dict[CellAddr, TileKind]:
@@ -65,7 +65,7 @@ class GameState:
         """len(tiles), without building them: steps change it only by filling the read slot."""
         if self._tiles is not None:
             return len(self._tiles)
-        return self.shared.count + (self.read is not None)
+        return self.shared.tile_count(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameState):

@@ -215,10 +215,9 @@ def game_tape_text(state: GameState) -> str:
 
 
 def game_status(state: GameState) -> int:
+    """The bit of the status tile, two cells above the tip; read off the rows, as row_tiles does."""
     tc, tr = tip_cell(state)
-    if state.shared is not None:
-        return state.status.bit
-    return state.tiles[(tc, tr + 2)].bit
+    return state.rows()[tr + 2][tc].bit
 
 
 def clone_state(state: GameState) -> GameState:

@@ -2,7 +2,9 @@
 
 Both engines step the same boards; outcomes and tile maps must agree after
 every generation, and run must agree with the dict engine's exact-repeat run
-on status, counts, cycle position, final tiles and every trace record.
+on status, counts, cycle position, final tiles and every trace record. Every
+run is copies, then fires: no copy follows a fire, and every fire keeps the
+record of the first.
 Extraction reads the board: on a board the engine carried through a run it
 must read what it reads on a fresh board of the same tiles, and on a fresh
 board what the dict engine's extraction reads off the tile map.
@@ -65,11 +67,20 @@ def off_tip_context(tiles: dict) -> dict:
 def assert_engines_agree(state: GameState, max_gens: int) -> None:
     ours, theirs = state, GameState(dict(state.tiles), state.anchor, state.junk_cells)
     keys, contexts = [position_key(ours)], [tip_context(theirs.tiles)]
+    fired_in = None  # the record of the first fire
     for _ in range(max_gens):
         ours_next, outcome = step(ours)
         theirs_next, expected = dict_engine.step(theirs)
         assert outcome == expected
         assert ours_next.tiles == theirs_next.tiles
+        # a fire leaves a tape tile or nothing under the tip and moves only
+        # tape tiles, so no copy follows it, and the record a run fires in
+        # is its last
+        if isinstance(outcome, RuleCopied):
+            assert fired_in is None
+        elif isinstance(outcome, Fired):
+            fired_in = fired_in or ours.shared
+            assert ours.shared is ours_next.shared is fired_in
         # what run's restart at copies rests on: a copy adds one tile off the
         # tip context and a fire changes nothing there, so no state recurs
         # across a copy

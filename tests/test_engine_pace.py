@@ -6,7 +6,8 @@ The row below the tip is a zipper of run-length stacks, so a fire or a rule
 copy costs O(1) Python work and memory at any tape length. The run tests
 state a loose wall-clock ceiling; the allocation guard measures bytes and
 the node tests count the nodes a board's table holds, which machine load
-does not change.
+does not change. The work tests pin the package lines a fire and a rule
+load run, exactly: any change to either path shows in them.
 
 The boards are laid out tile by tile rather than recognized from points,
 which would take longer than the runs; the first test pins the layouts to
@@ -20,6 +21,7 @@ import tracemalloc
 import pytest
 
 from corpus import BOUNCE, ZERO_RUNNER, game_tape_text, spec_with
+from work import lines
 from debilandia.embedding import compile_direct, compile_universal, extract_tm
 from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, Terminated, position_key, run, shared_of, step
 from debilandia.grid import GameState, recognize
@@ -29,6 +31,9 @@ from debilandia.tiles import TileKind, read_tile, slot_tile, status_tile, tape_t
 from debilandia.tm import MOVE_LEFT, Rule
 
 STEP_BYTES = 4096  # a step at L=1000 that copied the tape row's map would allocate about 36 KiB
+# package line events: run's loop and step per fire, and five copies per rule loaded
+LINES_PER_FIRE = 30
+LINES_PER_RULE_LOADED = 242
 
 
 def tokens(rule: Rule) -> list[TileKind]:
@@ -102,6 +107,25 @@ def test_rule_loading_over_a_10k_cell_payload():
         len(payload) - 1,
     )
     assert elapsed < 15.0, f"loading and running took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("length", [250, 10**3, 4 * 10**3])
+def test_a_fire_runs_the_same_lines_at_any_tape_length(length):
+    # ZERO_RUNNER halts after length fires; the board is indexed first, so
+    # the count is the fires' and the run's own: its setup and the halt
+    state = direct_board(ZERO_RUNNER, "0" * length + "1")
+    shared_of(state)
+    assert lines(run, state, length + 1) == LINES_PER_FIRE * length + 26
+
+
+@pytest.mark.parametrize("count", [10, 100, 10**3])
+def test_loading_a_rule_runs_the_same_lines_at_any_packet_count(count):
+    # five copies per rule; the first of each opens a fresh packet row and
+    # the next four extend it, whatever the number of packets below it
+    rules = [Rule(k & 1, k >> 1 & 1, k >> 2 & 1, k >> 3 & 1, k >> 4 & 1) for k in range(count)]
+    state = universal_board(rules, "1" + "0" * 10)
+    shared_of(state)
+    assert lines(run, state, 5 * count) == LINES_PER_RULE_LOADED * count + 26
 
 
 def allocated_by_one_step(state: GameState) -> tuple[GameState, object, int]:
