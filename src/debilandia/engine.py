@@ -227,7 +227,7 @@ class _Shared:
         cells (tc, tr + 1) and (tc, tr + 2).
     copied: the cells each copy wrote since, newest first, as nested (row, col, kind, rest) tuples, or None.
     stack: the incomplete well-formed packet rows, highest first, as nested (row, prefix, rest) tuples, or None.
-    top: the highest well-formed packet row, or None.
+    top: the highest complete packet row, or None; a fresh row opens above it once the stack is empty.
     first: tape_tile(R1.bit).code << 8 | R2.code, the key's code less its read field, to what firing the lowest
         complete packet with them makes: (Fired(row), made once, the code of the tape tile written, the shift
         dx, the new key's read and status fields, the packet).
@@ -291,16 +291,16 @@ def shared_of(state: GameState) -> _Shared:
 
 
 def _indexed(row: int, prefix: list[TileKind] | None, stack, top, first):
-    """The packet index (stack, top, first) with one classified row added.
+    """The packet index (stack, top, first) with one classified row added; step calls it only to complete a packet.
 
     The row must lie above every row on the stack.
     """
     if prefix is None:
         return stack, top, first
-    if top is None or row > top:
-        top = row
     if len(prefix) < PACKET_WIDTH:
         return (row, prefix, stack), top, first
+    if top is None or row > top:
+        top = row
     r1, r2, r3, r4, r5 = prefix
     key = tape_tile(r1.bit).code << 8 | r2.code
     if key not in first or row < first[key][0].packet_row:
@@ -333,16 +333,17 @@ def position_key(state: GameState) -> tuple | None:
 def step(state: GameState) -> tuple[GameState, StepOutcome]:
     """Run exactly one generation; pure, deterministic.
 
-    Both moves slide the row below the tip by one cell, inline, in this one
-    call. A fire looks up the key's head and status fields in the packet
-    index, writes its entry's tape tile under the tip and slides the tape:
-    the near stack gives its first tile to the head, and the write goes on
-    top of the far stack. Only a miss decodes the head, to copy a rule tile
-    or end the game. A copy adds the tile under the tip to the packet index,
-    makes the next shared record and a new RuleCopied, then slides the left
-    stack one cell right and writes nothing; it fills a slot that no later
-    step empties, so one run fills each cell at most once. Taking a tile off
-    a run, or writing one onto an equal run at distance 1, changes a count;
+    Both moves slide the row below the tip by one cell, inline. A fire looks
+    up the key's head and status fields in the packet index, writes its
+    entry's tape tile under the tip and slides the tape: the near stack
+    gives its first tile to the head, and the write goes on top of the far
+    stack. Only a miss decodes the head, to copy a rule tile or end the
+    game. A copy makes the next shared record and its RuleCopied (by
+    tuple.__new__) and stacks a row it leaves short of a packet; only a
+    completed packet goes through _indexed. It slides the left stack one
+    cell right and writes nothing; it fills a slot that no later step
+    empties, so one run fills each cell at most once. Taking a tile off a
+    run, or writing one onto an equal run at distance 1, changes a count;
     only a write that starts a new run interns a node, the old top run. A
     fire on a row that also holds non-tape tiles re-lays the row.
     """
@@ -377,12 +378,13 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
             if below.slot != 1 or tc + 1 in old or (newest is not None and newest[0] == target):
                 return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
             # a fresh row that already holds tiles is classified; an empty one holds the copied tile alone
-            prefix = [below]
-            if old:
-                prefix = classify_packet([below, *[old.get(tc + i) for i in range(2, PACKET_WIDTH + 1)]])
-        outcome = RuleCopied(target, slot)
+            prefix = classify_packet([below, *map(old.get, range(tc + 2, tc + PACKET_WIDTH + 1))]) if old else [below]
+        outcome = tuple.__new__(RuleCopied, (target, slot))  # skips the namedtuple's Python __new__
         last, shared = shared, _new(_Shared)
-        shared.stack, shared.top, shared.first = _indexed(target, prefix, rest, last.top, last.first)
+        if prefix and len(prefix) < PACKET_WIDTH:  # a well-formed row short of a packet tops the stack
+            shared.stack, shared.top, shared.first = (target, prefix, rest), last.top, last.first
+        else:
+            shared.stack, shared.top, shared.first = _indexed(target, prefix, rest, last.top, last.first)
         shared.tip, shared.rows, shared.copied = last.tip, last.rows, (target, tc + slot, below, last.copied)
         shared.nontape, shared.count, shared.nodes = last.nontape - 1, last.count, last.nodes
         # the tiles left of the consumed one slide one cell right; nothing is written, and the key loses its head

@@ -14,7 +14,7 @@ from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, classify_cell, decode_text, parse_json
+from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, decode_text, parse_json
 
 _TIP = TileKind.TIP  # a module global: reading a member off its Enum class costs several times more
 _MASK64 = (1 << 64) - 1
@@ -192,21 +192,21 @@ def _proven_points(data: bytes) -> Pairs | None:
     and the list between them must read `[, ], [, ], ..., [, ]` with its
     ASCII digits deleted. So the file is ASCII, holds no newline, and reads
     as its decoded text would. Every coordinate is a run of digits, two to a
-    point, and the JSON parser reads the runs as one flat array; a run it
-    refuses (empty, a leading zero, too many digits) sends the file back to
-    the caller. Only the `], [` between two points is cut out before the
-    parse, so a digit run written against a bracket (`[1, 2]5` or `5[3, 4]`)
-    leaves a stray bracket that the parser refuses. No list is built per
-    point and no type is checked: a run of digits can only be a non-negative int.
+    point, parsed as one flat JSON array; a run the parser refuses (empty, a
+    leading zero, too many digits) sends the file back to the caller. Each
+    `], [` between two points becomes the same-length ` ,  ` first, so the
+    replace fills its copy in place, and a digit run written against a bracket
+    (`[1, 2]5` or `5[3, 4]`) leaves a stray bracket that the parser refuses.
+    No list is built per point and no type is checked: digits make an int >= 0.
     """
     if not (data.startswith(_POINTS_OPEN) and data.endswith(_POINTS_CLOSE)):
         return None
-    start, end = len(_POINTS_OPEN), len(data) - len(_POINTS_CLOSE)
-    skeleton = data[start - 1 : end + 1].translate(None, b"0123456789")  # "[, ]" a point, ", " between two
+    points = data[len(_POINTS_OPEN) - 1 : len(data) - len(_POINTS_CLOSE) + 1]  # "[x, y], [x, y], ..."
+    skeleton = points.translate(None, b"0123456789")  # "[, ]" a point, ", " between two
     if skeleton != b"[, ], " * (len(skeleton) // 6) + b"[, ]":
         return None
     try:
-        flat = json.loads(b"[" + data[start:end].replace(b"], [", b", ") + b"]")
+        flat = json.loads(points.replace(b"], [", b" ,  "))  # "[x, y ,  x, y ,  ...]", one flat array
     except ValueError:
         return None
     return Pairs(flat[0::2], flat[1::2])
@@ -257,14 +257,11 @@ def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:
         masks[key] = get(key, 0) | 1 << ((dy & 3) << 2 | dx & 3)
     col_mask = (1 << shift) - 1
     tiles: dict[CellAddr, TileKind] = {}
-    junk = 0
+    kind_of = atlas._by_mask.get  # classify_cell without a Python call per cell
     for key, mask in masks.items():
-        kind = classify_cell(mask, atlas)
-        if kind is None:
-            junk += 1
-        else:
+        if (kind := kind_of(mask)) is not None:
             tiles[key & col_mask, key >> shift] = kind
-    return GameState(tiles, (x0, y0), junk)
+    return GameState(tiles, (x0, y0), len(masks) - len(tiles))  # a cell that is no tile is junk
 
 
 def _recognize_square(values: tuple[int, ...], atlas: TileAtlas) -> GameState:
@@ -291,7 +288,7 @@ def _recognize_square(values: tuple[int, ...], atlas: TileAtlas) -> GameState:
     for y_mask, y_blocks in groups.items():
         spread = _SPREAD[y_mask]
         for x_mask, x_blocks in groups.items():
-            kind = classify_cell(x_mask * spread, atlas)
+            kind = atlas._by_mask.get(x_mask * spread)
             if kind is None:
                 junk += len(x_blocks) * len(y_blocks)
             else:

@@ -38,6 +38,7 @@ RULES = [k for k in TileKind if k.tile_type is TileType.RULE]
 STATUSES = [TileKind.STATUS_0, TileKind.STATUS_1]
 NOT_TIP = [k for k in TileKind if k is not TileKind.TIP]
 GAPS = st.sampled_from([0] * 12 + [1, 2, 3, 5])
+TAIL = st.lists(st.sampled_from(TAPES + [TileKind.READ_0, TileKind.READ_1]), max_size=4)  # after a fresh row's R1
 
 
 def extracted(extract, state: GameState):
@@ -131,6 +132,9 @@ def packet_cells(flavour: str, bits: list[int], junk: list[TileKind | None]) -> 
         return [slot_tile(i, bits[i - 1]) if i <= 1 + bits[4] + bits[3] else None for i in range(1, 6)]
     if flavour == "gapped":
         return [slot_tile(1, bits[0]), None, slot_tile(3, bits[2]), None, None]
+    if flavour == "unopened":  # slot 1 empty, a prefix of slots 2-5 laid: a copy of R1 may open or complete it
+        laid = 5 if bits[0] else 2 + bits[4] + bits[3]
+        return [None] + [slot_tile(i, bits[i - 1]) if i <= laid else None for i in range(2, 6)]
     if flavour == "misordered":
         return [slot_tile(2, bits[0]), slot_tile(1, bits[1]), None, None, None]
     return junk  # anything but a tip
@@ -150,14 +154,15 @@ def boards(draw) -> dict:
         tiles[(tc, tr + 2)] = draw(st.sampled_from(STATUSES + STATUSES + [TileKind.READ_0]))
     if draw(st.booleans()):
         tiles[(tc, tr + 1)] = draw(st.sampled_from([TileKind.READ_0, TileKind.READ_1, TileKind.TAPE_1]))
-    # the tape row: tokens for whole packets, consumed from the tip leftwards,
+    # the tape row: tokens for whole packets, or an R1 alone (the rest of its
+    # packet may be laid in a fresh row), consumed from the tip leftwards,
     # then payload, with occasional stray tiles anywhere in it; gaps of up to
     # five empty cells on both sides of the tip, and now and then an empty
     # cell below the tip, exercise the zipper's stacks
     col = tc
-    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+    for slots in draw(st.sampled_from([[], [], [1], [5], [5, 5]])):
         bits = draw(st.lists(st.integers(0, 1), min_size=5, max_size=5))
-        for slot in range(1, 6):
+        for slot in range(1, slots + 1):
             tiles[(col, tr - 1)] = slot_tile(slot, bits[slot - 1])
             col -= 1
     for kind, gap in draw(st.lists(st.tuples(st.sampled_from(TAPES * 6 + RULES), GAPS), max_size=10)):
@@ -171,7 +176,7 @@ def boards(draw) -> dict:
         col += 1
     if not draw(st.integers(0, 11)):
         tiles.pop((tc, tr - 1), None)
-    flavours = st.sampled_from(["complete"] * 4 + ["prefix", "gapped", "misordered", "junk", "empty"])
+    flavours = st.sampled_from(["complete"] * 4 + ["prefix", "unopened", "gapped", "misordered", "junk", "empty"])
     for row in range(tr + 1, tr + 1 + draw(st.integers(0, 5))):
         flavour = draw(flavours)
         if flavour == "empty":
@@ -302,6 +307,43 @@ def test_copies_onto_stacked_rows_match_the_dict_engine():
     copies = [RuleCopied(2, slot) for slot in (3, 4, 5)] + [RuleCopied(1, slot) for slot in (2, 3, 4, 5)]
     assert outcomes_of(state, 9) == copies + [Fired(1), Fired(1)]
     assert_engines_agree(state, 20)
+
+
+def test_a_fresh_row_opens_above_a_complete_packet_that_lies_over_the_stacked_row():
+    # row 1 holds an R1 under row 2's complete packet: four copies complete
+    # row 1, and the next copy opens row 3, above the highest complete packet
+    packets = {1: {1: TileKind.READ_0}, 2: {i: slot_tile(i, 1) for i in range(1, 6)}}
+    tokens = [TileKind.STATUS_0, TileKind.WRITE_1, TileKind.CHANGE_0, TileKind.MOVE_0, TileKind.READ_1, TileKind.TAPE_0]
+    state = GameState(tip_over_tokens(tokens, packets), (0, 0), 0)
+    copies = [RuleCopied(1, slot) for slot in (2, 3, 4, 5)] + [RuleCopied(3, 1)]
+    assert outcomes_of(state, 6) == copies + [Fired(1)]
+    assert_engines_agree(state, 10)
+
+
+def test_a_copy_completing_a_fresh_row_that_holds_r2_to_r5_fires_next():
+    # the tip's read-slot row is the fresh row, and it already holds R2-R5:
+    # the copy of R1 into slot 1 completes a packet, which the next two
+    # generations fire; a copy that went by its slot, not its row's length,
+    # would stack the row and end the game with no matching packet
+    tiles = {(0, 0): TileKind.TAPE_0, (1, 0): TileKind.TAPE_0, (2, 0): TileKind.READ_0}
+    tiles |= {(2, 1): TileKind.TIP, (2, 2): TileKind.READ_0, (2, 3): TileKind.STATUS_0}
+    tiles |= {(4, 2): TileKind.STATUS_0, (5, 2): TileKind.WRITE_1, (6, 2): TileKind.CHANGE_0, (7, 2): TileKind.MOVE_0}
+    state = GameState(tiles, (0, 0), 0)
+    expected = [RuleCopied(2, 1), Fired(2), Fired(2), Terminated(StopReason.NOTHING_BELOW_TIP)]
+    assert outcomes_of(state, 5) == expected
+    assert_engines_agree(state, 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 5), st.lists(st.integers(0, 1), min_size=5, max_size=5), TAIL)
+def test_a_copy_onto_a_partly_laid_fresh_row_matches_the_dict_engine(packets, laid, bits, tail):
+    # `packets` complete all-zero packets, then a fresh row with slots 2 to
+    # `laid` laid; under the tip an R1, then tape tiles and R1s: the copy
+    # leaves the row short of a packet or completes it, by its length
+    rows = {1 + k: {i: slot_tile(i, 0) for i in range(1, 6)} for k in range(packets)}
+    rows[1 + packets] = {i: slot_tile(i, bits[i - 1]) for i in range(2, laid + 1)}
+    state = GameState(tip_over_tokens([slot_tile(1, bits[0]), *tail], rows), (0, 0), 0)
+    assert_engines_agree(state, 8)
 
 
 def test_a_copy_onto_a_fresh_row_holding_a_later_tile_matches_the_dict_engine():

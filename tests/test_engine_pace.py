@@ -6,8 +6,8 @@ The row below the tip is a zipper of run-length stacks, so a fire or a rule
 copy costs O(1) Python work and memory at any tape length. The run tests
 state a loose wall-clock ceiling; the allocation guard measures bytes and
 the node tests count the nodes a board's table holds, which machine load
-does not change. The work tests pin the package lines a fire and a rule
-load run, exactly: any change to either path shows in them.
+does not change. The work tests pin the package lines a fire, a rule load
+and indexing run, exactly: any change to these paths shows in them.
 
 The boards are laid out tile by tile rather than recognized from points,
 which would take longer than the runs; the first test pins the layouts to
@@ -33,7 +33,10 @@ from debilandia.tm import MOVE_LEFT, Rule
 STEP_BYTES = 4096  # a step at L=1000 that copied the tape row's map would allocate about 36 KiB
 # package line events: run's loop and step per fire, and five copies per rule loaded
 LINES_PER_FIRE = 30
-LINES_PER_RULE_LOADED = 242
+LINES_PER_RULE_LOADED = 230
+# package line events of shared_of: per tape cell of a ZERO_RUNNER board, per rule in a universal board's tape row
+LINES_PER_TAPE_CELL_INDEXED = 10
+LINES_PER_RULE_INDEXED = 90
 
 
 def tokens(rule: Rule) -> list[TileKind]:
@@ -51,6 +54,11 @@ def direct_board(rules, tape: str) -> GameState:
     for k, rule in enumerate(rules):
         tiles |= {(i, 2 + k): kind for i, kind in enumerate(tokens(rule), start=1)}
     return GameState(tiles)
+
+
+def counted_rules(count: int) -> list[Rule]:
+    """count rules: the 32 rules there are, in the order of their five bits, over and over."""
+    return [Rule(k & 1, k >> 1 & 1, k >> 2 & 1, k >> 3 & 1, k >> 4 & 1) for k in range(count)]
 
 
 def universal_board(rules, payload: str) -> GameState:
@@ -120,12 +128,28 @@ def test_a_fire_runs_the_same_lines_at_any_tape_length(length):
 
 @pytest.mark.parametrize("count", [10, 100, 10**3])
 def test_loading_a_rule_runs_the_same_lines_at_any_packet_count(count):
-    # five copies per rule; the first of each opens a fresh packet row and
-    # the next four extend it, whatever the number of packets below it
-    rules = [Rule(k & 1, k >> 1 & 1, k >> 2 & 1, k >> 3 & 1, k >> 4 & 1) for k in range(count)]
-    state = universal_board(rules, "1" + "0" * 10)
+    # five copies per rule; the first of each opens a fresh packet row, the
+    # next three push it back onto the stack and the fifth completes it,
+    # whatever the number of packets below it
+    state = universal_board(counted_rules(count), "1" + "0" * 10)
     shared_of(state)
     assert lines(run, state, 5 * count) == LINES_PER_RULE_LOADED * count + 26
+
+
+def test_indexing_runs_the_same_lines_per_tape_cell():
+    # the slope is exact on every Python; the constant is 144 lines on 3.10
+    # and 3.11, and two or three fewer on 3.12 and 3.13
+    boards = {n: direct_board(ZERO_RUNNER, "0" * n + "1") for n in (250, 10**3, 4 * 10**3)}
+    extra = {lines(shared_of, state) - LINES_PER_TAPE_CELL_INDEXED * n for n, state in boards.items()}
+    assert len(extra) == 1 and extra.pop() <= 144
+
+
+def test_indexing_runs_the_same_lines_per_rule_on_the_tape():
+    # the five tokens of each rule are tiles of the tape row that are not
+    # tape tiles; the constant is 181 lines on 3.10 and 3.11, 179 on 3.12 and 3.13
+    boards = {k: universal_board(counted_rules(k), "1" + "0" * 10) for k in (10, 100, 10**3)}
+    extra = {lines(shared_of, state) - LINES_PER_RULE_INDEXED * k for k, state in boards.items()}
+    assert len(extra) == 1 and extra.pop() <= 181
 
 
 def allocated_by_one_step(state: GameState) -> tuple[GameState, object, int]:
@@ -155,7 +179,7 @@ def test_one_step_allocates_a_bounded_amount_at_any_tape_length(length):
 def test_a_copy_onto_4000_packets_allocates_a_bounded_amount():
     # a copy that copied the map of packet rows would allocate about 145 KiB here
     packets = 4000
-    rules = [Rule(k & 1, k >> 1 & 1, k >> 2 & 1, k >> 3 & 1, k >> 4 & 1) for k in range(packets)]
+    rules = counted_rules(packets)
     tiles = {(-1, 0): tape_tile(0), (0, 0): read_tile(1)} | tip_stack(0)
     for k, rule in enumerate(rules):
         tiles |= {(i, 2 + k): kind for i, kind in enumerate(tokens(rule), start=1)}

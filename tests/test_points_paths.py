@@ -26,7 +26,7 @@ from debilandia import grid
 from debilandia.cli import main
 from debilandia.embedding import compile_direct
 from debilandia.grid import Pairs, read_points
-from debilandia.tiles import atlas_default
+from debilandia.tiles import atlas_default, parse_json
 
 BOARD = sorted(compile_direct(spec_with(PING_PONG, "11"), atlas_default()))
 COORDS = st.one_of(st.integers(0, 40), st.integers(0, 10**6))
@@ -173,6 +173,32 @@ def test_only_the_json_dumps_layout_is_proven(text, proven):
     if proven:
         flat = [v for point in json.loads(text)["points"] for v in point]
         assert type(held) is Pairs and (held.xs, held.ys) == (flat[0::2], flat[1::2])
+
+
+@pytest.mark.parametrize(
+    "text, moved",
+    [
+        ('{"points": [[1, ]7, [4, 5]]}', '{"points": [[1, 7], [4, 5]]}'),  # a run after a `]`, its own cell empty
+        ('{"points": [[1, 2]3, [4, 5]]}', '{"points": [[1, 23], [4, 5]]}'),  # a run after a point's `]`
+        ('{"points": [[1, 2],5 [3, 4]]}', '{"points": [[1, 2], [53, 4]]}'),  # a run before the next `[`
+        ('{"points": [[, 2], [3, 4]]}', '{"points": [[0, 2], [3, 4]]}'),  # an empty run
+    ],
+)
+def test_a_run_against_a_bracket_is_refused_with_the_whole_file_parse_error(tmp_path, text, moved):
+    # the digits deleted, each text is the skeleton of two points, so only
+    # the flat parse after the `], [` rewrite can refuse it; with its digits
+    # moved inside the brackets it is proven, and reads what json.loads reads
+    assert grid._proven_points(text.encode()) is None
+    path = tmp_path / "points.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as whole:
+        parse_json(text, path)
+    with pytest.raises(ValueError) as read:
+        read_points(path)
+    assert str(read.value) == str(whole.value)
+    held = grid._proven_points(moved.encode())
+    rows = json.loads(moved)["points"]
+    assert (held.xs, held.ys) == ([x for x, _ in rows], [y for _, y in rows])
 
 
 def test_reading_a_canonical_file_peaks_under_130_bytes_a_point(tmp_path):
