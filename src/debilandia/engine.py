@@ -38,9 +38,10 @@ a _Shared, is the rest of the board, shared with the state's successors up
 to the next copy: the rows as indexed, the cells each copy wrote since, the
 packet index and the node table. A fire finds its index entry by the key's
 code and changes only the key; a copy adds a packet tile that no step
-removes, so no state recurs across it. So run restarts cycle detection at
-every copy and keys a state on its tip context alone, exactly; an untraced
-generation costs O(1) Python work at any tape and packet count (see run).
+removes, so no state recurs across it, and no copy follows a fire. So run
+records no key while rules load, and from the first fire's predecessor on
+keys a state on its tip context alone, exactly; an untraced generation costs
+O(1) Python work at any tape and packet count (see run).
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ _KIND = (None, *TileKind)  # a tile kind by its code
 
 
 def _node(nodes: dict, code: int, count: int, gap: int, beyond: _Node) -> _Node:
-    """The node of one run, interned in nodes."""
+    """The node of one run, interned in nodes; _stacks interns its runs inline, the same way."""
     key = (code, count, gap, beyond)
     node = nodes.get(key)
     if node is None:
@@ -177,7 +178,8 @@ def _stacks(nodes: dict, cells: dict[int, TileKind], tc: int) -> list:
     A side is its top run, unboxed: the run's kind code, its count, its
     distance from the tip column and its gap to the next run, then the node
     of that next run. Each side is built from its far end, one node per run
-    but the top one, interned in nodes; an empty side is (0, 0, 0, 0, _NIL).
+    but the top one, interned in nodes inline, as _node does, with no call
+    per run; an empty side is (0, 0, 0, 0, _NIL).
     """
     cols = sorted(cells)
     stacks = []
@@ -191,7 +193,11 @@ def _stacks(nodes: dict, cells: dict[int, TileKind], tc: int) -> list:
                 c += 1
             else:
                 if k:
-                    beyond, g = _node(nodes, k, c, g, beyond), d - dist
+                    node = nodes.get(key := (k, c, g, beyond))
+                    if node is None:
+                        node = nodes[key] = _new(_Node)
+                        node.code, node.count, node.gap, node.next = key
+                    beyond, g = node, d - dist
                 k, c = code, 1
             d = dist
         stacks += (k, c, d, g, beyond)
@@ -263,9 +269,11 @@ class _Shared:
 def shared_of(state: GameState) -> _Shared:
     """The state's shared record; a state the engine has not seen is indexed in place first.
 
-    Indexing a board with one tip takes O(tiles). A board without exactly
-    one tip gets a record with no tip after its tips are counted, which the
-    state of A x A does off its block groups, building no tile.
+    Indexing a board with one tip takes O(tiles); the record takes over a
+    recognized state's rows, so no tile is regrouped or scanned for the
+    tip. A board without exactly one tip gets a record with no tip after its
+    tips are counted, which the state of A x A does off its block groups,
+    building no tile.
     """
     if state.shared is not None:
         return state.shared
@@ -275,7 +283,7 @@ def shared_of(state: GameState) -> _Shared:
     shared.nontape, shared.count, shared.nodes = 0, 0, {}
     state.key = None
     if state.tip_count() == 1:
-        rows = state.rows()
+        rows = state.rows()  # a recognized state's own rows: indexing takes them over
         tc, tr = shared.tip = state.tip_cells()[0]
         tape = rows.pop(tr - 1, {})
         read, status = (rows.get(r, {}).pop(tc, None) for r in (tr + 1, tr + 2))
@@ -447,25 +455,26 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
 
     A run is copies, then fires: a fire leaves a tape tile or nothing under
     the tip and moves only tape tiles, so no copy follows a fire, and the
-    record a run fires in is its last. A copy adds a tile that no step
-    removes, so no state before a copy recurs after it: the record of keys
-    starts afresh at every copy, from the state the copy made. Every later
-    generation's position key is recorded. All the states of a run share
-    one board family, so their keys are exact: a key seen before is a
+    record a run fires in is its last. So run plays two loops. A copy adds a
+    tile that no step removes, so no state before a copy recurs after it:
+    the copy loop records no key. The fire loop records the position key of
+    the first fire's predecessor, the state the last copy made (or the state
+    run was given), and of every later generation. All the states of a run
+    share one board family, so their keys are exact: a key seen before is a
     repeat of that generation's state, reported as a cycle whose period is
     the distance between the two occurrences (a fixed point is a period-1
     cycle). The terminating attempt consumes no budget, so witnessing a
     halt after g successful generations needs max_gens > g.
 
     Cost, for a state of n tiles, r runs in its tape row, g generations
-    since the last copy, and F nodes made since the state was indexed: O(n)
+    since the first fire, and F nodes made since the state was indexed: O(n)
     time to index the state, then O(1) Python work per generation at any
     tape length and any number of packets. A generation builds one state;
     a fire also makes at most one node, only when it starts a new run, and
     a copy one record, one list cell and its RuleCopied. With on_step, each
     record adds an O(n) state_hash and an O(row) diff of the tape row, so a
     traced run stays O(n) per generation. Memory is O(n + g + F): the
-    current state, one key per generation since the last copy, and the
+    current state, one key per generation since the first fire, and the
     node table, which holds at most r nodes when the state is indexed and
     keeps every node it made. A fire that re-lays a row holding other tiles
     takes O(row) time and makes a node for each run below the top one out
@@ -474,12 +483,19 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
     """
     if max_gens < 0:
         raise ValueError("max_gens must be >= 0")
-    seen: dict[tuple | None, int] = {position_key(state): 0}
     gens = 0
-    while True:
+    while True:  # copies, until the first step that is no copy
         if gens == max_gens:
             return RunResult(state, gens, RunStatus.BUDGET)
         new_state, outcome = step(state)
+        if not isinstance(outcome, RuleCopied):
+            break
+        gens += 1
+        if on_step is not None:
+            on_step(StepRecord(gens, outcome, state_hash(new_state), _diff_cells(state, new_state, outcome)))
+        state = new_state
+    seen = {state.key: gens}
+    while True:  # fires, each state's key recorded
         if isinstance(outcome, Terminated):
             if on_step is not None:
                 on_step(StepRecord(gens + 1, outcome, state_hash(state), []))
@@ -488,9 +504,9 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
         if on_step is not None:
             on_step(StepRecord(gens, outcome, state_hash(new_state), _diff_cells(state, new_state, outcome)))
         state = new_state
-        if isinstance(outcome, RuleCopied):
-            seen = {state.key: gens}
-            continue
         first = seen.setdefault(state.key, gens)
         if first != gens:
             return RunResult(state, gens, RunStatus.CYCLE, period=gens - first, first_index=first)
+        if gens == max_gens:
+            return RunResult(state, gens, RunStatus.BUDGET)
+        new_state, outcome = step(state)

@@ -2,9 +2,10 @@
 point reconstruction, hashing.
 
 States are sparse: a mapping from cell address to tile kind plus the lattice
-anchor and a count of junk cells; the state of A x A holds its block groups
-instead and builds the mapping when it is read. The engine treats states as
-values; nothing here mutates a state's tiles after construction.
+anchor and a count of junk cells. A recognized state holds its tiles by row
+(or, for A x A, its block groups) instead, and builds the mapping when it is
+read. The engine treats states as values; nothing here mutates a state's
+tiles after construction.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ class GameState:
     movement or rule matching, so only their count is kept.
 
     States are values. A state made by hand holds its `tiles` mapping, and
-    recognize's state of A x A builds it on first read (_SquareState). The
+    recognize's states build it on first read: of a point list from its
+    rows (_RowState), of A x A from its block groups (_SquareState). The
     engine indexes a state in place on first use, when it is stepped or a
     machine is extracted from it, so mutate `tiles` only before either. A
     state the engine makes holds only `shared`, the engine's record of the
@@ -83,6 +85,37 @@ class GameState:
     def tip_count(self) -> int:
         """len(tip_cells()), counted at C speed."""
         return list(self.tiles.values()).count(_TIP)
+
+
+class _RowState(GameState):
+    """recognize's state of a point list: its tiles held by row, then column, the map built when `tiles` is read.
+
+    rows (no row empty), tips (the tip cells) and count (the number of
+    tiles) go to the engine as they are: indexing takes the rows over. Once
+    `tiles` is read, the map is the board, as for a state made by hand.
+    """
+
+    __slots__ = ("_rows", "tips", "count")
+
+    def __init__(
+        self, rows: dict[int, dict[int, TileKind]], tips: list[CellAddr], count: int, anchor: Point, junk_cells: int
+    ) -> None:
+        super().__init__(None, anchor, junk_cells)
+        self._rows, self.tips, self.count = rows, tips, count
+
+    def rows(self) -> dict[int, dict[int, TileKind]]:
+        if self._tiles is None and (self.shared is None or self.shared.tip is None):
+            return self._rows
+        return super().rows()
+
+    def tile_count(self) -> int:
+        return self.count if self._tiles is None else len(self._tiles)
+
+    def tip_cells(self) -> list[CellAddr]:
+        return sorted(self.tips) if self._tiles is None else super().tip_cells()
+
+    def tip_count(self) -> int:
+        return len(self.tips) if self._tiles is None else super().tip_count()
 
 
 class _SquareState(GameState):
@@ -233,8 +266,11 @@ def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:
     two columns (`Pairs`, or the columns of an iterable of pairs, made once).
     The columns are binned in one loop of int arithmetic: each point ORs its
     bit into its cell's 16-bit mask, keyed by one int per cell, so a repeated
-    point changes nothing and no per-point tuple or set is built. Time is
-    O(points + cells), extra memory O(cells).
+    point changes nothing and no per-point tuple or set is built. A second
+    loop files each cell's tile under its row and column and notes the tips,
+    so the state hands the engine its rows and tip as they are and builds no
+    tile map unless `tiles` is read (_RowState). Time is O(points + cells),
+    extra memory O(cells).
     """
     if isinstance(points, SquarePoints):
         return _recognize_square(points.values, atlas)
@@ -256,12 +292,22 @@ def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:
         key = dy >> 2 << shift | dx >> 2
         masks[key] = get(key, 0) | 1 << ((dy & 3) << 2 | dx & 3)
     col_mask = (1 << shift) - 1
-    tiles: dict[CellAddr, TileKind] = {}
+    rows: dict[int, dict[int, TileKind]] = {}
+    tips: list[CellAddr] = []
+    junk = 0
     kind_of = atlas._by_mask.get  # classify_cell without a Python call per cell
     for key, mask in masks.items():
-        if (kind := kind_of(mask)) is not None:
-            tiles[key & col_mask, key >> shift] = kind
-    return GameState(tiles, (x0, y0), len(masks) - len(tiles))  # a cell that is no tile is junk
+        kind = kind_of(mask)
+        if kind is None:  # a cell that is no tile is junk
+            junk += 1
+            continue
+        try:
+            rows[key >> shift][key & col_mask] = kind
+        except KeyError:
+            rows[key >> shift] = {key & col_mask: kind}
+        if kind is _TIP:
+            tips.append((key & col_mask, key >> shift))
+    return _RowState(rows, tips, len(masks) - junk, (x0, y0), junk)
 
 
 def _recognize_square(values: tuple[int, ...], atlas: TileAtlas) -> GameState:

@@ -163,6 +163,7 @@ def check_coverage(inst: Instance, pairs: Pairs | SquarePoints, end_pos: int) ->
 
 
 _SCAN_CHUNK = 4096
+_RUN_BLOCK = 1 << 16  # bytes: the most of a certificate's run of fours _cut_run compares at once
 
 
 def scan_tail(items: list[int] | Certificate, start: int) -> tuple[int, int, int]:
@@ -261,9 +262,10 @@ def _cut_run(data: bytes) -> tuple[int, int, int, int] | None:
     JSON whitespace around the brackets, where SEP is a comma and any
     whitespace, the same throughout, and no quote or brace stands between
     the array's opening bracket and the 5. The run is walked back from the
-    marker in blocks of 2**k ``4 SEP`` units, at most 4 KB long, then over
-    the remainder in halving steps of 2**(k-1), ..., 1 units, so no E-sized
-    string or list is built. Returns None for any other bytes.
+    marker in blocks of 2**k ``4 SEP`` units, at most _RUN_BLOCK (64 KB)
+    long, then over the remainder in halving steps of 2**(k-1), ..., 1
+    units, so no E-sized string or list is built and memory stays O(block).
+    Returns None for any other bytes.
     """
     close = _before_ws(data, len(data))
     if not data.endswith(b"}", 0, close):
@@ -282,7 +284,7 @@ def _cut_run(data: bytes) -> tuple[int, int, int, int] | None:
     unit = b"4" + sep
     run_at = marker_at
     # a power of two of units, so halving it down to one unit meets every remainder
-    units = 1 << (max(1, _SCAN_CHUNK // len(unit)).bit_length() - 1)
+    units = 1 << (max(1, _RUN_BLOCK // len(unit)).bit_length() - 1)
     block = unit * units
     while data.endswith(block, 0, run_at):
         run_at -= len(block)

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from corpus import (
     BOUNCE,
+    INCREMENTER,
     PING_PONG,
+    ZERO_RUNNER,
     assert_keys_match_tip_contexts,
     lockstep_corpus,
     one_family,
@@ -28,7 +30,7 @@ from corpus import (
     tip_context,
 )
 from debilandia.embedding import NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
-from debilandia.engine import Fired, RuleCopied, StopReason, Terminated, position_key, run, step
+from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, Terminated, position_key, run, step
 from debilandia.grid import GameState, recognize, state_hash
 from debilandia.tiles import TileKind, TileType, read_tile, slot_tile, status_tile, tape_tile
 from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmSpec
@@ -232,6 +234,48 @@ def test_row_board_matches_dict_engine_on_universal_boards(atlas):
             spec = spec_with(rules, tape, head=len(tape) - 1)
             state = recognize(compile_universal(spec, tape, atlas), atlas)
             assert_engines_agree(state, 5 * len(rules) + 100)
+
+
+def run_facts(result) -> tuple:
+    final = result.final_state
+    return (result.status, result.generations_run, result.reason, result.period, result.first_index, final.tiles)
+
+
+# on the tape "00", a step left in status 0, then a step right in status 1:
+# after two fires the board is the one the last copy made, read slot and all
+SWAY = (Rule(0, 0, 0, 1, MOVE_LEFT), Rule(0, 1, 0, 0, MOVE_RIGHT))
+NEVER_READ = (Rule(1, 0, 1, 1, MOVE_RIGHT), Rule(1, 1, 0, 0, MOVE_LEFT))  # keyed on a 1, which SWAY's tape lacks
+
+
+@pytest.mark.parametrize(
+    "rules, tape", [(ZERO_RUNNER, "0011"), (INCREMENTER, "0011"), (BOUNCE, "0011"), (SWAY + NEVER_READ, "00")]
+)
+def test_run_matches_the_dict_engine_at_every_budget_across_the_first_fire(atlas, rules, tape):
+    # 5K copies load the K rules, then the machine fires: every budget from
+    # none to three generations past the loading stops in one loop or the
+    # other, or on the switch between them; SWAY's cycle closes at 5K + 2
+    points = compile_universal(spec_with(rules, tape, head=len(tape) - 1), tape, atlas)
+    for max_gens in range(5 * len(rules) + 4):
+        state = recognize(points, atlas)
+        expected = dict_engine.run(GameState(dict(state.tiles), state.anchor, state.junk_cells), max_gens)
+        assert run_facts(run(recognize(points, atlas), max_gens)) == run_facts(expected)
+
+
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_a_cycle_back_to_the_state_the_last_copy_made_starts_there(atlas, count):
+    # the first state the fire loop records is the last copy's: SWAY's two
+    # fires return to it, so the cycle's first index is the number of copies
+    rules = (SWAY + NEVER_READ)[:count]
+    state = recognize(compile_universal(spec_with(rules, "00", head=1), "00", atlas), atlas)
+    result = run(state, 100)
+    assert (result.status, result.generations_run, result.period, result.first_index) == (
+        RunStatus.CYCLE,
+        5 * count + 2,
+        2,
+        5 * count,
+    )
+    expected = dict_engine.run(GameState(dict(state.tiles), state.anchor, state.junk_cells), 100)
+    assert run_facts(result) == run_facts(expected)
 
 
 def walker(move: int) -> tuple[Rule, ...]:

@@ -11,7 +11,8 @@ and indexing run, exactly: any change to these paths shows in them.
 
 The boards are laid out tile by tile rather than recognized from points,
 which would take longer than the runs; the first test pins the layouts to
-compile_direct and compile_universal.
+compile_direct and compile_universal. One work test indexes recognized
+boards, whose rows and tip recognize hands the engine as they are.
 """
 
 import random
@@ -32,11 +33,13 @@ from debilandia.tm import MOVE_LEFT, Rule
 
 STEP_BYTES = 4096  # a step at L=1000 that copied the tape row's map would allocate about 36 KiB
 # package line events: run's loop and step per fire, and five copies per rule loaded
-LINES_PER_FIRE = 30
-LINES_PER_RULE_LOADED = 230
-# package line events of shared_of: per tape cell of a ZERO_RUNNER board, per rule in a universal board's tape row
+LINES_PER_FIRE = 29
+LINES_PER_RULE_LOADED = 215
+# package line events of shared_of: per tape cell of a ZERO_RUNNER board, laid out or recognized, and per
+# rule in a universal board's tape row
 LINES_PER_TAPE_CELL_INDEXED = 10
-LINES_PER_RULE_INDEXED = 90
+LINES_PER_RECOGNIZED_TAPE_CELL_INDEXED = 7
+LINES_PER_RULE_INDEXED = 80
 
 
 def tokens(rule: Rule) -> list[TileKind]:
@@ -123,7 +126,7 @@ def test_a_fire_runs_the_same_lines_at_any_tape_length(length):
     # the count is the fires' and the run's own: its setup and the halt
     state = direct_board(ZERO_RUNNER, "0" * length + "1")
     shared_of(state)
-    assert lines(run, state, length + 1) == LINES_PER_FIRE * length + 26
+    assert lines(run, state, length + 1) == LINES_PER_FIRE * length + 25
 
 
 @pytest.mark.parametrize("count", [10, 100, 10**3])
@@ -133,15 +136,27 @@ def test_loading_a_rule_runs_the_same_lines_at_any_packet_count(count):
     # whatever the number of packets below it
     state = universal_board(counted_rules(count), "1" + "0" * 10)
     shared_of(state)
-    assert lines(run, state, 5 * count) == LINES_PER_RULE_LOADED * count + 26
+    assert lines(run, state, 5 * count) == LINES_PER_RULE_LOADED * count + 21
 
 
 def test_indexing_runs_the_same_lines_per_tape_cell():
-    # the slope is exact on every Python; the constant is 144 lines on 3.10
+    # the slope is exact on every Python; the constant is 142 lines on 3.10
     # and 3.11, and two or three fewer on 3.12 and 3.13
     boards = {n: direct_board(ZERO_RUNNER, "0" * n + "1") for n in (250, 10**3, 4 * 10**3)}
     extra = {lines(shared_of, state) - LINES_PER_TAPE_CELL_INDEXED * n for n, state in boards.items()}
-    assert len(extra) == 1 and extra.pop() <= 144
+    assert len(extra) == 1 and extra.pop() <= 142
+
+
+def test_indexing_a_recognized_board_runs_the_same_lines_per_tape_cell(atlas):
+    # recognize hands over its rows and tip, so indexing regroups no tile
+    # and scans none for the tip; the constant is 104 lines on 3.10 and
+    # 3.11, and two or three fewer on 3.12 and 3.13
+    boards = {
+        n: recognize(compile_direct(spec_with(ZERO_RUNNER, "0" * n + "1"), atlas), atlas)
+        for n in (250, 10**3, 4 * 10**3)
+    }
+    extra = {lines(shared_of, state) - LINES_PER_RECOGNIZED_TAPE_CELL_INDEXED * n for n, state in boards.items()}
+    assert len(extra) == 1 and extra.pop() <= 104
 
 
 def test_indexing_runs_the_same_lines_per_rule_on_the_tape():

@@ -230,15 +230,19 @@ def test_cut_run_cuts_the_run_only():
     assert cut_pieces(text) == (b'{"A": [1], "L": [', b"2, ", b"5, ", b"4, 4, ", b"25] } ")
     text = b'{"A": [1], "L": [2, 5,\n 43]}'
     assert cut_pieces(text) == (b'{"A": [1], "L": [', b"2, ", b"5,\n ", b"", b"43]}")
-    unit = b"4,\t"  # a run longer than one of the walk's blocks, and not a whole number of them
-    text = b'{"A": [1], "L": [2, 5,\t' + unit * 5000 + b"25]}"
-    assert cut_pieces(text)[3] == unit * 5000
+    unit = b"4,\t"  # runs shorter and longer than one of the walk's blocks, not a whole number of them
+    for gens in (5000, 50_000):
+        text = b'{"A": [1], "L": [2, 5,\t' + unit * gens + b"25]}"
+        assert cut_pieces(text)[3] == unit * gens
 
 
 def run_texts(seed: int):
-    """Files whose run of fours has E around powers of two and random E, whole or with one unit spoiled."""
+    """Files whose run of fours has E around powers of two and random E, whole or with one unit spoiled.
+
+    E = 2**15 is one whole block of the walk for a two-byte unit.
+    """
     rng = random.Random(seed)
-    counts = [2**k + d for k in range(8, 13) for d in (-1, 0, 1)] + [rng.randrange(5000) for _ in range(6)]
+    counts = [2**k + d for k in (8, 9, 10, 11, 12, 15) for d in (-1, 0, 1)] + [rng.randrange(5000) for _ in range(6)]
     for sep in (b",", b", ", b",\t", b",\n    "):
         unit = b"4" + sep
         for gens in counts:
@@ -252,9 +256,9 @@ def run_texts(seed: int):
 
 
 def test_cut_run_walks_the_run_as_a_one_unit_walk_does():
-    # a chunk of one byte makes the walk's block one unit, with no halving after it
+    # a block of one byte makes the walk's block one unit, with no halving after it
     texts = list(run_texts(3))
-    with mock.patch.object(instances, "_SCAN_CHUNK", 1):
+    with mock.patch.object(instances, "_RUN_BLOCK", 1):
         expected = [instances._cut_run(text) for text in texts]
     assert [instances._cut_run(text) for text in texts] == expected
     assert sum(cut is not None for cut in expected) > len(texts) // 3

@@ -1,0 +1,92 @@
+"""Differential tests: recognize's state of a point list against the same board built in full.
+
+`recognize` of a point list holds the board's tiles by row, with its tip
+cells and tile count, and builds the tile map only when `tiles` is read; the
+engine indexes those rows as they are. Each such state must count, find,
+hash and build the same tiles as a plain `GameState` holding the map, before
+and after it is indexed, and run as that state runs. `simulate` reads a
+run's final state by `tile_count()` and `state_hash`, so from recognize to
+the summary no tile map is built.
+"""
+
+from hypothesis import given, settings
+
+import dict_engine
+from corpus import lockstep_corpus, padding_for, spec_with
+from debilandia.embedding import compile_direct, compile_universal
+from debilandia.engine import run, shared_of
+from debilandia.grid import GameState, Pairs, points_of, recognize, state_hash
+from debilandia.tiles import TileKind
+from test_engine_oracle import boards
+
+
+def built(points, atlas) -> GameState:
+    """recognize with the tile map built at once, as a state made by hand."""
+    state = recognize(points, atlas)
+    return GameState(dict(state.tiles), state.anchor, state.junk_cells)
+
+
+def unbuilt_facts(state: GameState) -> tuple:
+    """What the engine and simulate read off a state, none of which builds its tile map."""
+    return state.tile_count(), state.junk_cells, state.tip_count(), state.tip_cells(), state.rows(), state_hash(state)
+
+
+def summary(result) -> tuple:
+    """simulate's summary of a run: it counts and hashes the final state, building no tile map."""
+    final = result.final_state
+    facts = (result.status, result.generations_run, result.reason, result.period, result.first_index)
+    return (*facts, final.tile_count(), final.junk_cells, state_hash(final))
+
+
+def assert_runs_as_built(state: GameState, full: GameState, max_gens: int) -> None:
+    result, expected = run(state, max_gens), run(full, max_gens)
+    assert summary(result) == summary(expected)
+    assert result.final_state._tiles is None
+    assert result.final_state.tiles == expected.final_state.tiles
+
+
+def assert_recognized_as_built(points, atlas, max_gens: int) -> None:
+    state, full = recognize(points, atlas), built(points, atlas)
+    assert unbuilt_facts(state) == unbuilt_facts(full)
+    assert state._tiles is None
+    for budget in (0, max_gens):  # simulate's path, from a state no one has indexed
+        assert_runs_as_built(recognize(points, atlas), built(points, atlas), budget)
+    shared_of(state)
+    shared_of(full)
+    assert unbuilt_facts(state) == unbuilt_facts(full)  # read after indexing, off the engine's record
+    assert state._tiles is None
+    assert_runs_as_built(state, full, max_gens)
+    assert state.tiles == full.tiles and points_of(state, atlas) == points_of(full, atlas)
+    assert unbuilt_facts(state) == unbuilt_facts(full)  # read once more, off the built map
+    assert state == full
+
+
+def test_the_lockstep_corpus_is_recognized_as_built(atlas):
+    for _, rules, tapes in lockstep_corpus():
+        for tape in tapes[:6]:
+            spec = spec_with(rules, tape)
+            assert_recognized_as_built(compile_direct(spec, atlas, pad=padding_for(spec, 60)), atlas, 60)
+            spec = spec_with(rules, tape, head=len(tape) - 1)
+            assert_recognized_as_built(compile_universal(spec, tape, atlas), atlas, 5 * len(rules) + 60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boards())
+def test_generated_boards_are_recognized_as_built(atlas, tiles):
+    # the tiles' points, rebased by recognize; a board whose lowest points do
+    # not start a cell is carved differently, into other tiles and junk
+    assert_recognized_as_built(Pairs.of(points_of(GameState(tiles), atlas)), atlas, 30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(boards())
+def test_a_recognized_map_changed_before_indexing_is_the_board(atlas, tiles):
+    # once `tiles` is read, the map is the board, as for a state made by
+    # hand: a tile added to it is counted, found, run and hashed
+    points = Pairs.of(points_of(GameState(tiles), atlas))
+    state, full = recognize(points, atlas), built(points, atlas)
+    for board in (state, full):
+        board.tiles[(-20, -20)] = TileKind.TIP
+    assert unbuilt_facts(state) == unbuilt_facts(full)
+    result, expected = run(state, 10), dict_engine.run(full, 10)
+    assert summary(result) == summary(expected) and result.final_state.tiles == expected.final_state.tiles
