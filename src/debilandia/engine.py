@@ -27,8 +27,8 @@ Shifting moves whole rows at once, one cell per generation, so tiles stay
 cell-aligned and same-row collisions cannot happen; a tape tile shifted onto
 a non-tape tile is a rules violation and terminates the game instead.
 
-A state the engine makes is one GameState holding a record and a position
-key, the only copy of its tip context. The key's first ten fields are the row
+A state the engine makes, a _Made, holds a record and a position key, the
+only copy of its tip context. The key's first ten fields are the row
 below the tip as a zipper (Huet, "The Zipper", 1997) of two run-length
 stacks, its last the codes of the head, read-slot and status tiles. A run
 is a maximal stretch of equal tiles at gap 1; each stack keeps its top run
@@ -229,8 +229,8 @@ class _Shared:
     """The board off a state's tip context, shared by the states from one copy to the next; made field by field.
 
     tip: the one tip, or None: the record of a board without exactly one tip has no rows and no packets.
-    rows: a row's tiles by column as indexed, which no step changes, without the tape row tr - 1 and the
-        cells (tc, tr + 1) and (tc, tr + 2).
+    rows: a row's tiles by column as indexed, without the tape row tr - 1 and the cells (tc, tr + 1) and
+        (tc, tr + 2); the indexed state's own maps, but copies of those two rows, and nothing changes them.
     copied: the cells each copy wrote since, newest first, as nested (row, col, kind, rest) tuples, or None.
     stack: the incomplete well-formed packet rows, highest first, as nested (row, prefix, rest) tuples, or None.
     top: the highest complete packet row, or None; a fresh row opens above it once the stack is empty.
@@ -244,36 +244,45 @@ class _Shared:
 
     __slots__ = ("tip", "rows", "copied", "stack", "top", "first", "nontape", "count", "nodes")
 
-    def rows_of(self, state: GameState) -> dict[int, dict[int, TileKind]]:
-        """The state's tiles by row, then column, sharing the maps of rows; O(rows + copied cells + row)."""
-        rows = dict(self.rows)
-        tc, tr = self.tip
-        code = state.key[10]
+
+class _Made(GameState):
+    """A state step made: the engine's record of its board and its position key; `tiles` is built when read."""
+
+    __slots__ = ()
+
+    def rows(self) -> dict[int, dict[int, TileKind]]:
+        """The tiles by row, then column, sharing the record's maps; O(rows + copied cells + row)."""
+        shared, code = self.shared, self.key[10]
+        rows, (tc, tr), copied = dict(shared.rows), shared.tip, shared.copied
         laid = {r: {tc: _KIND[field]} for r, field in ((tr + 1, code >> 4 & 0xF), (tr + 2, code & 0xF)) if field}
-        copied = self.copied
         while copied is not None:
             r, col, kind, copied = copied
             laid.setdefault(r, {})[col] = kind
         for r, cells in laid.items():
             rows[r] = {**rows.get(r, _EMPTY_ROW), **cells}
-        tape = _tape_cells(state)
+        tape = _tape_cells(self)
         if tape:
             rows[tr - 1] = tape
         return rows
 
-    def tile_count(self, state: GameState) -> int:
-        """The number of the state's tiles: the board's, and the read slot's when it holds one."""
-        return self.count + (state.key[10] & 0xF0 != 0)
+    def tile_count(self) -> int:
+        return self.shared.count + (self.key[10] & 0xF0 != 0)
+
+    def tip_cells(self) -> list[CellAddr]:
+        return [self.shared.tip]
+
+    def tip_count(self) -> int:
+        return 1
 
 
 def shared_of(state: GameState) -> _Shared:
     """The state's shared record; a state the engine has not seen is indexed in place first.
 
-    Indexing a board with one tip takes O(tiles); the record takes over a
-    recognized state's rows, so no tile is regrouped or scanned for the
-    tip. A board without exactly one tip gets a record with no tip after its
-    tips are counted, which the state of A x A does off its block groups,
-    building no tile.
+    Indexing a board with one tip takes O(tiles). It reads the state's rows
+    and tip, changing neither: the record shares each row but the two it
+    copies without the tip column's cell. A board without exactly one tip
+    gets a record with no tip after its tips are counted, which the state
+    of A x A does off its block groups, building no tile.
     """
     if state.shared is not None:
         return state.shared
@@ -283,14 +292,15 @@ def shared_of(state: GameState) -> _Shared:
     shared.nontape, shared.count, shared.nodes = 0, 0, {}
     state.key = None
     if state.tip_count() == 1:
-        rows = state.rows()  # a recognized state's own rows: indexing takes them over
+        rows = state.rows()
         tc, tr = shared.tip = state.tip_cells()[0]
-        tape = rows.pop(tr - 1, {})
-        read, status = (rows.get(r, {}).pop(tc, None) for r in (tr + 1, tr + 2))
-        rows = shared.rows = {r: cells for r, cells in rows.items() if cells}
+        tape = rows.get(tr - 1, _EMPTY_ROW)
+        above = {r: {**rows[r]} for r in (tr + 1, tr + 2) if r in rows}
+        read, status = (above.get(r, {}).pop(tc, None) for r in (tr + 1, tr + 2))
+        rows = shared.rows = {r: cells for r, cells in {**rows, **above}.items() if cells and r != tr - 1}
         for r, prefix in packet_rows(rows, (tc, tr)):
             shared.stack, shared.top, shared.first = _indexed(r, prefix, shared.stack, shared.top, shared.first)
-        shared.nontape = len([kind for kind in tape.values() if kind.tile_type is not _TAPE])
+        shared.nontape = len(tape) - sum(map(list(tape.values()).count, (TileKind.TAPE_0, TileKind.TAPE_1)))
         shared.count = state.tile_count() - (read is not None)
         code = sum(kind.code << shift for kind, shift in ((tape.get(tc), 8), (read, 4), (status, 0)) if kind)
         state.key = (*_stacks(shared.nodes, tape, tc), code)
@@ -427,7 +437,7 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
             key = (nk, nc, nd, ng, beyond, fk, fc, fd, fg, far, code)
         else:
             key = (fk, fc, fd, fg, far, nk, nc, nd, ng, beyond, code)
-    new = _new(GameState)  # assigned three at a time, which builds no tuple
+    new = _new(_Made)  # assigned three at a time, which builds no tuple
     new._tiles, new.anchor, new.junk_cells = None, state.anchor, state.junk_cells
     new.shared, new.key = shared, key
     return new, outcome

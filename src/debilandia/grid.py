@@ -3,9 +3,8 @@ point reconstruction, hashing.
 
 States are sparse: a mapping from cell address to tile kind plus the lattice
 anchor and a count of junk cells. A recognized state holds its tiles by row
-(or, for A x A, its block groups) instead, and builds the mapping when it is
-read. The engine treats states as values; nothing here mutates a state's
-tiles after construction.
+or block group instead and builds the mapping only when it is read. States
+are values; nothing here mutates one after construction.
 """
 
 from __future__ import annotations
@@ -30,22 +29,19 @@ class GameState:
     Junk cells (occupied but matching no pattern) are inert: they never block
     movement or rule matching, so only their count is kept.
 
-    States are values. A state made by hand holds its `tiles` mapping, and
-    recognize's states build it on first read: of a point list from its
-    rows (_RowState), of A x A from its block groups (_SquareState). The
-    engine indexes a state in place on first use, when it is stepped or a
-    machine is extracted from it, so mutate `tiles` only before either. A
-    state the engine makes holds only `shared`, the engine's record of the
-    board, and `key`, its position key, which is the only copy of its tip
-    context. It builds `tiles` from them when someone reads it.
+    States are values. A state made by hand holds the `tiles` map it was
+    given and answers from it. Every other kind answers from what it holds
+    and builds `tiles` from its rows when read: recognize's states hold
+    rows (_RowState) or block groups (_SquareState), the engine's its record
+    and a position key (engine._Made). The engine indexes a state on first
+    use, when it is stepped or a machine is extracted from it; change a
+    hand-made state's map only before that, and no other state's `tiles`.
     """
 
     __slots__ = ("_tiles", "anchor", "junk_cells", "shared", "key")
 
     def __init__(self, tiles: dict[CellAddr, TileKind], anchor: Point = (0, 0), junk_cells: int = 0) -> None:
-        self._tiles = tiles
-        self.anchor = anchor
-        self.junk_cells = junk_cells
+        self._tiles, self.anchor, self.junk_cells = tiles, anchor, junk_cells
         self.shared = None  # the engine's record, set with the key when it indexes the state
 
     @property
@@ -55,19 +51,15 @@ class GameState:
         return self._tiles
 
     def rows(self) -> dict[int, dict[int, TileKind]]:
-        """The tiles by row, then by column, no row empty; rows may be the engine's own maps: do not change them."""
-        if self.shared is not None and self.shared.tip is not None:
-            return self.shared.rows_of(self)
+        """The tiles by row, then by column, no row empty; they may be the state's own maps: do not change them."""
         rows: dict[int, dict[int, TileKind]] = {}
-        for (col, r), kind in self.tiles.items():
+        for (col, r), kind in self._tiles.items():
             rows.setdefault(r, {})[col] = kind
         return rows
 
     def tile_count(self) -> int:
-        """len(tiles), without building them: steps change it only by filling the read slot."""
-        if self._tiles is not None:
-            return len(self._tiles)
-        return self.shared.tile_count(self)
+        """len(tiles), without building them."""
+        return len(self._tiles)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameState):
@@ -78,21 +70,18 @@ class GameState:
         return f"GameState(tiles={self.tiles!r}, anchor={self.anchor!r}, junk_cells={self.junk_cells!r})"
 
     def tip_cells(self) -> list[CellAddr]:
-        if self.shared is not None and self.shared.tip is not None:
-            return [self.shared.tip]
-        return sorted(c for c, k in self.tiles.items() if k is _TIP)
+        return sorted(c for c, k in self._tiles.items() if k is _TIP)
 
     def tip_count(self) -> int:
         """len(tip_cells()), counted at C speed."""
-        return list(self.tiles.values()).count(_TIP)
+        return list(self._tiles.values()).count(_TIP)
 
 
 class _RowState(GameState):
-    """recognize's state of a point list: its tiles held by row, then column, the map built when `tiles` is read.
+    """recognize's state of a point list: its tiles held by row, then column.
 
     rows (no row empty), tips (the tip cells) and count (the number of
-    tiles) go to the engine as they are: indexing takes the rows over. Once
-    `tiles` is read, the map is the board, as for a state made by hand.
+    tiles) answer its questions, and indexing shares the row maps.
     """
 
     __slots__ = ("_rows", "tips", "count")
@@ -104,28 +93,26 @@ class _RowState(GameState):
         self._rows, self.tips, self.count = rows, tips, count
 
     def rows(self) -> dict[int, dict[int, TileKind]]:
-        if self._tiles is None and (self.shared is None or self.shared.tip is None):
-            return self._rows
-        return super().rows()
+        return self._rows
 
     def tile_count(self) -> int:
-        return self.count if self._tiles is None else len(self._tiles)
+        return self.count
 
     def tip_cells(self) -> list[CellAddr]:
-        return sorted(self.tips) if self._tiles is None else super().tip_cells()
+        return sorted(self.tips)
 
     def tip_count(self) -> int:
-        return len(self.tips) if self._tiles is None else super().tip_count()
+        return len(self.tips)
 
 
 class _SquareState(GameState):
-    """recognize's state of A x A: its tiles held as block-group pairs, the map built when `tiles` is read.
+    """recognize's state of A x A: its tiles held as block-group pairs.
 
     pairs: (x blocks, y blocks, kind) for each pair of block groups whose
     cells make a tile; every cell of the x blocks crossed with the y blocks
     holds that kind. Tiles and tips are counted as sums of products of group
     sizes, in O(groups^2), so a board without exactly one tip is told apart,
-    counted and refused without building a tile.
+    counted and refused without building a tile; rows() lays them out.
     """
 
     __slots__ = ("pairs",)
@@ -134,16 +121,19 @@ class _SquareState(GameState):
         super().__init__(None, anchor, junk_cells)
         self.pairs = pairs
 
-    @property
-    def tiles(self) -> dict[CellAddr, TileKind]:
-        if self._tiles is None:
-            self._tiles = {}
-            for x_blocks, y_blocks, kind in self.pairs:
-                self._tiles.update(dict.fromkeys(product(x_blocks, y_blocks), kind))
-        return self._tiles
+    def rows(self) -> dict[int, dict[int, TileKind]]:
+        rows: dict[int, dict[int, TileKind]] = {}
+        for x_blocks, y_blocks, kind in self.pairs:
+            cells = dict.fromkeys(x_blocks, kind)
+            for y in y_blocks:
+                rows.setdefault(y, {}).update(cells)
+        return rows
 
     def tile_count(self) -> int:
         return sum(len(x_blocks) * len(y_blocks) for x_blocks, y_blocks, _ in self.pairs)
+
+    def tip_cells(self) -> list[CellAddr]:
+        return sorted(chain.from_iterable(product(xs, ys) for xs, ys, kind in self.pairs if kind is _TIP))
 
     def tip_count(self) -> int:
         return sum(len(x_blocks) * len(y_blocks) for x_blocks, y_blocks, kind in self.pairs if kind is _TIP)

@@ -19,7 +19,7 @@ from debilandia.embedding import (
     extract_tm,
 )
 from debilandia.engine import Fired, RuleCopied, RunStatus, Terminated, run, step
-from debilandia.grid import recognize
+from debilandia.grid import GameState, recognize
 from debilandia.tiles import TileKind
 from debilandia.tm import MOVE_RIGHT, Rule
 
@@ -100,8 +100,9 @@ def test_extract_without_packets(atlas):
 def test_extract_keeps_first_of_duplicate_keys(atlas):
     state = recognize(compile_direct(spec_with(PING_PONG, "1"), atlas), atlas)
     # clone the row-2 packet's key onto row 4 with a different write bit
-    state.tiles.update(
+    state = GameState(
         {
+            **state.tiles,
             (1, 4): TileKind.READ_1,
             (2, 4): TileKind.STATUS_0,
             (3, 4): TileKind.WRITE_0,

@@ -2,22 +2,26 @@
 
 `recognize` of a point list holds the board's tiles by row, with its tip
 cells and tile count, and builds the tile map only when `tiles` is read; the
-engine indexes those rows as they are. Each such state must count, find,
-hash and build the same tiles as a plain `GameState` holding the map, before
-and after it is indexed, and run as that state runs. `simulate` reads a
-run's final state by `tile_count()` and `state_hash`, so from recognize to
-the summary no tile map is built.
+engine indexes those rows and changes none of them. Each such state must
+count, find, hash and build the same tiles as a plain `GameState` holding
+the map, before and after it is indexed, and run as that state runs.
+`simulate` reads a run's final state by `tile_count()` and `state_hash`, so
+from recognize to the summary no tile map is built.
 """
 
+import copy
+
+import pytest
 from hypothesis import given, settings
 
 import dict_engine
-from corpus import lockstep_corpus, padding_for, spec_with
+from corpus import BOUNCE, lockstep_corpus, padding_for, spec_with
 from debilandia.embedding import compile_direct, compile_universal
 from debilandia.engine import run, shared_of
-from debilandia.grid import GameState, Pairs, points_of, recognize, state_hash
-from debilandia.tiles import TileKind
+from debilandia.grid import GameState, Pairs, SquarePoints, points_of, recognize, state_hash
+from debilandia.tiles import CELL, TileKind
 from test_engine_oracle import boards
+from test_square_paths import TIP_X, TIP_Y, blocks_of
 
 
 def built(points, atlas) -> GameState:
@@ -57,7 +61,7 @@ def assert_recognized_as_built(points, atlas, max_gens: int) -> None:
     assert state._tiles is None
     assert_runs_as_built(state, full, max_gens)
     assert state.tiles == full.tiles and points_of(state, atlas) == points_of(full, atlas)
-    assert unbuilt_facts(state) == unbuilt_facts(full)  # read once more, off the built map
+    assert unbuilt_facts(state) == unbuilt_facts(full)  # read once more, the map built
     assert state == full
 
 
@@ -80,13 +84,39 @@ def test_generated_boards_are_recognized_as_built(atlas, tiles):
 
 @settings(max_examples=100, deadline=None)
 @given(boards())
-def test_a_recognized_map_changed_before_indexing_is_the_board(atlas, tiles):
-    # once `tiles` is read, the map is the board, as for a state made by
-    # hand: a tile added to it is counted, found, run and hashed
+def test_a_hand_made_map_changed_before_indexing_is_the_board(atlas, tiles):
+    # a state made by hand answers from the map it was given: a tile added
+    # to it before indexing is counted, found, run and hashed
     points = Pairs.of(points_of(GameState(tiles), atlas))
-    state, full = recognize(points, atlas), built(points, atlas)
-    for board in (state, full):
-        board.tiles[(-20, -20)] = TileKind.TIP
+    state = built(points, atlas)
+    full = GameState({**state.tiles, (-20, -20): TileKind.TIP}, state.anchor, state.junk_cells)
+    state.tiles[(-20, -20)] = TileKind.TIP
     assert unbuilt_facts(state) == unbuilt_facts(full)
     result, expected = run(state, 10), dict_engine.run(full, 10)
     assert summary(result) == summary(expected) and result.final_state.tiles == expected.final_state.tiles
+
+
+def one_tip_square(atlas) -> GameState:
+    """recognize's state of A x A with one tip: a tape tile below it, and a read tile above it among others."""
+    values = blocks_of([frozenset(TIP_X), frozenset(TIP_Y), frozenset(range(CELL))], [0, 1, 1])
+    return recognize(SquarePoints(values), atlas)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda atlas: recognize(compile_direct(spec_with(BOUNCE, "0110"), atlas), atlas),
+        one_tip_square,
+        lambda atlas: built(compile_direct(spec_with(BOUNCE, "0110"), atlas), atlas),
+    ],
+    ids=["rows", "square", "hand-made"],
+)
+def test_indexing_changes_nothing_a_state_handed_out(atlas, make):
+    # the record shares the rows it keeps whole; the tape row and the tip
+    # column's cells stay in the maps rows() handed out
+    state = make(atlas)
+    handed = state.rows()
+    kept = copy.deepcopy(handed)
+    assert state.tip_count() == 1
+    shared_of(state)
+    assert handed == kept and state.rows() == kept

@@ -1,17 +1,20 @@
 """Differential tests: recognize's state of A x A against the same board built in full.
 
 `recognize(SquarePoints(A))` holds the board as its block groups and the
-tile kind of each group pair, and builds the tile map only when `tiles` or
-`rows()` is read. Patched to build the map at once (a plain `GameState`
-holding it), `verify` and `construct_certificate` must give the same
-reports, traces and outcomes, and the state must count, find and build the
-same tiles before and after its map is read. A board without exactly one tip
-is refused without building a tile.
+tile kind of each group pair, lays out its rows from them when `rows()` is
+read, and builds the tile map only when `tiles` is read. Patched to build
+the map at once (a plain `GameState` holding it), `verify` and
+`construct_certificate` must give the same reports, traces and outcomes, and
+the state must count, find and build the same tiles before and after its map
+is read. A board without exactly one tip is refused without building a tile,
+and one with a tip is indexed off its rows, so an untraced check or solve
+builds no tile map either.
 """
 
 import contextlib
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +144,30 @@ def test_a_board_without_one_tip_is_refused_without_building_a_tile(atlas, value
         assert state._tiles is None
     # read after indexing, the tiles are still the board's
     assert (state.tiles, state.tip_cells(), state.tile_count()) == (full.tiles, full.tip_cells(), full.tile_count())
+
+
+@pytest.mark.parametrize("full_blocks", [200, 800])
+def test_a_one_tip_board_of_large_a_is_checked_and_solved_without_its_tile_map(atlas, full_blocks):
+    # blocks on the tip's column and row offsets, then full blocks: one tip
+    # and |A|^2 / 16 tiles, which extraction finds malformed at the tip
+    masks = [frozenset(TIP_X), frozenset(TIP_Y)] + [frozenset(range(CELL))] * full_blocks
+    values = blocks_of(masks, [0] + [1] * (full_blocks + 1))
+    inst = Instance(tuple(values))
+    cert = Certificate(SquarePoints(inst.a_values), 3, MARKER_STOPS)
+    made = []
+
+    def recognized(points, atlas):
+        made.append(recognize(points, atlas))
+        return made[-1]
+
+    with mock.patch("debilandia.verifier.recognize", recognized), mock.patch("debilandia.solver.recognize", recognized):
+        report, outcome = verify(inst, cert, atlas), construct_certificate(inst, 16, atlas)
+    assert [(state.shared.tip is not None, state._tiles) for state in made] == [(True, None)] * 2
+    with built_at_once():
+        full = verify(inst, cert, atlas), construct_certificate(inst, 16, atlas)
+    assert (report.to_json_obj(), run_facts(report.run_result), solve_facts(outcome)) == (
+        full[0].to_json_obj(),
+        run_facts(full[0].run_result),
+        solve_facts(full[1]),
+    )
+    assert outcome.reason == "not_a_turing_machine:malformed_stack"
