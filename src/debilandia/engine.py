@@ -278,11 +278,12 @@ class _Made(GameState):
 def shared_of(state: GameState) -> _Shared:
     """The state's shared record; a state the engine has not seen is indexed in place first.
 
-    Indexing a board with one tip takes O(tiles). It reads the state's rows
-    and tip, changing neither: the record shares each row but the two it
-    copies without the tip column's cell. A board without exactly one tip
-    gets a record with no tip after its tips are counted, which the state
-    of A x A does off its block groups, building no tile.
+    Indexing a board with one tip takes O(rows + the tape row's tiles) past
+    what rows() costs. It reads the state's rows and tip, changing neither:
+    the record shares each row but the two it copies without the tip
+    column's cell. A board without exactly one tip gets a record with no tip
+    after its tips are counted, which the state of A x A does off its block
+    groups, building no tile.
     """
     if state.shared is not None:
         return state.shared

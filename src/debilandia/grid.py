@@ -1,10 +1,12 @@
 """Board state: reading a points file, tile recognition from raw points,
 point reconstruction, hashing.
 
-States are sparse: a mapping from cell address to tile kind plus the lattice
-anchor and a count of junk cells. A recognized state holds its tiles by row
-or block group instead and builds the mapping only when it is read. States
-are values; nothing here mutates one after construction.
+States are sparse: a board's tiles plus the lattice anchor and a count of
+junk cells. Every state built from a tile map or from a point list holds its
+tiles by row, with its tip cells and tile count, filed once when it is made;
+a state of A x A holds its block groups instead. The cell -> tile mapping is
+built only when it is read. States are values; nothing here mutates one
+after construction.
 """
 
 from __future__ import annotations
@@ -24,24 +26,26 @@ _SPREAD = [sum(1 << CELL * dy for dy in range(CELL) if mask >> dy & 1) for mask 
 
 
 class GameState:
-    """Sparse board: cell -> tile, with the recognition anchor and junk tally.
+    """A board held by row: its tiles by row, then column, its tip cells and tile count.
 
-    Junk cells (occupied but matching no pattern) are inert: they never block
-    movement or rule matching, so only their count is kept.
-
-    States are values. A state made by hand holds the `tiles` map it was
-    given and answers from it. Every other kind answers from what it holds
-    and builds `tiles` from its rows when read: recognize's states hold
-    rows (_RowState) or block groups (_SquareState), the engine's its record
-    and a position key (engine._Made). The engine indexes a state on first
-    use, when it is stepped or a machine is extracted from it; change a
-    hand-made state's map only before that, and no other state's `tiles`.
+    Also the recognition anchor and the junk tally: junk cells (occupied but
+    matching no pattern) never block movement or rule matching, so only
+    their count is kept. States are values: `GameState(tiles, ...)` files
+    the map by row once, when it is made, and keeps no reference to it, and
+    recognize fills the same fields from a point list. `tiles` is built from
+    the rows when read. recognize's state of A x A (_SquareState) and a
+    state step made (engine._Made) answer from what they hold instead. The
+    engine changes none of the maps rows() hands out.
     """
 
-    __slots__ = ("_tiles", "anchor", "junk_cells", "shared", "key")
+    __slots__ = ("_rows", "tips", "count", "_tiles", "anchor", "junk_cells", "shared", "key")
 
     def __init__(self, tiles: dict[CellAddr, TileKind], anchor: Point = (0, 0), junk_cells: int = 0) -> None:
-        self._tiles, self.anchor, self.junk_cells = tiles, anchor, junk_cells
+        rows: dict[int, dict[int, TileKind]] = {}
+        for (col, r), kind in tiles.items():
+            rows.setdefault(r, {})[col] = kind
+        self._rows, self.tips, self.count = rows, [cell for cell, kind in tiles.items() if kind is _TIP], len(tiles)
+        self._tiles, self.anchor, self.junk_cells = None, anchor, junk_cells
         self.shared = None  # the engine's record, set with the key when it indexes the state
 
     @property
@@ -51,15 +55,12 @@ class GameState:
         return self._tiles
 
     def rows(self) -> dict[int, dict[int, TileKind]]:
-        """The tiles by row, then by column, no row empty; they may be the state's own maps: do not change them."""
-        rows: dict[int, dict[int, TileKind]] = {}
-        for (col, r), kind in self._tiles.items():
-            rows.setdefault(r, {})[col] = kind
-        return rows
+        """The tiles by row, then by column, no row empty; they are the state's own maps: do not change them."""
+        return self._rows
 
     def tile_count(self) -> int:
         """len(tiles), without building them."""
-        return len(self._tiles)
+        return self.count
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameState):
@@ -68,35 +69,6 @@ class GameState:
 
     def __repr__(self) -> str:
         return f"GameState(tiles={self.tiles!r}, anchor={self.anchor!r}, junk_cells={self.junk_cells!r})"
-
-    def tip_cells(self) -> list[CellAddr]:
-        return sorted(c for c, k in self._tiles.items() if k is _TIP)
-
-    def tip_count(self) -> int:
-        """len(tip_cells()), counted at C speed."""
-        return list(self._tiles.values()).count(_TIP)
-
-
-class _RowState(GameState):
-    """recognize's state of a point list: its tiles held by row, then column.
-
-    rows (no row empty), tips (the tip cells) and count (the number of
-    tiles) answer its questions, and indexing shares the row maps.
-    """
-
-    __slots__ = ("_rows", "tips", "count")
-
-    def __init__(
-        self, rows: dict[int, dict[int, TileKind]], tips: list[CellAddr], count: int, anchor: Point, junk_cells: int
-    ) -> None:
-        super().__init__(None, anchor, junk_cells)
-        self._rows, self.tips, self.count = rows, tips, count
-
-    def rows(self) -> dict[int, dict[int, TileKind]]:
-        return self._rows
-
-    def tile_count(self) -> int:
-        return self.count
 
     def tip_cells(self) -> list[CellAddr]:
         return sorted(self.tips)
@@ -112,22 +84,22 @@ class _SquareState(GameState):
     cells make a tile; every cell of the x blocks crossed with the y blocks
     holds that kind. Tiles and tips are counted as sums of products of group
     sizes, in O(groups^2), so a board without exactly one tip is told apart,
-    counted and refused without building a tile; rows() lays them out.
+    counted and refused without building a tile. rows() lays them out in
+    O(|A| * groups): a cell's kind is fixed by its x group and its y group,
+    so every row of one y group holds the same tiles, as one map.
     """
 
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: list[tuple[list[int], list[int], TileKind]], anchor: Point, junk_cells: int) -> None:
-        super().__init__(None, anchor, junk_cells)
-        self.pairs = pairs
+        self.pairs, self._tiles, self.anchor, self.junk_cells, self.shared = pairs, None, anchor, junk_cells, None
 
     def rows(self) -> dict[int, dict[int, TileKind]]:
-        rows: dict[int, dict[int, TileKind]] = {}
-        for x_blocks, y_blocks, kind in self.pairs:
-            cells = dict.fromkeys(x_blocks, kind)
-            for y in y_blocks:
-                rows.setdefault(y, {}).update(cells)
-        return rows
+        """The tiles by row, then by column; the rows of one y group alias one map: change none of them."""
+        by_group: dict[int, tuple[list[int], dict[int, TileKind]]] = {}
+        for x_blocks, y_blocks, kind in self.pairs:  # a group's first block names it: groups share no block
+            by_group.setdefault(y_blocks[0], (y_blocks, {}))[1].update(dict.fromkeys(x_blocks, kind))
+        return {y: cells for y_blocks, cells in by_group.values() for y in y_blocks}
 
     def tile_count(self) -> int:
         return sum(len(x_blocks) * len(y_blocks) for x_blocks, y_blocks, _ in self.pairs)
@@ -259,8 +231,8 @@ def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:
     point changes nothing and no per-point tuple or set is built. A second
     loop files each cell's tile under its row and column and notes the tips,
     so the state hands the engine its rows and tip as they are and builds no
-    tile map unless `tiles` is read (_RowState). Time is O(points + cells),
-    extra memory O(cells).
+    tile map unless `tiles` is read (a GameState made field by field). Time
+    is O(points + cells), extra memory O(cells).
     """
     if isinstance(points, SquarePoints):
         return _recognize_square(points.values, atlas)
@@ -297,7 +269,10 @@ def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:
             rows[key >> shift] = {key & col_mask: kind}
         if kind is _TIP:
             tips.append((key & col_mask, key >> shift))
-    return _RowState(rows, tips, len(masks) - junk, (x0, y0), junk)
+    state = object.__new__(GameState)  # the map is filed by row already, so GameState's __init__ is skipped
+    state._rows, state.tips, state.count = rows, tips, len(masks) - junk
+    state._tiles, state.anchor, state.junk_cells, state.shared = None, (x0, y0), junk, None
+    return state
 
 
 def _recognize_square(values: tuple[int, ...], atlas: TileAtlas) -> GameState:

@@ -14,13 +14,14 @@ matter how the points land.
 In this formalisation the answer is fixed by the board's structure: once
 extraction finds a machine, the markers 25 and 43 are complementary at
 every generation count, so a certificate exists exactly when extraction
-succeeds. Deciding costs recognition plus extraction: O(|A| + groups^2)
-without exactly one tip, which builds no tile, and O(|A| + tiles) with one;
-construct_certificate adds one run, O(max_gens). Every |A| is solved, with
-no limit on its size. The certificate is `Certificate(SquarePoints(A), E,
-marker)`, O(|A|) in memory: no |A|^2-sized list is built, and
-instances.write_certificate streams its O(|A|^2 + E) bytes. growth_probe
-measures the cost next to (M!)^2.
+succeeds; under the packaged atlas, exactly when A's block-mask word
+holds a fixed pattern, and every certificate found is E = 1 with marker 25
+(tests/word_oracle.py). Deciding costs recognition plus extraction:
+O(|A| + groups^2) without exactly one tip, which builds no tile, and
+O(|A| * groups) with one; construct_certificate adds one run, O(max_gens).
+Every |A| is solved. The certificate is `Certificate(SquarePoints(A), E,
+marker)`, O(|A|) in memory, and instances.write_certificate streams its
+O(|A|^2 + E) bytes. growth_probe measures the cost next to (M!)^2.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> So
     certifies exactly what the checker checks (no stabilization within the
     claimed generations). No machine structure means no certificate at all.
 
-    There is no limit on |A|. Time is O(|A| + tiles + max_gens), O(|A|) on
-    a board without exactly one tip (see grid._SquareState), and the
-    certificate is `Certificate(SquarePoints(A), E, marker)`, O(|A|) in
-    memory; writing it streams its bytes (instances.write_certificate).
+    There is no limit on |A|. Time is O(|A| * groups + max_gens), and
+    O(|A| + groups^2) on a board without exactly one tip (see
+    grid._SquareState). The certificate is `Certificate(SquarePoints(A), E,
+    marker)`, O(|A|) in memory; writing it streams its bytes
+    (instances.write_certificate).
     """
     if max_gens < 1:
         raise ValueError("max_gens must be >= 1")

@@ -11,8 +11,9 @@ and indexing run, exactly: any change to these paths shows in them.
 
 The boards are laid out tile by tile rather than recognized from points,
 which would take longer than the runs; the first test pins the layouts to
-compile_direct and compile_universal. One work test indexes recognized
-boards, whose rows and tip recognize hands the engine as they are.
+compile_direct and compile_universal. Two work tests index a laid-out and a
+recognized board: each holds its rows and tip cells from when it was made,
+so both run the same lines.
 """
 
 import random
@@ -37,9 +38,8 @@ LINES_PER_FIRE = 29
 LINES_PER_RULE_LOADED = 215
 # package line events of shared_of: per tape cell of a ZERO_RUNNER board, laid out or recognized, and per
 # rule in a universal board's tape row
-LINES_PER_TAPE_CELL_INDEXED = 9
-LINES_PER_RECOGNIZED_TAPE_CELL_INDEXED = 6
-LINES_PER_RULE_INDEXED = 75
+LINES_PER_TAPE_CELL_INDEXED = 6
+LINES_PER_RULE_INDEXED = 60
 
 
 def tokens(rule: Rule) -> list[TileKind]:
@@ -139,32 +139,34 @@ def test_loading_a_rule_runs_the_same_lines_at_any_packet_count(count):
     assert lines(run, state, 5 * count) == LINES_PER_RULE_LOADED * count + 21
 
 
+def indexing_extra(build) -> set[int]:
+    """The lines of shared_of beyond LINES_PER_TAPE_CELL_INDEXED per tape cell, over three ZERO_RUNNER tapes."""
+    boards = {n: build(ZERO_RUNNER, "0" * n + "1") for n in (250, 10**3, 4 * 10**3)}
+    return {lines(shared_of, state) - LINES_PER_TAPE_CELL_INDEXED * n for n, state in boards.items()}
+
+
 def test_indexing_runs_the_same_lines_per_tape_cell():
-    # the slope is exact on every Python; the constant is 137 lines on 3.10
-    # and 3.11, 134 on 3.12 and 135 on 3.13
-    boards = {n: direct_board(ZERO_RUNNER, "0" * n + "1") for n in (250, 10**3, 4 * 10**3)}
-    extra = {lines(shared_of, state) - LINES_PER_TAPE_CELL_INDEXED * n for n, state in boards.items()}
-    assert len(extra) == 1 and extra.pop() <= 137
+    # a laid-out board holds its rows and tip cells from when it was made, so
+    # indexing regroups no tile and scans none for the tip; the slope is exact
+    # on every Python; the constant is 106 lines on 3.10 and 3.11, 103 on 3.12
+    # and 104 on 3.13
+    extra = indexing_extra(direct_board)
+    assert len(extra) == 1 and extra.pop() <= 106
 
 
 def test_indexing_a_recognized_board_runs_the_same_lines_per_tape_cell(atlas):
-    # recognize hands over its rows and tip, so indexing regroups no tile
-    # and scans none for the tip; the constant is 107 lines on 3.10 and
-    # 3.11, 104 on 3.12 and 105 on 3.13
-    boards = {
-        n: recognize(compile_direct(spec_with(ZERO_RUNNER, "0" * n + "1"), atlas), atlas)
-        for n in (250, 10**3, 4 * 10**3)
-    }
-    extra = {lines(shared_of, state) - LINES_PER_RECOGNIZED_TAPE_CELL_INDEXED * n for n, state in boards.items()}
-    assert len(extra) == 1 and extra.pop() <= 107
+    # recognize hands over its rows and tip as a laid-out board holds them,
+    # so indexing either runs the same lines
+    extra = indexing_extra(lambda spec, tape: recognize(compile_direct(spec_with(spec, tape), atlas), atlas))
+    assert extra == indexing_extra(direct_board) and len(extra) == 1 and extra.pop() <= 106
 
 
 def test_indexing_runs_the_same_lines_per_rule_on_the_tape():
     # the five tokens of each rule are tiles of the tape row that are not
-    # tape tiles; the constant is 166 lines on 3.10 and 3.11, 164 on 3.12 and 3.13
+    # tape tiles; the constant is 120 lines on 3.10 and 3.11, 118 on 3.12 and 3.13
     boards = {k: universal_board(counted_rules(k), "1" + "0" * 10) for k in (10, 100, 10**3)}
     extra = {lines(shared_of, state) - LINES_PER_RULE_INDEXED * k for k, state in boards.items()}
-    assert len(extra) == 1 and extra.pop() <= 166
+    assert len(extra) == 1 and extra.pop() <= 120
 
 
 def allocated_by_one_step(state: GameState) -> tuple[GameState, object, int]:

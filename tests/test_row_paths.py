@@ -3,12 +3,15 @@
 `recognize` of a point list holds the board's tiles by row, with its tip
 cells and tile count, and builds the tile map only when `tiles` is read; the
 engine indexes those rows and changes none of them. Each such state must
-count, find, hash and build the same tiles as a plain `GameState` holding
-the map, before and after it is indexed, and run as that state runs.
-`simulate` reads a run's final state by `tile_count()` and `state_hash`, so
-from recognize to the summary no tile map is built.
+count, find, hash and build the same tiles as a `GameState` made from the
+map, which files that map by row when it is made, before and after it is
+indexed, and run as that state runs. `simulate` reads a run's final state by
+`tile_count()` and `state_hash`, so from recognize to the summary no tile
+map is built. A state is a value: changing the map it was made from changes
+no state.
 """
 
+import contextlib
 import copy
 
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 
 import dict_engine
 from corpus import BOUNCE, lockstep_corpus, padding_for, spec_with
-from debilandia.embedding import compile_direct, compile_universal
+from debilandia.embedding import NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
 from debilandia.engine import run, shared_of
 from debilandia.grid import GameState, Pairs, SquarePoints, points_of, recognize, state_hash
 from debilandia.tiles import CELL, TileKind
@@ -84,16 +87,21 @@ def test_generated_boards_are_recognized_as_built(atlas, tiles):
 
 @settings(max_examples=100, deadline=None)
 @given(boards())
-def test_a_hand_made_map_changed_before_indexing_is_the_board(atlas, tiles):
-    # a state made by hand answers from the map it was given: a tile added
-    # to it before indexing is counted, found, run and hashed
-    points = Pairs.of(points_of(GameState(tiles), atlas))
-    state = built(points, atlas)
-    full = GameState({**state.tiles, (-20, -20): TileKind.TIP}, state.anchor, state.junk_cells)
-    state.tiles[(-20, -20)] = TileKind.TIP
-    assert unbuilt_facts(state) == unbuilt_facts(full)
-    result, expected = run(state, 10), dict_engine.run(full, 10)
+def test_changing_a_map_after_its_state_is_made_changes_no_state(atlas, tiles):
+    # GameState files the map by row when it is made and keeps no reference
+    # to it: a tile added to the map afterwards, or one taken from it, is not
+    # counted, found, run or hashed, before or after the state is indexed
+    tiles = {**tiles, (20, 20): TileKind.TAPE_0}
+    state, kept = GameState(tiles, (4, 8), 3), GameState(dict(tiles), (4, 8), 3)
+    tiles[(-20, -20)] = TileKind.TIP
+    del tiles[(20, 20)]
+    assert unbuilt_facts(state) == unbuilt_facts(kept)
+    shared_of(state)
+    tiles.clear()
+    assert unbuilt_facts(state) == unbuilt_facts(kept)
+    result, expected = run(state, 10), dict_engine.run(kept, 10)
     assert summary(result) == summary(expected) and result.final_state.tiles == expected.final_state.tiles
+    assert state == kept
 
 
 def one_tip_square(atlas) -> GameState:
@@ -113,10 +121,19 @@ def one_tip_square(atlas) -> GameState:
 )
 def test_indexing_changes_nothing_a_state_handed_out(atlas, make):
     # the record shares the rows it keeps whole; the tape row and the tip
-    # column's cells stay in the maps rows() handed out
+    # column's cells stay in the maps rows() handed out. A square's rows of
+    # one y block group are one map, so a write to one row would show in
+    # every row of its group; extraction and a run write to none
     state = make(atlas)
     handed = state.rows()
     kept = copy.deepcopy(handed)
     assert state.tip_count() == 1
-    shared_of(state)
+    shared = shared_of(state)
     assert handed == kept and state.rows() == kept
+    with contextlib.suppress(NotATuringMachine):
+        extract_tm_counted(state)
+    assert handed == kept and state.rows() == kept
+    run(state, 30)
+    assert handed == kept and state.rows() == kept
+    tc, tr = shared.tip
+    assert all(cells == kept[r] for r, cells in shared.rows.items() if r not in (tr + 1, tr + 2))

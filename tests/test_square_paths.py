@@ -2,16 +2,17 @@
 
 `recognize(SquarePoints(A))` holds the board as its block groups and the
 tile kind of each group pair, lays out its rows from them when `rows()` is
-read, and builds the tile map only when `tiles` is read. Patched to build
-the map at once (a plain `GameState` holding it), `verify` and
-`construct_certificate` must give the same reports, traces and outcomes, and
-the state must count, find and build the same tiles before and after its map
-is read. A board without exactly one tip is refused without building a tile,
-and one with a tip is indexed off its rows, so an untraced check or solve
-builds no tile map either.
+read, one map per y block group, and builds the tile map only when `tiles`
+is read. Patched to build the map at once (a `GameState` made from it),
+`verify` and `construct_certificate` must give the same reports, traces and
+outcomes, and the state must count, find and build the same tiles before and
+after its map is read. A board without exactly one tip is refused without
+building a tile, and one with a tip is indexed off its rows, so an untraced
+check or solve builds no tile map either.
 """
 
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -149,7 +150,9 @@ def test_a_board_without_one_tip_is_refused_without_building_a_tile(atlas, value
 @pytest.mark.parametrize("full_blocks", [200, 800])
 def test_a_one_tip_board_of_large_a_is_checked_and_solved_without_its_tile_map(atlas, full_blocks):
     # blocks on the tip's column and row offsets, then full blocks: one tip
-    # and |A|^2 / 16 tiles, which extraction finds malformed at the tip
+    # and |A|^2 / 16 tiles, which extraction finds malformed at the tip. The
+    # rows of one y block group are one map, so checking and solving |A| =
+    # 3,204 peak at about 0.6 MB, where a map per row would take 59 MB
     masks = [frozenset(TIP_X), frozenset(TIP_Y)] + [frozenset(range(CELL))] * full_blocks
     values = blocks_of(masks, [0] + [1] * (full_blocks + 1))
     inst = Instance(tuple(values))
@@ -161,7 +164,13 @@ def test_a_one_tip_board_of_large_a_is_checked_and_solved_without_its_tile_map(a
         return made[-1]
 
     with mock.patch("debilandia.verifier.recognize", recognized), mock.patch("debilandia.solver.recognize", recognized):
-        report, outcome = verify(inst, cert, atlas), construct_certificate(inst, 16, atlas)
+        tracemalloc.start()
+        try:
+            report, outcome = verify(inst, cert, atlas), construct_certificate(inst, 16, atlas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 10**6, f"peaked at {peak} bytes"
     assert [(state.shared.tip is not None, state._tiles) for state in made] == [(True, None)] * 2
     with built_at_once():
         full = verify(inst, cert, atlas), construct_certificate(inst, 16, atlas)
