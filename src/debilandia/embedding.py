@@ -1,4 +1,4 @@
-"""Compile Turing machines onto the board and read them back off.
+"""Compile Turing machines onto the board and read them back off the engine's record.
 
 Layout produced by the compilers (cell coordinates, rows grow upward):
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .engine import packet_rows, shared_of
+from .engine import shared_of, tip_context
 from .grid import GameState, points_of
 from .tiles import (
     CellAddr,
@@ -140,25 +140,26 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     """extract_tm plus the number of cell probes spent, for cost accounting.
 
     Reads the engine's record of the state, made on the state so a run of
-    it reuses it. The rules are the record's first-match map in row order:
-    exactly the first complete packet per (R1, R2) in scan order.
+    it reuses it, and lays out no row: the read-slot, status and tape tiles
+    off the position key (engine.tip_context), the rules off the record's
+    first-match map in row order (the first complete packet per (R1, R2) in
+    scan order), and five probes per row of packet_rows off the record's
+    count. Past indexing, O(tape row + rules).
     """
     probes = 0
     shared = shared_of(state)
     probes += 1
     if shared.tip is None:
         raise NotATuringMachine(ExtractFailure.NO_TIP)
-    tc, tr = shared.tip
+    tc = shared.tip[0]
 
     probes += 2
-    rows = state.rows()
-    read_slot, status = (rows.get(r, {}).get(tc) for r in (tr + 1, tr + 2))
+    read_slot, status, tape_row = tip_context(state)
     if read_slot is not None and read_slot.family != "read":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
     if status is None or status.family != "status":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
 
-    tape_row = rows.get(tr - 1, {})
     tape_cols = sorted(col for col, k in tape_row.items() if k.tile_type is TileType.TAPE)
     probes += len(tape_cols) + 1
     if tc not in tape_cols:
@@ -166,7 +167,7 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     if tape_cols[-1] - tape_cols[0] + 1 != len(tape_cols):
         raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
 
-    probes += 5 * len(packet_rows(rows, shared.tip)) + 1
+    probes += 5 * shared.ruled + 1
     if not shared.first:
         raise NotATuringMachine(ExtractFailure.NO_PACKETS)
     entries = sorted(shared.first.values(), key=lambda entry: entry[0].packet_row)  # scan order: ascending row

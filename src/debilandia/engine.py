@@ -204,8 +204,8 @@ def _stacks(nodes: dict, cells: dict[int, TileKind], tc: int) -> list:
     return stacks
 
 
-def _tape_cells(state: GameState) -> dict[int, TileKind]:
-    """The tape row's tiles by absolute column, off the state's zipper; O(row)."""
+def tip_context(state: GameState) -> tuple[TileKind | None, TileKind | None, dict[int, TileKind]]:
+    """The read-slot and status tiles, None when empty, and the tape row's tiles by column: the key decoded; O(row)."""
     tc = state.shared.tip[0]
     key = state.key
     cells = {tc: _KIND[key[10] >> 8]} if key[10] >> 8 else {}
@@ -215,7 +215,7 @@ def _tape_cells(state: GameState) -> dict[int, TileKind]:
             cells.update(dict.fromkeys(range(col, col + sign * c, sign), _KIND[k]))
             col += sign * (c - 1 + g)
             k, c, g, beyond = beyond.code, beyond.count, beyond.gap, beyond.next
-    return cells
+    return _KIND[key[10] >> 4 & 0xF], _KIND[key[10] & 0xF], cells
 
 
 def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
@@ -240,9 +240,10 @@ class _Shared:
     nontape: the number of the tape row's tiles that are not tape tiles.
     count: the number of the board's tiles, the read slot's not counted.
     nodes: the node table, shared by every record of the board.
+    ruled: packet_rows' length, the rows above the tip with a rule tile in the packet columns; each copy keeps it.
     """
 
-    __slots__ = ("tip", "rows", "copied", "stack", "top", "first", "nontape", "count", "nodes")
+    __slots__ = ("tip", "rows", "copied", "stack", "top", "first", "nontape", "count", "nodes", "ruled")
 
 
 class _Made(GameState):
@@ -252,15 +253,14 @@ class _Made(GameState):
 
     def rows(self) -> dict[int, dict[int, TileKind]]:
         """The tiles by row, then column, sharing the record's maps; O(rows + copied cells + row)."""
-        shared, code = self.shared, self.key[10]
+        shared, (read, status, tape) = self.shared, tip_context(self)
         rows, (tc, tr), copied = dict(shared.rows), shared.tip, shared.copied
-        laid = {r: {tc: _KIND[field]} for r, field in ((tr + 1, code >> 4 & 0xF), (tr + 2, code & 0xF)) if field}
+        laid = {r: {tc: kind} for r, kind in ((tr + 1, read), (tr + 2, status)) if kind}
         while copied is not None:
             r, col, kind, copied = copied
             laid.setdefault(r, {})[col] = kind
         for r, cells in laid.items():
             rows[r] = {**rows.get(r, _EMPTY_ROW), **cells}
-        tape = _tape_cells(self)
         if tape:
             rows[tr - 1] = tape
         return rows
@@ -290,7 +290,7 @@ def shared_of(state: GameState) -> _Shared:
     shared = _new(_Shared)
     shared.tip, shared.rows, shared.copied = None, None, None
     shared.stack, shared.top, shared.first = None, None, {}
-    shared.nontape, shared.count, shared.nodes = 0, 0, {}
+    shared.nontape, shared.count, shared.nodes, shared.ruled = 0, 0, {}, 0
     state.key = None
     if state.tip_count() == 1:
         rows = state.rows()
@@ -299,10 +299,10 @@ def shared_of(state: GameState) -> _Shared:
         above = {r: {**rows[r]} for r in (tr + 1, tr + 2) if r in rows}
         read, status = (above.get(r, {}).pop(tc, None) for r in (tr + 1, tr + 2))
         rows = shared.rows = {r: cells for r, cells in {**rows, **above}.items() if cells and r != tr - 1}
-        for r, prefix in packet_rows(rows, (tc, tr)):
+        for r, prefix in (classified := packet_rows(rows, (tc, tr))):
             shared.stack, shared.top, shared.first = _indexed(r, prefix, shared.stack, shared.top, shared.first)
         shared.nontape = len(tape) - sum(map(list(tape.values()).count, (TileKind.TAPE_0, TileKind.TAPE_1)))
-        shared.count = state.tile_count() - (read is not None)
+        shared.count, shared.ruled = state.tile_count() - (read is not None), len(classified)
         code = sum(kind.code << shift for kind, shift in ((tape.get(tc), 8), (read, 4), (status, 0)) if kind)
         state.key = (*_stacks(shared.nodes, tape, tc), code)
     state.shared = shared
@@ -384,20 +384,21 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
         tc, tr = shared.tip
         if shared.stack is not None:  # a stacked row is well-formed with nothing past its prefix
             target, prefix, rest = shared.stack
-            slot = len(prefix) + 1
+            slot, ruled = len(prefix) + 1, shared.ruled
             if below.slot != slot:
                 return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
             prefix = [*prefix, below]
         else:
             target, slot, rest = (tr if shared.top is None else shared.top) + 1, 1, None
-            old = shared.rows.get(target, _EMPTY_ROW)
+            old, newest = shared.rows.get(target, _EMPTY_ROW), shared.copied
             # a fresh row lies above every row a copy wrote, but for one a copy
             # left malformed; that row is still the target, and the newest copy's
-            newest = shared.copied
             if below.slot != 1 or tc + 1 in old or (newest is not None and newest[0] == target):
                 return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
-            # a fresh row that already holds tiles is classified; an empty one holds the copied tile alone
+            # a fresh row that already holds tiles is classified; an empty one holds the copied tile alone. It
+            # joins packet_rows unless it held a rule tile in the packet columns
             prefix = classify_packet([below, *map(old.get, range(tc + 2, tc + PACKET_WIDTH + 1))]) if old else [below]
+            ruled = shared.ruled + (not (old and packet_rows({target: old}, shared.tip)))
         outcome = tuple.__new__(RuleCopied, (target, slot))  # skips the namedtuple's Python __new__
         last, shared = shared, _new(_Shared)
         if prefix and len(prefix) < PACKET_WIDTH:  # a well-formed row short of a packet tops the stack
@@ -405,13 +406,13 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
         else:
             shared.stack, shared.top, shared.first = _indexed(target, prefix, rest, last.top, last.first)
         shared.tip, shared.rows, shared.copied = last.tip, last.rows, (target, tc + slot, below, last.copied)
-        shared.nontape, shared.count, shared.nodes = last.nontape - 1, last.count, last.nodes
+        shared.nontape, shared.count, shared.nodes, shared.ruled = last.nontape - 1, last.count, last.nodes, ruled
         # the tiles left of the consumed one slide one cell right; nothing is written, and the key loses its head
         write, dx, code = 0, 1, key[10] & 0xFF
 
     if shared.nontape and write:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
         tc = shared.tip[0]
-        cells = _relaid({**_tape_cells(state), tc: _KIND[write]}, dx)
+        cells = _relaid({**tip_context(state)[2], tc: _KIND[write]}, dx)
         if cells is None:
             return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
         key = (*_stacks(shared.nodes, cells, tc), code | cells[tc].code << 8 if tc in cells else code)
@@ -452,7 +453,7 @@ def _diff_cells(before: GameState, after: GameState, outcome: Fired | RuleCopied
     wrote.
     """
     tc, tr = before.shared.tip
-    old, new = _tape_cells(before), _tape_cells(after)
+    old, new = tip_context(before)[2], tip_context(after)[2]
     changed = [(col, tr - 1) for col in old.keys() | new.keys() if old.get(col) is not new.get(col)]
     diff = before.key[10] ^ after.key[10]  # the read-slot and status fields, which a copy leaves as they are
     changed += [(tc, r) for r, field in ((tr + 1, diff & 0xF0), (tr + 2, diff & 0xF)) if field]

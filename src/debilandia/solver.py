@@ -18,10 +18,12 @@ succeeds; under the packaged atlas, exactly when A's block-mask word
 holds a fixed pattern, and every certificate found is E = 1 with marker 25
 (tests/word_oracle.py). Deciding costs recognition plus extraction:
 O(|A| + groups^2) without exactly one tip, which builds no tile, and
-O(|A| * groups) with one; construct_certificate adds one run, O(max_gens).
-Every |A| is solved. The certificate is `Certificate(SquarePoints(A), E,
-marker)`, O(|A|) in memory, and instances.write_certificate streams its
-O(|A|^2 + E) bytes. growth_probe measures the cost next to (M!)^2.
+O(|A| * groups) with one, to lay out and index the rows once, after which
+extraction reads the engine's record in O(tape row + rules);
+construct_certificate adds one run, O(max_gens). Every |A| is solved. The
+certificate is `Certificate(SquarePoints(A), E, marker)`, O(|A|) in
+memory, and instances.write_certificate streams its O(|A|^2 + E) bytes.
+growth_probe measures the cost next to (M!)^2.
 """
 
 from __future__ import annotations

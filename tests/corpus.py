@@ -13,7 +13,7 @@ from debilandia import engine
 from debilandia.engine import Fired, step
 from debilandia.grid import GameState
 from debilandia.instances import MARKER_RUNS, MARKER_STOPS, Instance
-from debilandia.tiles import TileAtlas, TileKind, TileType
+from debilandia.tiles import CELL, TileAtlas, TileKind, TileType
 from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmConfig, TmSpec, initial_config, tm_step
 from debilandia.verifier import verify
 from grammar_oracle import build_candidate
@@ -68,6 +68,15 @@ LOCKSTEP_MACHINES = {
 # {0,3} {0,1} {0,1,2,3} {0,2} {0,1,2} {0,1,3}, so the product points A x A
 # recognize to exactly a tape tile, the tip stack, and one complete packet.
 ACCEPT_A = (51, 54, 55, 56, 59, 60, 61, 62, 63, 65, 67, 68, 69, 71, 72, 74)
+
+
+def accept_a_with_full_blocks(blocks: int) -> tuple[int, ...]:
+    """ACCEPT_A and the CELL * blocks values above it, blocks full blocks.
+
+    Each full block is a row above the tip that holds a complete packet, so
+    the set is found, as E = 1 with marker 25, at any number of blocks.
+    """
+    return ACCEPT_A + tuple(range(max(ACCEPT_A) + 1, max(ACCEPT_A) + 1 + CELL * blocks))
 
 
 @st.composite

@@ -7,7 +7,10 @@ run is copies, then fires: no copy follows a fire, and every fire keeps the
 record of the first.
 Extraction reads the board: on a board the engine carried through a run it
 must read what it reads on a fresh board of the same tiles, and on a fresh
-board what the dict engine's extraction reads off the tile map.
+board what the dict engine's extraction reads off the tile map. Its probes
+count the rows above the tip with a rule tile in the packet columns, which
+the engine's record keeps through the copies of a run; one-tip squares are
+checked the same way.
 """
 
 import random
@@ -29,9 +32,11 @@ from corpus import (
     spec_with,
     tip_context,
 )
+from test_word_oracle import one_tip_words
+from word_oracle import values_of
 from debilandia.embedding import NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
 from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, Terminated, position_key, run, step
-from debilandia.grid import GameState, recognize, state_hash
+from debilandia.grid import GameState, SquarePoints, recognize, state_hash
 from debilandia.tiles import TileKind, TileType, read_tile, slot_tile, status_tile, tape_tile
 from debilandia.tm import MOVE_LEFT, MOVE_RIGHT, Rule, TmSpec
 
@@ -421,6 +426,31 @@ def test_extraction_matches_on_generated_boards(tiles, budgets):
 @given(machines(), st.integers(0, 3), st.lists(st.integers(0, 40), min_size=1, max_size=3))
 def test_extraction_matches_on_random_machines(atlas, spec, pad, budgets):
     assert_extraction_agrees(recognize(compile_direct(spec, atlas, pad=pad), atlas), budgets)
+
+
+@pytest.mark.parametrize("held", [{2: TileKind.STATUS_1, 3: TileKind.WRITE_0}, {2: TileKind.TAPE_1}, {}])
+def test_extraction_counts_a_fresh_row_once_it_holds_a_rule_tile(held):
+    # a copy opens the row above the finished packet; a row that already
+    # held a rule tile in the packet columns was counted when indexed, one
+    # that held other tiles or none joins the count, and then the tape reads
+    # as a machine
+    packet = {i: slot_tile(i, 0) for i in range(1, 6)}
+    state = GameState(tip_over_tokens([TileKind.READ_1, TileKind.TAPE_0, TileKind.TAPE_1], {1: packet, 2: held}))
+    assert outcomes_of(state, 1) == [RuleCopied(2, 1)]
+    assert_extraction_agrees(state, range(4))
+
+
+def test_extraction_matches_on_a_square_that_copies_rule_tiles(atlas):
+    # four copies move the tape row's rule tiles into a fresh packet row
+    # (see test_word_oracle); no square whose run copies holds a machine
+    # (tests/word_oracle.py), so after a copy the two agree on the reason
+    assert_extraction_agrees(recognize(SquarePoints(values_of((7, 5, 15, 9, 15, 3))), atlas), range(11))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=one_tip_words())
+def test_extraction_matches_on_one_tip_squares(atlas, values):
+    assert_extraction_agrees(recognize(SquarePoints(values), atlas), range(11))
 
 
 def test_extraction_matches_on_corpus_and_universal_boards(atlas):

@@ -13,7 +13,9 @@ The boards are laid out tile by tile rather than recognized from points,
 which would take longer than the runs; the first test pins the layouts to
 compile_direct and compile_universal. Two work tests index a laid-out and a
 recognized board: each holds its rows and tip cells from when it was made,
-so both run the same lines.
+so both run the same lines. Extraction of an indexed board reads the
+engine's record and lays out no row, so on a one-tip square it runs the
+same lines at any number of rows above the tip.
 """
 
 import random
@@ -22,11 +24,11 @@ import tracemalloc
 
 import pytest
 
-from corpus import BOUNCE, ZERO_RUNNER, game_tape_text, spec_with
+from corpus import BOUNCE, ZERO_RUNNER, accept_a_with_full_blocks, game_tape_text, spec_with
 from work import lines
-from debilandia.embedding import compile_direct, compile_universal, extract_tm
+from debilandia.embedding import compile_direct, compile_universal, extract_tm, extract_tm_counted
 from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, Terminated, position_key, run, shared_of, step
-from debilandia.grid import GameState, recognize
+from debilandia.grid import GameState, SquarePoints, recognize
 from debilandia.instances import Instance
 from debilandia.solver import construct_certificate
 from debilandia.tiles import TileKind, read_tile, slot_tile, status_tile, tape_tile
@@ -167,6 +169,19 @@ def test_indexing_runs_the_same_lines_per_rule_on_the_tape():
     boards = {k: universal_board(counted_rules(k), "1" + "0" * 10) for k in (10, 100, 10**3)}
     extra = {lines(shared_of, state) - LINES_PER_RULE_INDEXED * k for k, state in boards.items()}
     assert len(extra) == 1 and extra.pop() <= 120
+
+
+def test_extracting_an_indexed_square_runs_the_same_lines_at_any_size(atlas):
+    # each full block adds a row of one complete packet above the tip;
+    # extraction reads the tip context off the key and the count of packet
+    # rows off the record, where laying the rows out again and classifying
+    # them ran 26 lines per block
+    counted = set()
+    for blocks in (100, 10**3, 10**4):
+        state = recognize(SquarePoints(accept_a_with_full_blocks(blocks)), atlas)
+        shared_of(state)
+        counted.add(lines(extract_tm_counted, state))
+    assert len(counted) == 1, counted
 
 
 def allocated_by_one_step(state: GameState) -> tuple[GameState, object, int]:

@@ -8,7 +8,9 @@ is read. Patched to build the map at once (a `GameState` made from it),
 outcomes, and the state must count, find and build the same tiles before and
 after its map is read. A board without exactly one tip is refused without
 building a tile, and one with a tip is indexed off its rows, so an untraced
-check or solve builds no tile map either.
+check or solve builds no tile map either; it lays the rows out and
+classifies those above the tip once, when indexing, and extraction reads
+the engine's record.
 """
 
 import contextlib
@@ -19,10 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import near_the_fixture
+from corpus import accept_a_with_full_blocks, near_the_fixture
+from word_oracle import values_of
+from debilandia import engine
 from debilandia.embedding import NotATuringMachine, extract_tm_counted
 from debilandia.engine import run
-from debilandia.grid import GameState, SquarePoints, points_of, recognize, state_hash
+from debilandia.grid import GameState, SquarePoints, _SquareState, points_of, recognize, state_hash
 from debilandia.instances import MARKER_RUNS, MARKER_STOPS, RESERVED, Certificate, Instance
 from debilandia.solver import SAMPLE_POOL, construct_certificate
 from debilandia.tiles import CELL, TileKind, atlas_default
@@ -180,3 +184,27 @@ def test_a_one_tip_board_of_large_a_is_checked_and_solved_without_its_tile_map(a
         solve_facts(full[1]),
     )
     assert outcome.reason == "not_a_turing_machine:malformed_stack"
+
+
+def test_checking_or_solving_a_one_tip_square_lays_out_and_classifies_its_rows_once(atlas):
+    # a found set of 1,016, and a set whose run copies four rule tiles into
+    # a fresh packet row; extraction once laid the rows out and classified
+    # them a second time
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return call
+
+    rows, classify = counted(_SquareState.rows), counted(engine.packet_rows)
+    with mock.patch.object(_SquareState, "rows", rows), mock.patch("debilandia.engine.packet_rows", classify):
+        for values in (accept_a_with_full_blocks(250), values_of((7, 5, 15, 9, 15, 3))):
+            inst = Instance(values)
+            cert = Certificate(SquarePoints(inst.a_values), 1, MARKER_STOPS)
+            for check in (lambda: verify(inst, cert, atlas), lambda: construct_certificate(inst, 16, atlas)):
+                calls.clear()
+                check()
+                assert sorted(calls) == ["packet_rows", "rows"], values

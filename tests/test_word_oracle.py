@@ -11,7 +11,7 @@ every 7-block word with one tip the same way, outside tier-1.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import ACCEPT_A
+from corpus import ACCEPT_A, accept_a_with_full_blocks
 from test_square_paths import SETS
 from word_oracle import FIXTURE_WORD, PAIRS, TIP_X, TIP_Y, accepted, decide, values_of, word
 from word_sweep import ALPHABET
@@ -98,13 +98,21 @@ def test_a_run_of_a_square_copies_rules_and_stops(atlas):
     assert (result.status, result.reason, result.generations_run) == (RunStatus.HALTED, StopReason.NOTHING_BELOW_TIP, 4)
 
 
-def test_a_found_set_of_100016_is_solved_and_verified(atlas):
-    # ACCEPT_A plus 25,000 full blocks: every row of mask 15 above the tip
-    # holds a complete packet, and each y block group is laid out once
-    values = ACCEPT_A + tuple(range(max(ACCEPT_A) + 1, max(ACCEPT_A) + 1 + 25_000 * CELL))
+def solve_and_verify_a_found_set(atlas, blocks: int) -> None:
+    """ACCEPT_A plus blocks full blocks is solved as (1, 25), and verify accepts that certificate, as decide says.
+
+    Also a CI step, at 250,000 blocks (|A| = 1,000,016): see .github/workflows/tests.yml.
+    """
+    values = accept_a_with_full_blocks(blocks)
     inst = Instance(values)
-    assert inst.size == 100_016 and decide(values)
+    assert inst.size == len(ACCEPT_A) + CELL * blocks and decide(values)
     outcome = construct_certificate(inst, 16, atlas)
     assert outcome.found and (outcome.certificate.gens, outcome.certificate.marker) == (1, MARKER_STOPS)
     report = verify(inst, outcome.certificate, atlas)
     assert report.accepted and accepted(values, 1, MARKER_STOPS)
+
+
+def test_a_found_set_of_100016_is_solved_and_verified(atlas):
+    # ACCEPT_A plus 25,000 full blocks: every row of mask 15 above the tip
+    # holds a complete packet, and each y block group is laid out once
+    solve_and_verify_a_found_set(atlas, 25_000)
