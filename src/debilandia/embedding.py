@@ -143,17 +143,15 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     it reuses it, and lays out no row: the read-slot, status and tape tiles
     off the position key (engine.tip_context), the rules off the record's
     first-match map in row order (the first complete packet per (R1, R2) in
-    scan order), and five probes per row of packet_rows off the record's
-    count. Past indexing, O(tape row + rules).
+    scan order). Past indexing, O(tape row + rules). Probes, counted once:
+    1 for the tip, 2 for the read slot and status, tape cells + 1, and 5 per
+    row of packet_rows (the record's count) + 1; verify charges a refusal 4.
     """
-    probes = 0
     shared = shared_of(state)
-    probes += 1
     if shared.tip is None:
         raise NotATuringMachine(ExtractFailure.NO_TIP)
     tc = shared.tip[0]
 
-    probes += 2
     read_slot, status, tape_row = tip_context(state)
     if read_slot is not None and read_slot.family != "read":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
@@ -161,13 +159,11 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
 
     tape_cols = sorted(col for col, k in tape_row.items() if k.tile_type is TileType.TAPE)
-    probes += len(tape_cols) + 1
     if tc not in tape_cols:
         raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
     if tape_cols[-1] - tape_cols[0] + 1 != len(tape_cols):
         raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
 
-    probes += 5 * shared.ruled + 1
     if not shared.first:
         raise NotATuringMachine(ExtractFailure.NO_PACKETS)
     entries = sorted(shared.first.values(), key=lambda entry: entry[0].packet_row)  # scan order: ascending row
@@ -176,5 +172,5 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     tape = "".join(str(tape_row[c].bit) for c in tape_cols)
     return (
         TmSpec(tuple(rules), tape, head=tc - tape_cols[0], initial_state=status.bit),
-        probes,
+        5 * shared.ruled + len(tape_cols) + 5,
     )

@@ -3,10 +3,10 @@ point reconstruction, hashing.
 
 States are sparse: a board's tiles plus the lattice anchor and a count of
 junk cells. Every state built from a tile map or from a point list holds its
-tiles by row, with its tip cells and tile count, filed once when it is made;
-a state of A x A holds its block groups instead. The cell -> tile mapping is
-built only when it is read. States are values; nothing here mutates one
-after construction.
+tiles by row, with its tip cells, filed once when it is made; a state of
+A x A holds its block groups instead. The rows are the only stored board:
+the cell -> tile mapping is a read-only view, built only when it is read.
+States are values; nothing here mutates one after construction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from itertools import chain, product
 from pathlib import Path
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, decode_text, parse_json
 
@@ -26,49 +27,50 @@ _SPREAD = [sum(1 << CELL * dy for dy in range(CELL) if mask >> dy & 1) for mask 
 
 
 class GameState:
-    """A board held by row: its tiles by row, then column, its tip cells and tile count.
+    """A board held by row: its tiles by row, then column, and its tip cells.
 
     Also the recognition anchor and the junk tally: junk cells (occupied but
     matching no pattern) never block movement or rule matching, so only
     their count is kept. States are values: `GameState(tiles, ...)` files
-    the map by row once, when it is made, and keeps no reference to it, and
-    recognize fills the same fields from a point list. `tiles` is built from
-    the rows when read. recognize's state of A x A (_SquareState) and a
-    state step made (engine._Made) answer from what they hold instead. The
-    engine changes none of the maps rows() hands out.
+    the map by row once and keeps no reference to it, and recognize fills
+    the same fields from a point list. The rows are the only stored board:
+    `==`, points_of, state_hash and the engine read them, and `tiles` is a
+    read-only view built from them when read. _SquareState and engine._Made
+    answer from what they hold instead; nothing changes rows()' maps.
     """
 
-    __slots__ = ("_rows", "tips", "count", "_tiles", "anchor", "junk_cells", "shared", "key")
+    __slots__ = ("_rows", "tips", "_tiles", "anchor", "junk_cells", "shared", "key")
 
     def __init__(self, tiles: dict[CellAddr, TileKind], anchor: Point = (0, 0), junk_cells: int = 0) -> None:
         rows: dict[int, dict[int, TileKind]] = {}
         for (col, r), kind in tiles.items():
             rows.setdefault(r, {})[col] = kind
-        self._rows, self.tips, self.count = rows, [cell for cell, kind in tiles.items() if kind is _TIP], len(tiles)
+        self._rows, self.tips = rows, [cell for cell, kind in tiles.items() if kind is _TIP]
         self._tiles, self.anchor, self.junk_cells = None, anchor, junk_cells
         self.shared = None  # the engine's record, set with the key when it indexes the state
 
     @property
-    def tiles(self) -> dict[CellAddr, TileKind]:
+    def tiles(self) -> Mapping[CellAddr, TileKind]:
+        """The tiles by cell, a read-only view of a plain dict built from rows() once, when first read."""
         if self._tiles is None:
             self._tiles = {(col, r): kind for r, cells in self.rows().items() for col, kind in cells.items()}
-        return self._tiles
+        return MappingProxyType(self._tiles)
 
     def rows(self) -> dict[int, dict[int, TileKind]]:
         """The tiles by row, then by column, no row empty; they are the state's own maps: do not change them."""
         return self._rows
 
     def tile_count(self) -> int:
-        """len(tiles), without building them."""
-        return self.count
+        """len(tiles), without building them: the row sizes, summed at C speed."""
+        return sum(map(len, self._rows.values()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameState):
             return NotImplemented
-        return (self.tiles, self.anchor, self.junk_cells) == (other.tiles, other.anchor, other.junk_cells)
+        return (self.rows(), self.anchor, self.junk_cells) == (other.rows(), other.anchor, other.junk_cells)
 
     def __repr__(self) -> str:
-        return f"GameState(tiles={self.tiles!r}, anchor={self.anchor!r}, junk_cells={self.junk_cells!r})"
+        return f"GameState(tiles={dict(self.tiles)!r}, anchor={self.anchor!r}, junk_cells={self.junk_cells!r})"
 
     def tip_cells(self) -> list[CellAddr]:
         return sorted(self.tips)
@@ -270,7 +272,7 @@ def recognize(points: Iterable[Point], atlas: TileAtlas) -> GameState:
         if kind is _TIP:
             tips.append((key & col_mask, key >> shift))
     state = object.__new__(GameState)  # the map is filed by row already, so GameState's __init__ is skipped
-    state._rows, state.tips, state.count = rows, tips, len(masks) - junk
+    state._rows, state.tips = rows, tips
     state._tiles, state.anchor, state.junk_cells, state.shared = None, (x0, y0), junk, None
     return state
 
@@ -308,12 +310,12 @@ def _recognize_square(values: tuple[int, ...], atlas: TileAtlas) -> GameState:
 
 
 def points_of(state: GameState, atlas: TileAtlas) -> set[Point]:
-    """Reconstruct the lattice points of the state's tiles (junk is not stored)."""
+    """Reconstruct the lattice points of the state's tiles (junk is not stored); walks rows(), no tile map."""
     x0, y0 = state.anchor
     pts: set[Point] = set()
-    for (col, row), kind in state.tiles.items():
-        for dx, dy in atlas.points(kind):
-            pts.add((x0 + col * CELL + dx, y0 + row * CELL + dy))
+    for row, cells in state.rows().items():
+        for col, kind in cells.items():
+            pts.update((x0 + col * CELL + dx, y0 + row * CELL + dy) for dx, dy in atlas.points(kind))
     return pts
 
 

@@ -6,27 +6,36 @@
 the old writer's: `grammar_oracle.build_candidate`'s list rendered whole by
 `json.dumps(indent=2, sort_keys=True)` or `str.join`. Every JSON file
 written must load back as a proven section that `verify` reads as the list.
+The writer's package lines are pinned: five per member of A and a constant,
+whatever the number of fours.
 """
 
 import contextlib
 import io
+import os
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import near_the_fixture
 from grammar_oracle import build_candidate, flat_text, instance_obj, json_text
+from work import lines
 from debilandia.cli import main
 from debilandia.grid import SquarePoints
-from debilandia.instances import RESERVED, Certificate, Instance, load_instance_file
+from debilandia.instances import RESERVED, Certificate, Instance, load_instance_file, write_certificate
 from debilandia.solver import construct_certificate
 from debilandia.verifier import verify
 
 POOL = [v for v in range(1, 120) if v not in RESERVED]
 MAX_GENS = 16
+# package line events of write_certificate past five per member of A (a row of square_rows), as JSON and as
+# text: 14 and 13 on Python 3.10 and 3.11, 13 and 12 on 3.12 and 3.13
+WRITE_LINES = {True: 14, False: 13} if sys.version_info < (3, 12) else {True: 13, False: 12}
 
 
 def quiet_main(argv: list[str]) -> int:
@@ -87,3 +96,16 @@ def test_encode_memory_is_flat_in_the_generation_count(tmp_path):
     small, large = peak(10**3), peak(10**6)
     assert (tmp_path / "c.json").stat().st_size > 7 * 10**6
     assert large < small + 128 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_writing_runs_five_lines_per_member_at_any_generation_count(as_json):
+    # the run goes out in writelines calls, a 4,096-four block each, so no
+    # line runs per four or per block
+    extra = set()
+    with open(os.devnull, "w") as sink:
+        for size in (16, 40, 100):
+            prefix = SquarePoints(POOL[:size])
+            for gens in (0, 1, 4095, 4096, 4097, 10**6):
+                extra.add(lines(write_certificate, sink, Certificate(prefix, gens, 43), as_json) - 5 * size)
+    assert len(extra) == 1 and extra.pop() <= WRITE_LINES[as_json]

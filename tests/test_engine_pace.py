@@ -15,10 +15,12 @@ compile_direct and compile_universal. Two work tests index a laid-out and a
 recognized board: each holds its rows and tip cells from when it was made,
 so both run the same lines. Extraction of an indexed board reads the
 engine's record and lays out no row, so on a one-tip square it runs the
-same lines at any number of rows above the tip.
+same lines at any number of rows above the tip: 67 on Python 3.10 and
+3.11, 65 on 3.12 and 3.13.
 """
 
 import random
+import sys
 import time
 import tracemalloc
 
@@ -42,6 +44,8 @@ LINES_PER_RULE_LOADED = 215
 # rule in a universal board's tape row
 LINES_PER_TAPE_CELL_INDEXED = 6
 LINES_PER_RULE_INDEXED = 60
+# package line events of extract_tm_counted on an indexed one-tip square, at any number of full blocks
+LINES_TO_EXTRACT_A_SQUARE = 67 if sys.version_info < (3, 12) else 65
 
 
 def tokens(rule: Rule) -> list[TileKind]:
@@ -175,13 +179,13 @@ def test_extracting_an_indexed_square_runs_the_same_lines_at_any_size(atlas):
     # each full block adds a row of one complete packet above the tip;
     # extraction reads the tip context off the key and the count of packet
     # rows off the record, where laying the rows out again and classifying
-    # them ran 26 lines per block
+    # them ran 26 lines per block; it counts its probes in its return line
     counted = set()
     for blocks in (100, 10**3, 10**4):
         state = recognize(SquarePoints(accept_a_with_full_blocks(blocks)), atlas)
         shared_of(state)
         counted.add(lines(extract_tm_counted, state))
-    assert len(counted) == 1, counted
+    assert counted == {LINES_TO_EXTRACT_A_SQUARE}
 
 
 def allocated_by_one_step(state: GameState) -> tuple[GameState, object, int]:

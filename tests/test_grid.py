@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from functools import reduce
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from corpus import ACCEPT_A, ZERO_RUNNER, clone_state, spec_with
 from debilandia.embedding import compile_direct
+from debilandia.engine import step
 from debilandia.grid import (
     GameState,
     Pairs,
@@ -41,6 +44,65 @@ def test_a_state_shows_its_fields_and_equals_only_a_state():
     state = GameState({(0, 1): TileKind.TIP}, (4, 8), 2)
     assert repr(state) == "GameState(tiles={(0, 1): <TileKind.TIP: 'tip'>}, anchor=(4, 8), junk_cells=2)"
     assert state != (state.tiles, state.anchor, state.junk_cells)
+
+
+STATE_KINDS = ("made from a map", "recognized from points", "recognized from A x A", "made by step")
+
+
+def state_of_kind(kind: str, atlas) -> GameState:
+    """A one-tip board of the kind named: each kind holds its board in its own form."""
+    points = compile_direct(spec_with(ZERO_RUNNER, "0011"), atlas)
+    if kind == "made from a map":
+        return GameState(dict(recognize(points, atlas).tiles), (3, 5), 2)
+    if kind == "recognized from points":
+        return recognize(points, atlas)
+    if kind == "recognized from A x A":
+        return recognize(SquarePoints(ACCEPT_A), atlas)
+    return step(recognize(points, atlas))[0]
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_the_tile_map_is_a_read_only_view(atlas, kind):
+    # the rows are the board: a write through the map would make tiles and
+    # repr tell of a board that ==, state_hash, tile_count and the engine
+    # do not see
+    state = state_of_kind(kind, atlas)
+    cell, tile = next(iter(state.tiles.items()))
+    with pytest.raises(TypeError):
+        state.tiles[(cell[0] + 100, cell[1])] = tile
+    with pytest.raises(TypeError):
+        del state.tiles[cell]
+    with pytest.raises(TypeError):
+        dict.pop(state.tiles, cell)
+    with pytest.raises(TypeError):
+        dict.update(state.tiles, {(cell[0] + 100, cell[1]): tile})
+    assert not hasattr(state.tiles, "pop") and not hasattr(state.tiles, "update")
+    assert state.tiles[cell] is tile and len(state.tiles) == state.tile_count()
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_a_state_whose_tiles_were_read_pickles_and_deep_copies(atlas, kind):
+    state = state_of_kind(kind, atlas)
+    tiles = dict(state.tiles)
+    for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert type(copied) is type(state) and copied == state and copied.tiles == tiles
+        assert state_hash(copied) == state_hash(state)
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_equality_repr_and_points_read_as_the_tile_map(atlas, kind):
+    # == and points_of read rows(); each must tell what the tile map tells
+    state = state_of_kind(kind, atlas)
+    tiles, (x0, y0), junk = dict(state.tiles), state.anchor, state.junk_cells
+    assert repr(state) == f"GameState(tiles={tiles!r}, anchor={state.anchor!r}, junk_cells={junk!r})"
+    cells = [(x0 + CELL * col, y0 + CELL * row, k) for (col, row), k in tiles.items()]
+    assert points_of(state, atlas) == {(x + dx, y + dy) for x, y, k in cells for dx, dy in atlas.points(k)}
+    cell = next(iter(tiles))
+    flipped = {**tiles, cell: TileKind.TAPE_1 if tiles[cell] is TileKind.TAPE_0 else TileKind.TAPE_0}
+    assert state == GameState(tiles, state.anchor, junk) == state
+    for other in (GameState(flipped, state.anchor, junk), GameState(tiles, state.anchor, junk + 1)):
+        assert state != other and other != state
+    assert state.tip_count() == list(tiles.values()).count(TileKind.TIP) == len(state.tip_cells()) == 1
 
 
 def test_single_pattern_at_offset(atlas):

@@ -8,13 +8,16 @@ file is parsed whole by `tiles.parse_json` and comes back as its list.
 `verify` through the CLI must print, exit and write the same on both paths,
 for files written in both layouts and then mutated in and around the run or
 the section, and `verify` must read a `Certificate` as the list it stands
-for.
+for. Loading a canonical file runs a pinned number of package lines: eight
+per member of A, and per 64 KB block of the run and per halving step of its
+remainder, no more than the walk in `_cut_run` needs.
 """
 
 import contextlib
 import io
 import json
 import random
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -26,17 +29,24 @@ from hypothesis import strategies as st
 
 from corpus import ACCEPT_A
 from grammar_oracle import build_candidate, instance_obj, json_text
+from work import lines
 from debilandia import instances
 from debilandia.cli import main
 from debilandia.grid import SquarePoints
-from debilandia.instances import RESERVED, Certificate, Instance, load_instance_file
+from debilandia.instances import RESERVED, Certificate, Instance, load_instance_file, write_certificate
 from debilandia.verifier import verify
 
 POOL = [v for v in range(1, 40) if v not in RESERVED]
+POOL_OF_100 = [v for v in range(1, 107) if v not in RESERVED]
 A_VALUES = st.one_of(st.just(ACCEPT_A), st.sets(st.sampled_from(POOL), min_size=1, max_size=4).map(tuple))
 GENS = st.one_of(st.integers(0, 6), st.just(4500))
 LAYOUTS = ("dumps", "write_json")
 SEPARATORS = {"dumps": ", ", "write_json": ",\n    "}  # between the items of L
+# `4 SEP` units in one 64 KB block of _cut_run's walk, and the package line events of load_instance_file on a
+# canonical file past eight per member of A and the walk's lines: 134 in encode's layout and 117 in json.dumps'
+# on Python 3.10 and 3.11, 132 and 115 on 3.12 and 3.13
+BLOCK_UNITS = {"dumps": 16_384, "write_json": 8_192}
+LOAD_LINES = {"dumps": 117, "write_json": 134} if sys.version_info < (3, 12) else {"dumps": 115, "write_json": 132}
 
 
 def expanded(items) -> list[int]:
@@ -167,6 +177,28 @@ def test_canonical_layouts_hold_the_run_as_a_count(tmp_path, layout, gens):
     assert (loaded.gens, loaded.marker) == (gens, 25)
     assert len(loaded) == 3 * inst.size**2 + gens + 2
     assert expanded(loaded) == items
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_loading_a_canonical_file_runs_lines_per_member_and_per_block(tmp_path, layout):
+    # _cut_run walks the run back two lines per full block, then halves the
+    # block down to one unit, one line more for each step it takes: one per
+    # set bit of the remainder
+    block = BLOCK_UNITS[layout]
+    path = tmp_path / "instance.json"
+    extra = set()
+    for size in (16, 40, 100):
+        inst = Instance(tuple(POOL_OF_100[:size]))
+        for gens in (0, 1, block - 1, block, 3 * block + 77, 10**6):
+            if layout == "dumps":
+                path.write_text(json.dumps(instance_obj(inst, build_candidate(inst, gens, 25))))
+            else:
+                with path.open("w") as handle:
+                    write_certificate(handle, Certificate(SquarePoints(inst.a_values), gens, 25), True)
+            walk = 2 * (gens // block) + bin(gens % block).count("1")
+            assert load_instance_file(path)[1].gens == gens
+            extra.add(lines(load_instance_file, path) - 8 * size - walk)
+    assert len(extra) == 1 and extra.pop() <= LOAD_LINES[layout]
 
 
 def test_encode_and_solve_write_files_that_load_as_a_count(tmp_path):

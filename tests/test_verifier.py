@@ -1,12 +1,17 @@
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, target
+from hypothesis import strategies as st
 
-from corpus import ACCEPT_A, clone_state
+from corpus import ACCEPT_A, accept_a_with_full_blocks, clone_state, near_the_fixture
 from grammar_oracle import build_candidate, read_sections
+from work import lines
 from debilandia.engine import run
-from debilandia.grid import recognize
+from debilandia.grid import SquarePoints, recognize
 from debilandia.instances import (
+    RESERVED,
+    Certificate,
     Instance,
     RejectedCertificate,
     RejectReason,
@@ -170,3 +175,51 @@ def test_report_json_shape(atlas):
     assert obj["N"] == 773
     assert obj["bound"] == 2 * 773 * 773 + 33 * 773
     assert obj["total_counted"] <= obj["bound"]
+
+
+# package lines verify may run past five per step its ledger counts; the worst
+# seen is 69, a list over |A| = 1 refused as no machine
+LEDGER_LINE_SLACK = 100
+POOL = [v for v in range(1, 120) if v not in RESERVED]
+EDITS = st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 10**6), st.integers(0, 130))
+
+
+def lines_past_the_ledger(inst: Instance, items, atlas) -> tuple[int, VerifierReport]:
+    """The package lines verify runs past five per step its ledger counts, and its report."""
+    report = verify(inst, items, atlas)
+    return lines(verify, inst, items, atlas) - 5 * report.ledger.total_counted, report
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.sets(st.sampled_from(POOL), min_size=1, max_size=16) | near_the_fixture().map(lambda v: v - RESERVED),
+    gens=st.integers(0, 3) | st.integers(0, 5000),
+    marker=st.sampled_from([25, 43]),
+    edits=st.lists(EDITS, max_size=3),
+    proven=st.booleans(),
+)
+@example(values=set(ACCEPT_A), gens=1, marker=25, edits=[], proven=False)
+@example(values=set(ACCEPT_A), gens=1, marker=25, edits=[], proven=True)
+def test_the_lines_verify_runs_are_bounded_by_its_ledger(atlas, values, gens, marker, edits, proven):
+    # ties the ledger, and so the asserted 2N^2 + 33N, to the interpreter's
+    # real work; an edited list is refused, or read as another certificate
+    inst = Instance(tuple(sorted(values)))
+    items = build_candidate(inst, gens, marker)
+    for op, at, token in edits:
+        at %= len(items) + 1
+        if op == "insert":
+            items.insert(at, token)
+        elif at < len(items):
+            items[at : at + 1] = [token] if op == "replace" else []
+    if proven and not edits:
+        items = Certificate(SquarePoints(inst.a_values), gens, marker)
+    over, report = lines_past_the_ledger(inst, items, atlas)
+    target(over, label="lines past five per counted step")
+    assert over <= LEDGER_LINE_SLACK, (over, report.reason)
+
+
+@pytest.mark.parametrize("blocks", [10, 100, 1000])
+def test_a_large_found_set_runs_lines_bounded_by_its_ledger(atlas, blocks):
+    inst = Instance(accept_a_with_full_blocks(blocks))
+    over, report = lines_past_the_ledger(inst, Certificate(SquarePoints(inst.a_values), 1, 25), atlas)
+    assert report.accepted and over <= LEDGER_LINE_SLACK
