@@ -118,19 +118,19 @@ def _outcome_name(outcome) -> str:
     return _OUTCOME_NAMES[type(outcome)]
 
 
+_TRACE_LINE = '{"changed_cells": [%s], "gen": %d, "outcome": "%s", "state_hash": "%016x"}\n'
+
+
 def _trace_writer(handle: TextIO | None) -> Callable[[StepRecord], None] | None:
     """An on_step that streams trace records into handle; None for no handle."""
     if handle is None:
         return None
 
     def emit(record: StepRecord) -> None:
-        line = {
-            "gen": record.gen,
-            "outcome": _outcome_name(record.outcome),
-            "state_hash": f"{record.state_hash:016x}",
-            "changed_cells": [list(cell) for cell in record.changed_cells],
-        }
-        handle.write(json.dumps(line, sort_keys=True) + "\n")
+        # json.dumps(..., sort_keys=True)'s bytes, written out: keys in order, ints and hex digits need no escaping
+        cells = ", ".join(map("[%d, %d]".__mod__, record.changed_cells))
+        outcome = _outcome_name(record.outcome)
+        handle.write(_TRACE_LINE % (cells, record.gen, outcome, record.state_hash))
 
     return emit
 

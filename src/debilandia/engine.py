@@ -204,18 +204,30 @@ def _stacks(nodes: dict, cells: dict[int, TileKind], tc: int) -> list:
     return stacks
 
 
-def tip_context(state: GameState) -> tuple[TileKind | None, TileKind | None, dict[int, TileKind]]:
-    """The read-slot and status tiles, None when empty, and the tape row's tiles by column: the key decoded; O(row)."""
+def _tape_runs(state: GameState) -> list[tuple[int, int, int]]:
+    """The tape row off the key, left to right: (first column, count, kind code) per run, the head a run of one; O(runs)."""
     tc = state.shared.tip[0]
     key = state.key
-    cells = {tc: _KIND[key[10] >> 8]} if key[10] >> 8 else {}
+    sides = []
     for sign, (k, c, d, g, beyond) in ((-1, key[:5]), (1, key[5:10])):
-        col = tc + sign * d
+        runs = []
         while k:
-            cells.update(dict.fromkeys(range(col, col + sign * c, sign), _KIND[k]))
-            col += sign * (c - 1 + g)
+            runs.append((tc - d - c + 1 if sign < 0 else tc + d, c, k))
+            d += c - 1 + g
             k, c, g, beyond = beyond.code, beyond.count, beyond.gap, beyond.next
-    return _KIND[key[10] >> 4 & 0xF], _KIND[key[10] & 0xF], cells
+        sides.append(runs)
+    left, right = sides
+    head = key[10] >> 8
+    return [*reversed(left), (tc, 1, head), *right] if head else [*reversed(left), *right]
+
+
+def tip_context(state: GameState) -> tuple[TileKind | None, TileKind | None, dict[int, TileKind]]:
+    """The read-slot and status tiles, None when empty, and the tape row's tiles by column, left to right; O(row)."""
+    cells: dict[int, TileKind] = {}
+    for first, count, code in _tape_runs(state):
+        cells.update(dict.fromkeys(range(first, first + count), _KIND[code]))
+    code = state.key[10]
+    return _KIND[code >> 4 & 0xF], _KIND[code & 0xF], cells
 
 
 def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
@@ -267,6 +279,21 @@ class _Made(GameState):
 
     def tile_count(self) -> int:
         return self.shared.count + (self.key[10] & 0xF0 != 0)
+
+    def _hash_parts(self) -> tuple[dict[int, dict[int, TileKind]], list[tuple[int, int, int, int]], list[tuple]]:
+        """state_hash's tiles, building no row: the record's rows, the tape row's runs, and the cells off both.
+
+        Those single tiles are the read-slot and status tiles, and the
+        copied cells as the record's (row, col, kind, rest) tuples; all lie
+        in or right of the tip's column and above its row.
+        """
+        shared, code = self.shared, self.key[10]
+        (tc, tr), copied = shared.tip, shared.copied
+        singles = [(r, tc, _KIND[k], None) for r, k in ((tr + 1, code >> 4 & 0xF), (tr + 2, code & 0xF)) if k]
+        while copied is not None:
+            singles.append(copied)
+            copied = copied[3]
+        return shared.rows, [(tr - 1, first, count, code) for first, count, code in _tape_runs(self)], singles
 
     def tip_cells(self) -> list[CellAddr]:
         return [self.shared.tip]
@@ -446,15 +473,32 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
 
 
 def _diff_cells(before: GameState, after: GameState, outcome: Fired | RuleCopied) -> list[CellAddr]:
-    """Cells whose tile differs between a state and its successor.
+    """Cells whose tile differs between a state and its successor; O(runs + cells changed).
 
     Only the cells the step changed can differ, so only they are compared:
     the tape row, and a fire's read-slot and status cells or the cell a copy
-    wrote.
+    wrote. The tape row is compared run by run: each row's runs mark where
+    its tiles change, and between two marks of either row both rows hold one
+    kind each (or nothing), so a stretch where they differ differs in every
+    cell. A step shifts the tape by one cell, so each run's two ends change
+    at most two cells.
     """
     tc, tr = before.shared.tip
-    old, new = tip_context(before)[2], tip_context(after)[2]
-    changed = [(col, tr - 1) for col in old.keys() | new.keys() if old.get(col) is not new.get(col)]
+    marks = []
+    for runs in (_tape_runs(before), _tape_runs(after)):
+        kinds: dict[int, int] = {}
+        for first, count, code in runs:
+            kinds[first] = code
+            kinds[first + count] = 0  # unless the next run starts there
+        marks.append(kinds)
+    old, new = marks
+    was = now = 0
+    cols = sorted(old.keys() | new.keys())
+    changed = []
+    for col, end in zip(cols, cols[1:]):
+        was, now = old.get(col, was), new.get(col, now)
+        if was != now:
+            changed += [(c, tr - 1) for c in range(col, end)]
     diff = before.key[10] ^ after.key[10]  # the read-slot and status fields, which a copy leaves as they are
     changed += [(tc, r) for r, field in ((tr + 1, diff & 0xF0), (tr + 2, diff & 0xF)) if field]
     if isinstance(outcome, RuleCopied):
@@ -484,8 +528,10 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
     tape length and any number of packets. A generation builds one state;
     a fire also makes at most one node, only when it starts a new run, and
     a copy one record, one list cell and its RuleCopied. With on_step, each
-    record adds an O(n) state_hash and an O(row) diff of the tape row, so a
-    traced run stays O(n) per generation. Memory is O(n + g + F): the
+    record adds a state_hash and a diff that read the tape row as its r runs:
+    O(r + m) Python work, m the tiles off the tape row, and the digest's
+    O(n) lanes mixed at C speed, a block of up to 4,096 tiles of a run in a
+    fixed number of big-int operations. Memory is O(n + g + F): the
     current state, one key per generation since the first fire, and the
     node table, which holds at most r nodes when the state is indexed and
     keeps every node it made. A fire that re-lays a row holding other tiles

@@ -12,7 +12,7 @@ States are values; nothing here mutates one after construction.
 from __future__ import annotations
 
 import json
-from itertools import chain, product
+from itertools import chain, islice, product, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -22,6 +22,10 @@ from .tiles import CELL, CellAddr, Point, TileAtlas, TileKind, decode_text, pars
 _TIP = TileKind.TIP  # a module global: reading a member off its Enum class costs several times more
 _MASK64 = (1 << 64) - 1
 _EMPTY_HASH = 0x9E3779B97F4A7C15
+_WRAP = 0xFFFFF  # digest offsets wrap at 2**20 cells
+_LANE = 128  # bits a digest term takes when packed: 64, and room for a 64-bit product
+_BLOCK = 4096  # lanes packed and mixed at once, a power of two
+_SHORT = 16  # a run piece shorter than this is mixed as loose terms: _block breaks even at 13 to 16 tiles
 # a 4-bit y offset mask to the cell mask of one point at dx = 0 on each row it names
 _SPREAD = [sum(1 << CELL * dy for dy in range(CELL) if mask >> dy & 1) for mask in range(1 << CELL)]
 
@@ -74,6 +78,15 @@ class GameState:
 
     def tip_cells(self) -> list[CellAddr]:
         return sorted(self.tips)
+
+    def _hash_parts(self) -> tuple[Mapping[int, Mapping[int, TileKind]], list[tuple[int, int, int, int]], list[tuple]]:
+        """state_hash's tiles, each once: rows, runs and single tiles (see _lane_digest); here, the rows alone.
+
+        A kind of state hands over what it holds. Single tiles lie in or
+        right of the lowest column of the rows and runs, and in or above
+        their lowest row.
+        """
+        return self.rows(), [], []
 
     def tip_count(self) -> int:
         return len(self.tips)
@@ -327,6 +340,100 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
+_FOLDS = tuple(_LANE << k for k in reversed(range(_BLOCK.bit_length() - 1)))  # widths halving _BLOCK lanes to one
+_LANE_CONSTANTS: tuple[int, ...] = ()  # _lanes(), once a digest has needed them
+
+
+def _lanes() -> tuple[int, ...]:
+    """_BLOCK lanes each of 1, of the column parts of offsets _BLOCK - 1 down to 0, and of 2**64 - 1.
+
+    Built by doubling the first time a digest needs them, and kept: about
+    200 KB, which importing the package does not pay for.
+    """
+    global _LANE_CONSTANTS
+    ones, down = 1, (_BLOCK - 1) << 28
+    for shift in reversed(_FOLDS):  # one lane, two, four, ...
+        down |= (down - (shift // _LANE << 28) * ones) << shift
+        ones |= ones << shift
+    _LANE_CONSTANTS = ones, down, ones * _MASK64
+    return _LANE_CONSTANTS
+
+
+def _block(packed: int, low: int) -> int:
+    """The XOR over packed's lanes of splitmix64's finalizer short of its last xor-shift, on each lane's term.
+
+    At most _BLOCK terms under 2**48, one to a lane. Every step is one
+    big-int operation on all the lanes at once (SWAR): a lane keeps 64 bits
+    and has room for a 64-bit product; the AND with low (2**64 - 1 in every
+    lane) drops what a shift brought in from the lane above and what a
+    product carried past 64 bits; and the lanes are XOR-folded, halving
+    _BLOCK lanes to one in a fixed number of steps. The finalizer's last
+    xor-shift is linear, so _lane_digest applies it once, to the XOR of
+    every block's.
+    """
+    packed = (packed ^ packed >> 30) & low
+    packed = packed * 0xBF58476D1CE4E5B9 & low
+    packed = (packed ^ packed >> 27) & low
+    packed *= 0x94D049BB133111EB
+    for width in _FOLDS:
+        high = packed >> width
+        packed ^= high << width ^ high
+    return packed & _MASK64
+
+
+def _packed(terms: list[int]) -> int:
+    """At most _BLOCK terms, one to a lane, packed by int.to_bytes at C speed."""
+    return int.from_bytes(b"".join(map(int.to_bytes, terms, repeat(_LANE // 8), repeat("little"))), "little")
+
+
+def _lane_digest(
+    rows: Mapping[int, Mapping[int, TileKind]],
+    runs: list[tuple[int, int, int, int]],
+    singles: list[tuple],
+    min_col: int,
+    min_row: int,
+) -> int:
+    """The XOR of splitmix64's finalizer over the terms of the tiles in rows, in runs and in singles.
+
+    A tile's term is ((col - min_col) & _WRAP) << 28 | ((row - min_row) &
+    _WRAP) << 8 | code - 1. rows map a row to its tiles by column. A run
+    (row, first, count, code) is count tiles of one kind side by side from
+    column first on, so its terms are an arithmetic progression. A single
+    tile is a (row, col, kind, _) tuple. A run is split where its offsets
+    wrap and into blocks of _BLOCK lanes; a piece of _SHORT or more tiles is
+    packed in four big-int operations, and a shorter one joins the loose
+    terms. Every tile of rows and every single tile is a loose term, made in
+    Python and packed at C speed, _BLOCK at a time. So Python work is per
+    run, per block and per other tile, and extra memory is one int per
+    single tile and per term of a short piece, plus O(_BLOCK) lanes.
+    """
+    acc = 0
+    ones, down, low = _LANE_CONSTANTS or _lanes()
+    terms = [(col - min_col & _WRAP) << 28 | (row - min_row & _WRAP) << 8 | kind.code - 1 for row, col, kind, _ in singles]
+    for row, first, count, code in runs:
+        offset, part = first - min_col, (row - min_row & _WRAP) << 8 | code - 1
+        while count:
+            offset &= _WRAP
+            n = min(count, _WRAP + 1 - offset, _BLOCK)
+            base = offset << 28 | part
+            if n < _SHORT:
+                terms += range(base, base + (n << 28), 1 << 28)
+            else:
+                cut = _LANE * (_BLOCK - n)
+                acc ^= _block(base * (ones >> cut) + (down >> cut), low)
+            offset += n
+            count -= n
+    in_rows = (
+        (col - min_col & _WRAP) << 28 | (row - min_row & _WRAP) << 8 | kind.code - 1
+        for row, cells in rows.items()
+        for col, kind in cells.items()
+    )
+    tiles = chain(terms, in_rows)
+    while block := list(islice(tiles, _BLOCK)):
+        acc ^= _block(_packed(block), low)
+    return acc ^ acc >> 31
+
+
 def state_hash(state: GameState) -> int:
     """64-bit output digest of the absolute tile layout (final_hash, trace lines).
 
@@ -336,24 +443,25 @@ def state_hash(state: GameState) -> int:
     while a translated copy does not. It is not an identity: cell offsets
     relative to the lowest column and row wrap at 2**20, so layouts whose
     tiles lie 2**20 cells apart can share a digest. Cycle detection keys on
-    the engine's position key instead, which is exact. It reads the state's
-    rows, so an engine-made state never builds its tile map for it.
+    the engine's position key instead, which is exact.
+
+    The digest is a header, mixed from the origin and the tile count, XOR
+    splitmix64's finalizer of one term per tile: the tile's column and row
+    offsets from the lowest column and row, each wrapped at 2**20, and its
+    kind's index (see _lane_digest). Each kind of state hands over its tiles
+    from what it holds (_hash_parts), and _lane_digest packs a run of equal
+    tiles into lanes without a Python step per tile. A state the engine made
+    hands over its tape row as the position key's runs, so its digest costs
+    O(runs + other tiles) Python work and builds no tile map or tape row.
     """
-    rows = state.rows()
-    if not rows:
+    rows, runs, singles = state._hash_parts()
+    lowest = [(first, row) for row, first, _, _ in runs]
+    if rows:
+        lowest.append((min(map(min, rows.values())), min(rows)))
+    if not lowest:
         return _EMPTY_HASH
-    min_col = min(map(min, rows.values()))
-    min_row = min(rows)
+    min_col, min_row = map(min, zip(*lowest))
     ox = state.anchor[0] + CELL * min_col
     oy = state.anchor[1] + CELL * min_row
-    acc = _mix(_mix(ox) ^ _mix(oy ^ 0xA5A5A5A5) ^ sum(map(len, rows.values())))
-    mask = _MASK64
-    for row, cells in rows.items():
-        y = ((row - min_row) & 0xFFFFF) << 8
-        for col, kind in cells.items():
-            # _mix of the tile's term, inlined (the term is under 2**48); code - 1 is the kind's index
-            x = ((col - min_col) & 0xFFFFF) << 28 | y | kind.code - 1
-            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-            acc ^= x ^ (x >> 31)
-    return acc & mask
+    header = _mix(_mix(ox) ^ _mix(oy ^ 0xA5A5A5A5) ^ state.tile_count())
+    return header ^ _lane_digest(rows, runs, singles, min_col, min_row)

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,12 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import debilandia
 from corpus import ACCEPT_A, PING_PONG, save_atlas, spec_with
 from grammar_oracle import build_candidate, instance_obj
-from debilandia.cli import _build_parser, main
+from debilandia.cli import _build_parser, _outcome_name, _trace_writer, main
 from debilandia.embedding import compile_direct, compile_universal
+from debilandia.engine import Fired, RuleCopied, StepRecord, StopReason, Terminated
 from debilandia.instances import Instance
 from debilandia.tiles import atlas_default
 
@@ -238,6 +242,30 @@ def test_trace_and_report_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
         "7da8742566ce2f4aa4a022dff6abb515104e3791674965cae8ca3a5592c124d6"
     )
+
+
+OUTCOMES = st.one_of(
+    st.builds(Fired, st.integers()),
+    st.builds(RuleCopied, st.integers(), st.integers(1, 5)),
+    st.builds(Terminated, st.sampled_from(StopReason)),
+)
+CELLS = st.lists(st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(StepRecord, st.integers(0, 2**70), OUTCOMES, st.integers(0, 2**64 - 1), CELLS))
+def test_a_trace_line_is_what_json_dumps_writes(record):
+    # the writer formats each record itself; its bytes must stay json.dumps'
+    # with sorted keys, on any generation, outcome, digest and cells
+    handle = io.StringIO()
+    _trace_writer(handle)(record)
+    line = {
+        "gen": record.gen,
+        "outcome": _outcome_name(record.outcome),
+        "state_hash": f"{record.state_hash:016x}",
+        "changed_cells": [list(cell) for cell in record.changed_cells],
+    }
+    assert handle.getvalue() == json.dumps(line, sort_keys=True) + "\n"
 
 
 def test_encode_emits_json_and_text(tmp_path):

@@ -6,8 +6,9 @@ The row below the tip is a zipper of run-length stacks, so a fire or a rule
 copy costs O(1) Python work and memory at any tape length. The run tests
 state a loose wall-clock ceiling; the allocation guard measures bytes and
 the node tests count the nodes a board's table holds, which machine load
-does not change. The work tests pin the package lines a fire, a rule load
-and indexing run, exactly: any change to these paths shows in them.
+does not change. The work tests pin the package lines a fire, a rule load,
+indexing, a final digest and a traced fire run, exactly: any change to these
+paths shows in them.
 
 The boards are laid out tile by tile rather than recognized from points,
 which would take longer than the runs; the first test pins the layouts to
@@ -30,7 +31,7 @@ from corpus import BOUNCE, ZERO_RUNNER, accept_a_with_full_blocks, game_tape_tex
 from work import lines
 from debilandia.embedding import compile_direct, compile_universal, extract_tm, extract_tm_counted
 from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, Terminated, position_key, run, shared_of, step
-from debilandia.grid import GameState, SquarePoints, recognize
+from debilandia.grid import GameState, SquarePoints, recognize, state_hash
 from debilandia.instances import Instance
 from debilandia.solver import construct_certificate
 from debilandia.tiles import TileKind, read_tile, slot_tile, status_tile, tape_tile
@@ -45,7 +46,14 @@ LINES_PER_RULE_LOADED = 215
 LINES_PER_TAPE_CELL_INDEXED = 6
 LINES_PER_RULE_INDEXED = 60
 # package line events of extract_tm_counted on an indexed one-tip square, at any number of full blocks
-LINES_TO_EXTRACT_A_SQUARE = 67 if sys.version_info < (3, 12) else 65
+LINES_TO_EXTRACT_A_SQUARE = 77 if sys.version_info < (3, 12) else 75
+# package line events of state_hash on ZERO_RUNNER's final state, whose tape row is a run and the head, at any
+# tape length up to a block of lanes; and of run per traced fire, the fire, its record's digest and its diff,
+# with the constant: the halt, and the fewer lines of the fires where a run is short enough to mix tile by tile
+LINES_TO_DIGEST_A_FINAL_STATE = 212 if sys.version_info < (3, 12) else 204 if sys.version_info < (3, 13) else 195
+LINES_PER_TRACED_FIRE, LINES_TRACED_BESIDE_THE_FIRES = (
+    (447, -1236) if sys.version_info < (3, 12) else (435, -1244) if sys.version_info < (3, 13) else (426, -1253)
+)
 
 
 def tokens(rule: Rule) -> list[TileKind]:
@@ -133,6 +141,27 @@ def test_a_fire_runs_the_same_lines_at_any_tape_length(length):
     state = direct_board(ZERO_RUNNER, "0" * length + "1")
     shared_of(state)
     assert lines(run, state, length + 1) == LINES_PER_FIRE * length + 25
+
+
+@pytest.mark.parametrize("length", [250, 10**3, 4 * 10**3])
+def test_digesting_a_final_state_runs_the_same_lines_at_any_tape_length(length):
+    # the tape row's runs are packed into lanes whole, so no line runs per
+    # tile; the first digest of a process also builds the lanes' constants
+    final = run(direct_board(ZERO_RUNNER, "0" * length + "1"), length + 1).final_state
+    state_hash(final)
+    assert lines(state_hash, final) == LINES_TO_DIGEST_A_FINAL_STATE
+
+
+@pytest.mark.parametrize("length", [250, 10**3, 4 * 10**3])
+def test_a_traced_fire_runs_the_same_lines_at_any_tape_length(length):
+    # each record digests the state off its runs and diffs the tape row run
+    # by run, so no line runs per tile of the tape
+    state = direct_board(ZERO_RUNNER, "0" * length + "1")
+    state_hash(state)
+    shared_of(state)
+    records = []
+    assert lines(run, state, length + 1, records.append) == LINES_PER_TRACED_FIRE * length + LINES_TRACED_BESIDE_THE_FIRES
+    assert len(records) == length + 1
 
 
 @pytest.mark.parametrize("count", [10, 100, 10**3])
