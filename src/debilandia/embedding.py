@@ -23,6 +23,7 @@ starts over the first token to be consumed (the rightmost). After the
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 
 from .engine import shared_of, tip_context
 from .grid import GameState, points_of
@@ -140,11 +141,12 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     """extract_tm plus the number of cell probes spent, for cost accounting.
 
     Reads the engine's record of the state, made on the state so a run of
-    it reuses it, and lays out no row: the read-slot, status and tape tiles
-    off the position key (engine.tip_context), the rules off the record's
-    first-match map in row order (the first complete packet per (R1, R2) in
-    scan order). Past indexing, O(tape row + rules). Probes, counted once:
-    1 for the tip, 2 for the read slot and status, tape cells + 1, and 5 per
+    it reuses it, and lays out no row: the read-slot and status tiles and
+    the tape row's runs off the position key (engine.tip_context), whole if
+    its tape runs abut and cover the tip's column; the rules off the
+    record's first-match map in row order (the first complete packet per
+    (R1, R2) in scan order). Past indexing, O(tape runs + rules). Probes: 1
+    for the tip, 2 for the read slot and status, tape cells + 1, and 5 per
     row of packet_rows (the record's count) + 1; verify charges a refusal 4.
     """
     shared = shared_of(state)
@@ -152,16 +154,15 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
         raise NotATuringMachine(ExtractFailure.NO_TIP)
     tc = shared.tip[0]
 
-    read_slot, status, tape_row = tip_context(state)
+    read_slot, status, runs = tip_context(state)
     if read_slot is not None and read_slot.family != "read":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
     if status is None or status.family != "status":
         raise NotATuringMachine(ExtractFailure.MALFORMED_STACK)
 
-    tape_cols = sorted(col for col, k in tape_row.items() if k.tile_type is TileType.TAPE)
-    if tc not in tape_cols:
-        raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
-    if tape_cols[-1] - tape_cols[0] + 1 != len(tape_cols):
+    tape = [run for run in runs if run[2].tile_type is TileType.TAPE]
+    start, cells = tape[0][0] if tape else tc + 1, sum(map(itemgetter(1), tape))
+    if not start <= tc < start + cells or tape[-1][0] + tape[-1][1] != start + cells:
         raise NotATuringMachine(ExtractFailure.BROKEN_TAPE)
 
     if not shared.first:
@@ -169,8 +170,8 @@ def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     entries = sorted(shared.first.values(), key=lambda entry: entry[0].packet_row)  # scan order: ascending row
     rules = [Rule(r1.bit, r2.bit, r3.bit, r4.bit, 1 - r5.bit) for *_, (r1, r2, r3, r4, r5) in entries]
 
-    tape = "".join(str(tape_row[c].bit) for c in tape_cols)
+    text = "".join([str(kind.bit) * count for _, count, kind in tape])
     return (
-        TmSpec(tuple(rules), tape, head=tc - tape_cols[0], initial_state=status.bit),
-        5 * shared.ruled + len(tape_cols) + 5,
+        TmSpec(tuple(rules), text, head=tc - start, initial_state=status.bit),
+        5 * shared.ruled + cells + 5,
     )

@@ -204,34 +204,35 @@ def _stacks(nodes: dict, cells: dict[int, TileKind], tc: int) -> list:
     return stacks
 
 
-def _tape_runs(state: GameState) -> list[tuple[int, int, int]]:
-    """The tape row off the key, left to right: (first column, count, kind code) per run, the head a run of one; O(runs)."""
+def _tape_runs(state: GameState) -> list[tuple[int, int, TileKind]]:
+    """The tape row off the key, left to right: (first column, count, kind) per run, the head a run of one; O(runs)."""
     tc = state.shared.tip[0]
     key = state.key
     sides = []
     for sign, (k, c, d, g, beyond) in ((-1, key[:5]), (1, key[5:10])):
         runs = []
         while k:
-            runs.append((tc - d - c + 1 if sign < 0 else tc + d, c, k))
+            runs.append((tc - d - c + 1 if sign < 0 else tc + d, c, _KIND[k]))
             d += c - 1 + g
             k, c, g, beyond = beyond.code, beyond.count, beyond.gap, beyond.next
         sides.append(runs)
     left, right = sides
     head = key[10] >> 8
-    return [*reversed(left), (tc, 1, head), *right] if head else [*reversed(left), *right]
+    return [*reversed(left), (tc, 1, _KIND[head]), *right] if head else [*reversed(left), *right]
 
 
-def tip_context(state: GameState) -> tuple[TileKind | None, TileKind | None, dict[int, TileKind]]:
-    """The read-slot and status tiles, None when empty, and the tape row's tiles by column, left to right; O(row)."""
-    cells: dict[int, TileKind] = {}
-    for first, count, code in _tape_runs(state):
-        cells.update(dict.fromkeys(range(first, first + count), _KIND[code]))
+def tip_context(state: GameState) -> tuple[TileKind | None, TileKind | None, list[tuple[int, int, TileKind]]]:
+    """The read-slot and status tiles, None when empty, and the tape row as _tape_runs' runs; O(runs)."""
     code = state.key[10]
-    return _KIND[code >> 4 & 0xF], _KIND[code & 0xF], cells
+    return _KIND[code >> 4 & 0xF], _KIND[code & 0xF], _tape_runs(state)
 
 
-def _relaid(cells: dict[int, TileKind], dx: int) -> dict[int, TileKind] | None:
-    """A row's tiles with every tape tile dx cells over; None when one lands on a tile that stays."""
+def _relaid(runs: list[tuple[int, int, TileKind]], tc: int, write: TileKind, dx: int) -> dict[int, TileKind] | None:
+    """The runs' tiles, write at column tc, with every tape tile dx cells over; None when one lands on a tile that stays."""
+    cells: dict[int, TileKind] = {}
+    for first, count, kind in runs:
+        cells.update(dict.fromkeys(range(first, first + count), kind))
+    cells[tc] = write
     moved = {col + dx: kind for col, kind in cells.items() if kind.tile_type is _TAPE}
     stays = {col: kind for col, kind in cells.items() if kind.tile_type is not _TAPE}
     return None if stays.keys() & moved.keys() else stays | moved
@@ -250,42 +251,36 @@ class _Shared:
         complete packet with them makes: (Fired(row), made once, the code of the tape tile written, the shift
         dx, the new key's read and status fields, the packet).
     nontape: the number of the tape row's tiles that are not tape tiles.
-    count: the number of the board's tiles, the read slot's not counted.
     nodes: the node table, shared by every record of the board.
     ruled: packet_rows' length, the rows above the tip with a rule tile in the packet columns; each copy keeps it.
     """
 
-    __slots__ = ("tip", "rows", "copied", "stack", "top", "first", "nontape", "count", "nodes", "ruled")
+    __slots__ = ("tip", "rows", "copied", "stack", "top", "first", "nontape", "nodes", "ruled")
 
 
 class _Made(GameState):
-    """A state step made: the engine's record of its board and its position key; `tiles` is built when read."""
+    """A state step made: its record and position key, handed over once by _parts(); `tiles` is built when read."""
 
     __slots__ = ()
 
     def rows(self) -> dict[int, dict[int, TileKind]]:
-        """The tiles by row, then column, sharing the record's maps; O(rows + copied cells + row)."""
-        shared, (read, status, tape) = self.shared, tip_context(self)
-        rows, (tc, tr), copied = dict(shared.rows), shared.tip, shared.copied
-        laid = {r: {tc: kind} for r, kind in ((tr + 1, read), (tr + 2, status)) if kind}
-        while copied is not None:
-            r, col, kind, copied = copied
+        """The tiles by row, then column, laid out from _parts(), sharing the record's maps; O(rows + tiles off them)."""
+        held, runs, singles = self._parts()
+        laid: dict[int, dict[int, TileKind]] = {}
+        for r, col, kind, _ in singles:
             laid.setdefault(r, {})[col] = kind
-        for r, cells in laid.items():
-            rows[r] = {**rows.get(r, _EMPTY_ROW), **cells}
-        if tape:
-            rows[tr - 1] = tape
-        return rows
+        for r, first, count, kind in runs:
+            laid.setdefault(r, {}).update(dict.fromkeys(range(first, first + count), kind))
+        return {**held, **{r: {**held.get(r, _EMPTY_ROW), **cells} for r, cells in laid.items()}}
 
-    def tile_count(self) -> int:
-        return self.shared.count + (self.key[10] & 0xF0 != 0)
+    def _parts(self) -> tuple[dict[int, dict[int, TileKind]], list[tuple], list[tuple]]:
+        """The board, building no row: the record's rows, the tape row's runs, and the cells off both.
 
-    def _hash_parts(self) -> tuple[dict[int, dict[int, TileKind]], list[tuple[int, int, int, int]], list[tuple]]:
-        """state_hash's tiles, building no row: the record's rows, the tape row's runs, and the cells off both.
-
-        Those single tiles are the read-slot and status tiles, and the
-        copied cells as the record's (row, col, kind, rest) tuples; all lie
-        in or right of the tip's column and above its row.
+        rows() lays them out; tile_count() and state_hash read them as they
+        stand. The runs are _tape_runs' with their row. The single tiles are
+        the read-slot and status tiles, and the copied cells as the record's
+        (row, col, kind, rest) tuples; all lie in or right of the tip's
+        column and above its row.
         """
         shared, code = self.shared, self.key[10]
         (tc, tr), copied = shared.tip, shared.copied
@@ -293,7 +288,7 @@ class _Made(GameState):
         while copied is not None:
             singles.append(copied)
             copied = copied[3]
-        return shared.rows, [(tr - 1, first, count, code) for first, count, code in _tape_runs(self)], singles
+        return shared.rows, [(tr - 1, first, count, kind) for first, count, kind in _tape_runs(self)], singles
 
     def tip_cells(self) -> list[CellAddr]:
         return [self.shared.tip]
@@ -317,7 +312,7 @@ def shared_of(state: GameState) -> _Shared:
     shared = _new(_Shared)
     shared.tip, shared.rows, shared.copied = None, None, None
     shared.stack, shared.top, shared.first = None, None, {}
-    shared.nontape, shared.count, shared.nodes, shared.ruled = 0, 0, {}, 0
+    shared.nontape, shared.nodes, shared.ruled = 0, {}, 0
     state.key = None
     if state.tip_count() == 1:
         rows = state.rows()
@@ -329,7 +324,7 @@ def shared_of(state: GameState) -> _Shared:
         for r, prefix in (classified := packet_rows(rows, (tc, tr))):
             shared.stack, shared.top, shared.first = _indexed(r, prefix, shared.stack, shared.top, shared.first)
         shared.nontape = len(tape) - sum(map(list(tape.values()).count, (TileKind.TAPE_0, TileKind.TAPE_1)))
-        shared.count, shared.ruled = state.tile_count() - (read is not None), len(classified)
+        shared.ruled = len(classified)
         code = sum(kind.code << shift for kind, shift in ((tape.get(tc), 8), (read, 4), (status, 0)) if kind)
         state.key = (*_stacks(shared.nodes, tape, tc), code)
     state.shared = shared
@@ -433,13 +428,13 @@ def step(state: GameState) -> tuple[GameState, StepOutcome]:
         else:
             shared.stack, shared.top, shared.first = _indexed(target, prefix, rest, last.top, last.first)
         shared.tip, shared.rows, shared.copied = last.tip, last.rows, (target, tc + slot, below, last.copied)
-        shared.nontape, shared.count, shared.nodes, shared.ruled = last.nontape - 1, last.count, last.nodes, ruled
+        shared.nontape, shared.nodes, shared.ruled = last.nontape - 1, last.nodes, ruled
         # the tiles left of the consumed one slide one cell right; nothing is written, and the key loses its head
         write, dx, code = 0, 1, key[10] & 0xFF
 
     if shared.nontape and write:  # tiles that are not tape tiles stay put, and a tape tile may not land on one
         tc = shared.tip[0]
-        cells = _relaid({**tip_context(state)[2], tc: _KIND[write]}, dx)
+        cells = _relaid(_tape_runs(state), tc, _KIND[write], dx)
         if cells is None:
             return state, Terminated(StopReason.MALFORMED_TIP_CONTEXT)
         key = (*_stacks(shared.nodes, cells, tc), code | cells[tc].code << 8 if tc in cells else code)
@@ -486,13 +481,13 @@ def _diff_cells(before: GameState, after: GameState, outcome: Fired | RuleCopied
     tc, tr = before.shared.tip
     marks = []
     for runs in (_tape_runs(before), _tape_runs(after)):
-        kinds: dict[int, int] = {}
-        for first, count, code in runs:
-            kinds[first] = code
-            kinds[first + count] = 0  # unless the next run starts there
+        kinds: dict[int, TileKind | None] = {}
+        for first, count, kind in runs:
+            kinds[first] = kind
+            kinds[first + count] = None  # unless the next run starts there
         marks.append(kinds)
     old, new = marks
-    was = now = 0
+    was = now = None
     cols = sorted(old.keys() | new.keys())
     changed = []
     for col, end in zip(cols, cols[1:]):
@@ -531,7 +526,8 @@ def run(state: GameState, max_gens: int, on_step: Callable[[StepRecord], None] |
     record adds a state_hash and a diff that read the tape row as its r runs:
     O(r + m) Python work, m the tiles off the tape row, and the digest's
     O(n) lanes mixed at C speed, a block of up to 4,096 tiles of a run in a
-    fixed number of big-int operations. Memory is O(n + g + F): the
+    fixed number of big-int operations; a state's tile_count() counts the
+    same runs and tiles at C speed. Memory is O(n + g + F): the
     current state, one key per generation since the first fire, and the
     node table, which holds at most r nodes when the state is indexed and
     keeps every node it made. A fire that re-lays a row holding other tiles

@@ -12,7 +12,9 @@ States are values; nothing here mutates one after construction.
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import chain, islice, product, repeat
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -65,8 +67,8 @@ class GameState:
         return self._rows
 
     def tile_count(self) -> int:
-        """len(tiles), without building them: the row sizes, summed at C speed."""
-        return sum(map(len, self._rows.values()))
+        """len(tiles), without building them: what _parts() hands over, counted at C speed."""
+        return _count(*self._parts())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameState):
@@ -79,12 +81,12 @@ class GameState:
     def tip_cells(self) -> list[CellAddr]:
         return sorted(self.tips)
 
-    def _hash_parts(self) -> tuple[Mapping[int, Mapping[int, TileKind]], list[tuple[int, int, int, int]], list[tuple]]:
-        """state_hash's tiles, each once: rows, runs and single tiles (see _lane_digest); here, the rows alone.
+    def _parts(self) -> tuple[Mapping[int, Mapping[int, TileKind]], list[tuple], list[tuple]]:
+        """The state's tiles, each once: rows, runs and single tiles (see _lane_digest); here, the rows alone.
 
-        A kind of state hands over what it holds. Single tiles lie in or
-        right of the lowest column of the rows and runs, and in or above
-        their lowest row.
+        A kind of state hands over what it holds; tile_count and state_hash
+        read it. Single tiles lie in or right of the lowest column of the
+        rows and runs, and in or above their lowest row.
         """
         return self.rows(), [], []
 
@@ -340,23 +342,26 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _count(rows: Mapping[int, Mapping[int, TileKind]], runs: list[tuple], singles: list[tuple]) -> int:
+    """The number of tiles in a state's _parts(): the rows' sizes, the runs' counts and the single tiles, at C speed."""
+    return sum(map(len, rows.values())) + sum(map(itemgetter(2), runs)) + len(singles)
+
+
 _FOLDS = tuple(_LANE << k for k in reversed(range(_BLOCK.bit_length() - 1)))  # widths halving _BLOCK lanes to one
-_LANE_CONSTANTS: tuple[int, ...] = ()  # _lanes(), once a digest has needed them
 
 
+@cache
 def _lanes() -> tuple[int, ...]:
     """_BLOCK lanes each of 1, of the column parts of offsets _BLOCK - 1 down to 0, and of 2**64 - 1.
 
-    Built by doubling the first time a digest needs them, and kept: about
+    Built by doubling the first time a digest needs them, and cached: about
     200 KB, which importing the package does not pay for.
     """
-    global _LANE_CONSTANTS
     ones, down = 1, (_BLOCK - 1) << 28
     for shift in reversed(_FOLDS):  # one lane, two, four, ...
         down |= (down - (shift // _LANE << 28) * ones) << shift
         ones |= ones << shift
-    _LANE_CONSTANTS = ones, down, ones * _MASK64
-    return _LANE_CONSTANTS
+    return ones, down, ones * _MASK64
 
 
 def _block(packed: int, low: int) -> int:
@@ -388,7 +393,7 @@ def _packed(terms: list[int]) -> int:
 
 def _lane_digest(
     rows: Mapping[int, Mapping[int, TileKind]],
-    runs: list[tuple[int, int, int, int]],
+    runs: list[tuple],
     singles: list[tuple],
     min_col: int,
     min_row: int,
@@ -396,9 +401,9 @@ def _lane_digest(
     """The XOR of splitmix64's finalizer over the terms of the tiles in rows, in runs and in singles.
 
     A tile's term is ((col - min_col) & _WRAP) << 28 | ((row - min_row) &
-    _WRAP) << 8 | code - 1. rows map a row to its tiles by column. A run
-    (row, first, count, code) is count tiles of one kind side by side from
-    column first on, so its terms are an arithmetic progression. A single
+    _WRAP) << 8 | kind.code - 1. rows map a row to its tiles by column. A
+    run (row, first, count, kind) is count tiles of one kind side by side
+    from column first on, so its terms are an arithmetic progression. A single
     tile is a (row, col, kind, _) tuple. A run is split where its offsets
     wrap and into blocks of _BLOCK lanes; a piece of _SHORT or more tiles is
     packed in four big-int operations, and a shorter one joins the loose
@@ -408,10 +413,10 @@ def _lane_digest(
     single tile and per term of a short piece, plus O(_BLOCK) lanes.
     """
     acc = 0
-    ones, down, low = _LANE_CONSTANTS or _lanes()
+    ones, down, low = _lanes()
     terms = [(col - min_col & _WRAP) << 28 | (row - min_row & _WRAP) << 8 | kind.code - 1 for row, col, kind, _ in singles]
-    for row, first, count, code in runs:
-        offset, part = first - min_col, (row - min_row & _WRAP) << 8 | code - 1
+    for row, first, count, kind in runs:
+        offset, part = first - min_col, (row - min_row & _WRAP) << 8 | kind.code - 1
         while count:
             offset &= _WRAP
             n = min(count, _WRAP + 1 - offset, _BLOCK)
@@ -449,12 +454,12 @@ def state_hash(state: GameState) -> int:
     splitmix64's finalizer of one term per tile: the tile's column and row
     offsets from the lowest column and row, each wrapped at 2**20, and its
     kind's index (see _lane_digest). Each kind of state hands over its tiles
-    from what it holds (_hash_parts), and _lane_digest packs a run of equal
+    from what it holds (_parts), and _lane_digest packs a run of equal
     tiles into lanes without a Python step per tile. A state the engine made
     hands over its tape row as the position key's runs, so its digest costs
     O(runs + other tiles) Python work and builds no tile map or tape row.
     """
-    rows, runs, singles = state._hash_parts()
+    rows, runs, singles = state._parts()
     lowest = [(first, row) for row, first, _, _ in runs]
     if rows:
         lowest.append((min(map(min, rows.values())), min(rows)))
@@ -463,5 +468,5 @@ def state_hash(state: GameState) -> int:
     min_col, min_row = map(min, zip(*lowest))
     ox = state.anchor[0] + CELL * min_col
     oy = state.anchor[1] + CELL * min_row
-    header = _mix(_mix(ox) ^ _mix(oy ^ 0xA5A5A5A5) ^ state.tile_count())
+    header = _mix(_mix(ox) ^ _mix(oy ^ 0xA5A5A5A5) ^ _count(rows, runs, singles))
     return header ^ _lane_digest(rows, runs, singles, min_col, min_row)

@@ -34,7 +34,7 @@ from corpus import (
 )
 from test_word_oracle import one_tip_words
 from word_oracle import values_of
-from debilandia.embedding import NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
+from debilandia.embedding import ExtractFailure, NotATuringMachine, compile_direct, compile_universal, extract_tm_counted
 from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, Terminated, position_key, run, step
 from debilandia.grid import GameState, SquarePoints, recognize, state_hash
 from debilandia.tiles import TileKind, TileType, read_tile, slot_tile, status_tile, tape_tile
@@ -80,6 +80,7 @@ def assert_engines_agree(state: GameState, max_gens: int) -> None:
         ours_next, outcome = step(ours)
         theirs_next, expected = dict_engine.step(theirs)
         assert outcome == expected
+        assert ours_next.tile_count() == len(theirs_next.tiles)  # counted off the record, before any tile map
         assert ours_next.tiles == theirs_next.tiles
         # a fire leaves a tape tile or nothing under the tip and moves only
         # tape tiles, so no copy follows it, and the record a run fires in
@@ -438,6 +439,33 @@ def test_extraction_counts_a_fresh_row_once_it_holds_a_rule_tile(held):
     state = GameState(tip_over_tokens([TileKind.READ_1, TileKind.TAPE_0, TileKind.TAPE_1], {1: packet, 2: held}))
     assert outcomes_of(state, 1) == [RuleCopied(2, 1)]
     assert_extraction_agrees(state, range(4))
+
+
+@pytest.mark.parametrize(
+    "row, tip, reads",
+    [
+        ("01w10", 3, ExtractFailure.BROKEN_TAPE),  # a tile that is no tape tile inside the tape
+        ("w0110", 4, "0110"),  # one at the tape's left end
+        ("0110w", 3, "0110"),  # one at its right end
+        ("01w", 2, ExtractFailure.BROKEN_TAPE),  # one under the tip
+        ("01.10", 3, ExtractFailure.BROKEN_TAPE),  # a gap between two tape runs
+    ],
+)
+def test_extraction_reads_the_tape_row_by_its_runs(row, tip, reads):
+    # row is the tape row as one copy leaves it, its tip-th cell under the
+    # tip: the copy moves the READ_1 under the tip into a fresh packet row
+    # and slides the tiles left of it one cell right, so the state run
+    # makes holds the row as runs off its key
+    kinds = {"0": TileKind.TAPE_0, "1": TileKind.TAPE_1, "w": TileKind.WRITE_1}
+    tiles = tip_over_tokens([TileKind.READ_1], {1: {i: slot_tile(i, 0) for i in range(1, 6)}})
+    tiles |= {(col - tip - (col <= tip), -1): kinds[ch] for col, ch in enumerate(row) if ch != "."}
+    result = run(GameState(tiles), 1)
+    assert result.generations_run == 1
+    made, fresh = result.final_state, GameState(dict(result.final_state.tiles))
+    read = extracted(dict_engine.extract_tm_counted, fresh)
+    assert extracted(extract_tm_counted, made) == extracted(extract_tm_counted, fresh) == read
+    assert (read if isinstance(read, ExtractFailure) else read[0].tape) == reads
+    assert_extraction_agrees(GameState(tiles), range(4))
 
 
 def test_extraction_matches_on_a_square_that_copies_rule_tiles(atlas):

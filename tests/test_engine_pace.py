@@ -15,9 +15,9 @@ which would take longer than the runs; the first test pins the layouts to
 compile_direct and compile_universal. Two work tests index a laid-out and a
 recognized board: each holds its rows and tip cells from when it was made,
 so both run the same lines. Extraction of an indexed board reads the
-engine's record and lays out no row, so on a one-tip square it runs the
-same lines at any number of rows above the tip: 67 on Python 3.10 and
-3.11, 65 on 3.12 and 3.13.
+engine's record and lays out no row, and it reads the tape row by its runs,
+so on a one-tip square it runs the same lines at any number of rows above
+the tip, LINES_TO_EXTRACT_A_SQUARE of them.
 """
 
 import random
@@ -46,7 +46,7 @@ LINES_PER_RULE_LOADED = 215
 LINES_PER_TAPE_CELL_INDEXED = 6
 LINES_PER_RULE_INDEXED = 60
 # package line events of extract_tm_counted on an indexed one-tip square, at any number of full blocks
-LINES_TO_EXTRACT_A_SQUARE = 77 if sys.version_info < (3, 12) else 75
+LINES_TO_EXTRACT_A_SQUARE = 73 if sys.version_info < (3, 12) else 69
 # package line events of state_hash on ZERO_RUNNER's final state, whose tape row is a run and the head, at any
 # tape length up to a block of lanes; and of run per traced fire, the fire, its record's digest and its diff,
 # with the constant: the halt, and the fewer lines of the fires where a run is short enough to mix tile by tile
