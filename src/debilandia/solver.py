@@ -12,17 +12,17 @@ consecutive 4-wide blocks - any instance with |A| <= 5 is unsolvable no
 matter how the points land.
 
 In this formalisation the answer is fixed by the board's structure: once
-extraction finds a machine, the markers 25 and 43 are complementary at
-every generation count, so a certificate exists exactly when extraction
-succeeds; under the packaged atlas, exactly when A's block-mask word
-holds a fixed pattern, and every certificate found is E = 1 with marker 25
-(tests/word_oracle.py). Deciding costs recognition plus extraction:
+extraction finds a machine, its run ends at the first attempt, under every
+atlas (tests/atlas_oracle.py), so a certificate exists exactly when
+extraction succeeds, and every certificate found is E = 1 with marker 25;
+under the packaged atlas, exactly when A's block-mask word holds a fixed
+pattern (tests/word_oracle.py). Deciding costs recognition plus extraction:
 O(|A| + groups^2) without exactly one tip, which builds no tile, and
 O(|A| * groups) with one, to lay out and index the rows once, after which
 extraction reads the engine's record in O(tape row + rules);
-construct_certificate adds one run, O(max_gens). Every |A| is solved. The
-certificate is `Certificate(SquarePoints(A), E, marker)`, O(|A|) in
-memory, and instances.write_certificate streams its O(|A|^2 + E) bytes.
+construct_certificate adds the run's one attempt, O(1). Every |A| is
+solved. The certificate is `Certificate(SquarePoints(A), 1, 25)`, O(|A|) in
+memory, and instances.write_certificate streams its O(|A|^2) bytes.
 growth_probe measures the cost next to (M!)^2.
 """
 
@@ -35,7 +35,7 @@ from collections import namedtuple
 from .embedding import NotATuringMachine, extract_tm
 from .engine import RunStatus, run
 from .grid import SquarePoints, recognize
-from .instances import MARKER_RUNS, MARKER_STOPS, RESERVED, Certificate, Instance
+from .instances import MARKER_STOPS, RESERVED, Certificate, Instance
 from .tiles import TileAtlas
 
 SAMPLE_POOL = tuple(v for v in range(1, 201) if v not in RESERVED)  # growth_probe's random elements
@@ -52,18 +52,18 @@ class SolveOutcome(namedtuple("SolveOutcome", "certificate reason cells_placed c
 def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> SolveOutcome:
     """Decide the unique skeleton's generation count and marker.
 
-    Markers: a halt witnessed within max_gens yields 25 with the earliest
-    budget that witnesses it; a detected cycle also stabilizes the game, so
-    it yields 25 with the earliest budget that exposes the repeat; a run
-    that survives max_gens without repeating yields 43 with max_gens, which
-    certifies exactly what the checker checks (no stabilization within the
-    claimed generations). No machine structure means no certificate at all.
+    No machine structure means no certificate at all. A board that holds a
+    machine has a tape tile under its one tip, and the status tile above it
+    lies in the tip's column, the one block of its x mask, so no packet can
+    read it: the run halts at its first attempt, under every atlas. The
+    engine still decides: the board is run, and the halt is asserted. One
+    generation is the fewest that witness it, so the certificate is E = 1
+    with marker 25, and max_gens (at least 1) changes nothing.
 
-    There is no limit on |A|. Time is O(|A| * groups + max_gens), and
-    O(|A| + groups^2) on a board without exactly one tip (see
-    grid._SquareState). The certificate is `Certificate(SquarePoints(A), E,
-    marker)`, O(|A|) in memory; writing it streams its bytes
-    (instances.write_certificate).
+    There is no limit on |A|. Time is O(|A| * groups), and O(|A| +
+    groups^2) on a board without exactly one tip (see grid._SquareState).
+    The certificate is `Certificate(SquarePoints(A), 1, 25)`, O(|A|) in
+    memory; writing it streams its bytes (instances.write_certificate).
     """
     if max_gens < 1:
         raise ValueError("max_gens must be >= 1")
@@ -74,15 +74,9 @@ def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> So
         extract_tm(state)
     except NotATuringMachine as exc:
         return SolveOutcome(None, f"not_a_turing_machine:{exc.reason.value}", placed, scanned, 0)
-
     result = run(state, max_gens)
-    if result.status is RunStatus.HALTED:
-        gen_count, marker = result.generations_run + 1, MARKER_STOPS
-    elif result.status is RunStatus.CYCLE:
-        gen_count, marker = result.first_index + result.period, MARKER_STOPS
-    else:
-        gen_count, marker = max_gens, MARKER_RUNS
-    return SolveOutcome(Certificate(points, gen_count, marker), None, placed, scanned, result.generations_run)
+    assert result.status is RunStatus.HALTED and result.generations_run == 0, result
+    return SolveOutcome(Certificate(points, 1, MARKER_STOPS), None, placed, scanned, 0)
 
 
 class GrowthRow(

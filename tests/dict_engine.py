@@ -5,8 +5,9 @@ whole board every generation, so it is kept only as the differential oracle
 that `test_engine_oracle.py` checks the row board against, step by step.
 `run` plays engine.run's contract on it, finding cycles by comparing whole
 tile maps, and traces with the whole-board diff. `packet_rows` finds packet
-rows by walking the tile map, as the package did before, so the oracle shares
-only `classify_packet` (the rule for one row's five cells) with the board.
+rows and `tip_cells` finds the tips by walking the tile map, as the package
+did before, so the oracle shares only `classify_packet` (the rule for one
+row's five cells) with the board.
 `extract_tm_counted` is the package's extraction as it was on the tile map,
 the oracle for extraction from the board.
 """
@@ -80,9 +81,14 @@ def _shift_row(
     return True
 
 
+def tip_cells(state: GameState) -> list[CellAddr]:
+    """The tip cells, read off the tile map: the package's tip bookkeeping is not consulted."""
+    return sorted(cell for cell, kind in state.tiles.items() if kind is TileKind.TIP)
+
+
 def step(state: GameState) -> tuple[GameState, StepOutcome]:
     """Run exactly one generation; pure, deterministic."""
-    tips = state.tip_cells()
+    tips = tip_cells(state)
     if not tips:
         return state, Terminated(StopReason.NO_TIP)
     if len(tips) > 1:
@@ -184,7 +190,7 @@ def run(
 def extract_tm_counted(state: GameState) -> tuple[TmSpec, int]:
     """The package's extract_tm_counted before it read the engine board: it walks the tile map."""
     probes = 0
-    tips = state.tip_cells()
+    tips = tip_cells(state)
     probes += 1
     if len(tips) != 1:
         raise NotATuringMachine(ExtractFailure.NO_TIP)

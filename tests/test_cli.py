@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import debilandia
+from atlas_oracle import FIRING_DIR
 from corpus import ACCEPT_A, PING_PONG, save_atlas, spec_with
 from grammar_oracle import build_candidate, instance_obj
+from word_oracle import values_of
 from debilandia.cli import _build_parser, _outcome_name, _trace_writer, main
 from debilandia.embedding import compile_direct, compile_universal
 from debilandia.engine import Fired, RuleCopied, StepRecord, StopReason, Terminated
@@ -422,6 +424,55 @@ def test_solve_none_found_exits_one(tmp_path, capsys):
     rc = main(["solve", "--set-a", "1,3", "--max-gens", "8", "--out", str(out)])
     assert rc == 1
     assert "no certificate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a square of the firing corpus (tests/firing/) and its atlas: four copies,
+# two fires, and the halt at generation 6; with E = 10, c5 counts the ten
+# fours, the seven attempts and the marker
+FIRING_A = values_of(json.loads((FIRING_DIR / "words.json").read_text())["square_05"])
+FIRING_ATLAS = str(FIRING_DIR / "square_05.json")
+FIRING_REPORT = """{
+  "E": 10,
+  "N": 1742,
+  "P": 1152,
+  "T": 576,
+  "bound": 6126614,
+  "bracket_ceiling_total": 25373,
+  "counters": {
+    "c1": 1,
+    "c2_3": 2304,
+    "c4": 701,
+    "c5": 18,
+    "c6": 0,
+    "c7": 0,
+    "c8": 0
+  },
+  "f_N": 25374,
+  "marker": null,
+  "reason": "not_a_turing_machine",
+  "step": 6,
+  "stopped": null,
+  "total_counted": 3024,
+  "verdict": "reject"
+}
+"""
+
+
+def test_verify_of_a_firing_square_under_its_atlas_is_pinned(tmp_path, capsys):
+    inst_file, report_file = tmp_path / "cert.json", tmp_path / "report.json"
+    write_instance(inst_file, FIRING_A, 10, 25)
+    argv = ["verify", "--instance", str(inst_file), "--atlas", FIRING_ATLAS, "--report", str(report_file)]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == '{"reason": "not_a_turing_machine", "step": 6, "verdict": "reject"}\n'
+    assert report_file.read_text() == FIRING_REPORT
+
+
+def test_solve_refuses_a_firing_square_under_its_atlas(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    argv = ["solve", "--set-a", ",".join(map(str, FIRING_A)), "--atlas", FIRING_ATLAS, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "no certificate: not_a_turing_machine:broken_tape\n")
     assert not out.exists()
 
 

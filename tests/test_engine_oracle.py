@@ -10,7 +10,8 @@ must read what it reads on a fresh board of the same tiles, and on a fresh
 board what the dict engine's extraction reads off the tile map. Its probes
 count the rows above the tip with a rule tile in the packet columns, which
 the engine's record keeps through the copies of a run; one-tip squares are
-checked the same way.
+checked the same way, and `test_atlas_oracle.py` runs `assert_engines_agree`
+and `assert_extraction_agrees` on the squares of the firing corpus.
 """
 
 import random

@@ -17,7 +17,9 @@ recognized board: each holds its rows and tip cells from when it was made,
 so both run the same lines. Extraction of an indexed board reads the
 engine's record and lays out no row, and it reads the tape row by its runs,
 so on a one-tip square it runs the same lines at any number of rows above
-the tip, LINES_TO_EXTRACT_A_SQUARE of them.
+the tip, LINES_TO_EXTRACT_A_SQUARE of them. The solver tests pin the lines
+of refusing and verifying a tipless set, and of solving a found one, per
+member of A.
 """
 
 import random
@@ -32,10 +34,11 @@ from work import lines
 from debilandia.embedding import compile_direct, compile_universal, extract_tm, extract_tm_counted
 from debilandia.engine import Fired, RuleCopied, RunStatus, StopReason, Terminated, position_key, run, shared_of, step
 from debilandia.grid import GameState, SquarePoints, recognize, state_hash
-from debilandia.instances import Instance
+from debilandia.instances import Certificate, Instance
 from debilandia.solver import construct_certificate
 from debilandia.tiles import TileKind, read_tile, slot_tile, status_tile, tape_tile
 from debilandia.tm import MOVE_LEFT, Rule
+from debilandia.verifier import verify
 
 STEP_BYTES = 4096  # a step at L=1000 that copied the tape row's map would allocate about 36 KiB
 # package line events: run's loop and step per fire, and five copies per rule loaded
@@ -217,6 +220,54 @@ def test_extracting_an_indexed_square_runs_the_same_lines_at_any_size(atlas):
     assert counted == {LINES_TO_EXTRACT_A_SQUARE}
 
 
+def tipless(size: int) -> Instance:
+    """A set of size members whose 4-blocks all have offsets {0, 3}: every cell of A x A is a tape tile."""
+    return Instance(tuple(v for k in range(size // 2) for v in (44 + 4 * k, 47 + 4 * k)))
+
+
+def extra_lines(fn, slope: int, args_of, sizes) -> set[int]:
+    """The lines of fn(*args_of(n)) beyond slope per member of A, n = |A|, over the sizes."""
+    return {lines(fn, *args_of(n)) - slope * n for n in sizes}
+
+
+def test_refusing_a_tipless_set_runs_the_same_lines_per_member(atlas):
+    # recognizing A x A reads each member and files each block by its mask,
+    # and the tips are counted off the block groups, so no line runs per
+    # cell; the constant is 51 lines on 3.10 and 3.11
+    extra = extra_lines(construct_certificate, 4, lambda n: (tipless(n), 1000, atlas), (200, 2000, 20000))
+    assert len(extra) == 1 and extra.pop() <= 51
+
+
+def test_verifying_a_tipless_set_runs_the_same_lines_per_member(atlas):
+    # a Certificate's pair section is A x A, checked off A; the constant is
+    # 117 lines on 3.10 and 3.11
+    def args_of(n: int) -> tuple:
+        inst = tipless(n)
+        return inst, Certificate(SquarePoints(inst.a_values), 1, 25), atlas
+
+    extra = extra_lines(verify, 4, args_of, (200, 2000, 20000))
+    assert len(extra) == 1 and extra.pop() <= 117
+
+
+def test_solving_a_found_set_runs_the_same_lines_per_member(atlas):
+    # ACCEPT_A plus full blocks: each full block adds a row of one complete
+    # packet, laid out and classified once, and the run halts at its first
+    # attempt. On 3.10 and 3.11 that is 13 lines a member and 295 more, one
+    # fewer than while the solver kept its cycle and budget branches. Python
+    # 3.12 inlines list comprehensions (PEP 709), and classifying a row
+    # builds one, so later Pythons are held to one slope and to the same
+    # ceiling at every size
+    counts = {}
+    for blocks in (100, 1000, 10**4):
+        inst = Instance(accept_a_with_full_blocks(blocks))
+        counts[inst.size] = lines(construct_certificate, inst, 1000, atlas)
+    (n1, c1), (n2, c2), (n3, c3) = counts.items()
+    assert (c2 - c1) * (n3 - n2) == (c3 - c2) * (n2 - n1)
+    assert all(count <= 13 * n + 295 for n, count in counts.items())
+    if sys.version_info < (3, 12):
+        assert len({count - 13 * n for n, count in counts.items()}) == 1
+
+
 def allocated_by_one_step(state: GameState) -> tuple[GameState, object, int]:
     """One step of a keyed state: the successor, the outcome, and the peak bytes the step and its key take."""
     position_key(state)
@@ -319,7 +370,7 @@ def test_a_relaid_row_makes_a_bounded_number_of_nodes_per_fire(length):
 def test_a_tipless_square_is_refused_without_building_its_tiles(atlas):
     # every 4-block of A has offsets {0, 3}, so the 640,000 cells of A x A
     # are all tape tiles and none is a tip; building them peaks at about 86 MB
-    inst = Instance(tuple(v for k in range(800) for v in (44 + 4 * k, 47 + 4 * k)))
+    inst = tipless(1600)
     tracemalloc.start()
     try:
         outcome = construct_certificate(inst, 1000, atlas)

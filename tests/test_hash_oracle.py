@@ -9,6 +9,9 @@ engine run makes, through copies, fires, re-laid rows and halts; with
 offsets that wrap at 2**20, runs that straddle the wrap, and runs longer
 than one block of lanes. `engine._diff_cells` reads the same runs, so it is
 checked against the dict engine's tile-map diff on the same steps.
+`assert_trace_digests_agree` checks the digest each record of a traced run
+carries; `test_atlas_oracle.py` runs it on the firing corpus, whose records,
+born from a square, copy and then fire.
 """
 
 import dict_engine
@@ -51,6 +54,16 @@ def assert_walk_agrees(state: GameState, gens: int) -> GameState:
         assert _diff_cells(state, new, outcome) == dict_engine.diff_cells(state, new)
         state = new
     return state
+
+
+def assert_trace_digests_agree(state: GameState, max_gens: int) -> None:
+    """Each record of a traced run carries the per-tile digest of the state it reports."""
+    records = []
+    run(state, max_gens, on_step=records.append)
+    for record in records:
+        if not isinstance(record.outcome, Terminated):
+            state = step(state)[0]
+        assert record.state_hash == grid_oracle.state_hash(state), record.gen
 
 
 @st.composite

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from corpus import ACCEPT_A, near_the_fixture, sweep_candidates
 from grammar_oracle import build_candidate
 from debilandia.embedding import NotATuringMachine, extract_tm
-from debilandia.engine import RunResult, RunStatus
 from debilandia.grid import SquarePoints, recognize
 from debilandia.instances import MARKER_RUNS, MARKER_STOPS, RESERVED, Certificate, Instance
 from debilandia.solver import (
@@ -109,19 +107,12 @@ def test_the_problem_is_decided_by_structure_alone(atlas, values):
     assert accepted == extracted == found
 
 
-@pytest.mark.parametrize(
-    "status, first_index, period, gens, marker",
-    [(RunStatus.CYCLE, 3, 2, 5, MARKER_STOPS), (RunStatus.BUDGET, None, None, 9, MARKER_RUNS)],
-    ids=["cycle", "budget"],
-)
-def test_a_cycle_or_a_spent_budget_sets_the_certificate(atlas, status, first_index, period, gens, marker):
-    # no real board near the fixture cycles or outlasts its budget, so the run is stubbed
-    inst = Instance(ACCEPT_A)
-    board = recognize(SquarePoints(inst.a_values), atlas)
-    ran = RunResult(board, gens, status, period=period, first_index=first_index)
-    with mock.patch("debilandia.solver.run", return_value=ran):
-        outcome = construct_certificate(inst, 9, atlas)
-    assert (outcome.certificate.gens, outcome.certificate.marker, outcome.generations) == (gens, marker, gens)
+def test_any_budget_gives_the_same_certificate(atlas):
+    # the run of a found set halts at its first attempt, under every atlas
+    # (tests/atlas_oracle.py), so every budget of at least one gives (1, 25)
+    for max_gens in (1, 2, 10**6):
+        outcome = construct_certificate(Instance(ACCEPT_A), max_gens, atlas)
+        assert (outcome.certificate.gens, outcome.certificate.marker, outcome.generations) == (1, MARKER_STOPS, 0)
 
 
 def test_a_budget_below_one_generation_is_refused(atlas):

@@ -19,16 +19,18 @@ kinds has exactly one (`tests/test_word_oracle.py` checks it). So:
 * A found certificate is E = 1 with marker 25, and `verify` accepts exactly
   (0, 43) and (E, 25) for every E >= 1 of a set `decide` accepts:
   `accepted(A, E, marker)`.
-* No run of a board of A x A fires, and none runs more than 10
-  generations. The tile below the tip lies in the tip's column, the one
-  block of x mask 9, so it is `TAPE_1`, `READ_0` or `STATUS_0`. A fire
-  needs a packet whose R2 is the status tile, also in that column, so
+* Under this atlas, no run of a board of A x A fires, and none runs more
+  than 10 generations. The tile below the tip lies in the tip's column,
+  the one block of x mask 9, so it is `TAPE_1`, `READ_0` or `STATUS_0`. A
+  fire needs a packet whose R2 is the status tile, also in that column, so
   `STATUS_0`; a packet lies right of the tip, where R2 can only be
-  `STATUS_1`. So a run is copies. `STATUS_0` lies only in a row of y mask 5,
-  which holds nothing else: one copy at most. Every packet that copies
+  `STATUS_1`. So a run is copies. `STATUS_0` lies only in a row of y mask
+  5, which holds nothing else: one copy at most. Every packet that copies
   open takes a slot-1 tile off the tape row, `READ_0` (x mask 9) or
-  `READ_1` (x mask 3), each in one block only, and at most five copies: ten
-  in all.
+  `READ_1` (x mask 3), each in one block only, and at most five copies:
+  ten in all. Under another atlas a square can copy and then fire, for as
+  long as its tape allows, or cycle: see the firing corpus of
+  `tests/atlas_oracle.py`, which states what holds under every atlas.
 """
 
 from __future__ import annotations

@@ -17,14 +17,17 @@ Python 3.11). Run it from the repository root as
     PYTHONPATH=src python tests/word_sweep.py
 
 It prints the number of boards, of found sets and the longest run, and
-exits 1 on the first board that disagrees.
+exits 1 on the first board that disagrees. `sweep` is the runner, and
+`tests/atlas_sweep.py` runs its own sweep through it.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from collections import Counter
 from itertools import permutations, product
+from typing import Callable, Iterable
 
 from word_oracle import TIP_X, TIP_Y, decide, values_of
 
@@ -69,21 +72,33 @@ def check(masks: tuple[int, ...], atlas) -> tuple[bool, int]:
     return found, result.generations_run
 
 
+def sweep(cases: Iterable[tuple], check: Callable, summary: Callable[[Counter], str]) -> int:
+    """Run check(*case) on every case and print summary(tally) and the time; 1 at the first case that fails.
+
+    tally counts each value check returned. A case that fails is printed
+    to stderr with its place in cases, its first field and its
+    AssertionError, and the sweep stops there.
+    """
+    start = time.monotonic()
+    tally: Counter = Counter()
+    for at, case in enumerate(cases):
+        try:
+            tally[check(*case)] += 1
+        except AssertionError as exc:
+            print(f"case {at}, {case[0]}, disagrees: {exc}", file=sys.stderr)
+            return 1
+    print(f"{summary(tally)}, {time.monotonic() - start:.1f} s")
+    return 0
+
+
 def main() -> int:
     atlas = atlas_default()
-    start = time.monotonic()
-    boards = found = longest = 0
-    for masks in words():
-        try:
-            hit, gens = check(masks, atlas)
-        except AssertionError as exc:
-            print(f"word {masks} disagrees with the closed form: {exc}", file=sys.stderr)
-            return 1
-        boards += 1
-        found += hit
-        longest = max(longest, gens)
-    print(f"{boards} boards, {found} found, longest run {longest} generations, {time.monotonic() - start:.1f} s")
-    return 0
+
+    def summary(tally: Counter) -> str:
+        boards, found = sum(tally.values()), sum(n for (hit, _), n in tally.items() if hit)
+        return f"{boards} boards, {found} found, longest run {max(gens for _, gens in tally)} generations"
+
+    return sweep(((masks, atlas) for masks in words()), check, summary)
 
 
 if __name__ == "__main__":
