@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, TextIO, TypeVar
 
 from .engine import Fired, RuleCopied, StepRecord, Terminated, run
-from .grid import SquarePoints, read_points, recognize, state_hash
+from .grid import hash_and_count, read_points, recognize, state_hash  # state_hash: perfbench/spans.py wraps cli.state_hash
 from .instances import MARKER_RUNS, MARKER_STOPS, Certificate, Instance, load_instance_file, write_certificate
 from .solver import SAMPLE_POOL, construct_certificate, growth_probe
 from .tiles import TileAtlas, atlas_default
@@ -140,15 +140,16 @@ def _cmd_simulate(args) -> int:
     atlas = _load_atlas(args.atlas)
     state = recognize(read_points(args.points), atlas)
     result = _atomic_write(lambda trace: run(state, args.max_gens, on_step=_trace_writer(trace)), args.trace or None)
+    final_hash, tiles = hash_and_count(result.final_state)
     summary = {
         "status": result.status.value,
         "reason": result.reason.value if result.reason else None,
         "generations": result.generations_run,
         "period": result.period,
         "first_index": result.first_index,
-        "tiles": result.final_state.tile_count(),
+        "tiles": tiles,
         "junk_cells": result.final_state.junk_cells,
-        "final_hash": f"{state_hash(result.final_state):016x}",
+        "final_hash": f"{final_hash:016x}",
     }
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -174,7 +175,7 @@ def _cmd_encode(args) -> int:
     inst = _parse_set_a(args.set_a)
     out = Path(args.out)
     text = out.with_suffix(".txt")  # _atomic_write refuses it when it is out itself
-    cert = Certificate(SquarePoints(inst.a_values), args.e, args.marker)
+    cert = Certificate(inst.square, args.e, args.marker)
 
     def write_both(json_file: TextIO, text_file: TextIO) -> None:
         write_certificate(json_file, cert, as_json=True)

@@ -305,9 +305,9 @@ def _recognize_square(values: tuple[int, ...], atlas: TileAtlas) -> GameState:
         return GameState({}, (0, 0), 0)
     base = values[0]
     block_masks: dict[int, int] = {}
-    for v in values:
-        block, offset = divmod(v - base, CELL)
-        block_masks[block] = block_masks.get(block, 0) | 1 << offset
+    for v in values:  # CELL is 4: value v lies in block v - base >> 2 at offset v - base & 3
+        block = v - base >> 2
+        block_masks[block] = block_masks.get(block, 0) | 1 << (v - base & 3)
     groups: dict[int, list[int]] = {}
     for block, mask in block_masks.items():
         groups.setdefault(mask, []).append(block)
@@ -442,31 +442,38 @@ def _lane_digest(
 def state_hash(state: GameState) -> int:
     """64-bit output digest of the absolute tile layout (final_hash, trace lines).
 
-    Equal layouts hash equal regardless of tile-map insertion order, and the
-    digest is a function of absolute lattice content: a state re-recognized
-    from its own points (which rebases cell addresses) hashes identically,
-    while a translated copy does not. It is not an identity: cell offsets
-    relative to the lowest column and row wrap at 2**20, so layouts whose
-    tiles lie 2**20 cells apart can share a digest. Cycle detection keys on
-    the engine's position key instead, which is exact.
+    Equal layouts hash equal in any tile order, and the digest is a function
+    of absolute lattice content: a state re-recognized from its own points
+    (which rebases cell addresses) hashes identically, a translated copy
+    does not. It is not an identity: cell offsets from the lowest column and
+    row wrap at 2**20, so layouts whose tiles lie 2**20 cells apart can share
+    a digest. Cycle detection keys on the engine's exact position key.
 
     The digest is a header, mixed from the origin and the tile count, XOR
-    splitmix64's finalizer of one term per tile: the tile's column and row
-    offsets from the lowest column and row, each wrapped at 2**20, and its
-    kind's index (see _lane_digest). Each kind of state hands over its tiles
-    from what it holds (_parts), and _lane_digest packs a run of equal
-    tiles into lanes without a Python step per tile. A state the engine made
-    hands over its tape row as the position key's runs, so its digest costs
-    O(runs + other tiles) Python work and builds no tile map or tape row.
+    splitmix64's finalizer of one term per tile: its column and row offsets
+    from the lowest column and row, each wrapped at 2**20, and its kind's
+    index (see _lane_digest). A state hands over its tiles as it holds them
+    (_parts), and a run of equal tiles is packed into lanes with no Python
+    step per tile: an engine-made state's tape row comes as the position
+    key's runs, so its digest is O(runs + other tiles) Python work.
     """
-    rows, runs, singles = state._parts()
+    return _digest(state, *state._parts())[0]
+
+
+def hash_and_count(state: GameState) -> tuple[int, int]:
+    """state_hash(state) and state.tile_count(), from one _parts(): what `simulate`'s summary reports."""
+    return _digest(state, *state._parts())
+
+
+def _digest(state: GameState, rows: Mapping, runs: list[tuple], singles: list[tuple]) -> tuple[int, int]:
+    """The digest and the tile count of a state whose _parts() are rows, runs and singles."""
     lowest = [(first, row) for row, first, _, _ in runs]
     if rows:
         lowest.append((min(map(min, rows.values())), min(rows)))
     if not lowest:
-        return _EMPTY_HASH
+        return _EMPTY_HASH, 0  # no rows and no runs, so no single tile beside them (see _parts)
     min_col, min_row = map(min, zip(*lowest))
     ox = state.anchor[0] + CELL * min_col
     oy = state.anchor[1] + CELL * min_row
-    header = _mix(_mix(ox) ^ _mix(oy ^ 0xA5A5A5A5) ^ _count(rows, runs, singles))
-    return header ^ _lane_digest(rows, runs, singles, min_col, min_row)
+    header = _mix(_mix(ox) ^ _mix(oy ^ 0xA5A5A5A5) ^ (count := _count(rows, runs, singles)))
+    return header ^ _lane_digest(rows, runs, singles, min_col, min_row), count

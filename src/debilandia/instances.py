@@ -17,12 +17,12 @@ len(L) = 3T + E + 2 where T is the pair count, while the verifier's input
 measure is N = P + E + T + 4 = 3T + E + 4, 2 more by construction. The
 verifier is the one reader of this grammar (group_tuples, check_coverage and
 scan_tail in turn). The canonical certificate is `Certificate(SquarePoints(A),
-E, marker)`, and write_certificate is its one writer. load_instance_file
-reads a file's bytes once: bytes proven canonical come back as that
-`Certificate`, from the proof itself, which parses only the bytes around the
-pairs and the run; the writer and that proof take the section's text from
-square_rows. Any other file is decoded and parsed whole into a list, whose
-pair section is read as two member columns (`grid.Pairs`).
+E, marker)`, and write_certificate is its one writer; `Instance` sorts A
+once, and its `square` is that SquarePoints. load_instance_file reads a
+file's bytes once: bytes proven canonical come back as that `Certificate`,
+from the proof itself, which parses only the bytes around the pairs and the
+run and compares the pairs with square_rows's text, the writer's too. Any
+other file is parsed whole into a list, read as two columns (`grid.Pairs`).
 """
 
 from __future__ import annotations
@@ -70,10 +70,12 @@ class RejectedCertificate(Exception):
 
 
 class Instance(Frozen):
-    """The set A, canonically ascending. B = A plus the six markers."""
+    """The set A, canonically ascending, and A x A over it. B = A plus the six markers."""
 
-    __slots__ = _fields = ("a_values",)
+    __slots__ = ("a_values", "square")
+    _fields = ("a_values",)  # square is made from a_values
     a_values: tuple[int, ...]
+    square: SquarePoints
 
     def __init__(self, a_values: tuple[int, ...]) -> None:
         if not a_values:
@@ -87,6 +89,9 @@ class Instance(Frozen):
         if members & RESERVED:
             raise ValueError(f"set A must avoid the reserved values {sorted(RESERVED)}")
         object.__setattr__(self, "a_values", tuple(sorted(a_values)))
+        square = object.__new__(SquarePoints)  # made field by field: A is sorted once, here, and holds no repeat
+        square.values = self.a_values
+        object.__setattr__(self, "square", square)
 
     @property
     def size(self) -> int:
@@ -200,9 +205,7 @@ class Certificate:
     __slots__ = ("prefix", "gens", "marker")
 
     def __init__(self, prefix: SquarePoints, gens: int, marker: int) -> None:
-        self.prefix = prefix
-        self.gens = gens
-        self.marker = marker
+        self.prefix, self.gens, self.marker = prefix, gens, marker
 
     def __len__(self) -> int:
         return 3 * len(self.prefix) + self.gens + 2
@@ -213,14 +216,13 @@ def square_rows(values: tuple[int, ...], sep: str) -> Iterator[str]:
 
     Row a is ``a SEP b SEP 7 SEP`` for each b of A, and the last row has no
     ``7 SEP`` after its last pair. Between ``2 SEP`` and ``5``, the rows
-    joined hold exactly the pairs of A x A in lexicographic order. Each row
-    is O(|A|) long, and only one is built at a time.
+    joined hold exactly the pairs of A x A in lexicographic order: no quote,
+    brace or bracket. A row is one join, O(|A|) long, built one at a time.
     """
     seven = "7" + sep
-    tails = [f"{sep}{b}{sep}{seven}" for b in values]
+    tails = ["", *(f"{sep}{b}{sep}{seven}" for b in values)]  # row a is str(a) joined between them
     for a in values:
-        head = str(a)
-        row = head + head.join(tails)
+        row = str(a).join(tails)
         yield row if a != values[-1] else row[: -len(seven)]
 
 
@@ -260,12 +262,10 @@ def _cut_run(data: bytes) -> tuple[int, int, int, int] | None:
 
     Only for bytes that end ``5 SEP (4 SEP)*E marker ] }`` with optional
     JSON whitespace around the brackets, where SEP is a comma and any
-    whitespace, the same throughout, and no quote or brace stands between
-    the array's opening bracket and the 5. The run is walked back from the
-    marker in blocks of 2**k ``4 SEP`` units, at most _RUN_BLOCK (64 KB)
-    long, then over the remainder in halving steps of 2**(k-1), ..., 1
-    units, so no E-sized string or list is built and memory stays O(block).
-    Returns None for any other bytes.
+    whitespace, the same throughout. The run is walked back from the marker
+    in blocks of 2**k ``4 SEP`` units, at most _RUN_BLOCK (64 KB) long, then
+    in halving steps of 2**(k-1), ..., 1 units, so memory stays O(block).
+    The array opens at the last bracket before the 5; other bytes give None.
     """
     close = _before_ws(data, len(data))
     if not data.endswith(b"}", 0, close):
@@ -296,9 +296,7 @@ def _cut_run(data: bytes) -> tuple[int, int, int, int] | None:
     if not data.endswith(b"5" + sep, 0, run_at) or five < 1 or data[five - 1] not in _JSON_WS + b",[":
         return None  # no whole 5 token before the run
     bracket = data.rfind(b"[", 0, five)
-    if bracket < 0 or data.find(b'"', bracket, five) >= 0 or data.find(b"{", bracket, five) >= 0:
-        return None
-    return bracket, five, run_at, marker_at
+    return None if bracket < 0 else (bracket, five, run_at, marker_at)
 
 
 def _parse_cut(data: bytes) -> dict | None:
@@ -324,8 +322,10 @@ def _proven_certificate(data: bytes) -> tuple[Instance, Certificate] | None:
 
     Only the bytes outside the pairs and the run are parsed. The pairs are
     compared with square_rows's text for sorted A a row at a time: bytes
-    equal to it hold exactly the canonical section's ints. E is the run's
-    length over the length of one ``4 SEP`` unit.
+    equal to it hold exactly the canonical section's ints. That compare is
+    the one pass proving the section holds only array items: the text has
+    no quote, brace or bracket, so the whole file parses as its cut bytes
+    do. E is the run's length over the length of one ``4 SEP`` unit.
     """
     cut = _cut_run(data)
     if cut is None:
@@ -349,10 +349,8 @@ def _proven_certificate(data: bytes) -> tuple[Instance, Certificate] | None:
         if not data.startswith(row, start):
             return None
         start += len(row)
-    if start != five:
-        return None
     gens = (marker_at - run_at) // (run_at - five)
-    return inst, Certificate(SquarePoints(inst.a_values), gens, int(data[marker_at : marker_at + 2]))
+    return (inst, Certificate(inst.square, gens, int(data[marker_at : marker_at + 2]))) if start == five else None
 
 
 def load_instance_file(path: str | Path) -> tuple[Instance, list[int] | Certificate]:

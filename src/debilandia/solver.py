@@ -34,7 +34,7 @@ from collections import namedtuple
 
 from .embedding import NotATuringMachine, extract_tm
 from .engine import RunStatus, run
-from .grid import SquarePoints, recognize
+from .grid import recognize
 from .instances import MARKER_STOPS, RESERVED, Certificate, Instance
 from .tiles import TileAtlas
 
@@ -67,16 +67,15 @@ def construct_certificate(inst: Instance, max_gens: int, atlas: TileAtlas) -> So
     """
     if max_gens < 1:
         raise ValueError("max_gens must be >= 1")
-    points = SquarePoints(inst.a_values)
-    state = recognize(points, atlas)
-    placed, scanned = len(points), state.tile_count() + state.junk_cells
+    state = recognize(inst.square, atlas)
+    placed, scanned = len(inst.square), state.tile_count() + state.junk_cells
     try:
         extract_tm(state)
     except NotATuringMachine as exc:
         return SolveOutcome(None, f"not_a_turing_machine:{exc.reason.value}", placed, scanned, 0)
     result = run(state, max_gens)
     assert result.status is RunStatus.HALTED and result.generations_run == 0, result
-    return SolveOutcome(Certificate(points, 1, MARKER_STOPS), None, placed, scanned, 0)
+    return SolveOutcome(Certificate(inst.square, 1, MARKER_STOPS), None, placed, scanned, 0)
 
 
 class GrowthRow(

@@ -32,7 +32,7 @@ from typing import Callable
 
 from .embedding import NotATuringMachine, extract_tm_counted
 from .engine import RunResult, RunStatus, StepRecord, run
-from .grid import SquarePoints, recognize
+from .grid import recognize
 from .instances import (
     MARKER_STOPS,
     Certificate,
@@ -176,9 +176,8 @@ def verify(
         ledger.c3 = len(pairs)
         return reject(exc.reason)
 
-    points = SquarePoints(inst.a_values)  # the pairs are exactly A x A
-    state = recognize(points, atlas)
-    ledger.c4 = len(points) + state.tile_count() + state.junk_cells
+    state = recognize(inst.square, atlas)  # the pairs are exactly A x A
+    ledger.c4 = len(inst.square) + state.tile_count() + state.junk_cells
     extraction: NotATuringMachine | None = None
     try:
         _, probes = extract_tm_counted(state)

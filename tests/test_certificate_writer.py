@@ -6,7 +6,7 @@
 the old writer's: `grammar_oracle.build_candidate`'s list rendered whole by
 `json.dumps(indent=2, sort_keys=True)` or `str.join`. Every JSON file
 written must load back as a proven section that `verify` reads as the list.
-The writer's package lines are pinned: five per member of A and a constant,
+The writer's package lines are pinned: four per member of A and a constant,
 whatever the number of fours.
 """
 
@@ -33,7 +33,7 @@ from debilandia.verifier import verify
 
 POOL = [v for v in range(1, 120) if v not in RESERVED]
 MAX_GENS = 16
-# package line events of write_certificate past five per member of A (a row of square_rows), as JSON and as
+# package line events of write_certificate past four per member of A (a row of square_rows), as JSON and as
 # text: 14 and 13 on Python 3.10 and 3.11, 13 and 12 on 3.12 and 3.13
 WRITE_LINES = {True: 14, False: 13} if sys.version_info < (3, 12) else {True: 13, False: 12}
 
@@ -99,7 +99,7 @@ def test_encode_memory_is_flat_in_the_generation_count(tmp_path):
 
 
 @pytest.mark.parametrize("as_json", [True, False])
-def test_writing_runs_five_lines_per_member_at_any_generation_count(as_json):
+def test_writing_runs_four_lines_per_member_at_any_generation_count(as_json):
     # the run goes out in writelines calls, a 4,096-four block each, so no
     # line runs per four or per block
     extra = set()
@@ -107,5 +107,5 @@ def test_writing_runs_five_lines_per_member_at_any_generation_count(as_json):
         for size in (16, 40, 100):
             prefix = SquarePoints(POOL[:size])
             for gens in (0, 1, 4095, 4096, 4097, 10**6):
-                extra.add(lines(write_certificate, sink, Certificate(prefix, gens, 43), as_json) - 5 * size)
+                extra.add(lines(write_certificate, sink, Certificate(prefix, gens, 43), as_json) - 4 * size)
     assert len(extra) == 1 and extra.pop() <= WRITE_LINES[as_json]

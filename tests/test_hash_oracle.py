@@ -9,6 +9,7 @@ engine run makes, through copies, fires, re-laid rows and halts; with
 offsets that wrap at 2**20, runs that straddle the wrap, and runs longer
 than one block of lanes. `engine._diff_cells` reads the same runs, so it is
 checked against the dict engine's tile-map diff on the same steps.
+`grid.hash_and_count` must give the same digest and the size of the tile map.
 `assert_trace_digests_agree` checks the digest each record of a traced run
 carries; `test_atlas_oracle.py` runs it on the firing corpus, whose records,
 born from a square, copy and then fire.
@@ -40,7 +41,9 @@ STARTS = st.one_of(st.integers(-40, 40), st.integers(WRAP - 300, WRAP + 40), st.
 
 
 def assert_digest_agrees(state: GameState) -> None:
+    # hash_and_count, simulate's summary, gives the same digest and the tile map's size
     assert state_hash(state) == grid_oracle.state_hash(state)
+    assert grid.hash_and_count(state) == (grid_oracle.state_hash(state), len(state.tiles))
 
 
 def assert_walk_agrees(state: GameState, gens: int) -> GameState:

@@ -8,9 +8,10 @@ file is parsed whole by `tiles.parse_json` and comes back as its list.
 `verify` through the CLI must print, exit and write the same on both paths,
 for files written in both layouts and then mutated in and around the run or
 the section, and `verify` must read a `Certificate` as the list it stands
-for. Loading a canonical file runs a pinned number of package lines: eight
-per member of A, and per 64 KB block of the run and per halving step of its
-remainder, no more than the walk in `_cut_run` needs.
+for. A quote, a brace or a nested array inside the section is refused by the
+row compare alone. Loading a canonical file runs a pinned number of package
+lines: seven per member of A, and per 64 KB block of the run and per halving
+step of its remainder, no more than the walk in `_cut_run` needs.
 """
 
 import contextlib
@@ -43,10 +44,10 @@ GENS = st.one_of(st.integers(0, 6), st.just(4500))
 LAYOUTS = ("dumps", "write_json")
 SEPARATORS = {"dumps": ", ", "write_json": ",\n    "}  # between the items of L
 # `4 SEP` units in one 64 KB block of _cut_run's walk, and the package line events of load_instance_file on a
-# canonical file past eight per member of A and the walk's lines: 134 in encode's layout and 117 in json.dumps'
-# on Python 3.10 and 3.11, 132 and 115 on 3.12 and 3.13
+# canonical file past seven per member of A and the walk's lines: 132 in encode's layout and 115 in json.dumps'
+# on Python 3.10 and 3.11, 130 and 113 on 3.12 and 3.13
 BLOCK_UNITS = {"dumps": 16_384, "write_json": 8_192}
-LOAD_LINES = {"dumps": 117, "write_json": 134} if sys.version_info < (3, 12) else {"dumps": 115, "write_json": 132}
+LOAD_LINES = {"dumps": 115, "write_json": 132} if sys.version_info < (3, 12) else {"dumps": 113, "write_json": 130}
 
 
 def expanded(items) -> list[int]:
@@ -197,7 +198,7 @@ def test_loading_a_canonical_file_runs_lines_per_member_and_per_block(tmp_path, 
                     write_certificate(handle, Certificate(SquarePoints(inst.a_values), gens, 25), True)
             walk = 2 * (gens // block) + bin(gens % block).count("1")
             assert load_instance_file(path)[1].gens == gens
-            extra.add(lines(load_instance_file, path) - 8 * size - walk)
+            extra.add(lines(load_instance_file, path) - 7 * size - walk)
     assert len(extra) == 1 and extra.pop() <= LOAD_LINES[layout]
 
 
@@ -243,12 +244,22 @@ def test_only_a_last_L_in_one_layout_is_cut(tmp_path, write, cut):
         '[2, 5,x 4,x 25]}',  # a separator that is not a comma and whitespace
         '[2, 45, 4, 25]}',  # no whole 5 token before the run
         '[2, 5, 4, 7, 25]}',  # the fours do not fill the run
-        '[2, "x", 5, 4, 25]}',  # a quote inside the array
-        '[2, {}, 5, 4, 25]}',  # a brace inside the array
     ],
 )
 def test_cut_run_refuses_text_outside_its_layout(tail):
     assert instances._cut_run(('{"A": [1], "L": ' + tail).encode()) is None
+
+
+@pytest.mark.parametrize("item", ['"x"', "{}"])
+def test_the_row_compare_refuses_a_quote_or_a_brace_in_the_array(tmp_path, item):
+    # _cut_run cuts the run of such a file; the proof refuses it, and the
+    # file is parsed whole, where L's non-int item fails the load
+    data = ('{"A": [1], "L": [2, ' + item + ", 5, 4, 25]}").encode()
+    assert instances._cut_run(data) is not None and instances._proven_certificate(data) is None
+    path = tmp_path / "instance.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="L must contain integers only"):
+        load_instance_file(path)
 
 
 def cut_pieces(text: bytes) -> tuple[bytes, ...]:
@@ -316,6 +327,9 @@ SECTION_EDITS = [
     "A-removed",
     "one-member",
     "no-fours",
+    "string-item",
+    "object-item",
+    "nested-array",
 ]
 
 
@@ -359,6 +373,14 @@ def section_text(data, edit: str, a_values: tuple, gens: int, marker: int, layou
     if edit == "leading-zero":
         at = data.draw(st.sampled_from(tokens[:-1]))  # the last token start is the 5
         return text[:at] + "0" + text[at:]
+    if edit in ("string-item", "object-item"):  # an item before any token of the section, or before the 5
+        items = ['"x"', '"7"', '""', '"[2, "'] if edit == "string-item" else ["{}", '{"L": [2]}']
+        at = data.draw(st.sampled_from(tokens))
+        return text[:at] + data.draw(st.sampled_from(items)) + sep + text[at:]
+    if edit == "nested-array":  # tokens i to j - 1 wrapped in brackets, so L's last bracket is the inner one
+        i, j = sorted(data.draw(st.lists(st.integers(0, len(tokens) - 1), min_size=2, max_size=2, unique=True)))
+        inner_end = tokens[j] - len(sep)
+        return text[: tokens[i]] + "[" + text[tokens[i] : inner_end] + "]" + text[inner_end:]
     return text
 
 
@@ -402,6 +424,36 @@ def test_loading_a_canonical_skeleton_peaks_under_twice_the_file(tmp_path):
         tracemalloc.stop()
     assert inst.size == 120 and type(loaded.prefix) is SquarePoints
     assert peak < 2 * path.stat().st_size
+
+
+def assert_a_skeleton_is_proven(directory: Path, size: int) -> None:
+    """encode's file of size members whose 4-blocks all have offsets {0, 3}, E = 0 and marker 43.
+
+    Its load is proven, a `Certificate` over the instance's own A x A, and
+    peaks under twice the file's size under tracemalloc; verify rejects it
+    at step 6, since A x A holds no tip.
+    """
+    path = directory / "skeleton.json"
+    set_a = ",".join(str(v) for k in range(size // 2) for v in (44 + 4 * k, 47 + 4 * k))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["encode", "--set-a", set_a, "--e", "0", "--marker", "43", "--out", str(path)]) == 0
+    tracemalloc.start()
+    try:
+        inst, loaded = load_instance_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.size == size and type(loaded) is Certificate and loaded.prefix is inst.square
+    assert peak < 2 * path.stat().st_size, (peak, path.stat().st_size)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--instance", str(path)]) == 1
+    assert json.loads(out.getvalue()) == {"reason": "not_a_turing_machine", "step": 6, "verdict": "reject"}
+
+
+def test_an_encoded_skeleton_is_proven_under_twice_its_size(tmp_path):
+    # a CI step runs the same check at |A| = 1,600, a 67.5 MB file
+    assert_a_skeleton_is_proven(tmp_path, 200)
 
 
 def text_read_error(path: Path) -> str:
